@@ -1,11 +1,11 @@
-//! Maximum-entropy solver benchmarks (experiment index B5), including the
-//! ablation the workspace's own history motivated: the Gibbs-form dual
-//! solver against Frank–Wolfe, whose additive gap bound collapses on the
-//! `τ²`-scale coordinates of exceptional-subclass KBs.
+//! Maximum-entropy solver benchmarks (experiment index B5): the Gibbs-form
+//! dual solver on an exceptional-subclass KB (whose `τ²`-scale coordinates
+//! defeat additive-gap primal methods), scaling in the atom count, and the
+//! full τ-sweep.
 
 use rw_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rw_logic::{KnowledgeBase, Tolerances};
-use rw_maxent::{compile, maximize_entropy, maximize_entropy_dual, SweepConfig};
+use rw_maxent::{compile, maximize_entropy_dual, SweepConfig};
 use rw_util::Rat;
 use std::hint::black_box;
 
@@ -19,21 +19,13 @@ fn penguin_kb() -> KnowledgeBase {
 }
 
 fn bench_solvers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("entropy_solver_ablation");
+    let mut group = c.benchmark_group("entropy_solver");
     let kb = penguin_kb();
     let tol = Tolerances::uniform(Rat::new(1, 64));
     let sys = compile(&kb, &tol).unwrap();
     let rows: Vec<(Vec<f64>, f64)> = sys.rows.iter().map(|r| (r.coeffs.clone(), r.rhs)).collect();
     group.bench_function("dual_gibbs", |b| {
         b.iter(|| black_box(maximize_entropy_dual(&rows, &sys.zero, sys.atoms).unwrap()))
-    });
-    let (a, bvec) = sys.lp_rows();
-    group.bench_function("frank_wolfe", |b| {
-        b.iter(|| {
-            // FW may stop at its iteration budget on this instance; that is
-            // the point of the ablation. Count the work either way.
-            black_box(maximize_entropy(&a, &bvec, sys.atoms).ok())
-        })
     });
     group.finish();
 }

@@ -132,8 +132,8 @@ fn main() {
     for threads in [1usize, 4] {
         let (cold_elapsed, cold) = median_timed(|| {
             // A fresh cache per run: this measures the cold pass.
-            let opts = BatchOptions::threaded(threads).with_cache(Arc::new(AnswerCache::new()));
-            engine.answer_batch_report(&kb, &queries, &opts)
+            let cold = engine.clone().with_cache(Arc::new(AnswerCache::new()));
+            cold.answer_batch_report(&kb, &queries, &BatchOptions::threaded(threads))
         });
         all_identical &= beliefs(&cold) == reference;
         row(
@@ -144,10 +144,11 @@ fn main() {
         );
 
         // One shared cache, warmed by a first pass, measured on reruns.
-        let warm_opts = BatchOptions::threaded(threads).with_cache(Arc::new(AnswerCache::new()));
-        let _ = engine.answer_batch_report(&kb, &queries, &warm_opts);
+        let warm_engine = engine.clone().with_cache(Arc::new(AnswerCache::new()));
+        let warm_opts = BatchOptions::threaded(threads);
+        let _ = warm_engine.answer_batch_report(&kb, &queries, &warm_opts);
         let (warm_elapsed, warm) =
-            median_timed(|| engine.answer_batch_report(&kb, &queries, &warm_opts));
+            median_timed(|| warm_engine.answer_batch_report(&kb, &queries, &warm_opts));
         all_identical &= beliefs(&warm) == reference;
         assert!(
             warm.report.cache_hits > 0,
@@ -176,7 +177,8 @@ fn main() {
 /// so the gate fails only on a real regression.
 fn overhead_gate(engine: &RandomWorlds, kb: &KnowledgeBase, queries: &[String]) {
     const ATTEMPTS: usize = 7;
-    let opts = BatchOptions::threaded(1).with_cache(Arc::new(AnswerCache::new()));
+    let engine = engine.clone().with_cache(Arc::new(AnswerCache::new()));
+    let opts = BatchOptions::threaded(1);
     let _ = engine.answer_batch_report(kb, queries, &opts); // warm the cache
     let mut best = f64::INFINITY;
     for attempt in 1..=ATTEMPTS {

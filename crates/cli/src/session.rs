@@ -5,11 +5,12 @@
 //! and renders results as the stable, line-oriented text the `rwq` binary
 //! prints — kept in the library so integration tests can assert on it.
 //! [`Session::answer_json_line`] is the serving path behind `rwq batch`:
-//! one loaded KB, one pinned solver pipeline, one JSON object per query
+//! one loaded KB, one solver pipeline, one JSON object per query
 //! ([`Session::answer_batch_jsonl`] is the collected convenience form).
 
 use rw_core::{
-    AnswerCache, BatchOptions, BatchReport, DenomCache, EngineError, McConfig, RandomWorlds,
+    AnswerCache, BatchOptions, BatchReport, DenomCache, EngineConfig, EngineError, McConfig,
+    RandomWorlds,
 };
 use rw_logic::{KnowledgeBase, Pretty, Tolerances};
 use rw_propensity::{Prior, PropensityEngine};
@@ -151,28 +152,26 @@ pub struct Session {
 impl Session {
     /// A session over a loaded knowledge base.
     pub fn new(kb: KnowledgeBase, options: SessionOptions) -> Session {
-        // The session never reconfigures its engine, so the default
-        // cascade is pinned once here and shared by every query instead
-        // of being rebuilt per call.
         // Both engines share one denominator cache (a `#worlds` count is
         // a pure function of its key), so interactive and batch paths
         // warm each other and the session reports one hit/miss tally.
         let denoms = Arc::new(DenomCache::new());
-        let pinned = |mc: Option<rw_core::McConfig>, enum_threads: usize| {
-            let mut engine = RandomWorlds::new().with_denom_cache(Arc::clone(&denoms));
-            engine.approx = mc;
-            engine.enum_threads = enum_threads;
-            engine.enum_symmetry = options.symmetry;
-            engine.enum_min_n = options.min_n;
-            engine.enum_max_n = options.max_n;
-            let stages = engine.default_stages();
-            engine.with_solvers(stages)
+        let build = |approx: Option<McConfig>, enum_threads: usize| {
+            RandomWorlds::from(EngineConfig {
+                approx,
+                enum_threads,
+                enum_symmetry: options.symmetry,
+                enum_min_n: options.min_n,
+                enum_max_n: options.max_n,
+                denom_cache: Arc::clone(&denoms),
+                ..EngineConfig::default()
+            })
         };
         let mc = options.mc_config();
         // `--threads` drives every intra-query worker pool on the
         // interactive path: the sampler (with `--approx`) and the exact
         // counting stage's branch-and-count workers alike.
-        let mut engine = pinned(mc.clone(), options.threads);
+        let mut engine = build(mc.clone(), options.threads);
         // The parallel batch executor already spreads queries across
         // `threads` workers; nesting a `threads`-wide sampler or
         // counting pool inside each would oversubscribe the cores
@@ -180,8 +179,8 @@ impl Session {
         // single-threaded per query — which changes nothing about the
         // answers (both pools are thread-count deterministic), only the
         // per-query wall time.
-        let mut batch_engine = (options.threads != 1)
-            .then(|| pinned(mc.map(|c| rw_core::McConfig { threads: 1, ..c }), 1));
+        let mut batch_engine =
+            (options.threads != 1).then(|| build(mc.map(|c| McConfig { threads: 1, ..c }), 1));
         let mut kb_fingerprint = None;
         if options.cache {
             let cache = Arc::new(AnswerCache::new());
@@ -238,7 +237,7 @@ impl Session {
     /// per query (in input order), plus the number of failed queries.
     ///
     /// The collected form of [`Self::answer_json_line`] (same KB, same
-    /// pinned pipeline, same JSON shape): a bad query produces an
+    /// pipeline, same JSON shape): a bad query produces an
     /// `"ok":false` line without voiding the rest.
     pub fn answer_batch_jsonl(&self, queries: &[String]) -> (Vec<String>, usize) {
         let mut failures = 0usize;

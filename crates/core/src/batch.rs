@@ -10,9 +10,9 @@
 //! worker picking up query *i* always computes exactly what the
 //! sequential path would.
 //!
-//! Workers can share an [`AnswerCache`] (the engine's installed cache, or
-//! one passed per batch in [`BatchOptions::cache`]): the cache's sharded
-//! interior mutability means a hit produced by one worker is immediately
+//! Workers share the engine's installed [`AnswerCache`](crate::AnswerCache)
+//! ([`RandomWorlds::with_cache`]): the cache's sharded interior
+//! mutability means a hit produced by one worker is immediately
 //! visible to the rest, so duplicate and syntactically-variant queries
 //! are answered once per batch instead of once per occurrence.
 //!
@@ -20,14 +20,12 @@
 //! per-stage totals; the totals are merged into the returned
 //! [`BatchReport`] along with wall/CPU time and cache-hit counts.
 
-use crate::cache::AnswerCache;
-use crate::engine::{CacheCtx, EngineError, RandomWorlds, Response};
+use crate::engine::{EngineError, RandomWorlds, Response};
 use crate::solver::{StageStatus, Trace};
 use rw_logic::canon;
 use rw_logic::KnowledgeBase;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a batch should be executed.
@@ -36,39 +34,23 @@ pub struct BatchOptions {
     /// Worker threads: `0` means one per available core, `1` (the
     /// default) runs inline on the calling thread.
     pub threads: usize,
-    /// A cache for this batch. `None` falls back to the engine's
-    /// installed cache ([`RandomWorlds::with_cache`]); to run a batch
-    /// uncached on a cache-carrying engine, pass a fresh throwaway cache.
-    pub cache: Option<Arc<AnswerCache>>,
 }
 
 impl Default for BatchOptions {
     fn default() -> BatchOptions {
-        BatchOptions {
-            threads: 1,
-            cache: None,
-        }
+        BatchOptions { threads: 1 }
     }
 }
 
 impl BatchOptions {
-    /// Sequential execution, no per-batch cache override.
+    /// Sequential execution.
     pub fn sequential() -> BatchOptions {
         BatchOptions::default()
     }
 
-    /// `threads` workers (0 = one per core), no per-batch cache override.
+    /// `threads` workers (0 = one per core).
     pub fn threaded(threads: usize) -> BatchOptions {
-        BatchOptions {
-            threads,
-            ..BatchOptions::default()
-        }
-    }
-
-    /// Replaces the batch's cache.
-    pub fn with_cache(mut self, cache: Arc<AnswerCache>) -> BatchOptions {
-        self.cache = Some(cache);
-        self
+        BatchOptions { threads }
     }
 }
 
@@ -220,8 +202,8 @@ impl WorkerShard {
 }
 
 impl RandomWorlds {
-    /// Answers a batch of queries, optionally in parallel and through a
-    /// shared answer cache, returning per-query results in input order
+    /// Answers a batch of queries, optionally in parallel and through the
+    /// engine's installed answer cache, returning per-query results in input order
     /// plus a [`BatchReport`].
     ///
     /// Determinism: every result is byte-for-byte what the sequential
@@ -239,8 +221,8 @@ impl RandomWorlds {
     ///
     /// let kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();
     /// let queries = ["Hep(Eric)", "Jaun(Eric) & Hep(Eric)", "Hep(Eric) & Jaun(Eric)"];
-    /// let opts = BatchOptions::threaded(2).with_cache(Arc::new(AnswerCache::new()));
-    /// let engine = RandomWorlds::new();
+    /// let opts = BatchOptions::threaded(2);
+    /// let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
     ///
     /// let cold = engine.answer_batch_report(&kb, &queries, &opts);
     /// assert_eq!(cold.report.answered, 3);
@@ -261,13 +243,7 @@ impl RandomWorlds {
     ) -> BatchRun {
         let start = Instant::now();
         let denoms_before = (self.denom_cache().hits(), self.denom_cache().misses());
-        let stages = self.effective_stages();
-        // Per-batch cache override, else the engine's installed cache.
-        let cache = opts.cache.as_deref().or(self.cache().map(Arc::as_ref));
-        let ctx = cache.map(|cache| CacheCtx {
-            cache,
-            key_prefix: self.key_prefix(canon::kb_fingerprint(kb), &stages),
-        });
+        let ctx = self.cache_ctx(|| canon::kb_fingerprint(kb));
         let threads = match opts.threads {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -279,6 +255,7 @@ impl RandomWorlds {
 
         // Stage-total template in pipeline order, `cache` slot first so
         // the report reads front-to-back like a query does.
+        let stages = self.solvers();
         let mut template: Vec<StageTotals> = Vec::with_capacity(stages.len() + 1);
         if ctx.is_some() {
             template.push(StageTotals {
@@ -286,8 +263,8 @@ impl RandomWorlds {
                 ..StageTotals::default()
             });
         }
-        template.extend(stages.iter().map(|s| StageTotals {
-            stage: s.solver.name().to_string(),
+        template.extend(stages.into_iter().map(|stage| StageTotals {
+            stage,
             ..StageTotals::default()
         }));
 
@@ -295,7 +272,7 @@ impl RandomWorlds {
             let mut shard = WorkerShard::new(&template);
             for (i, q) in queries.iter().enumerate() {
                 let t = Instant::now();
-                let r = self.answer_with(&stages, kb, q.as_ref(), ctx.as_ref());
+                let r = self.answer_with(kb, q.as_ref(), ctx.as_ref());
                 shard.record(i, r, t.elapsed());
             }
             vec![shard]
@@ -304,7 +281,6 @@ impl RandomWorlds {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
-                        let stages = &stages;
                         let ctx = ctx.as_ref();
                         let next = &next;
                         let template = &template;
@@ -314,7 +290,7 @@ impl RandomWorlds {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(q) = queries.get(i) else { break };
                                 let t = Instant::now();
-                                let r = self.answer_with(stages, kb, q.as_ref(), ctx);
+                                let r = self.answer_with(kb, q.as_ref(), ctx);
                                 shard.record(i, r, t.elapsed());
                             }
                             shard
@@ -386,7 +362,8 @@ impl RandomWorlds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Belief;
+    use crate::{AnswerCache, Belief, EngineConfig};
+    use std::sync::Arc;
 
     fn kb() -> KnowledgeBase {
         KnowledgeBase::parse(
@@ -504,8 +481,8 @@ mod tests {
             })
             .collect();
         let cache = Arc::new(AnswerCache::new());
-        let opts = BatchOptions::threaded(4).with_cache(Arc::clone(&cache));
-        let run = RandomWorlds::new().answer_batch_report(&kb, &queries, &opts);
+        let engine = RandomWorlds::new().with_cache(Arc::clone(&cache));
+        let run = engine.answer_batch_report(&kb, &queries, &BatchOptions::threaded(4));
         assert_eq!(run.report.answered, 12);
         // Only 2 distinct canonical forms get computed...
         assert_eq!(cache.len(), 2);
@@ -526,9 +503,8 @@ mod tests {
     fn warm_cache_answers_match_cold() {
         let kb = kb();
         let queries = workload();
-        let engine = RandomWorlds::new();
-        let cache = Arc::new(AnswerCache::new());
-        let opts = BatchOptions::threaded(2).with_cache(Arc::clone(&cache));
+        let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
+        let opts = BatchOptions::threaded(2);
         let cold = engine.answer_batch_report(&kb, &queries, &opts);
         let warm = engine.answer_batch_report(&kb, &queries, &opts);
         assert_eq!(warm.report.cache_hits, queries.len(), "fully warm");
@@ -547,11 +523,14 @@ mod tests {
         // consults the engine's denominator cache; the tiny budget keeps
         // the scan debug-fast (N ≤ 3).
         let kb = KnowledgeBase::parse("Likes(A, B)").unwrap();
-        let mut engine = RandomWorlds::new();
-        engine.enum_max_worlds = 1 << 13;
+        let engine = RandomWorlds::from(EngineConfig {
+            enum_max_worlds: 1 << 13,
+            ..EngineConfig::default()
+        });
+        let cached = engine.clone().with_cache(Arc::new(AnswerCache::new()));
         let queries = vec!["Likes(B, A)".to_string(), "Likes(B, A)".to_string()];
-        let opts = BatchOptions::sequential().with_cache(Arc::new(AnswerCache::new()));
-        let cold = engine.answer_batch_report(&kb, &queries, &opts);
+        let opts = BatchOptions::sequential();
+        let cold = cached.answer_batch_report(&kb, &queries, &opts);
         assert_eq!(cold.report.threads, 1);
         assert_eq!(cold.report.cache_hits + cold.report.cache_misses, 2);
         assert_eq!(cold.report.cache_misses, 1, "{}", cold.report);
@@ -559,7 +538,7 @@ mod tests {
             cold.report.denom_hits + cold.report.denom_misses > 0,
             "enumeration consulted the denominator cache"
         );
-        let warm = engine.answer_batch_report(&kb, &queries, &opts);
+        let warm = cached.answer_batch_report(&kb, &queries, &opts);
         assert_eq!(warm.report.cache_hits, 2);
         assert_eq!(warm.report.cache_misses, 0);
         assert_eq!(
@@ -568,7 +547,7 @@ mod tests {
             "answer-cache hits skip the counting stages entirely"
         );
         // Uncached batches report no cache traffic at all.
-        let uncached = engine.answer_batch_report(&kb, &queries, &BatchOptions::sequential());
+        let uncached = engine.answer_batch_report(&kb, &queries, &opts);
         assert_eq!(uncached.report.cache_misses, 0);
     }
 

@@ -10,23 +10,22 @@ use crate::solvers::{
 };
 use rw_logic::ast::Formula;
 use rw_logic::canon;
-use rw_logic::{KnowledgeBase, ParseError};
+use rw_logic::{KnowledgeBase, ParseError, Vocabulary};
 use rw_maxent::SweepConfig;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration and entry point for random-worlds inference.
+/// The inference settings of a [`RandomWorlds`] engine: everything
+/// besides the KB and the query that `Pr∞(φ | KB)` as computed here
+/// depends on. `Default` is the paper's four-stage cascade with the
+/// standard diagonal and counting budgets.
 ///
-/// The engine is a pipeline: an ordered list of [`Stage`]s, each a
-/// [`Solver`](crate::Solver) plus the [`Budget`] it may spend. A query walks the stages
-/// in order until one answers; the walk is recorded in the returned
-/// [`Response::trace`]. By default the pipeline is the paper's cascade —
-/// theorems, maximum entropy, exact unary counting, enumeration — built
-/// from the public configuration fields at query time; [`Self::with_solvers`]
-/// replaces it wholesale.
+/// An engine is built from its settings once ([`RandomWorlds::from`]);
+/// they never change afterwards, so the stage cascade and the cache-key
+/// fingerprint are computed at construction and never per query.
 #[derive(Clone, Debug)]
-pub struct RandomWorlds {
+pub struct EngineConfig {
     /// Maximum-entropy τ-sweep configuration (used by the default
     /// pipeline's maxent stage).
     pub sweep: SweepConfig,
@@ -76,26 +75,39 @@ pub struct RandomWorlds {
     /// estimated answer instead of falling into maxent/counting. The
     /// configuration is folded into the cache keyspace — an
     /// [`AnswerCache`] never mixes exact and approximate answers.
+    ///
+    /// ```
+    /// use rw_core::{Belief, EngineConfig, McConfig, Provenance, RandomWorlds};
+    /// use rw_logic::KnowledgeBase;
+    ///
+    /// let kb = KnowledgeBase::parse(
+    ///     "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)",
+    /// ).unwrap();
+    /// let engine = RandomWorlds::from(EngineConfig {
+    ///     approx: Some(McConfig::default()),
+    ///     ..EngineConfig::default()
+    /// });
+    /// // A conjunction over individuals sharing statistics misses every
+    /// // theorem pattern; the sampler stage, placed ahead of maxent,
+    /// // answers it with a CI.
+    /// let r = engine.answer(&kb, "Hep(Eric) & Hep(Tom)").unwrap();
+    /// assert!(matches!(r.belief, Belief::Approximate { .. }));
+    /// assert!(matches!(r.provenance, Provenance::MonteCarlo { .. }));
+    /// ```
     pub approx: Option<rw_worlds::mc::McConfig>,
-    /// A custom pipeline installed by [`Self::with_solvers`]; `None` means
-    /// the default cascade is built from the fields above per query.
-    custom: Option<Arc<Vec<Stage>>>,
-    /// An answer cache installed by [`Self::with_cache`], consulted before
-    /// the pipeline runs (and shared with batch workers).
-    cache: Option<Arc<AnswerCache>>,
-    /// The shared `#worlds_N^τ(KB)` denominator cache for the exact
-    /// counting stage: one count per `(KB, vocabulary shape, N, τ)`
-    /// sweep point instead of one per query. Always on — world counts
-    /// are pure functions of their key, so sharing (including across
-    /// engine clones in batch workers) can never serve a wrong value.
-    denom_cache: Arc<DenomCache>,
+    /// The `#worlds_N^τ(KB)` denominator cache for the exact counting
+    /// stage: one count per `(KB, vocabulary shape, N, τ)` sweep point
+    /// instead of one per query. Pass a shared handle so several engines
+    /// (per-KB serving sessions, batch workers) pool their counts —
+    /// always safe, because entries are pure functions of their key,
+    /// which carries the KB, vocabulary, budget, and counting mode. Like
+    /// [`Self::enum_threads`], not part of the cache keyspace.
+    pub denom_cache: Arc<DenomCache>,
 }
 
-impl RandomWorlds {
-    /// The default engine: the paper's four-stage cascade with the
-    /// standard diagonal and counting budgets.
-    pub fn new() -> RandomWorlds {
-        RandomWorlds {
+impl Default for EngineConfig {
+    fn default() -> EngineConfig {
+        EngineConfig {
             sweep: SweepConfig::default(),
             unary_max_profiles: 20_000_000,
             enum_max_worlds: 1 << 24,
@@ -106,161 +118,24 @@ impl RandomWorlds {
             enum_max_n: None,
             diagonal: Diagonal::default(),
             approx: None,
-            custom: None,
-            cache: None,
             denom_cache: Arc::new(DenomCache::new()),
         }
     }
+}
 
-    /// Enables the Monte-Carlo approximate-inference stage with the given
-    /// sampler configuration (builder form of setting [`Self::approx`]).
-    ///
-    /// ```
-    /// use rw_core::{Belief, Provenance, RandomWorlds};
-    /// use rw_logic::KnowledgeBase;
-    /// use rw_worlds::mc::McConfig;
-    ///
-    /// let kb = KnowledgeBase::parse(
-    ///     "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)",
-    /// ).unwrap();
-    /// let engine = RandomWorlds::new().with_approx(McConfig::default());
-    /// // A conjunction over individuals sharing statistics misses every
-    /// // theorem pattern; the sampler stage, placed ahead of maxent,
-    /// // answers it with a CI.
-    /// let r = engine.answer(&kb, "Hep(Eric) & Hep(Tom)").unwrap();
-    /// assert!(matches!(r.belief, Belief::Approximate { .. }));
-    /// assert!(matches!(r.provenance, Provenance::MonteCarlo { .. }));
-    /// ```
-    pub fn with_approx(mut self, config: rw_worlds::mc::McConfig) -> RandomWorlds {
-        self.approx = Some(config);
-        self
-    }
-
-    /// Replaces the pipeline with an explicit stage list (must be
-    /// non-empty, so every answer still carries a non-empty trace).
-    pub fn with_solvers(mut self, stages: Vec<Stage>) -> RandomWorlds {
-        assert!(
-            !stages.is_empty(),
-            "a RandomWorlds pipeline needs at least one stage"
-        );
-        self.custom = Some(Arc::new(stages));
-        self
-    }
-
-    /// Installs a shared [`AnswerCache`], consulted before the pipeline on
-    /// every top-level query (single [`Self::answer`] calls and batches
-    /// alike). The cache key is the canonical query form against the KB's
-    /// fingerprint ([`rw_logic::canon`]), so syntactic variants — commuted
-    /// conjunctions, double negations, alpha-renamed binders — share one
-    /// entry. The engine's own configuration (stage list, budgets,
-    /// diagonal, sweep) is folded into the key too, so mutating the
-    /// configuration — or sharing one cache between differently
-    /// configured engines — changes the keyspace instead of serving
-    /// stale beliefs. A hit returns a [`Response`] with
-    /// [`Response::cached`] set and a one-step `cache` trace.
-    ///
-    /// ```
-    /// use rw_core::{cache::AnswerCache, RandomWorlds};
-    /// use rw_logic::KnowledgeBase;
-    /// use std::sync::Arc;
-    ///
-    /// let kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();
-    /// let cache = Arc::new(AnswerCache::new());
-    /// let engine = RandomWorlds::new().with_cache(Arc::clone(&cache));
-    ///
-    /// let cold = engine.answer(&kb, "Hep(Eric)").unwrap();
-    /// assert!(!cold.cached);
-    /// // A syntactic variant of the same query hits the cache.
-    /// let warm = engine.answer(&kb, "!!Hep(Eric)").unwrap();
-    /// assert!(warm.cached);
-    /// assert_eq!(warm.belief, cold.belief);
-    /// assert_eq!(cache.hits(), 1);
-    /// ```
-    pub fn with_cache(mut self, cache: Arc<AnswerCache>) -> RandomWorlds {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The installed answer cache, if any.
-    pub fn cache(&self) -> Option<&Arc<AnswerCache>> {
-        self.cache.as_ref()
-    }
-
-    /// The engine's `#worlds` denominator cache (always present), for
-    /// callers that report its statistics or share it across engines.
-    pub fn denom_cache(&self) -> &Arc<DenomCache> {
-        &self.denom_cache
-    }
-
-    /// Replaces the denominator cache with a shared one, so several
-    /// engines (e.g. per-KB serving sessions) pool their `#worlds_N^τ(KB)`
-    /// counts. Always safe: entries are pure functions of their key, and
-    /// the key carries the KB, vocabulary, budget, and counting mode.
-    pub fn with_denom_cache(mut self, cache: Arc<DenomCache>) -> RandomWorlds {
-        self.denom_cache = cache;
-        self
-    }
-
-    /// The names of the effective pipeline's stages, in execution order.
-    pub fn solvers(&self) -> Vec<String> {
-        self.effective_stages()
-            .iter()
-            .map(|s| s.solver.name().to_string())
-            .collect()
-    }
-
-    /// The default cascade, built from the current configuration fields.
-    /// Useful as a base when composing a custom pipeline. With
-    /// [`Self::approx`] set, the Monte-Carlo stage runs right after the
-    /// theorem stage (its budget is the sampler's own draw cap).
-    pub fn default_stages(&self) -> Vec<Stage> {
-        let mut stages = vec![Stage::new(Box::new(TheoremSolver))];
-        if let Some(cfg) = &self.approx {
-            stages.push(Stage::budgeted(
-                Box::new(MonteCarloSolver::new(cfg.clone(), self.diagonal.clone())),
-                Budget::counting(cfg.max_samples as u128),
-            ));
-        }
-        stages.push(Stage::new(Box::new(MaxEntSolver::new(self.sweep.clone()))));
-        stages.push(Stage::budgeted(
-            Box::new(UnaryDiagonalSolver::new(self.diagonal.clone())),
-            Budget::counting(self.unary_max_profiles),
-        ));
-        stages.push(Stage::budgeted(
-            Box::new(EnumerationDiagonalSolver {
-                diagonal: self.diagonal.clone(),
-                compiled: self.enum_compiled,
-                symmetry: self.enum_symmetry,
-                min_n: self.enum_min_n,
-                max_n: self.enum_max_n,
-                threads: self.enum_threads,
-                denom_cache: Some(Arc::clone(&self.denom_cache)),
-            }),
-            Budget::counting(self.enum_max_worlds),
-        ));
-        stages
-    }
-
-    /// The pipeline a query will actually run: the custom stage list if
-    /// one is installed, else the default cascade built from the current
-    /// configuration fields (so field mutations keep taking effect).
-    pub(crate) fn effective_stages(&self) -> Arc<Vec<Stage>> {
-        match &self.custom {
-            Some(s) => Arc::clone(s),
-            None => Arc::new(self.default_stages()),
-        }
-    }
-
+impl EngineConfig {
     /// A fingerprint of everything *besides* the KB and query that can
-    /// influence an answer: the stage list (solver names + budgets) and
-    /// the engine's public configuration fields. Folded into every cache
-    /// key so a config mutation — or two differently configured engines
-    /// sharing one [`AnswerCache`] — can never serve a stale belief.
+    /// influence an answer under `stages`: the stage list (solver names +
+    /// budgets) and the answer-affecting settings. Folded into every
+    /// cache key so two differently configured engines sharing one
+    /// [`AnswerCache`] can never serve each other's beliefs. The source
+    /// string is part of the snapshot format — cache keys written by
+    /// earlier releases stay valid only while it is unchanged.
     ///
     /// Custom solvers are identified by name and budget only; two custom
     /// solvers that share a name but answer differently must not share a
     /// cache.
-    fn config_fingerprint(&self, stages: &[Stage]) -> u64 {
+    fn fingerprint(&self, stages: &[Stage]) -> u64 {
         let mut src = String::new();
         for s in stages {
             src.push_str(s.solver.name());
@@ -289,37 +164,146 @@ impl RandomWorlds {
         ));
         canon::fnv1a(src.as_bytes())
     }
+}
+
+/// Configuration and entry point for random-worlds inference.
+///
+/// The engine is a pipeline: an ordered list of [`Stage`]s, each a
+/// [`Solver`](crate::Solver) plus the [`Budget`] it may spend. A query walks the stages
+/// in order until one answers; the walk is recorded in the returned
+/// [`Response::trace`]. By default the pipeline is the paper's cascade —
+/// theorems, maximum entropy, exact unary counting, enumeration — built
+/// once from an [`EngineConfig`] when the engine is constructed
+/// ([`RandomWorlds::from`]); [`Self::with_solvers`] replaces it
+/// wholesale. The settings never change after construction, so the
+/// pipeline and the cache-key fingerprint are fixed with them.
+#[derive(Clone, Debug)]
+pub struct RandomWorlds {
+    config: EngineConfig,
+    /// The pipeline every query runs.
+    stages: Arc<Vec<Stage>>,
+    /// [`EngineConfig::fingerprint`] of `config` under `stages`.
+    config_fingerprint: u64,
+    /// An answer cache installed by [`Self::with_cache`], consulted before
+    /// the pipeline runs (and shared with batch workers).
+    cache: Option<Arc<AnswerCache>>,
+}
+
+impl From<EngineConfig> for RandomWorlds {
+    /// An engine running the default cascade under `config`.
+    fn from(config: EngineConfig) -> RandomWorlds {
+        let stages = default_stages(&config);
+        RandomWorlds {
+            config_fingerprint: config.fingerprint(&stages),
+            stages: Arc::new(stages),
+            config,
+            cache: None,
+        }
+    }
+}
+
+impl RandomWorlds {
+    /// The default engine: the paper's four-stage cascade with the
+    /// standard diagonal and counting budgets.
+    pub fn new() -> RandomWorlds {
+        RandomWorlds::from(EngineConfig::default())
+    }
+
+    /// Replaces the pipeline with an explicit stage list (must be
+    /// non-empty, so every answer still carries a non-empty trace).
+    pub fn with_solvers(mut self, stages: Vec<Stage>) -> RandomWorlds {
+        assert!(
+            !stages.is_empty(),
+            "a RandomWorlds pipeline needs at least one stage"
+        );
+        self.config_fingerprint = self.config.fingerprint(&stages);
+        self.stages = Arc::new(stages);
+        self
+    }
+
+    /// Installs a shared [`AnswerCache`], consulted before the pipeline on
+    /// every top-level query (single [`Self::answer`] calls and batches
+    /// alike). The cache key is the canonical query form against the KB's
+    /// fingerprint ([`rw_logic::canon`]), so syntactic variants — commuted
+    /// conjunctions, double negations, alpha-renamed binders — share one
+    /// entry. The engine's own configuration (stage list, budgets,
+    /// diagonal, sweep) is folded into the key too, so differently
+    /// configured engines sharing one cache keep disjoint keyspaces
+    /// instead of serving each other's beliefs. A hit returns a
+    /// [`Response`] with [`Response::cached`] set and a one-step `cache`
+    /// trace.
+    ///
+    /// ```
+    /// use rw_core::{cache::AnswerCache, RandomWorlds};
+    /// use rw_logic::KnowledgeBase;
+    /// use std::sync::Arc;
+    ///
+    /// let kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();
+    /// let cache = Arc::new(AnswerCache::new());
+    /// let engine = RandomWorlds::new().with_cache(Arc::clone(&cache));
+    ///
+    /// let cold = engine.answer(&kb, "Hep(Eric)").unwrap();
+    /// assert!(!cold.cached);
+    /// // A syntactic variant of the same query hits the cache.
+    /// let warm = engine.answer(&kb, "!!Hep(Eric)").unwrap();
+    /// assert!(warm.cached);
+    /// assert_eq!(warm.belief, cold.belief);
+    /// assert_eq!(cache.hits(), 1);
+    /// ```
+    pub fn with_cache(mut self, cache: Arc<AnswerCache>) -> RandomWorlds {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// The settings the engine was built from.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
+    /// The installed answer cache, if any.
+    pub fn cache(&self) -> Option<&Arc<AnswerCache>> {
+        self.cache.as_ref()
+    }
+
+    /// The engine's `#worlds` denominator cache (always present), for
+    /// callers that report its statistics.
+    pub fn denom_cache(&self) -> &Arc<DenomCache> {
+        &self.config.denom_cache
+    }
+
+    /// The names of the pipeline's stages, in execution order.
+    pub fn solvers(&self) -> Vec<String> {
+        self.stages
+            .iter()
+            .map(|s| s.solver.name().to_string())
+            .collect()
+    }
+
+    /// The default cascade under this engine's configuration. Useful as
+    /// a base when composing a custom pipeline. With
+    /// [`EngineConfig::approx`] set, the Monte-Carlo stage runs right
+    /// after the theorem stage (its budget is the sampler's own draw cap).
+    pub fn default_stages(&self) -> Vec<Stage> {
+        default_stages(&self.config)
+    }
 
     /// The full cache-key prefix: KB fingerprint combined with the
     /// engine-config fingerprint.
-    pub(crate) fn key_prefix(&self, kb_fingerprint: u64, stages: &[Stage]) -> u64 {
+    pub(crate) fn key_prefix(&self, kb_fingerprint: u64) -> u64 {
         let mut bytes = [0u8; 16];
         bytes[..8].copy_from_slice(&kb_fingerprint.to_le_bytes());
-        bytes[8..].copy_from_slice(&self.config_fingerprint(stages).to_le_bytes());
+        bytes[8..].copy_from_slice(&self.config_fingerprint.to_le_bytes());
         canon::fnv1a(&bytes)
     }
 
-    /// The cache context for queries against `kb`: the installed cache
+    /// The cache context for queries against one KB: the installed cache
     /// plus the combined KB/config key prefix, computed once per KB
-    /// rather than per query.
-    pub(crate) fn cache_ctx<'e>(
-        &'e self,
-        kb: &KnowledgeBase,
-        stages: &[Stage],
-    ) -> Option<CacheCtx<'e>> {
-        self.cache_ctx_fingerprinted(canon::kb_fingerprint(kb), stages)
-    }
-
-    /// [`Self::cache_ctx`] with a caller-supplied KB fingerprint (for
-    /// callers that hoist the fingerprint across many queries).
-    pub(crate) fn cache_ctx_fingerprinted<'e>(
-        &'e self,
-        kb_fingerprint: u64,
-        stages: &[Stage],
-    ) -> Option<CacheCtx<'e>> {
+    /// rather than per query. The KB fingerprint is only computed when a
+    /// cache is installed.
+    pub(crate) fn cache_ctx(&self, kb_fingerprint: impl FnOnce() -> u64) -> Option<CacheCtx<'_>> {
         self.cache.as_deref().map(|cache| CacheCtx {
             cache,
-            key_prefix: self.key_prefix(kb_fingerprint, stages),
+            key_prefix: self.key_prefix(kb_fingerprint()),
         })
     }
 
@@ -338,9 +322,8 @@ impl RandomWorlds {
     /// assert_eq!(r.trace.to_string(), "theorems answered");
     /// ```
     pub fn answer(&self, kb: &KnowledgeBase, query: &str) -> Result<Response, EngineError> {
-        let stages = self.effective_stages();
-        let ctx = self.cache_ctx(kb, &stages);
-        self.answer_with(&stages, kb, query, ctx.as_ref())
+        let ctx = self.cache_ctx(|| canon::kb_fingerprint(kb));
+        self.answer_with(kb, query, ctx.as_ref())
     }
 
     /// [`Self::answer`] with the KB's fingerprint
@@ -356,9 +339,8 @@ impl RandomWorlds {
         query: &str,
         kb_fingerprint: u64,
     ) -> Result<Response, EngineError> {
-        let stages = self.effective_stages();
-        let ctx = self.cache_ctx_fingerprinted(kb_fingerprint, &stages);
-        self.answer_with(&stages, kb, query, ctx.as_ref())
+        let ctx = self.cache_ctx(|| kb_fingerprint);
+        self.answer_with(kb, query, ctx.as_ref())
     }
 
     /// Computes `Pr∞(query | KB)` for an already-parsed query.
@@ -367,18 +349,17 @@ impl RandomWorlds {
         kb: &KnowledgeBase,
         query: &Formula,
     ) -> Result<Response, EngineError> {
-        let stages = self.effective_stages();
-        let ctx = self.cache_ctx(kb, &stages);
-        self.answer_parsed(&stages, kb, query, ctx.as_ref())
+        let ctx = self.cache_ctx(|| canon::kb_fingerprint(kb));
+        self.answer_parsed(kb, None, query, ctx.as_ref())
     }
 
     /// Answers many queries against one knowledge base, sequentially.
     ///
-    /// This is the serving-path primitive: the pipeline is built once and
-    /// the knowledge base is fingerprinted once, then reused across all
-    /// queries. Per-query failures (parse errors, out-of-reach) are
-    /// returned in place so one bad query never voids the rest. For the
-    /// threaded version with an aggregate report, see
+    /// This is the serving-path primitive: the knowledge base is
+    /// fingerprinted once and reused across all queries. Per-query
+    /// failures (parse errors, out-of-reach) are returned in place so one
+    /// bad query never voids the rest. For the threaded version with an
+    /// aggregate report, see
     /// [`Self::answer_batch_report`](RandomWorlds::answer_batch_report).
     ///
     /// ```
@@ -399,42 +380,63 @@ impl RandomWorlds {
         kb: &KnowledgeBase,
         queries: &[S],
     ) -> Vec<Result<Response, EngineError>> {
-        let stages = self.effective_stages();
-        let cache = self.cache_ctx(kb, &stages);
+        let ctx = self.cache_ctx(|| canon::kb_fingerprint(kb));
         queries
             .iter()
-            .map(|q| self.answer_with(&stages, kb, q.as_ref(), cache.as_ref()))
+            .map(|q| self.answer_with(kb, q.as_ref(), ctx.as_ref()))
             .collect()
     }
 
+    /// Parses a textual query and answers it through
+    /// [`Self::answer_parsed`]. Queries may mention fresh constants, so
+    /// each gets its own vocabulary extension; only the vocabulary is
+    /// cloned up front.
     pub(crate) fn answer_with(
         &self,
-        stages: &[Stage],
         kb: &KnowledgeBase,
         query: &str,
         cache: Option<&CacheCtx<'_>>,
     ) -> Result<Response, EngineError> {
-        // Queries may mention fresh constants, so each gets its own
-        // vocabulary extension. Only the vocabulary is cloned up front;
-        // the conjunct list is cloned after the cache lookup, so a hit
-        // never pays for copying the knowledge base.
         let mut vocab = kb.vocab().clone();
         let q = rw_logic::parse_formula(&mut vocab, query)?;
+        self.answer_parsed(kb, Some(vocab), &q, cache)
+    }
+
+    /// The common top-level path: consult the cache (if any), else run
+    /// the pipeline and remember the semantic answer. `vocab` is the
+    /// query's own extension of `kb`'s vocabulary, if it was parsed
+    /// against a copy; the KB is rebuilt around it only on a miss, so a
+    /// hit never pays for copying the conjunct list.
+    fn answer_parsed(
+        &self,
+        kb: &KnowledgeBase,
+        vocab: Option<Vocabulary>,
+        query: &Formula,
+        cache: Option<&CacheCtx<'_>>,
+    ) -> Result<Response, EngineError> {
+        let mut miss = None;
         if let Some(ctx) = cache {
             let start = Instant::now();
-            let key = AnswerCache::key(ctx.key_prefix, &canon::canonical_formula(&vocab, &q));
+            let canonical = canon::canonical_formula(vocab.as_ref().unwrap_or(kb.vocab()), query);
+            let key = AnswerCache::key(ctx.key_prefix, &canonical);
             let hit = ctx.cache.get(&key);
             observe_cache_lookup(start, hit.is_some());
             if let Some(hit) = hit {
                 return Ok(Self::cached_response(hit, start));
             }
-            let local = KnowledgeBase::from_parts(vocab, kb.conjuncts().to_vec());
-            let response = self.run_pipeline(stages, &local, &q)?;
-            ctx.cache.insert(key, CachedAnswer::of(&response));
-            return Ok(response);
+            miss = Some((ctx.cache, key));
         }
-        let local = KnowledgeBase::from_parts(vocab, kb.conjuncts().to_vec());
-        self.run_pipeline(stages, &local, &q)
+        let response = match vocab {
+            Some(vocab) => {
+                let local = KnowledgeBase::from_parts(vocab, kb.conjuncts().to_vec());
+                self.run_pipeline(&local, query)?
+            }
+            None => self.run_pipeline(kb, query)?,
+        };
+        if let Some((cache, key)) = miss {
+            cache.insert(key, CachedAnswer::of(&response));
+        }
+        Ok(response)
     }
 
     /// A [`Response`] materialized from a cache hit: a one-step `cache`
@@ -450,45 +452,16 @@ impl RandomWorlds {
         }
     }
 
-    /// The common top-level path: consult the cache (if any), else run
-    /// the pipeline and remember the semantic answer.
-    fn answer_parsed(
-        &self,
-        stages: &[Stage],
-        kb: &KnowledgeBase,
-        query: &Formula,
-        cache: Option<&CacheCtx<'_>>,
-    ) -> Result<Response, EngineError> {
-        let Some(ctx) = cache else {
-            return self.run_pipeline(stages, kb, query);
-        };
-        let start = Instant::now();
-        let key = AnswerCache::key(ctx.key_prefix, &canon::canonical_formula(kb.vocab(), query));
-        let hit = ctx.cache.get(&key);
-        observe_cache_lookup(start, hit.is_some());
-        if let Some(hit) = hit {
-            return Ok(Self::cached_response(hit, start));
-        }
-        let response = self.run_pipeline(stages, kb, query)?;
-        ctx.cache.insert(key, CachedAnswer::of(&response));
-        Ok(response)
-    }
-
-    fn run_pipeline(
-        &self,
-        stages: &[Stage],
-        kb: &KnowledgeBase,
-        query: &Formula,
-    ) -> Result<Response, EngineError> {
+    fn run_pipeline(&self, kb: &KnowledgeBase, query: &Formula) -> Result<Response, EngineError> {
         // Recursion (independence products, nested defaults) re-enters the
-        // *same* stage list rather than rebuilding it per sub-query.
+        // same stage list.
         let recurse = |skb: &KnowledgeBase, sq: &Formula| {
-            self.run_pipeline(stages, skb, sq)
+            self.run_pipeline(skb, sq)
                 .ok()
                 .map(|r| (r.belief, r.provenance))
         };
         let mut trace = Trace::default();
-        for stage in stages {
+        for stage in self.stages.iter() {
             let start = Instant::now();
             let outcome = stage.solver.solve(kb, query, &stage.budget, &recurse);
             let elapsed = start.elapsed();
@@ -554,6 +527,39 @@ impl Default for RandomWorlds {
     fn default() -> RandomWorlds {
         RandomWorlds::new()
     }
+}
+
+/// The paper's cascade under `config`: theorems, the sampler when
+/// [`EngineConfig::approx`] is set, maximum entropy, exact unary
+/// counting, enumeration.
+fn default_stages(config: &EngineConfig) -> Vec<Stage> {
+    let mut stages = vec![Stage::new(Box::new(TheoremSolver))];
+    if let Some(cfg) = &config.approx {
+        stages.push(Stage::budgeted(
+            Box::new(MonteCarloSolver::new(cfg.clone(), config.diagonal.clone())),
+            Budget::counting(cfg.max_samples as u128),
+        ));
+    }
+    stages.push(Stage::new(Box::new(MaxEntSolver::new(
+        config.sweep.clone(),
+    ))));
+    stages.push(Stage::budgeted(
+        Box::new(UnaryDiagonalSolver::new(config.diagonal.clone())),
+        Budget::counting(config.unary_max_profiles),
+    ));
+    stages.push(Stage::budgeted(
+        Box::new(EnumerationDiagonalSolver {
+            diagonal: config.diagonal.clone(),
+            compiled: config.enum_compiled,
+            symmetry: config.enum_symmetry,
+            min_n: config.enum_min_n,
+            max_n: config.enum_max_n,
+            threads: config.enum_threads,
+            denom_cache: Some(Arc::clone(&config.denom_cache)),
+        }),
+        Budget::counting(config.enum_max_worlds),
+    ));
+    stages
 }
 
 /// Records one pipeline stage run into the global metrics registry: a
@@ -1154,42 +1160,79 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
+    /// An engine built from the default settings with `edit` applied.
+    fn configured(edit: impl FnOnce(&mut EngineConfig)) -> RandomWorlds {
+        let mut config = EngineConfig::default();
+        edit(&mut config);
+        RandomWorlds::from(config)
+    }
+
+    #[test]
+    fn cache_key_prefixes_are_stable() {
+        // Snapshots store raw cache keys, and golden corpora pin answers
+        // served through them: the config fingerprint's source string
+        // must not drift. These values predate build-once engines.
+        let theorems_only = engine().with_solvers(vec![Stage::new(Box::new(TheoremSolver))]);
+        for (name, e, expect) in [
+            ("default", engine(), 0xfa12f43d03f4624c_u64),
+            (
+                "symmetry",
+                configured(|c| {
+                    c.enum_symmetry = true;
+                    c.enum_min_n = Some(3);
+                    c.enum_max_n = Some(12);
+                }),
+                0x8425dfff9f9ae3a8,
+            ),
+            (
+                "approx",
+                configured(|c| c.approx = Some(rw_worlds::mc::McConfig::default())),
+                0x66a427c556e5b1a0,
+            ),
+            ("theorems-only", theorems_only, 0xb7be729769df09e9),
+        ] {
+            let got = e.key_prefix(0x1234);
+            assert_eq!(got, expect, "{name}: {got:#018x}");
+        }
+    }
+
     #[test]
     fn config_mutations_invalidate_cache_entries() {
         let kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();
         let cache = Arc::new(AnswerCache::new());
-        let mut e = engine().with_cache(Arc::clone(&cache));
-        assert!(!e.answer(&kb, "Hep(Eric)").unwrap().cached);
-        assert!(e.answer(&kb, "Hep(Eric)").unwrap().cached);
-        // Any configuration change keys a fresh entry: a stale belief
-        // computed under the old budgets/diagonal must never be served.
-        e.enum_max_worlds = 1 << 10;
-        assert!(!e.answer(&kb, "Hep(Eric)").unwrap().cached);
-        e.diagonal = Diagonal::geometric(rw_util::Rat::new(1, 4), 8, 2);
-        assert!(!e.answer(&kb, "Hep(Eric)").unwrap().cached);
-        // The symmetry flag and scan window are part of the keyspace too.
-        e.enum_symmetry = true;
-        assert!(!e.answer(&kb, "Hep(Eric)").unwrap().cached);
-        e.enum_min_n = Some(3);
-        assert!(!e.answer(&kb, "Hep(Eric)").unwrap().cached);
-        e.enum_max_n = Some(12);
-        assert!(!e.answer(&kb, "Hep(Eric)").unwrap().cached);
-        // ...and each configuration's own entry still hits.
-        assert!(e.answer(&kb, "Hep(Eric)").unwrap().cached);
-        // Sharing the cache across engines keys by configuration: an
-        // identically configured engine reuses the entry, a differently
-        // configured one (custom stage list) does not.
-        let same = engine().with_cache(Arc::clone(&cache));
-        assert!(same.answer(&kb, "Hep(Eric)").unwrap().cached);
-        let different = engine()
-            .with_solvers(vec![Stage::new(Box::new(TheoremSolver))])
-            .with_cache(Arc::clone(&cache));
+        let cached = |e: RandomWorlds| e.with_cache(Arc::clone(&cache));
+        let base = cached(engine());
+        assert!(!base.answer(&kb, "Hep(Eric)").unwrap().cached);
+        assert!(base.answer(&kb, "Hep(Eric)").unwrap().cached);
+        // Every differently configured engine keys a fresh entry: a belief
+        // computed under other budgets/diagonal must never be served.
+        let variants: Vec<fn(&mut EngineConfig)> = vec![
+            |c| c.enum_max_worlds = 1 << 10,
+            |c| c.diagonal = Diagonal::geometric(rw_util::Rat::new(1, 4), 8, 2),
+            // The symmetry flag and scan window are part of the keyspace.
+            |c| c.enum_symmetry = true,
+            |c| c.enum_min_n = Some(3),
+            |c| c.enum_max_n = Some(12),
+        ];
+        for edit in variants {
+            let e = cached(configured(edit));
+            assert!(!e.answer(&kb, "Hep(Eric)").unwrap().cached);
+            // ...and each configuration's own entry still hits.
+            assert!(e.answer(&kb, "Hep(Eric)").unwrap().cached);
+        }
+        // An identically configured engine reuses the entry, one with a
+        // different stage list does not; neither does the thread count
+        // of the counting stage, which never affects an answer.
+        assert!(cached(engine()).answer(&kb, "Hep(Eric)").unwrap().cached);
+        let rethreaded = cached(configured(|c| c.enum_threads = 4));
+        assert!(rethreaded.answer(&kb, "Hep(Eric)").unwrap().cached);
+        let different = cached(engine().with_solvers(vec![Stage::new(Box::new(TheoremSolver))]));
         assert!(!different.answer(&kb, "Hep(Eric)").unwrap().cached);
     }
 
     #[test]
     fn approx_engines_insert_the_sampling_stage_after_theorems() {
-        let e = engine().with_approx(rw_worlds::mc::McConfig::default());
+        let e = configured(|c| c.approx = Some(rw_worlds::mc::McConfig::default()));
         assert_eq!(
             e.solvers(),
             vec![
@@ -1212,12 +1255,20 @@ mod tests {
         // N≤3) enumeration stage, the approx engine on the sampler.
         let kb = KnowledgeBase::parse("Likes(A, B)").unwrap();
         let cache = Arc::new(AnswerCache::new());
-        let mut exact = engine().with_cache(Arc::clone(&cache));
-        exact.enum_max_worlds = 1 << 13; // clamp enumeration to N=3
-        let mut approx = exact
-            .clone()
-            .with_approx(rw_worlds::mc::McConfig::default());
-        approx.diagonal = Diagonal::geometric(rw_util::Rat::new(1, 4), 4, 2);
+        let exact_config = EngineConfig {
+            enum_max_worlds: 1 << 13, // clamp enumeration to N=3
+            ..EngineConfig::default()
+        };
+        let sampling = |mc: rw_worlds::mc::McConfig| {
+            RandomWorlds::from(EngineConfig {
+                approx: Some(mc),
+                diagonal: Diagonal::geometric(rw_util::Rat::new(1, 4), 4, 2),
+                ..exact_config.clone()
+            })
+            .with_cache(Arc::clone(&cache))
+        };
+        let exact = RandomWorlds::from(exact_config.clone()).with_cache(Arc::clone(&cache));
+        let approx = sampling(rw_worlds::mc::McConfig::default());
         let q = "Likes(B, A)";
         let a = approx.answer(&kb, q).unwrap();
         assert!(!a.cached);
@@ -1233,24 +1284,18 @@ mod tests {
         assert!(approx.answer(&kb, q).unwrap().cached);
         assert!(exact.answer(&kb, q).unwrap().cached);
         // A different sampling configuration keys differently too...
-        let reseeded = RandomWorlds {
-            approx: Some(rw_worlds::mc::McConfig {
-                seed: 1234,
-                ..rw_worlds::mc::McConfig::default()
-            }),
-            ..approx.clone()
-        };
+        let reseeded = sampling(rw_worlds::mc::McConfig {
+            seed: 1234,
+            ..rw_worlds::mc::McConfig::default()
+        });
         assert!(!reseeded.answer(&kb, q).unwrap().cached);
         // ...but a different *worker count* does not: threads never
         // affect an answer (sampling is thread-count deterministic), so
         // sessions differing only in threads share cache entries.
-        let rethreaded = RandomWorlds {
-            approx: Some(rw_worlds::mc::McConfig {
-                threads: 4,
-                ..rw_worlds::mc::McConfig::default()
-            }),
-            ..approx.clone()
-        };
+        let rethreaded = sampling(rw_worlds::mc::McConfig {
+            threads: 4,
+            ..rw_worlds::mc::McConfig::default()
+        });
         assert!(rethreaded.answer(&kb, q).unwrap().cached);
     }
 

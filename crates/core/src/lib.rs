@@ -32,8 +32,14 @@
 //!    the blind odometer enumeration it replaced (which survives as the
 //!    cross-check oracle behind `compiled: false`).
 //!
-//! Enabling approximate inference ([`RandomWorlds::with_approx`], or the
-//! `approx` field) inserts [`solvers::MonteCarloSolver`] between the
+//! An engine is built once from an [`EngineConfig`] — budgets, diagonal,
+//! τ-sweep, counting mode, scan window, sampler and the shared
+//! denominator cache — via [`RandomWorlds::from`] (or
+//! [`RandomWorlds::new`] for the defaults). Its settings never change
+//! afterwards: the stage cascade and the cache-key fingerprint are
+//! computed at construction, not per query.
+//!
+//! Enabling approximate inference ([`EngineConfig::approx`]) inserts [`solvers::MonteCarloSolver`] between the
 //! theorem and maxent stages: Monte-Carlo sampling of the Definition 4.2
 //! fraction along the diagonal's `N`-sweep (`rw_worlds::mc`), answering
 //! with [`Belief::Approximate`] — a point estimate plus a 95% confidence
@@ -77,13 +83,13 @@ pub mod theorems;
 pub use batch::{BatchOptions, BatchReport, BatchRun, StageTotals};
 pub use belief::{Belief, Provenance};
 pub use cache::{AnswerCache, CachedAnswer, DenomCache, DenomKey};
-pub use engine::{BeliefResult, EngineError, RandomWorlds, Response};
+pub use engine::{BeliefResult, EngineConfig, EngineError, RandomWorlds, Response};
 pub use solver::{
     Budget, Diagonal, Recurse, Solver, SolverOutcome, Stage, StageStatus, StageTrace, Trace,
 };
 pub use solvers::MonteCarloSolver;
 pub use theorems::dempster_rule;
-// Re-exported so engine configuration (`RandomWorlds::approx`) does not
+// Re-exported so engine configuration (`EngineConfig::approx`) does not
 // force downstream crates to depend on `rw-worlds` directly.
 pub use rw_worlds::mc::McConfig;
 pub use rw_worlds::ScaledCount;

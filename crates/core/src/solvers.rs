@@ -371,6 +371,42 @@ impl EnumerationDiagonalSolver {
         self
     }
 
+    /// The `#worlds_N^τ(KB)` denominator at one sweep point: served from
+    /// the [`DenomCache`] when the KB is fingerprinted and the point was
+    /// counted before, else counted by `count` under the full stage
+    /// budget and remembered. `symmetry` keys orbit counts apart from
+    /// plain ones (their budget units differ).
+    fn denominator(
+        &self,
+        fingerprints: Option<(u64, u64)>,
+        n: usize,
+        tau: rw_util::Rat,
+        full_budget: u64,
+        symmetry: bool,
+        count: impl FnOnce(&rw_worlds::CountOptions) -> Result<ScaledCount, rw_worlds::CountError>,
+    ) -> Result<ScaledCount, rw_worlds::CountError> {
+        let key = fingerprints.map(|(kb_fp, vocab_fp)| DenomKey {
+            kb_fingerprint: kb_fp,
+            vocab_fingerprint: vocab_fp,
+            n,
+            tau: (tau.num(), tau.den()),
+            budget: full_budget,
+            symmetry,
+        });
+        let cache = self.denom_cache.as_ref();
+        if let Some(hit) = key.as_ref().and_then(|k| cache?.get(k)) {
+            return Ok(hit);
+        }
+        let counted = count(&rw_worlds::CountOptions {
+            max_visited: full_budget,
+            threads: self.threads,
+        })?;
+        if let (Some(k), Some(cache)) = (key, cache) {
+            cache.insert(k, counted);
+        }
+        Ok(counted)
+    }
+
     /// One `(value, numerator-effort)` diagonal point at domain size `n`,
     /// or the counting error that stopped it. `Ok(None)` means the KB is
     /// unsatisfiable at this size (the degree of belief is undefined
@@ -402,36 +438,13 @@ impl EnumerationDiagonalSolver {
                 threads: self.threads,
             },
         )?;
-        let key = fingerprints.map(|(kb_fp, vocab_fp)| DenomKey {
-            kb_fingerprint: kb_fp,
-            vocab_fingerprint: vocab_fp,
-            n,
-            tau: (tau.num(), tau.den()),
-            budget: full_budget,
-            symmetry: false,
-        });
-        let cached = key
-            .as_ref()
-            .and_then(|k| self.denom_cache.as_ref().and_then(|c| c.get(k)));
-        let denominator = match cached {
-            Some(count) => count.exact().expect("plain counts fit u128"),
-            None => {
-                let out = rw_worlds::count_formula_models(
-                    kb.vocab(),
-                    n,
-                    tol,
-                    kb_formula,
-                    &rw_worlds::CountOptions {
-                        max_visited: full_budget,
-                        threads: self.threads,
-                    },
-                )?;
-                if let (Some(k), Some(cache)) = (key, self.denom_cache.as_ref()) {
-                    cache.insert(k, ScaledCount::from_u128(out.count));
-                }
-                out.count
-            }
-        };
+        let denominator = self
+            .denominator(fingerprints, n, tau, full_budget, false, |options| {
+                rw_worlds::count_formula_models(kb.vocab(), n, tol, kb_formula, options)
+                    .map(|out| ScaledCount::from_u128(out.count))
+            })?
+            .exact()
+            .expect("plain counts fit u128");
         let value = if denominator == 0 {
             None
         } else {
@@ -465,34 +478,9 @@ impl EnumerationDiagonalSolver {
                 threads: self.threads,
             },
         )?;
-        let key = fingerprints.map(|(kb_fp, vocab_fp)| DenomKey {
-            kb_fingerprint: kb_fp,
-            vocab_fingerprint: vocab_fp,
-            n,
-            tau: (tau.num(), tau.den()),
-            budget: full_budget,
-            symmetry: true,
-        });
-        let cached = key
-            .as_ref()
-            .and_then(|k| self.denom_cache.as_ref().and_then(|c| c.get(k)));
-        let denominator = match cached {
-            Some(count) => count,
-            None => {
-                let out = kb_spec.count(
-                    n,
-                    tol,
-                    &rw_worlds::CountOptions {
-                        max_visited: full_budget,
-                        threads: self.threads,
-                    },
-                )?;
-                if let (Some(k), Some(cache)) = (key, self.denom_cache.as_ref()) {
-                    cache.insert(k, out.count);
-                }
-                out.count
-            }
-        };
+        let denominator = self.denominator(fingerprints, n, tau, full_budget, true, |options| {
+            kb_spec.count(n, tol, options).map(|out| out.count)
+        })?;
         Ok((
             ScaledCount::ratio(&numerator.count, &denominator),
             numerator.reps,
@@ -622,52 +610,14 @@ impl EnumerationDiagonalSolver {
             branched,
             orbits,
         };
-        match points.len() {
-            0 => SolverOutcome::BudgetExhausted {
+        if points.is_empty() {
+            return SolverOutcome::BudgetExhausted {
                 reason: failure.unwrap_or_else(|| {
                     format!("even N={min_n} exceeded the {max_visited}-node visit budget")
                 }),
-            },
-            // A single reachable size has nothing to extrapolate from —
-            // the line through N=1 runs off the domain — so use the
-            // point value.
-            1 => match points[0] {
-                (n, Some(v)) => SolverOutcome::Answered {
-                    belief: Belief::Point(v),
-                    provenance: provenance(n),
-                },
-                (n, None) => SolverOutcome::Answered {
-                    belief: Belief::Undefined,
-                    provenance: provenance(n),
-                },
-            },
-            len => {
-                let (n_lo, v_lo) = points[len - 2];
-                let (n_hi, v_hi) = points[len - 1];
-                match (v_lo, v_hi) {
-                    (Some(v_lo), Some(v_hi)) => {
-                        // v(N) = v∞ + c/N  ⇒
-                        // v∞ = v_hi + (v_hi − v_lo)·(1/N_hi)/(1/N_lo − 1/N_hi).
-                        let inv_lo = 1.0 / n_lo as f64;
-                        let inv_hi = 1.0 / n_hi as f64;
-                        let v = v_hi + (v_hi - v_lo) * inv_hi / (inv_lo - inv_hi);
-                        SolverOutcome::Answered {
-                            belief: Belief::Point(v.clamp(0.0, 1.0)),
-                            provenance: provenance(n_hi),
-                        }
-                    }
-                    (None, None) => SolverOutcome::Answered {
-                        belief: Belief::Undefined,
-                        provenance: provenance(n_hi),
-                    },
-                    (Some(_), None) | (None, Some(_)) => SolverOutcome::Declined {
-                        reason: format!(
-                            "inconsistent satisfiability between N={n_lo} and N={n_hi}"
-                        ),
-                    },
-                }
-            }
+            };
         }
+        diagonal_outcome(&points, provenance)
     }
 
     /// The historical odometer path: enumerate every interpretation at
@@ -710,49 +660,49 @@ impl EnumerationDiagonalSolver {
         let eval = |n: usize| {
             rw_worlds::enumerate::degree_of_belief_at_bounded(kb, query, n, &tol, budget.max_count)
         };
-        // The dominant error term is O(1/N): evaluate at the two largest
-        // feasible sizes and extrapolate linearly in 1/N. A one-point
-        // "diagonal" (n_hi == 2) has nothing to extrapolate from — the
-        // line through N=1 runs off the domain — so use the point value.
-        let n_lo = n_hi - 1;
-        if n_lo < 2 {
-            return match eval(n_hi) {
-                Ok(Some(v)) => SolverOutcome::Answered {
-                    belief: Belief::Point(v),
-                    provenance: provenance(n_hi),
-                },
-                Ok(None) => SolverOutcome::Answered {
-                    belief: Belief::Undefined,
-                    provenance: provenance(n_hi),
-                },
-                Err(e) => SolverOutcome::BudgetExhausted {
-                    reason: e.to_string(),
-                },
-            };
-        }
-        match (eval(n_lo), eval(n_hi)) {
-            (Ok(Some(v_lo)), Ok(Some(v_hi))) => {
-                // v(N) = v∞ + c/N  ⇒
-                // v∞ = v_hi + (v_hi − v_lo)·(1/N_hi)/(1/N_lo − 1/N_hi).
-                let inv_lo = 1.0 / n_lo as f64;
-                let inv_hi = 1.0 / n_hi as f64;
-                let v = v_hi + (v_hi - v_lo) * inv_hi / (inv_lo - inv_hi);
-                SolverOutcome::Answered {
-                    belief: Belief::Point(v.clamp(0.0, 1.0)),
-                    provenance: provenance(n_hi),
-                }
-            }
-            (Ok(None), Ok(None)) => SolverOutcome::Answered {
-                belief: Belief::Undefined,
-                provenance: provenance(n_hi),
-            },
-            (Err(e), _) | (_, Err(e)) => SolverOutcome::BudgetExhausted {
+        // Evaluate at the two largest feasible sizes — just `n_hi` when
+        // that is 2, the first size with an extrapolation line.
+        let sizes: &[usize] = if n_hi > 2 { &[n_hi - 1, n_hi] } else { &[n_hi] };
+        let points: Result<Vec<_>, rw_worlds::enumerate::EnumError> =
+            sizes.iter().map(|&n| Ok((n, eval(n)?))).collect();
+        match points {
+            Ok(points) => diagonal_outcome(&points, provenance),
+            Err(e) => SolverOutcome::BudgetExhausted {
                 reason: e.to_string(),
             },
-            (Ok(Some(_)), Ok(None)) | (Ok(None), Ok(Some(_))) => SolverOutcome::Declined {
-                reason: format!("inconsistent satisfiability between N={n_lo} and N={n_hi}"),
-            },
         }
+    }
+}
+
+/// Classifies the non-empty rising-`N` diagonal points `(N, value)` a
+/// counting scan reached (`None` = the KB is unsatisfiable at that size).
+/// Two or more points extrapolate linearly in `1/N` through the last two:
+/// the dominant error term is `O(1/N)`. A single point has nothing to
+/// extrapolate from — the line through `N = 1` runs off the domain — so
+/// its value stands.
+fn diagonal_outcome(
+    points: &[(usize, Option<f64>)],
+    provenance: impl Fn(usize) -> Provenance,
+) -> SolverOutcome {
+    let answered = |belief: Belief, n: usize| SolverOutcome::Answered {
+        belief,
+        provenance: provenance(n),
+    };
+    match points {
+        [.., (n_lo, Some(v_lo)), (n_hi, Some(v_hi))] => {
+            // v(N) = v∞ + c/N  ⇒
+            // v∞ = v_hi + (v_hi − v_lo)·(1/N_hi)/(1/N_lo − 1/N_hi).
+            let inv_lo = 1.0 / *n_lo as f64;
+            let inv_hi = 1.0 / *n_hi as f64;
+            let v = v_hi + (v_hi - v_lo) * inv_hi / (inv_lo - inv_hi);
+            answered(Belief::Point(v.clamp(0.0, 1.0)), *n_hi)
+        }
+        [.., (_, None), (n, None)] | [(n, None)] => answered(Belief::Undefined, *n),
+        [(n, Some(v))] => answered(Belief::Point(*v), *n),
+        [.., (n_lo, _), (n_hi, _)] => SolverOutcome::Declined {
+            reason: format!("inconsistent satisfiability between N={n_lo} and N={n_hi}"),
+        },
+        [] => unreachable!("a diagonal scan classifies at least one point"),
     }
 }
 

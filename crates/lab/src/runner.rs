@@ -8,7 +8,7 @@
 //! determinism and shuffle-invariance gates meaningful.
 
 use crate::workload::{Task, Workload};
-use rw_core::{AnswerCache, Belief, McConfig, RandomWorlds, Response};
+use rw_core::{AnswerCache, Belief, EngineConfig, McConfig, RandomWorlds, Response};
 use rw_logic::KnowledgeBase;
 use rw_server::json::{belief_json, counters_json, escape};
 use std::fmt::Write as _;
@@ -176,27 +176,30 @@ impl TrialRow {
 
 /// Builds the engine for one variant cell over one task.
 fn build_engine(engine: Engine, threads: usize, task: &Task, seed: u64) -> RandomWorlds {
-    let mut rw = RandomWorlds::new();
-    rw.enum_threads = threads;
-    rw.enum_min_n = task.min_n;
-    rw.enum_max_n = task.max_n;
+    let mut config = EngineConfig {
+        enum_threads: threads,
+        enum_min_n: task.min_n,
+        enum_max_n: task.max_n,
+        ..EngineConfig::default()
+    };
     match engine {
         Engine::Compiled | Engine::MaxEnt => {}
-        Engine::Oracle => rw.enum_compiled = false,
-        Engine::Symmetry => rw.enum_symmetry = true,
+        Engine::Oracle => config.enum_compiled = false,
+        Engine::Symmetry => config.enum_symmetry = true,
         Engine::MonteCarlo => {
-            let defaults = McConfig::default();
-            rw.approx = Some(McConfig {
+            config.approx = Some(McConfig {
                 seed,
                 threads,
-                ..defaults
+                ..McConfig::default()
             });
         }
     }
-    let mut stages = rw.default_stages();
-    if engine == Engine::MaxEnt {
-        stages.retain(|s| matches!(s.solver.name(), "theorems" | "maxent"));
+    let rw = RandomWorlds::from(config);
+    if engine != Engine::MaxEnt {
+        return rw;
     }
+    let mut stages = rw.default_stages();
+    stages.retain(|s| matches!(s.solver.name(), "theorems" | "maxent"));
     rw.with_solvers(stages)
 }
 

@@ -138,11 +138,8 @@ fn solve_system_warm(
         }
     }
     let rows: Vec<(Vec<f64>, f64)> = sys.rows.iter().map(|r| (r.coeffs.clone(), r.rhs)).collect();
-    match crate::entropy::maximize_entropy_dual_warm(&rows, &sys.zero, sys.atoms, warm) {
-        Ok(pl) => Ok(pl),
-        Err(EntropyError::Infeasible) => Err(MaxentError::Infeasible),
-        Err(e) => Err(MaxentError::Numeric(e.to_string())),
-    }
+    crate::entropy::maximize_entropy_dual_warm(&rows, &sys.zero, sys.atoms, warm)
+        .map_err(|EntropyError::Infeasible| MaxentError::Infeasible)
 }
 
 /// A query compiled to per-constant atom sets: the value at a maxent point

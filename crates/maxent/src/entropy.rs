@@ -1,47 +1,26 @@
-//! Entropy maximization over a polytope: primal Frank–Wolfe
-//! ([`maximize_entropy`]) and the Gibbs-form dual by projected Newton
-//! ([`maximize_entropy_dual`], the one the τ-sweep uses).
+//! Entropy maximization over a polytope: the Gibbs-form dual by
+//! projected Newton ([`maximize_entropy_dual`], the solver the τ-sweep
+//! uses).
 //!
-//! We maximize `H(p) = -Σ p_a ln p_a` over `{p ≥ 0 : A p ≤ b}` (the rows
-//! include the simplex equality `Σ p = 1` as two inequalities). Entropy is
+//! We maximize `H(p) = -Σ p_a ln p_a` over `{p ∈ Δ : A p ≤ b}`. Entropy is
 //! strictly concave, so the maximizer — the paper §6's "maximum-entropy
-//! point of `S(KB)`" — is unique whenever the polytope is nonempty.
-//!
-//! Frank–Wolfe needs only a linear oracle (one small LP per iteration) and
-//! respects the polytope exactly, which matters because compiled constraints
-//! routinely pin coordinates to zero. The gradient `-ln p_a - 1` blows up on
-//! the boundary; clamping it drives iterates off zero coordinates whenever
-//! the polytope allows, which is exactly the behaviour the unique interior
-//! maximizer requires. An exact bisection line search on the (monotone)
-//! directional derivative replaces the classic `2/(t+2)` step size and makes
-//! convergence fast in practice.
-
-use crate::simplex::{solve_lp, LpResult};
+//! point of `S(KB)`" — is unique whenever the polytope is nonempty. The
+//! dual reconstructs the primal point in closed form, so it respects the
+//! exact zeros that compiled constraints routinely pin; it cannot certify
+//! an empty polytope, which is why callers run an LP feasibility check
+//! ([`crate::simplex`]) first.
 
 /// Failure modes of entropy maximization.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EntropyError {
     /// The constraint polytope is empty.
     Infeasible,
-    /// The LP oracle failed (numerically unbounded polytope — cannot happen
-    /// for simplex-bounded systems unless the caller forgot the sum rows).
-    Unbounded,
-    /// Frank–Wolfe failed to reach the requested gap within the iteration
-    /// budget (returns the best point found).
-    DidNotConverge { point: Vec<f64>, gap: f64 },
 }
 
 impl std::fmt::Display for EntropyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EntropyError::Infeasible => write!(f, "constraint polytope is empty"),
-            EntropyError::Unbounded => write!(f, "polytope unbounded: missing simplex rows"),
-            EntropyError::DidNotConverge { gap, .. } => {
-                write!(
-                    f,
-                    "Frank-Wolfe gap {gap:.2e} above tolerance at iteration budget"
-                )
-            }
         }
     }
 }
@@ -55,116 +34,6 @@ pub fn entropy(p: &[f64]) -> f64 {
         .sum()
 }
 
-const GRAD_CLAMP: f64 = 745.0; // -ln(5e-324): the largest finite -ln p
-
-fn gradient(p: &[f64], out: &mut [f64]) {
-    for (g, &x) in out.iter_mut().zip(p) {
-        *g = if x <= 0.0 {
-            GRAD_CLAMP
-        } else {
-            (-x.ln() - 1.0).min(GRAD_CLAMP)
-        };
-    }
-}
-
-/// Exact line search: maximize `H(p + γ d)` for `γ ∈ [0, 1]`.
-///
-/// The directional derivative `φ'(γ) = Σ d_a (-ln(p_a + γ d_a) - 1)` is
-/// strictly decreasing, so bisection on its sign converges unconditionally.
-fn line_search(p: &[f64], d: &[f64]) -> f64 {
-    let phi_prime = |gamma: f64| -> f64 {
-        p.iter()
-            .zip(d)
-            .map(|(&pi, &di)| {
-                if di == 0.0 {
-                    return 0.0;
-                }
-                let v = (pi + gamma * di).max(1e-18);
-                di * (-v.ln() - 1.0)
-            })
-            .sum()
-    };
-    if phi_prime(1.0) >= 0.0 {
-        return 1.0;
-    }
-    if phi_prime(0.0) <= 0.0 {
-        return 0.0;
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if phi_prime(mid) > 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Maximizes entropy over `{p ≥ 0 : A p ≤ b}`.
-///
-/// The caller must include rows enforcing `Σ p = 1` (e.g. `Σ p ≤ 1` and
-/// `-Σ p ≤ -1`); [`crate::constraints::UnaryConstraintSystem::rows`] does.
-pub fn maximize_entropy(a: &[Vec<f64>], b: &[f64], n: usize) -> Result<Vec<f64>, EntropyError> {
-    // Starting point: average of the per-coordinate maximizing vertices.
-    // This lands in the relative interior of the feasible region wherever
-    // the region has one, so the entropy gradient is finite on every
-    // coordinate that can be nonzero.
-    let mut start = vec![0.0f64; n];
-    let mut found = 0usize;
-    for j in 0..n {
-        let mut c = vec![0.0; n];
-        c[j] = 1.0;
-        match solve_lp(&c, a, b) {
-            LpResult::Optimal { x, .. } => {
-                for (s, xi) in start.iter_mut().zip(&x) {
-                    *s += xi;
-                }
-                found += 1;
-            }
-            LpResult::Infeasible => return Err(EntropyError::Infeasible),
-            LpResult::Unbounded => return Err(EntropyError::Unbounded),
-        }
-    }
-    if found == 0 {
-        return Err(EntropyError::Infeasible);
-    }
-    let mut p: Vec<f64> = start.iter().map(|s| s / found as f64).collect();
-
-    let mut grad = vec![0.0f64; n];
-    let mut best_gap = f64::INFINITY;
-    for _iter in 0..2000 {
-        gradient(&p, &mut grad);
-        let s = match solve_lp(&grad, a, b) {
-            LpResult::Optimal { x, .. } => x,
-            LpResult::Infeasible => return Err(EntropyError::Infeasible),
-            LpResult::Unbounded => return Err(EntropyError::Unbounded),
-        };
-        let gap: f64 = grad
-            .iter()
-            .zip(s.iter().zip(&p))
-            .map(|(&g, (&si, &pi))| g * (si - pi))
-            .sum();
-        best_gap = best_gap.min(gap.abs());
-        if gap.abs() < 1e-10 {
-            return Ok(p);
-        }
-        let d: Vec<f64> = s.iter().zip(&p).map(|(&si, &pi)| si - pi).collect();
-        let gamma = line_search(&p, &d);
-        if gamma <= 0.0 {
-            return Ok(p);
-        }
-        for (pi, di) in p.iter_mut().zip(&d) {
-            *pi = (*pi + gamma * di).max(0.0);
-        }
-    }
-    Err(EntropyError::DidNotConverge {
-        point: p,
-        gap: best_gap,
-    })
-}
-
 /// Maximizes entropy over `{p ∈ Δ : rows·p ≤ rhs, p_a = 0 for pinned a}` by
 /// solving the *dual* problem in Gibbs form.
 ///
@@ -173,8 +42,8 @@ pub fn maximize_entropy(a: &[Vec<f64>], b: &[f64], n: usize) -> Result<Vec<f64>,
 /// `g(λ) = ln Σ_a exp(-(Aᵀλ)_a) + b·λ`. Because the primal point is
 /// reconstructed in closed form from `λ`, coordinates at scale `τ²` (which
 /// arise in exceptional-subclass inheritance, paper Example 5.20) come out
-/// with full *relative* precision — the regime where Frank–Wolfe's additive
-/// gap bound is useless. The dual has one variable per live row, so it is
+/// with full *relative* precision — the regime where a primal method's
+/// additive gap bound is useless. The dual has one variable per live row, so it is
 /// minimized by projected Newton steps: the Hessian of `g` is the covariance
 /// of the rows under the current Gibbs point, a small dense matrix.
 ///
@@ -490,22 +359,16 @@ fn cholesky_solve(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<()> {
 mod tests {
     use super::*;
 
-    /// Simplex rows `Σ p = 1` plus extra inequality rows.
-    fn with_simplex(n: usize, mut extra: Vec<(Vec<f64>, f64)>) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let mut a = vec![vec![1.0; n], vec![-1.0; n]];
-        let mut b = vec![1.0, -1.0];
-        for (row, rhs) in extra.drain(..) {
-            a.push(row);
-            b.push(rhs);
-        }
-        (a, b)
+    /// The dual's maxent point over `n` atoms under extra inequality rows
+    /// (the simplex `Σ p = 1` is implicit in the Gibbs form).
+    fn maxent(n: usize, rows: Vec<(Vec<f64>, f64)>) -> Vec<f64> {
+        maximize_entropy_dual(&rows, &vec![false; n], n).unwrap()
     }
 
     #[test]
     fn unconstrained_simplex_is_uniform() {
         for n in [2usize, 4, 8] {
-            let (a, b) = with_simplex(n, vec![]);
-            let p = maximize_entropy(&a, &b, n).unwrap();
+            let p = maxent(n, vec![]);
             for &x in &p {
                 assert!((x - 1.0 / n as f64).abs() < 1e-6, "n={n}: {p:?}");
             }
@@ -514,19 +377,16 @@ mod tests {
 
     #[test]
     fn pinned_coordinate() {
-        // p0 ≤ 0.3: maxent puts 0.3 on p0 only if entropy prefers it; with
-        // n=2 the unconstrained max is (1/2,1/2) → constraint binds at 0.3?
-        // No: uniform (0.5,0.5) violates p0 ≤ 0.3, so optimum is (0.3,0.7).
-        let (a, b) = with_simplex(2, vec![(vec![1.0, 0.0], 0.3)]);
-        let p = maximize_entropy(&a, &b, 2).unwrap();
+        // Uniform (0.5, 0.5) violates p0 ≤ 0.3, so the constraint binds
+        // and the optimum is (0.3, 0.7).
+        let p = maxent(2, vec![(vec![1.0, 0.0], 0.3)]);
         assert!((p[0] - 0.3).abs() < 1e-6, "{p:?}");
         assert!((p[1] - 0.7).abs() < 1e-6);
     }
 
     #[test]
     fn zero_coordinate() {
-        let (a, b) = with_simplex(3, vec![(vec![0.0, 0.0, 1.0], 0.0)]);
-        let p = maximize_entropy(&a, &b, 3).unwrap();
+        let p = maxent(3, vec![(vec![0.0, 0.0, 1.0], 0.0)]);
         assert!(p[2].abs() < 1e-9);
         assert!(
             (p[0] - 0.5).abs() < 1e-6 && (p[1] - 0.5).abs() < 1e-6,
@@ -539,7 +399,7 @@ mod tests {
         // The Black-birds example (paper Example 5.29), atoms ordered
         // (B∧Bl, B∧¬Bl, ¬B∧Bl, ¬B∧¬Bl): ||Bird|| = 0.1, ||Black|Bird|| = 0.2
         // → p0+p1 = 0.1, p0 = 0.02 → maxent splits the rest: p2 = p3 = 0.45.
-        let (a, b) = with_simplex(
+        let p = maxent(
             4,
             vec![
                 (vec![1.0, 1.0, 0.0, 0.0], 0.1),
@@ -549,19 +409,12 @@ mod tests {
                 (vec![-0.8, 0.2, 0.0, 0.0], 0.0),
             ],
         );
-        let p = maximize_entropy(&a, &b, 4).unwrap();
         assert!((p[0] - 0.02).abs() < 1e-5, "{p:?}");
         assert!((p[1] - 0.08).abs() < 1e-5);
         assert!((p[2] - 0.45).abs() < 1e-5);
         assert!((p[3] - 0.45).abs() < 1e-5);
         // Pr(Black(Clyde)) = p0 + p2 = 0.47 — the paper's number.
         assert!((p[0] + p[2] - 0.47).abs() < 1e-4);
-    }
-
-    #[test]
-    fn infeasible_polytope() {
-        let (a, b) = with_simplex(2, vec![(vec![1.0, 1.0], 0.5)]); // Σ=1 but ≤ 0.5
-        assert_eq!(maximize_entropy(&a, &b, 2), Err(EntropyError::Infeasible));
     }
 
     #[test]
@@ -623,14 +476,13 @@ mod tests {
     fn kl_projection_matches_lagrangian_solution() {
         // max H s.t. p0 + p1 = 0.6 over 4 coords: closed form p0=p1=0.3,
         // p2=p3=0.2.
-        let (a, b) = with_simplex(
+        let p = maxent(
             4,
             vec![
                 (vec![1.0, 1.0, 0.0, 0.0], 0.6),
                 (vec![-1.0, -1.0, 0.0, 0.0], -0.6),
             ],
         );
-        let p = maximize_entropy(&a, &b, 4).unwrap();
         for (i, expect) in [0.3, 0.3, 0.2, 0.2].iter().enumerate() {
             assert!((p[i] - expect).abs() < 1e-6, "{p:?}");
         }

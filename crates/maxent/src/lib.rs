@@ -15,14 +15,12 @@
 //!    comparisons become two linear inequalities — the conditional case
 //!    `||φ|ψ|| ≈_i α` linearizes exactly as `(α−τ)p_ψ ≤ p_{φ∧ψ} ≤ (α+τ)p_ψ`,
 //!    which also captures the measure-zero convention at `p_ψ = 0`).
-//! 2. [`simplex`] is a dense two-phase simplex LP solver (feasibility and
-//!    witness checks before each solve, and the linear oracle for
-//!    Frank–Wolfe).
+//! 2. [`simplex`] is a dense two-phase simplex LP solver (the feasibility
+//!    and witness checks before each solve).
 //! 3. [`entropy`] maximizes `H(p) = -Σ p_a ln p_a` over the polytope
-//!    (entropy is strictly concave, so the maximizer is unique). The sweep
-//!    solves the Gibbs-form dual by projected Newton steps — a few dozen
-//!    microseconds per solve; primal Frank–Wolfe with exact bisection line
-//!    search is kept as [`maximize_entropy`].
+//!    (entropy is strictly concave, so the maximizer is unique) by solving
+//!    the Gibbs-form dual with projected Newton steps — a few microseconds
+//!    per solve.
 //! 4. [`belief`] runs the τ-sweep, evaluates queries at each maxent point,
 //!    and classifies the limit: converged, non-robust (the value depends on
 //!    *how* `τ⃗ → 0` — the paper's conflicting-defaults situation, §5.3), or
@@ -35,5 +33,5 @@ pub mod simplex;
 
 pub use belief::{degree_of_belief_limit, maxent_point, LimitOutcome, MaxentError, SweepConfig};
 pub use constraints::{compile, CompileError, UnaryConstraintSystem};
-pub use entropy::{maximize_entropy, maximize_entropy_dual, EntropyError};
+pub use entropy::{maximize_entropy_dual, EntropyError};
 pub use simplex::{solve_lp, LpResult};

@@ -5,14 +5,14 @@
 //! stop re-parsing and re-fingerprinting the KB on every invocation the
 //! way one-shot `rwq query` does. Each [`LoadedKb`] carries its parsed
 //! [`KnowledgeBase`], its canonical fingerprint (computed once at load),
-//! and a pinned [`RandomWorlds`] engine wired to the server's shared
+//! and a [`RandomWorlds`] engine wired to the server's shared
 //! [`AnswerCache`]. Exact and approximate (Monte-Carlo) sessions can
 //! coexist against the same statements: the engine-config fingerprint
 //! inside every cache key keeps their keyspaces disjoint.
 
 use crate::format;
 use crate::proto::{ApproxParams, KbSource, ProtoError, ScanParams};
-use rw_core::{AnswerCache, DenomCache, McConfig, RandomWorlds};
+use rw_core::{AnswerCache, DenomCache, EngineConfig, McConfig, RandomWorlds};
 use rw_logic::KnowledgeBase;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -28,8 +28,8 @@ pub struct LoadedKb {
     pub kb: KnowledgeBase,
     /// [`rw_logic::canon::kb_fingerprint`], computed once at load.
     pub fingerprint: u64,
-    /// The pinned engine (cache installed; Monte-Carlo stage when the
-    /// load requested `approx`).
+    /// The engine (cache installed; Monte-Carlo stage when the load
+    /// requested `approx`).
     pub engine: RandomWorlds,
     /// True when the engine answers non-theorem queries by sampling.
     pub approx: bool,
@@ -40,16 +40,14 @@ pub struct LoadedKb {
     pub source: Option<String>,
     /// The Monte-Carlo parameters the load requested, if any.
     pub approx_params: Option<ApproxParams>,
-    /// The enumeration-scan settings the engine was pinned with.
+    /// The enumeration-scan settings the engine was built with.
     pub scan: ScanParams,
 }
 
 impl LoadedKb {
-    /// Builds a resident KB around a shared cache. The engine pins its
-    /// stage cascade once (the per-query default-rebuild is for
-    /// configurable one-shot use); the sampler runs single-threaded —
-    /// the server's worker pool is the parallelism, and worker count
-    /// never changes sampled answers anyway.
+    /// Builds a resident KB around a shared cache. The sampler runs
+    /// single-threaded — the server's worker pool is the parallelism,
+    /// and worker count never changes sampled answers anyway.
     pub fn new(
         name: String,
         kb: KnowledgeBase,
@@ -59,24 +57,22 @@ impl LoadedKb {
         cache: Arc<AnswerCache>,
         denoms: Arc<DenomCache>,
     ) -> LoadedKb {
-        let mut engine = RandomWorlds::new().with_denom_cache(denoms);
-        if let Some(params) = approx {
-            let defaults = McConfig::default();
-            engine.approx = Some(McConfig {
+        let defaults = McConfig::default();
+        let engine = RandomWorlds::from(EngineConfig {
+            approx: approx.map(|params| McConfig {
                 seed: params.seed.unwrap_or(defaults.seed),
                 threads: 1,
                 max_samples: params.samples.unwrap_or(defaults.max_samples),
                 target_ci: params.ci.unwrap_or(defaults.target_ci),
                 ..defaults
-            });
-        }
-        // Scan knobs must land before the stage cascade is pinned — the
-        // enumeration stage captures its configuration at build time.
-        engine.enum_symmetry = scan.symmetry;
-        engine.enum_min_n = scan.min_n;
-        engine.enum_max_n = scan.max_n;
-        let stages = engine.default_stages();
-        let engine = engine.with_solvers(stages).with_cache(cache);
+            }),
+            enum_symmetry: scan.symmetry,
+            enum_min_n: scan.min_n,
+            enum_max_n: scan.max_n,
+            denom_cache: denoms,
+            ..EngineConfig::default()
+        })
+        .with_cache(cache);
         let fingerprint = rw_logic::canon::kb_fingerprint(&kb);
         LoadedKb {
             name,

@@ -160,7 +160,7 @@ pub fn project(
 /// [`project`] with a caller-configured engine. Temporal KBs have one
 /// tolerance index per frame statement, and the engine's non-robustness
 /// probes sweep each index separately — on larger horizons a trimmed
-/// [`rw_core::RandomWorlds::sweep`] (fewer steps, or probes disabled when
+/// [`rw_core::EngineConfig::sweep`] (fewer steps, or probes disabled when
 /// only point beliefs matter) saves most of the cost.
 pub fn project_with(
     engine: &RandomWorlds,

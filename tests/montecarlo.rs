@@ -4,7 +4,7 @@
 //! stages on trap queries.
 
 use proptest::prelude::*;
-use random_worlds::core::{Belief, McConfig, Provenance, RandomWorlds};
+use random_worlds::core::{Belief, EngineConfig, McConfig, Provenance, RandomWorlds};
 use random_worlds::prelude::*;
 
 fn trap_kb() -> KnowledgeBase {
@@ -15,9 +15,17 @@ fn trap_kb() -> KnowledgeBase {
     KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)").unwrap()
 }
 
+/// An engine whose sampler stage runs under `config`.
+fn sampling(config: McConfig) -> RandomWorlds {
+    RandomWorlds::from(EngineConfig {
+        approx: Some(config),
+        ..EngineConfig::default()
+    })
+}
+
 #[test]
 fn approx_pipeline_answers_the_trap_in_the_sampling_stage() {
-    let engine = RandomWorlds::new().with_approx(McConfig::default());
+    let engine = sampling(McConfig::default());
     let r = engine.answer(&trap_kb(), "Hep(Eric) & Hep(Tom)").unwrap();
     let Belief::Approximate {
         value,
@@ -39,7 +47,7 @@ fn approx_pipeline_answers_the_trap_in_the_sampling_stage() {
 
 #[test]
 fn exact_queries_never_reach_the_sampler() {
-    let engine = RandomWorlds::new().with_approx(McConfig::default());
+    let engine = sampling(McConfig::default());
     let kb = trap_kb();
     for (q, expect) in [("Hep(Eric)", 0.8), ("Jaun(Eric)", 1.0), ("!Jaun(Tom)", 0.0)] {
         let r = engine.answer(&kb, q).unwrap();
@@ -63,8 +71,7 @@ proptest! {
                 max_samples: 1 << 14,
                 ..McConfig::default()
             };
-            let r = RandomWorlds::new()
-                .with_approx(cfg)
+            let r = sampling(cfg)
                 .answer(&kb, "Hep(Eric) & Hep(Tom)")
                 .unwrap();
             (r.belief, r.provenance)
@@ -79,8 +86,7 @@ proptest! {
     fn seeds_vary_the_draws_not_the_truth(seed in 1u64..1_000_000) {
         let kb = trap_kb();
         let at = |seed: u64| {
-            let r = RandomWorlds::new()
-                .with_approx(McConfig { seed, max_samples: 1 << 14, ..McConfig::default() })
+            let r = sampling(McConfig { seed, max_samples: 1 << 14, ..McConfig::default() })
                 .answer(&kb, "Hep(Eric) & Hep(Tom)")
                 .unwrap();
             r.belief

@@ -111,13 +111,13 @@ fn batch_answers_match_singles_and_isolate_failures() {
 fn parallel_cached_batches_through_the_facade() {
     use std::sync::Arc;
     let kb = hepatitis();
-    let engine = RandomWorlds::new();
+    let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
     let queries = ["Hep(Eric)", "!Hep(Eric)", "(Hep(Eric))", "!(Hep(Eric))"];
-    let opts = BatchOptions::threaded(2).with_cache(Arc::new(AnswerCache::new()));
+    let opts = BatchOptions::threaded(2);
     let cold = engine.answer_batch_report(&kb, &queries, &opts);
     assert_eq!(cold.report.answered, 4);
     assert_eq!(cold.report.failed, 0);
-    // Second pass over the same options (same cache): everything hits,
+    // Second pass through the same engine (same cache): everything hits,
     // beliefs are unchanged, and the synthetic `cache` stage answers.
     let warm = engine.answer_batch_report(&kb, &queries, &opts);
     assert_eq!(warm.report.cache_hits, 4);
@@ -146,16 +146,17 @@ fn stage_budgets_degrade_gracefully_into_the_next_stage() {
     let kb =
         KnowledgeBase::parse("||Black(x) | Bird(x)||_x ~=_1 0.2; ||Bird(x)||_x ~=_2 0.1").unwrap();
     let base = RandomWorlds::new();
+    let config = base.config();
     let stages = vec![
         Stage::budgeted(
             Box::new(random_worlds::core::solvers::UnaryDiagonalSolver::new(
-                base.diagonal.clone(),
+                config.diagonal.clone(),
             )),
             Budget::counting(1),
         ),
         Stage::budgeted(
-            Box::new(EnumerationDiagonalSolver::new(base.diagonal.clone())),
-            Budget::counting(base.enum_max_worlds),
+            Box::new(EnumerationDiagonalSolver::new(config.diagonal.clone())),
+            Budget::counting(config.enum_max_worlds),
         ),
     ];
     let engine = base.with_solvers(stages);

@@ -84,10 +84,10 @@ mod scenario_compiler {
     /// which is accuracy these coarse 0-vs-1-vs-standoff assertions don't
     /// need.
     fn engine(probe: bool) -> RandomWorlds {
-        let mut e = RandomWorlds::new();
-        e.sweep.steps = 5;
-        e.sweep.probe_asymmetry = probe;
-        e
+        let mut config = EngineConfig::default();
+        config.sweep.steps = 5;
+        config.sweep.probe_asymmetry = probe;
+        RandomWorlds::from(config)
     }
 
     fn project(
