@@ -22,7 +22,7 @@
 //! baseline's beliefs (`beliefs identical: true`), so the speedups are
 //! for equivalent answers.
 
-use rw_core::{AnswerCache, BatchOptions, BatchRun, RandomWorlds};
+use rw_core::{AnswerCache, BatchRun, RandomWorlds};
 use rw_logic::KnowledgeBase;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -107,8 +107,7 @@ fn main() {
         RUNS
     );
 
-    let (baseline, baseline_run) =
-        median_timed(|| engine.answer_batch_report(&kb, &queries, &BatchOptions::sequential()));
+    let (baseline, baseline_run) = median_timed(|| engine.answer_batch_report(&kb, &queries, 1));
     let reference = beliefs(&baseline_run);
     assert_eq!(baseline_run.report.failed, 0, "workload must be answerable");
     row("sequential, no cache (baseline)", baseline, baseline, "");
@@ -116,9 +115,7 @@ fn main() {
     let mut all_identical = true;
 
     for threads in [2usize, 4, 8] {
-        let (elapsed, run) = median_timed(|| {
-            engine.answer_batch_report(&kb, &queries, &BatchOptions::threaded(threads))
-        });
+        let (elapsed, run) = median_timed(|| engine.answer_batch_report(&kb, &queries, threads));
         all_identical &= beliefs(&run) == reference;
         row(
             &format!("threads={threads}, no cache"),
@@ -133,7 +130,7 @@ fn main() {
         let (cold_elapsed, cold) = median_timed(|| {
             // A fresh cache per run: this measures the cold pass.
             let cold = engine.clone().with_cache(Arc::new(AnswerCache::new()));
-            cold.answer_batch_report(&kb, &queries, &BatchOptions::threaded(threads))
+            cold.answer_batch_report(&kb, &queries, threads)
         });
         all_identical &= beliefs(&cold) == reference;
         row(
@@ -145,10 +142,9 @@ fn main() {
 
         // One shared cache, warmed by a first pass, measured on reruns.
         let warm_engine = engine.clone().with_cache(Arc::new(AnswerCache::new()));
-        let warm_opts = BatchOptions::threaded(threads);
-        let _ = warm_engine.answer_batch_report(&kb, &queries, &warm_opts);
+        let _ = warm_engine.answer_batch_report(&kb, &queries, threads);
         let (warm_elapsed, warm) =
-            median_timed(|| warm_engine.answer_batch_report(&kb, &queries, &warm_opts));
+            median_timed(|| warm_engine.answer_batch_report(&kb, &queries, threads));
         all_identical &= beliefs(&warm) == reference;
         assert!(
             warm.report.cache_hits > 0,
@@ -178,14 +174,13 @@ fn main() {
 fn overhead_gate(engine: &RandomWorlds, kb: &KnowledgeBase, queries: &[String]) {
     const ATTEMPTS: usize = 7;
     let engine = engine.clone().with_cache(Arc::new(AnswerCache::new()));
-    let opts = BatchOptions::threaded(1);
-    let _ = engine.answer_batch_report(kb, queries, &opts); // warm the cache
+    let _ = engine.answer_batch_report(kb, queries, 1); // warm the cache
     let mut best = f64::INFINITY;
     for attempt in 1..=ATTEMPTS {
         rw_obs::set_enabled(false);
-        let (off, _) = median_timed(|| engine.answer_batch_report(kb, queries, &opts));
+        let (off, _) = median_timed(|| engine.answer_batch_report(kb, queries, 1));
         rw_obs::set_enabled(true);
-        let (on, _) = median_timed(|| engine.answer_batch_report(kb, queries, &opts));
+        let (on, _) = median_timed(|| engine.answer_batch_report(kb, queries, 1));
         let ratio = on.as_secs_f64() / off.as_secs_f64().max(1e-12);
         best = best.min(ratio);
         println!(

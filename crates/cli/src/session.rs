@@ -9,8 +9,7 @@
 //! ([`Session::answer_batch_jsonl`] is the collected convenience form).
 
 use rw_core::{
-    AnswerCache, BatchOptions, BatchReport, DenomCache, EngineConfig, EngineError, McConfig,
-    RandomWorlds,
+    AnswerCache, BatchReport, DenomCache, EngineConfig, EngineError, McConfig, RandomWorlds,
 };
 use rw_logic::{KnowledgeBase, Pretty, Tolerances};
 use rw_propensity::{Prior, PropensityEngine};
@@ -261,9 +260,8 @@ impl Session {
     /// deterministic regardless of thread count) plus the aggregate
     /// [`BatchReport`] behind `rwq batch`'s closing summary line.
     pub fn answer_batch_report(&self, queries: &[String]) -> (Vec<String>, BatchReport) {
-        let opts = BatchOptions::threaded(self.options.threads);
         let engine = self.batch_engine.as_ref().unwrap_or(&self.engine);
-        let run = engine.answer_batch_report(&self.kb, queries, &opts);
+        let run = engine.answer_batch_report(&self.kb, queries, self.options.threads);
         let lines = queries
             .iter()
             .zip(&run.results)

@@ -2,13 +2,11 @@
 //!
 //! The direct-inference pipeline is embarrassingly parallel across
 //! queries: each query walks the stage cascade independently against one
-//! shared, immutable [`KnowledgeBase`]. This module shards a batch across
-//! a std-only worker pool (`std::thread::scope` plus an atomic work
-//! index — no external dependencies, consistent with the offline
-//! workspace) while keeping the output **deterministic**: results land in
-//! input order regardless of which worker answered which query, and a
-//! worker picking up query *i* always computes exactly what the
-//! sequential path would.
+//! shared, immutable [`KnowledgeBase`]. This module spreads a batch over
+//! the shared [`rw_util::par`] pool while keeping the output
+//! **deterministic**: results land in input order regardless of which
+//! worker answered which query, and a worker picking up query *i* always
+//! computes exactly what the sequential path would.
 //!
 //! Workers share the engine's installed [`AnswerCache`](crate::AnswerCache)
 //! ([`RandomWorlds::with_cache`]): the cache's sharded interior
@@ -16,43 +14,17 @@
 //! visible to the rest, so duplicate and syntactically-variant queries
 //! are answered once per batch instead of once per occurrence.
 //!
-//! Each worker aggregates the [`Trace`]s of the queries it answered into
-//! per-stage totals; the totals are merged into the returned
-//! [`BatchReport`] along with wall/CPU time and cache-hit counts.
+//! Once every query is answered, their [`Trace`]s are folded in input
+//! order into per-stage totals in the returned [`BatchReport`], along
+//! with wall/CPU time and cache-hit counts.
 
 use crate::engine::{EngineError, RandomWorlds, Response};
 use crate::solver::{StageStatus, Trace};
 use rw_logic::canon;
 use rw_logic::KnowledgeBase;
+use rw_util::par;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-/// How a batch should be executed.
-#[derive(Clone, Debug)]
-pub struct BatchOptions {
-    /// Worker threads: `0` means one per available core, `1` (the
-    /// default) runs inline on the calling thread.
-    pub threads: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> BatchOptions {
-        BatchOptions { threads: 1 }
-    }
-}
-
-impl BatchOptions {
-    /// Sequential execution.
-    pub fn sequential() -> BatchOptions {
-        BatchOptions::default()
-    }
-
-    /// `threads` workers (0 = one per core).
-    pub fn threaded(threads: usize) -> BatchOptions {
-        BatchOptions { threads }
-    }
-}
 
 /// Aggregate per-stage totals across a whole batch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -71,9 +43,9 @@ pub struct StageTotals {
 
 impl StageTotals {
     /// Folds one query's [`Trace`] into a running totals list, appending
-    /// slots for stages not seen before. Shared by the batch executor's
-    /// per-worker shards and long-lived serving loops (`rw-server`) that
-    /// aggregate per-stage totals across their whole lifetime.
+    /// slots for stages not seen before. Shared by the batch executor and
+    /// long-lived serving loops (`rw-server`) that aggregate per-stage
+    /// totals across their whole lifetime.
     pub fn absorb(totals: &mut Vec<StageTotals>, trace: &Trace) {
         for step in trace.steps() {
             let slot = match totals.iter_mut().find(|t| t.stage == step.stage) {
@@ -96,8 +68,7 @@ impl StageTotals {
     }
 
     /// Sums `from` into `into` stage by stage, appending stages `into`
-    /// has not seen. Merges per-worker totals: the batch executor's
-    /// shards and `rw-server`'s per-worker `stats` slots.
+    /// has not seen. Merges `rw-server`'s per-worker `stats` slots.
     pub fn merge(into: &mut Vec<StageTotals>, from: &[StageTotals]) {
         for st in from {
             match into.iter_mut().find(|t| t.stage == st.stage) {
@@ -174,36 +145,10 @@ pub struct BatchRun {
     pub report: BatchReport,
 }
 
-/// Per-worker accumulator: results with their input indices, plus the
-/// worker's share of the stage totals and CPU time.
-struct WorkerShard {
-    results: Vec<(usize, Result<Response, EngineError>)>,
-    stages: Vec<StageTotals>,
-    cpu: Duration,
-}
-
-impl WorkerShard {
-    fn new(template: &[StageTotals]) -> WorkerShard {
-        WorkerShard {
-            results: Vec::new(),
-            stages: template.to_vec(),
-            cpu: Duration::ZERO,
-        }
-    }
-
-    fn record(&mut self, idx: usize, result: Result<Response, EngineError>, elapsed: Duration) {
-        self.cpu += elapsed;
-        // Both success traces and out-of-reach traces feed the totals; a
-        // custom solver outside the template (e.g. a name introduced by a
-        // recursing stage) gets a slot appended on demand.
-        StageTotals::absorb_result(&mut self.stages, &result);
-        self.results.push((idx, result));
-    }
-}
-
 impl RandomWorlds {
-    /// Answers a batch of queries, optionally in parallel and through the
-    /// engine's installed answer cache, returning per-query results in input order
+    /// Answers a batch of queries on `threads` workers (0 = one per core,
+    /// 1 = inline on the calling thread) and through the engine's
+    /// installed answer cache, returning per-query results in input order
     /// plus a [`BatchReport`].
     ///
     /// Determinism: every result is byte-for-byte what the sequential
@@ -215,20 +160,19 @@ impl RandomWorlds {
     /// same either way because only semantic answers are cached.
     ///
     /// ```
-    /// use rw_core::{batch::BatchOptions, cache::AnswerCache, RandomWorlds};
+    /// use rw_core::{cache::AnswerCache, RandomWorlds};
     /// use rw_logic::KnowledgeBase;
     /// use std::sync::Arc;
     ///
     /// let kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();
     /// let queries = ["Hep(Eric)", "Jaun(Eric) & Hep(Eric)", "Hep(Eric) & Jaun(Eric)"];
-    /// let opts = BatchOptions::threaded(2);
     /// let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
     ///
-    /// let cold = engine.answer_batch_report(&kb, &queries, &opts);
+    /// let cold = engine.answer_batch_report(&kb, &queries, 2);
     /// assert_eq!(cold.report.answered, 3);
     /// // The commuted conjunctions share one canonical form, so a warm
     /// // rerun is answered entirely from the cache...
-    /// let warm = engine.answer_batch_report(&kb, &queries, &opts);
+    /// let warm = engine.answer_batch_report(&kb, &queries, 2);
     /// assert_eq!(warm.report.cache_hits, 3);
     /// // ...with the same beliefs.
     /// for (c, w) in cold.results.iter().zip(&warm.results) {
@@ -239,87 +183,42 @@ impl RandomWorlds {
         &self,
         kb: &KnowledgeBase,
         queries: &[S],
-        opts: &BatchOptions,
+        threads: usize,
     ) -> BatchRun {
         let start = Instant::now();
         let denoms_before = (self.denom_cache().hits(), self.denom_cache().misses());
         let ctx = self.cache_ctx(|| canon::kb_fingerprint(kb));
-        let threads = match opts.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-        .min(queries.len())
-        .max(1);
+        let threads = par::threads(threads).min(queries.len()).max(1);
 
-        // Stage-total template in pipeline order, `cache` slot first so
-        // the report reads front-to-back like a query does.
+        let timed = par::map(queries.len(), threads, |i| {
+            let t = Instant::now();
+            let r = self.answer_with(kb, queries[i].as_ref(), ctx.as_ref());
+            (r, t.elapsed())
+        });
+
+        // Stage totals in pipeline order, `cache` slot first so the
+        // report reads front-to-back like a query does. A custom solver
+        // outside this template (e.g. a name introduced by a recursing
+        // stage) gets a slot appended on demand.
         let stages = self.solvers();
-        let mut template: Vec<StageTotals> = Vec::with_capacity(stages.len() + 1);
+        let mut totals: Vec<StageTotals> = Vec::with_capacity(stages.len() + 1);
         if ctx.is_some() {
-            template.push(StageTotals {
+            totals.push(StageTotals {
                 stage: "cache".to_string(),
                 ..StageTotals::default()
             });
         }
-        template.extend(stages.into_iter().map(|stage| StageTotals {
+        totals.extend(stages.into_iter().map(|stage| StageTotals {
             stage,
             ..StageTotals::default()
         }));
-
-        let shards = if threads == 1 {
-            let mut shard = WorkerShard::new(&template);
-            for (i, q) in queries.iter().enumerate() {
-                let t = Instant::now();
-                let r = self.answer_with(kb, q.as_ref(), ctx.as_ref());
-                shard.record(i, r, t.elapsed());
-            }
-            vec![shard]
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let ctx = ctx.as_ref();
-                        let next = &next;
-                        let template = &template;
-                        scope.spawn(move || {
-                            let mut shard = WorkerShard::new(template);
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(q) = queries.get(i) else { break };
-                                let t = Instant::now();
-                                let r = self.answer_with(kb, q.as_ref(), ctx);
-                                shard.record(i, r, t.elapsed());
-                            }
-                            shard
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batch worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-        };
-
-        // Merge: results back into input order, shard totals summed.
-        let mut slots: Vec<Option<Result<Response, EngineError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut totals = template;
         let mut cpu = Duration::ZERO;
-        for shard in shards {
-            cpu += shard.cpu;
-            for (i, r) in shard.results {
-                slots[i] = Some(r);
-            }
-            StageTotals::merge(&mut totals, &shard.stages);
+        let mut results = Vec::with_capacity(timed.len());
+        for (r, elapsed) in timed {
+            cpu += elapsed;
+            StageTotals::absorb_result(&mut totals, &r);
+            results.push(r);
         }
-        let results: Vec<_> = slots
-            .into_iter()
-            .map(|s| s.expect("every query index was claimed by exactly one worker"))
-            .collect();
 
         let answered = results.iter().filter(|r| r.is_ok()).count();
         let cache_hits = results
@@ -409,7 +308,7 @@ mod tests {
         let engine = RandomWorlds::new();
         let sequential = engine.answer_batch(&kb, &queries);
         for threads in [2usize, 4, 0] {
-            let run = engine.answer_batch_report(&kb, &queries, &BatchOptions::threaded(threads));
+            let run = engine.answer_batch_report(&kb, &queries, threads);
             assert_eq!(run.results.len(), sequential.len());
             for (i, (s, p)) in sequential.iter().zip(&run.results).enumerate() {
                 assert!(same_answer(s, p), "query {i} diverged at {threads} threads");
@@ -425,8 +324,7 @@ mod tests {
             "Hep(".to_string(),
             "!Hep(Eric)".to_string(),
         ];
-        let run =
-            RandomWorlds::new().answer_batch_report(&kb, &queries, &BatchOptions::threaded(2));
+        let run = RandomWorlds::new().answer_batch_report(&kb, &queries, 2);
         assert_eq!(run.report.queries, 3);
         assert_eq!(run.report.answered, 2);
         assert_eq!(run.report.failed, 1);
@@ -443,8 +341,7 @@ mod tests {
     fn stage_totals_cover_every_recorded_step() {
         let kb = kb();
         let queries = workload();
-        let run =
-            RandomWorlds::new().answer_batch_report(&kb, &queries, &BatchOptions::sequential());
+        let run = RandomWorlds::new().answer_batch_report(&kb, &queries, 1);
         let theorems = run
             .report
             .stages
@@ -482,7 +379,7 @@ mod tests {
             .collect();
         let cache = Arc::new(AnswerCache::new());
         let engine = RandomWorlds::new().with_cache(Arc::clone(&cache));
-        let run = engine.answer_batch_report(&kb, &queries, &BatchOptions::threaded(4));
+        let run = engine.answer_batch_report(&kb, &queries, 4);
         assert_eq!(run.report.answered, 12);
         // Only 2 distinct canonical forms get computed...
         assert_eq!(cache.len(), 2);
@@ -504,9 +401,8 @@ mod tests {
         let kb = kb();
         let queries = workload();
         let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
-        let opts = BatchOptions::threaded(2);
-        let cold = engine.answer_batch_report(&kb, &queries, &opts);
-        let warm = engine.answer_batch_report(&kb, &queries, &opts);
+        let cold = engine.answer_batch_report(&kb, &queries, 2);
+        let warm = engine.answer_batch_report(&kb, &queries, 2);
         assert_eq!(warm.report.cache_hits, queries.len(), "fully warm");
         for (c, w) in cold.results.iter().zip(&warm.results) {
             assert_eq!(
@@ -529,8 +425,7 @@ mod tests {
         });
         let cached = engine.clone().with_cache(Arc::new(AnswerCache::new()));
         let queries = vec!["Likes(B, A)".to_string(), "Likes(B, A)".to_string()];
-        let opts = BatchOptions::sequential();
-        let cold = cached.answer_batch_report(&kb, &queries, &opts);
+        let cold = cached.answer_batch_report(&kb, &queries, 1);
         assert_eq!(cold.report.threads, 1);
         assert_eq!(cold.report.cache_hits + cold.report.cache_misses, 2);
         assert_eq!(cold.report.cache_misses, 1, "{}", cold.report);
@@ -538,7 +433,7 @@ mod tests {
             cold.report.denom_hits + cold.report.denom_misses > 0,
             "enumeration consulted the denominator cache"
         );
-        let warm = cached.answer_batch_report(&kb, &queries, &opts);
+        let warm = cached.answer_batch_report(&kb, &queries, 1);
         assert_eq!(warm.report.cache_hits, 2);
         assert_eq!(warm.report.cache_misses, 0);
         assert_eq!(
@@ -547,7 +442,7 @@ mod tests {
             "answer-cache hits skip the counting stages entirely"
         );
         // Uncached batches report no cache traffic at all.
-        let uncached = engine.answer_batch_report(&kb, &queries, &opts);
+        let uncached = engine.answer_batch_report(&kb, &queries, 1);
         assert_eq!(uncached.report.cache_misses, 0);
     }
 
@@ -557,7 +452,7 @@ mod tests {
         let cache = Arc::new(AnswerCache::new());
         let engine = RandomWorlds::new().with_cache(Arc::clone(&cache));
         let queries = vec!["Hep(Eric)".to_string(), "Hep(Eric)".to_string()];
-        let run = engine.answer_batch_report(&kb, &queries, &BatchOptions::sequential());
+        let run = engine.answer_batch_report(&kb, &queries, 1);
         assert_eq!(run.report.cache_hits, 1);
         assert!(run.results[1].as_ref().unwrap().cached);
     }
@@ -566,8 +461,7 @@ mod tests {
     fn thread_count_is_clamped_to_workload() {
         let kb = kb();
         let queries = vec!["Hep(Eric)".to_string()];
-        let run =
-            RandomWorlds::new().answer_batch_report(&kb, &queries, &BatchOptions::threaded(8));
+        let run = RandomWorlds::new().answer_batch_report(&kb, &queries, 8);
         assert_eq!(run.report.threads, 1);
         assert_eq!(run.report.answered, 1);
     }
@@ -576,7 +470,7 @@ mod tests {
     fn empty_batch_reports_cleanly() {
         let kb = kb();
         let queries: Vec<String> = Vec::new();
-        let run = RandomWorlds::new().answer_batch_report(&kb, &queries, &BatchOptions::default());
+        let run = RandomWorlds::new().answer_batch_report(&kb, &queries, 1);
         assert_eq!(run.report.queries, 0);
         assert_eq!(run.report.threads, 1);
         assert!(run.results.is_empty());

@@ -80,7 +80,7 @@ pub mod solver;
 pub mod solvers;
 pub mod theorems;
 
-pub use batch::{BatchOptions, BatchReport, BatchRun, StageTotals};
+pub use batch::{BatchReport, BatchRun, StageTotals};
 pub use belief::{Belief, Provenance};
 pub use cache::{AnswerCache, CachedAnswer, DenomCache, DenomKey};
 pub use engine::{BeliefResult, EngineConfig, EngineError, RandomWorlds, Response};

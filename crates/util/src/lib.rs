@@ -1,7 +1,7 @@
 //! Shared numeric and enumeration primitives for the random-worlds workspace.
 //!
 //! The random-worlds method (Bacchus–Grove–Halpern–Koller) computes degrees of
-//! belief as ratios of world counts. Three low-level facts shape this crate:
+//! belief as ratios of world counts. Four low-level facts shape this crate:
 //!
 //! * proportions inside a finite world are *exact rationals* `k / N^m`, and
 //!   tolerance comparisons (`ζ ≈_i ζ'`) must be decided exactly — so we provide
@@ -11,11 +11,16 @@
 //!   log domain as [`logweight::LogWeight`];
 //! * the unary counting engine sums over *weak compositions* of the domain
 //!   size into atoms and over *set partitions* of constants (equality
-//!   patterns), so we provide allocation-free iterators for both.
+//!   patterns), so we provide allocation-free iterators for both;
+//! * exact counting and Monte-Carlo sampling split into independent
+//!   indexed units whose merged result must not depend on the thread
+//!   count, so [`par`] provides the one deterministic worker pool they
+//!   (and batch answering) share.
 
 pub mod comb;
 pub mod compositions;
 pub mod logweight;
+pub mod par;
 pub mod partitions;
 pub mod rat;
 pub mod rng;

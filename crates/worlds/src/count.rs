@@ -23,18 +23,17 @@
 //! # Parallelism and determinism
 //!
 //! Counting shards the top of the branch tree into **chunks** — fixed
-//! assignments of a prefix of the branch order — and runs them on a
-//! scoped-thread pool over an atomic chunk index (the same discipline as
-//! `mc::workers`). The chunk decomposition depends only on the program
-//! (never on the thread count), each chunk's sub-budget is a fixed share
-//! of the total, and results merge in chunk order, so a count, its
+//! assignments of a prefix of the branch order — and runs them on the
+//! shared [`rw_util::par`] pool, which returns results in chunk order and
+//! the lowest-index chunk failure. The chunk decomposition depends only
+//! on the program (never on the thread count) and each chunk's
+//! sub-budget is a fixed share of the total, so a count, its
 //! visited/branched totals, and even its failure mode are identical at
 //! any thread count.
 
 use crate::compile::{CNode, CProp, CTerm, CountInst, Program, NO_NODE};
 use rw_logic::ast::CmpOp;
-use rw_util::Rat;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use rw_util::{par, Rat};
 
 /// Default cap on visited search nodes (branch-and-count visits far
 /// fewer nodes than there are interpretations, so this reaches much
@@ -494,9 +493,6 @@ fn chunk_prefix(prog: &Program) -> (usize, u64) {
     (len, product)
 }
 
-/// One chunk's `(count, visited, branched)` totals, or its failure.
-type ChunkResult = Result<(u128, u64, u64), CountError>;
-
 /// Counts the models of a compiled [`Program`] by branch-and-count.
 ///
 /// Deterministic at any [`CountOptions::threads`] value: the count,
@@ -525,11 +521,11 @@ pub fn count_models(prog: &Program, opts: &CountOptions) -> Result<CountOutcome,
         });
     }
 
-    let run_chunk = |chunk: u64| -> ChunkResult {
+    let results = par::try_map(chunks as usize, opts.threads, |chunk| {
         let mut search = Search::new(prog, chunk_budget)?;
         // Decode the chunk index into prefix-slot values (mixed radix,
         // first branch-order slot least significant).
-        let mut rest = chunk;
+        let mut rest = chunk as u64;
         for i in 0..prefix_len {
             let slot = prog.branch_order[i] as usize;
             let d = prog.layout().domain(slot) as u64;
@@ -538,92 +534,20 @@ pub fn count_models(prog: &Program, opts: &CountOptions) -> Result<CountOutcome,
         }
         let count = search.run(prefix_len)?;
         Ok((count, search.visited, search.branched))
-    };
-
-    let threads = match opts.threads {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        t => t,
-    }
-    .min(chunks as usize)
-    .max(1);
-
-    let results: Vec<Option<ChunkResult>> = if threads == 1 {
-        let mut out = Vec::with_capacity(chunks as usize);
-        for c in 0..chunks {
-            let r = run_chunk(c);
-            let failed = r.is_err();
-            out.push(Some(r));
-            if failed {
-                break;
-            }
-        }
-        out.resize_with(chunks as usize, || None);
-        out
-    } else {
-        let next = AtomicU64::new(0);
-        let aborted = AtomicBool::new(false);
-        let shards = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    let aborted = &aborted;
-                    let run_chunk = &run_chunk;
-                    scope.spawn(move || {
-                        let mut out: Vec<(u64, ChunkResult)> = Vec::new();
-                        loop {
-                            if aborted.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= chunks {
-                                break;
-                            }
-                            let r = run_chunk(c);
-                            if r.is_err() {
-                                aborted.store(true, Ordering::Relaxed);
-                            }
-                            out.push((c, r));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("counting worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        let mut ordered: Vec<Option<ChunkResult>> = vec![None; chunks as usize];
-        for shard in shards {
-            for (c, r) in shard {
-                ordered[c as usize] = Some(r);
-            }
-        }
-        ordered
-    };
+    })?;
 
     let mut outcome = CountOutcome {
         count: 0,
         visited: 0,
         branched: 0,
     };
-    for r in results {
-        match r {
-            Some(Ok((count, visited, branched))) => {
-                outcome.count = outcome
-                    .count
-                    .checked_add(count)
-                    .ok_or(CountError::Overflow)?;
-                outcome.visited += visited;
-                outcome.branched += branched;
-            }
-            Some(Err(e)) => return Err(e),
-            // Skipped after an abort elsewhere: the error below (or
-            // earlier in chunk order) is the outcome.
-            None => return Err(CountError::BudgetExhausted),
-        }
+    for (count, visited, branched) in results {
+        outcome.count = outcome
+            .count
+            .checked_add(count)
+            .ok_or(CountError::Overflow)?;
+        outcome.visited += visited;
+        outcome.branched += branched;
     }
     Ok(outcome)
 }
@@ -752,15 +676,17 @@ mod tests {
         let kb = KnowledgeBase::parse("||Likes(x, y)||_{x,y} ~=_1 0.5").unwrap();
         let f = kb.as_formula();
         let prog = Program::compile(kb.vocab(), 4, &tol(), &f).unwrap();
-        let err = count_models(
-            &prog,
-            &CountOptions {
-                max_visited: 8,
-                threads: 1,
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, CountError::BudgetExhausted);
+        for threads in [1usize, 2, 4, 0] {
+            let err = count_models(
+                &prog,
+                &CountOptions {
+                    max_visited: 8,
+                    threads,
+                },
+            )
+            .unwrap_err();
+            assert_eq!(err, CountError::BudgetExhausted, "{threads} threads");
+        }
     }
 
     #[test]

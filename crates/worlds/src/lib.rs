@@ -12,10 +12,9 @@
 //! The number of worlds grows doubly exponentially (one binary predicate
 //! alone contributes `2^(N²)`), so blind enumeration is only feasible for
 //! tiny `N`; [`enumerate::count_interpretations`] reports the cost up
-//! front, [`sample`] provides naive uniform Monte-Carlo estimates beyond
-//! it, and [`mc`] is the production sampling subsystem (KB-aware
-//! proposals, Wilson confidence intervals, `N`-sweep extrapolation,
-//! parallel workers).
+//! front, and [`mc`] estimates beyond it (KB-aware proposals, Wilson
+//! confidence intervals, `N`-sweep extrapolation, parallel workers).
+//! [`sample`] draws a single uniform world.
 //!
 //! The production *exact* path is [`compile`] + [`count`]: formulas are
 //! lowered once into flat slot programs and counted by branch-and-count

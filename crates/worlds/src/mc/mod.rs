@@ -17,10 +17,10 @@
 //! * **An `N`-sweep** ([`estimate_sweep`]): 2–4 domain sizes along a
 //!   shrinking-τ schedule, with the same extrapolation shape the exact
 //!   diagonal stages use applied to the estimates.
-//! * **Parallel workers** (the `workers` module): a std-only scoped-thread pool
-//!   over an atomic chunk index. Results are **bit-reproducible for a
-//!   given seed at any thread count** — chunks own their RNG streams and
-//!   are merged in index order.
+//! * **Parallel workers** (the `workers` module): chunks run on the shared
+//!   [`rw_util::par`] pool. Results are **bit-reproducible for a given
+//!   seed at any thread count** — chunks own their RNG streams and are
+//!   merged in index order.
 
 pub mod plan;
 pub mod stats;

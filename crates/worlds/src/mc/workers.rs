@@ -1,11 +1,11 @@
-//! The sampling worker pool: std-only scoped threads over an atomic
-//! chunk index, with per-chunk seeded RNGs.
+//! Sampling chunks: per-chunk seeded RNGs run on the shared
+//! [`rw_util::par`] pool.
 //!
 //! Determinism contract: the unit of work is a **chunk** of consecutive
 //! draws whose RNG is seeded from `(seed, N, chunk index)` alone, so a
 //! chunk's tally never depends on which worker ran it or on how many
-//! workers exist. The pool returns tallies **indexed by chunk**, and the
-//! caller merges them in chunk order — float summation order is
+//! workers exist. The pool returns tallies **in chunk order**, and the
+//! caller merges them in that order — float summation order is
 //! therefore fixed, making a run bit-reproducible for a given seed at
 //! *any* thread count.
 
@@ -15,9 +15,8 @@ use crate::eval::Evaluator;
 use crate::world::World;
 use rw_logic::ast::Formula;
 use rw_logic::{Tolerances, Vocabulary};
-use rw_util::StdRng;
+use rw_util::{par, StdRng};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Everything a chunk needs, shared read-only across workers.
 pub(crate) struct ChunkCtx<'a> {
@@ -78,55 +77,11 @@ impl ChunkCtx<'_> {
 }
 
 /// Runs the chunks in `range` across `threads` workers (0 = one per
-/// core), returning their tallies **in chunk order** regardless of which
-/// worker computed what.
+/// core) on the shared [`rw_util::par`] pool, returning their tallies
+/// **in chunk order** regardless of which worker computed what.
 pub(crate) fn run_chunks(ctx: &ChunkCtx<'_>, range: Range<u64>, threads: usize) -> Vec<Tally> {
     let count = (range.end - range.start) as usize;
-    if count == 0 {
-        return Vec::new();
-    }
-    let threads = match threads {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        t => t,
-    }
-    .min(count)
-    .max(1);
-    if threads == 1 {
-        return range.map(|c| ctx.run_chunk(c)).collect();
-    }
-    let next = AtomicU64::new(range.start);
-    let shards = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let range = range.clone();
-                scope.spawn(move || {
-                    let mut out: Vec<(u64, Tally)> = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= range.end {
-                            break;
-                        }
-                        out.push((c, ctx.run_chunk(c)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sampling worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut ordered = vec![Tally::default(); count];
-    for shard in shards {
-        for (c, t) in shard {
-            ordered[(c - range.start) as usize] = t;
-        }
-    }
-    ordered
+    par::map(count, threads, |i| ctx.run_chunk(range.start + i as u64))
 }
 
 #[cfg(test)]

@@ -1,43 +1,13 @@
-//! Uniform Monte-Carlo estimation of `Pr_N^τ` beyond enumerable sizes.
+//! Uniform sampling of a single world from `W_N(Φ)`.
 //!
-//! Sampling a world uniformly from `W_N(Φ)` is trivial by independence of
-//! the slots: each predicate bit is a fair coin, each function entry and
-//! each constant is uniform over the domain. Conditioning on `KB` is done by
-//! rejection, which is exact but can be slow when `KB` is improbable — the
-//! estimator reports its acceptance count so callers can judge reliability.
-//! (For unary vocabularies the `rw-unary` crate computes the same quantity
-//! exactly; this sampler is the fallback for non-unary KBs.)
+//! Sampling a world uniformly is trivial by independence of the slots:
+//! each predicate bit is a fair coin, each function entry and each
+//! constant is uniform over the domain. Degree-of-belief estimation by
+//! sampling lives in [`crate::mc`].
 
-use crate::eval::Evaluator;
 use crate::world::World;
-use rw_logic::ast::Formula;
-use rw_logic::{KnowledgeBase, Tolerances, Vocabulary};
+use rw_logic::Vocabulary;
 use rw_util::Rng;
-
-/// Result of a rejection-sampling estimate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Estimate {
-    /// Estimated `Pr_N^τ(query | KB)` (`None` if no sample satisfied `KB`).
-    pub value: Option<f64>,
-    /// Samples drawn.
-    pub drawn: usize,
-    /// Samples satisfying `KB`.
-    pub accepted: usize,
-    /// Accepted samples also satisfying the query.
-    pub hits: usize,
-}
-
-impl Estimate {
-    /// Half-width of a 95% Wilson score confidence interval.
-    ///
-    /// The Wilson interval replaces the earlier normal approximation,
-    /// which collapsed to zero width at `p ∈ {0, 1}` (claiming certainty
-    /// off a handful of lucky draws) and misbehaved at small acceptance
-    /// counts. See [`crate::mc::stats::wilson_half_width`].
-    pub fn ci_half_width(&self) -> Option<f64> {
-        crate::mc::stats::wilson_half_width(self.value?, self.accepted as f64)
-    }
-}
 
 /// Draws one world uniformly at random.
 pub fn sample_world(vocab: &Vocabulary, n: usize, rng: &mut impl Rng) -> World {
@@ -60,105 +30,10 @@ pub fn sample_world(vocab: &Vocabulary, n: usize, rng: &mut impl Rng) -> World {
     w
 }
 
-/// Estimates `Pr_N^τ(query | KB)` with `samples` uniform draws and rejection.
-pub fn estimate_degree_of_belief(
-    kb: &KnowledgeBase,
-    query: &Formula,
-    n: usize,
-    tol: &Tolerances,
-    samples: usize,
-    rng: &mut impl Rng,
-) -> Estimate {
-    let kb_formula = kb.as_formula();
-    let vocab = kb.vocab();
-    let mut accepted = 0usize;
-    let mut hits = 0usize;
-    for _ in 0..samples {
-        let w = sample_world(vocab, n, rng);
-        let mut ev = Evaluator::new(&w, vocab, tol);
-        if ev.eval(&kb_formula) {
-            accepted += 1;
-            if ev.eval(query) {
-                hits += 1;
-            }
-        }
-    }
-    Estimate {
-        value: if accepted > 0 {
-            Some(hits as f64 / accepted as f64)
-        } else {
-            None
-        },
-        drawn: samples,
-        accepted,
-        hits,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::degree_of_belief_at;
-    use rw_util::{Rat, StdRng};
-
-    fn tol() -> Tolerances {
-        Tolerances::uniform(Rat::new(1, 4))
-    }
-
-    #[test]
-    fn estimate_matches_enumeration() {
-        let mut kb = KnowledgeBase::parse("||P(x)||_x ~=_1 0.5; Q(C)").unwrap();
-        let q = kb.parse_query("P(C)").unwrap();
-        let exact = degree_of_belief_at(&kb, &q, 4, &tol()).unwrap().unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let est = estimate_degree_of_belief(&kb, &q, 4, &tol(), 20_000, &mut rng);
-        let v = est.value.unwrap();
-        assert!(
-            (v - exact).abs() < 3.0 * est.ci_half_width().unwrap().max(0.01),
-            "exact {exact}, estimate {v}"
-        );
-    }
-
-    #[test]
-    fn estimate_non_unary_binary_predicate() {
-        // Pr(Likes(A,B) | "most pairs like each other") should be high.
-        let mut kb = KnowledgeBase::parse("||Likes(x, y)||_{x,y} ~=_1 0.9").unwrap();
-        let q = kb.parse_query("Likes(A, B)").unwrap();
-        let mut rng = StdRng::seed_from_u64(13);
-        let est = estimate_degree_of_belief(&kb, &q, 6, &tol(), 40_000, &mut rng);
-        assert!(est.accepted > 50, "rejection rate too high: {est:?}");
-        assert!(est.value.unwrap() > 0.6, "{est:?}");
-    }
-
-    #[test]
-    fn impossible_kb_yields_none() {
-        let mut kb = KnowledgeBase::parse("P(C) & !P(C)").unwrap();
-        let q = kb.parse_query("P(C)").unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let est = estimate_degree_of_belief(&kb, &q, 4, &tol(), 1000, &mut rng);
-        assert_eq!(est.value, None);
-        assert_eq!(est.accepted, 0);
-    }
-
-    #[test]
-    fn ci_is_nonzero_at_unanimous_outcomes() {
-        // Regression: the old normal approximation reported a zero-width
-        // interval whenever every accepted sample agreed on the query.
-        let est = Estimate {
-            value: Some(1.0),
-            drawn: 100,
-            accepted: 40,
-            hits: 40,
-        };
-        assert!(est.ci_half_width().unwrap() > 0.0, "{est:?}");
-        let none = Estimate {
-            value: None,
-            drawn: 10,
-            accepted: 0,
-            hits: 0,
-        };
-        assert_eq!(none.ci_half_width(), None);
-    }
+    use rw_util::StdRng;
 
     #[test]
     fn sampled_worlds_are_legal() {

@@ -42,17 +42,16 @@
 //! # Parallelism and determinism
 //!
 //! Counting shards representatives into `N + 1` **chunks** by the size of
-//! the first atom cell and merges results in chunk order with a fixed
-//! per-chunk budget share — the same discipline as [`crate::count`], so
-//! the count, its representative totals and its failure mode are
+//! the first atom cell, runs them on the shared [`rw_util::par`] pool
+//! with a fixed per-chunk budget share and merges results in chunk order,
+//! so the count, its representative totals and its failure mode are
 //! bit-identical at any thread count.
 
 use crate::count::{CountError, CountOptions};
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
 use rw_logic::{Tolerances, VarId, Vocabulary};
-use rw_util::Rat;
+use rw_util::{par, Rat};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Cap on tracked unary predicates (cells are bitmasks in a `u64`, and
 /// the profile space grows as `N^(2^k − 1)`).
@@ -351,89 +350,18 @@ impl SymmetrySpec {
     ) -> Result<SymmetryOutcome, CountError> {
         assert!(n >= 1, "domain size must be positive");
         let partitions = self.partitions(n)?;
-        let chunks = (n + 1) as u64;
-        let chunk_budget = (opts.max_visited / chunks).max(1);
+        let chunks = n + 1;
+        let chunk_budget = (opts.max_visited / chunks as u64).max(1);
 
-        let run_chunk = |c0: u64| self.run_chunk(&partitions, n, c0 as usize, tol, chunk_budget);
-
-        let threads = match opts.threads {
-            0 => std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1),
-            t => t,
-        }
-        .min(chunks as usize)
-        .max(1);
-
-        type ChunkResult = Result<(ScaledCount, u64), CountError>;
-        let results: Vec<Option<ChunkResult>> = if threads == 1 {
-            let mut out: Vec<Option<ChunkResult>> = Vec::with_capacity(chunks as usize);
-            for c in 0..chunks {
-                let r = run_chunk(c);
-                let failed = r.is_err();
-                out.push(Some(r));
-                if failed {
-                    break;
-                }
-            }
-            out.resize_with(chunks as usize, || None);
-            out
-        } else {
-            let next = AtomicU64::new(0);
-            let aborted = AtomicBool::new(false);
-            let shards = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let next = &next;
-                        let aborted = &aborted;
-                        let run_chunk = &run_chunk;
-                        scope.spawn(move || {
-                            let mut out: Vec<(u64, ChunkResult)> = Vec::new();
-                            loop {
-                                if aborted.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                let c = next.fetch_add(1, Ordering::Relaxed);
-                                if c >= chunks {
-                                    break;
-                                }
-                                let r = run_chunk(c);
-                                if r.is_err() {
-                                    aborted.store(true, Ordering::Relaxed);
-                                }
-                                out.push((c, r));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("symmetry worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            let mut ordered: Vec<Option<ChunkResult>> = vec![None; chunks as usize];
-            for shard in shards {
-                for (c, r) in shard {
-                    ordered[c as usize] = Some(r);
-                }
-            }
-            ordered
-        };
+        let results = par::try_map(chunks, opts.threads, |c0| {
+            self.run_chunk(&partitions, n, c0, tol, chunk_budget)
+        })?;
 
         let mut count = ScaledCount::ZERO;
         let mut reps = 0u64;
-        for r in results {
-            match r {
-                Some(Ok((sum, chunk_reps))) => {
-                    count.add(sum)?;
-                    reps += chunk_reps;
-                }
-                Some(Err(e)) => return Err(e),
-                // Skipped after an abort elsewhere: the error below (or
-                // earlier in chunk order) is the outcome.
-                None => return Err(CountError::BudgetExhausted),
-            }
+        for (sum, chunk_reps) in results {
+            count.add(sum)?;
+            reps += chunk_reps;
         }
         Ok(SymmetryOutcome { count, reps })
     }

@@ -41,8 +41,7 @@ pub use rw_worlds as worlds;
 /// Convenience prelude: the types most applications need.
 pub mod prelude {
     pub use rw_core::{
-        AnswerCache, BatchOptions, BatchReport, Belief, EngineConfig, Provenance, RandomWorlds,
-        Response, Trace,
+        AnswerCache, BatchReport, Belief, EngineConfig, Provenance, RandomWorlds, Response, Trace,
     };
     pub use rw_logic::{Formula, KnowledgeBase, PropExpr, Term, Vocabulary};
     pub use rw_util::Rat;

@@ -113,13 +113,12 @@ fn parallel_cached_batches_through_the_facade() {
     let kb = hepatitis();
     let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
     let queries = ["Hep(Eric)", "!Hep(Eric)", "(Hep(Eric))", "!(Hep(Eric))"];
-    let opts = BatchOptions::threaded(2);
-    let cold = engine.answer_batch_report(&kb, &queries, &opts);
+    let cold = engine.answer_batch_report(&kb, &queries, 2);
     assert_eq!(cold.report.answered, 4);
     assert_eq!(cold.report.failed, 0);
     // Second pass through the same engine (same cache): everything hits,
     // beliefs are unchanged, and the synthetic `cache` stage answers.
-    let warm = engine.answer_batch_report(&kb, &queries, &opts);
+    let warm = engine.answer_batch_report(&kb, &queries, 2);
     assert_eq!(warm.report.cache_hits, 4);
     for (c, w) in cold.results.iter().zip(&warm.results) {
         let (c, w) = (c.as_ref().unwrap(), w.as_ref().unwrap());
