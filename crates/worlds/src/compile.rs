@@ -18,14 +18,22 @@
 //! (slots feeding term evaluation first, then directly-referenced bits,
 //! then bits only reachable through dynamic atoms).
 //!
+//! The same program also runs two-valued under a *full* assignment
+//! ([`Program::holds`]): that is the Monte-Carlo acceptance check in
+//! [`crate::mc`], with proportions kept as integer counts and every
+//! comparison decided by cross-multiplication.
+//!
 //! Semantics are mirrored from [`crate::eval::Evaluator`] exactly —
 //! including the measure-zero convention (comparisons touching an
 //! undefined conditional proportion hold vacuously) — so a compiled
 //! count always equals the oracle count.
 
+use crate::eval::decide;
+use crate::world::World;
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
-use rw_logic::{Tolerances, Vocabulary};
+use rw_logic::{PredId, Tolerances, Vocabulary};
 use rw_util::Rat;
+use std::ops::Range;
 
 /// Sentinel for "no node" (an unconditional count instance).
 pub(crate) const NO_NODE: u32 = u32::MAX;
@@ -98,12 +106,64 @@ impl SlotLayout {
         self.pred_base[pred] + tuple_index
     }
 
+    /// The bits of one predicate, one per tuple in row-major order.
+    pub(crate) fn pred_range(&self, pred: usize) -> Range<usize> {
+        let end = self
+            .pred_base
+            .get(pred + 1)
+            .copied()
+            .unwrap_or_else(|| self.func_start());
+        self.pred_base[pred]..end
+    }
+
+    /// The entries of one function table, row-major.
+    pub(crate) fn func_range(&self, func: usize) -> Range<usize> {
+        let end = self
+            .func_base
+            .get(func + 1)
+            .copied()
+            .unwrap_or(self.const_base);
+        self.func_base[func]..end
+    }
+
+    /// Every function-table entry, all tables in function order.
+    pub(crate) fn func_slots(&self) -> Range<usize> {
+        self.func_start()..self.const_base
+    }
+
+    /// Every constant, in constant order.
+    pub(crate) fn const_slots(&self) -> Range<usize> {
+        self.const_base..self.slot_count
+    }
+
     pub(crate) fn func_slot(&self, func: usize, tuple_index: usize) -> usize {
         self.func_base[func] + tuple_index
     }
 
     pub(crate) fn const_slot(&self, c: usize) -> usize {
         self.const_base + c
+    }
+
+    /// The full slot assignment that encodes `world`: `0`/`1` per
+    /// predicate bit, the element per function entry and constant. The
+    /// world must interpret the layout's vocabulary at its domain size.
+    pub fn encode(&self, world: &World) -> Vec<usize> {
+        assert_eq!(world.domain_size(), self.n, "world and layout sizes differ");
+        let mut slots = Vec::with_capacity(self.slot_count);
+        for p in 0..self.pred_base.len() {
+            let rel = world.rel(PredId(p as u32));
+            slots.extend((0..rel.size()).map(|i| rel.get_raw(i) as usize));
+        }
+        for f in 0..self.func_base.len() {
+            slots.extend_from_slice(world.func_table(f));
+        }
+        slots.extend((0..world.const_count()).map(|c| world.const_denotation(c)));
+        assert_eq!(
+            slots.len(),
+            self.slot_count,
+            "world and layout vocabularies differ"
+        );
+        slots
     }
 
     /// `Π domain(slot)` over every slot — the interpretation count —
@@ -310,14 +370,7 @@ impl Program {
                 occ[*slot] += 1;
             }
             CTerm::App { func, args } => {
-                let base = self.layout.func_base[*func];
-                let end = self
-                    .layout
-                    .func_base
-                    .get(*func + 1)
-                    .copied()
-                    .unwrap_or(self.layout.const_base);
-                for s in base..end {
+                for s in self.layout.func_range(*func) {
                     class[s] = CLASS_TERM;
                     occ[s] += 1;
                 }
@@ -347,14 +400,7 @@ impl Program {
                 occ[*slot] += 1;
             }
             CNode::Atom { pred, args } => {
-                let base = self.layout.pred_base[*pred];
-                let end = self
-                    .layout
-                    .pred_base
-                    .get(*pred + 1)
-                    .copied()
-                    .unwrap_or_else(|| self.layout.func_start());
-                for c in &mut class[base..end] {
+                for c in &mut class[self.layout.pred_range(*pred)] {
                     *c = (*c).min(CLASS_DYN);
                 }
                 for &a in args {
@@ -434,6 +480,173 @@ impl Program {
             }
         }
         units
+    }
+}
+
+/// An unreduced fraction `(num, den)` with `den > 0`.
+type Pair = (i128, i128);
+
+/// A proportion's value under a full assignment, or `None` when a
+/// conditional proportion's condition is empty (undefined).
+type Frac = Option<Pair>;
+
+fn to_rat((num, den): Pair) -> Rat {
+    Rat::new(num, den)
+}
+
+/// `l ⋈ r` under `tol`, decided by exact cross-multiplication on the
+/// unreduced fractions. On `i128` overflow it falls back to [`Rat`],
+/// whose reduced operands are exactly what the tree-walking evaluator
+/// compares, so both paths always agree.
+fn compare(l: Pair, op: CmpOp, r: Pair, tol: &Tolerances) -> bool {
+    // `l − r = diff / den` with `den > 0`, so `|l − r| ≤ τ` is
+    // `|diff| · τ.den ≤ τ.num · den`, and likewise without the `| |`.
+    let exact = || -> Option<bool> {
+        let diff = l.0.checked_mul(r.1)?.checked_sub(r.0.checked_mul(l.1)?)?;
+        Some(match op {
+            CmpOp::Eq => diff == 0,
+            CmpOp::Leq => diff <= 0,
+            CmpOp::ApproxEq(t) | CmpOp::ApproxLeq(t) => {
+                let tau = tol.get(t);
+                let den = l.1.checked_mul(r.1)?;
+                let gap = match op {
+                    CmpOp::ApproxEq(_) => diff.checked_abs()?,
+                    _ => diff,
+                };
+                gap.checked_mul(tau.den())? <= tau.num().checked_mul(den)?
+            }
+        })
+    };
+    exact().unwrap_or_else(|| decide(to_rat(l), op, to_rat(r), tol))
+}
+
+/// `l ∘ r` on unreduced fractions in checked `i128`, falling back to the
+/// reduced [`Rat`] operation (which panics on overflow exactly where the
+/// tree-walking evaluator does).
+fn arith(l: Frac, r: Frac, op: fn(Rat, Rat) -> Rat, exact: fn(Pair, Pair) -> Option<Pair>) -> Frac {
+    let (l, r) = (l?, r?);
+    Some(exact(l, r).unwrap_or_else(|| {
+        let v = op(to_rat(l), to_rat(r));
+        (v.num(), v.den())
+    }))
+}
+
+/// Full-assignment evaluation: the Monte-Carlo acceptance kernel.
+impl Program {
+    /// Two-valued truth under a *full* slot assignment in [`SlotLayout`]
+    /// order (`0`/`1` per predicate bit, an element per function entry
+    /// and constant).
+    ///
+    /// Agrees with [`crate::eval::Evaluator::eval`] on the world the
+    /// slots encode, measure-zero convention included. Proportions stay
+    /// integer counts and every comparison is decided by
+    /// cross-multiplication, so no evaluation pays for [`Rat`]'s gcd
+    /// normalisation.
+    pub fn holds(&self, slots: &[usize]) -> bool {
+        debug_assert_eq!(slots.len(), self.layout.slot_count);
+        self.node_holds(self.root, slots)
+    }
+
+    fn tuple_index(&self, args: &[u32], slots: &[usize]) -> usize {
+        args.iter()
+            .fold(0, |idx, &a| idx * self.layout.n + self.term_value(a, slots))
+    }
+
+    fn term_value(&self, id: u32, slots: &[usize]) -> usize {
+        match &self.terms[id as usize] {
+            CTerm::Elem(e) => *e,
+            CTerm::ConstSlot(slot) => slots[*slot],
+            CTerm::App { func, args } => {
+                slots[self.layout.func_slot(*func, self.tuple_index(args, slots))]
+            }
+        }
+    }
+
+    /// [`Self::node_holds`] with the common single-bit node read in
+    /// place, saving a call per proportion instance.
+    #[inline]
+    fn child_holds(&self, id: u32, slots: &[usize]) -> bool {
+        match self.nodes[id as usize] {
+            CNode::Lit { slot } => slots[slot] == 1,
+            _ => self.node_holds(id, slots),
+        }
+    }
+
+    fn node_holds(&self, id: u32, slots: &[usize]) -> bool {
+        match &self.nodes[id as usize] {
+            CNode::Bool(b) => *b,
+            CNode::Lit { slot } => slots[*slot] == 1,
+            CNode::Atom { pred, args } => {
+                slots[self.layout.pred_slot(*pred, self.tuple_index(args, slots))] == 1
+            }
+            CNode::Eq(a, b) => self.term_value(*a, slots) == self.term_value(*b, slots),
+            CNode::Not(g) => !self.node_holds(*g, slots),
+            CNode::And(children) => children.iter().all(|&ch| self.node_holds(ch, slots)),
+            CNode::Or(children) => children.iter().any(|&ch| self.node_holds(ch, slots)),
+            CNode::Iff(a, b) => self.node_holds(*a, slots) == self.node_holds(*b, slots),
+            CNode::Cmp { lhs, op, rhs } => {
+                match (self.prop_value(*lhs, slots), self.prop_value(*rhs, slots)) {
+                    (Some(l), Some(r)) => compare(l, *op, r, &self.tol),
+                    // The measure-zero convention: a comparison touching
+                    // an undefined conditional proportion holds vacuously.
+                    _ => true,
+                }
+            }
+        }
+    }
+
+    fn prop_value(&self, id: u32, slots: &[usize]) -> Frac {
+        match &self.props[id as usize] {
+            CProp::Rat(r) => Some((r.num(), r.den())),
+            CProp::Count {
+                insts,
+                base_body,
+                base_cond,
+                conditional,
+                total,
+            } => {
+                let (mut body, mut cond) = (*base_body, *base_cond);
+                for inst in insts {
+                    if inst.cond == NO_NODE || self.child_holds(inst.cond, slots) {
+                        cond += 1;
+                        body += self.child_holds(inst.body, slots) as i128;
+                    }
+                }
+                match (*conditional, cond) {
+                    (true, 0) => None,
+                    (true, _) => Some((body, cond)),
+                    (false, _) => Some((body, *total)),
+                }
+            }
+            CProp::Add(a, b) => arith(
+                self.prop_value(*a, slots),
+                self.prop_value(*b, slots),
+                |x, y| x + y,
+                |(a, b), (c, d)| {
+                    Some((
+                        a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?,
+                        b.checked_mul(d)?,
+                    ))
+                },
+            ),
+            CProp::Sub(a, b) => arith(
+                self.prop_value(*a, slots),
+                self.prop_value(*b, slots),
+                |x, y| x - y,
+                |(a, b), (c, d)| {
+                    Some((
+                        a.checked_mul(d)?.checked_sub(c.checked_mul(b)?)?,
+                        b.checked_mul(d)?,
+                    ))
+                },
+            ),
+            CProp::Mul(a, b) => arith(
+                self.prop_value(*a, slots),
+                self.prop_value(*b, slots),
+                |x, y| x * y,
+                |(a, b), (c, d)| Some((a.checked_mul(c)?, b.checked_mul(d)?)),
+            ),
+        }
     }
 }
 
@@ -735,6 +948,7 @@ impl Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rw_logic::ast::TolId;
     use rw_logic::KnowledgeBase;
 
     fn tol() -> Tolerances {
@@ -815,6 +1029,93 @@ mod tests {
         assert_eq!(insts.len(), 4);
         assert_eq!(*total, 4);
         assert!(!conditional);
+    }
+
+    /// `compare` must decide exactly what `Rat` decides.
+    fn rat_decision(l: Pair, op: CmpOp, r: Pair, tol: &Tolerances) -> bool {
+        decide(to_rat(l), op, to_rat(r), tol)
+    }
+
+    #[test]
+    fn count_comparisons_are_exact_at_the_tolerance_boundary() {
+        // α = 1/2, τ = 1/10, counts over d = 10 left unreduced: b/d = α ± τ
+        // sits exactly on the boundary.
+        let tol = Tolerances::uniform(Rat::new(1, 10));
+        let (eq, leq) = (CmpOp::ApproxEq(TolId(1)), CmpOp::ApproxLeq(TolId(1)));
+        let alpha = (1, 2);
+        for (b, within) in [(6, true), (4, true), (7, false), (3, false), (5, true)] {
+            // `≈` is symmetric: the count on either side.
+            assert_eq!(compare((b, 10), eq, alpha, &tol), within, "{b}/10 ≈ 1/2");
+            assert_eq!(compare(alpha, eq, (b, 10), &tol), within, "1/2 ≈ {b}/10");
+        }
+        // Count on the left: b/d − α ≤ τ.
+        for (b, holds) in [(6, true), (7, false), (0, true), (10, false)] {
+            assert_eq!(compare((b, 10), leq, alpha, &tol), holds, "{b}/10 ⪯ 1/2");
+        }
+        // Count on the right: α − b/d ≤ τ.
+        for (b, holds) in [(4, true), (3, false), (10, true), (0, false)] {
+            assert_eq!(compare(alpha, leq, (b, 10), &tol), holds, "1/2 ⪯ {b}/10");
+        }
+        for b in 0..=10 {
+            for op in [eq, leq, CmpOp::Eq, CmpOp::Leq] {
+                for (l, r) in [((b, 10), alpha), (alpha, (b, 10))] {
+                    assert_eq!(compare(l, op, r, &tol), rat_decision(l, op, r, &tol));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_cross_products_fall_back_to_rat() {
+        let tol = tol();
+        // 3·2⁷⁰ / 2⁷⁰ against 1 / 2⁶⁰: the cross product 3·2¹³⁰ overflows
+        // i128, the reduced values 3 and 2⁻⁶⁰ do not.
+        let (big, tiny) = ((3i128 << 70, 1i128 << 70), (1i128, 1i128 << 60));
+        assert!(big.0.checked_mul(tiny.1).is_none());
+        // 2⁷⁰/2⁷⁰ against 2⁶⁵/2⁶⁵: both are 1.
+        let (one_a, one_b) = ((1i128 << 70, 1i128 << 70), (1i128 << 65, 1i128 << 65));
+        for op in [
+            CmpOp::ApproxEq(TolId(1)),
+            CmpOp::ApproxLeq(TolId(1)),
+            CmpOp::Eq,
+            CmpOp::Leq,
+        ] {
+            for (l, r) in [(big, tiny), (tiny, big), (one_a, one_b)] {
+                assert_eq!(compare(l, op, r, &tol), rat_decision(l, op, r, &tol));
+            }
+        }
+        assert!(compare(one_a, CmpOp::Eq, one_b, &tol));
+        assert!(!compare(big, CmpOp::Leq, tiny, &tol));
+        assert!(compare(tiny, CmpOp::ApproxLeq(TolId(1)), big, &tol));
+    }
+
+    #[test]
+    fn holds_reads_the_slot_vector() {
+        let mut kb = KnowledgeBase::parse("||P(x) | Q(x)||_x ~=_1 0.5; Q(C)").unwrap();
+        let q = kb.parse_query("C = Next(C)").unwrap();
+        let n = 2;
+        let kb_prog = Program::compile(kb.vocab(), n, &tol(), &kb.as_formula()).unwrap();
+        let q_prog = Program::compile(kb.vocab(), n, &tol(), &q).unwrap();
+        let layout = kb_prog.layout();
+        // Slots: P0 P1 | Q0 Q1 | Next(0) Next(1) | C.
+        assert_eq!(layout.slot_count(), 7);
+        let c = layout.const_slot(0);
+        let mut slots = vec![1, 0, 1, 1, 1, 0, 0];
+        assert!(kb_prog.holds(&slots)); // P on half of Q, C ∈ Q
+        assert!(!q_prog.holds(&slots)); // Next(0) = 1 ≠ C
+        slots[c] = 1;
+        assert!(!q_prog.holds(&slots)); // Next(1) = 0 ≠ C
+        slots[layout.func_slot(0, 1)] = 1;
+        assert!(q_prog.holds(&slots)); // Next(1) = 1 = C
+        slots[layout.pred_slot(0, 1)] = 1; // ||P | Q|| = 1, not ≈ 1/2
+        assert!(!kb_prog.holds(&slots));
+        // With Q empty the conditional proportion is undefined, and the
+        // comparison holds vacuously whatever P is.
+        let stat = Program::compile(kb.vocab(), n, &tol(), &kb.conjuncts()[0]).unwrap();
+        assert!(!stat.holds(&slots));
+        slots[layout.pred_slot(1, 0)] = 0;
+        slots[layout.pred_slot(1, 1)] = 0;
+        assert!(stat.holds(&slots));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! any thread count.
 
 use crate::compile::{CNode, CProp, CTerm, CountInst, Program, NO_NODE};
-use rw_logic::ast::CmpOp;
+use crate::eval::decide;
 use rw_util::{par, Rat};
 
 /// Default cap on visited search nodes (branch-and-count visits far
@@ -288,15 +288,7 @@ impl<'p> Search<'p> {
                 // matter what the other side is.
                 match (l, r) {
                     (PropKnow::Undef, _) | (_, PropKnow::Undef) => Tri::True,
-                    (PropKnow::Def(a), PropKnow::Def(b)) => {
-                        let tol = &prog.tol;
-                        Tri::from(match op {
-                            CmpOp::ApproxEq(t) => a.approx_eq(b, tol.get(*t)),
-                            CmpOp::ApproxLeq(t) => a.approx_leq(b, tol.get(*t)),
-                            CmpOp::Eq => a == b,
-                            CmpOp::Leq => a <= b,
-                        })
-                    }
+                    (PropKnow::Def(a), PropKnow::Def(b)) => Tri::from(decide(a, *op, b, &prog.tol)),
                     _ => Tri::Unknown,
                 }
             }

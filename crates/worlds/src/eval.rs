@@ -160,12 +160,7 @@ impl<'a> Evaluator<'a> {
                 let l = self.eval_prop(lhs);
                 let r = self.eval_prop(rhs);
                 match (l, r) {
-                    (PropValue::Def(a), PropValue::Def(b)) => match op {
-                        CmpOp::ApproxEq(t) => a.approx_eq(b, self.tol.get(*t)),
-                        CmpOp::ApproxLeq(t) => a.approx_leq(b, self.tol.get(*t)),
-                        CmpOp::Eq => a == b,
-                        CmpOp::Leq => a <= b,
-                    },
+                    (PropValue::Def(a), PropValue::Def(b)) => decide(a, *op, b, self.tol),
                     // The measure-zero convention: comparisons touching an
                     // undefined conditional proportion hold vacuously.
                     _ => true,
@@ -267,6 +262,17 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
+    }
+}
+
+/// `a ⋈ b` for two defined proportion values under `tol`, decided
+/// exactly — the comparison semantics every counting engine shares.
+pub(crate) fn decide(a: Rat, op: CmpOp, b: Rat, tol: &Tolerances) -> bool {
+    match op {
+        CmpOp::ApproxEq(t) => a.approx_eq(b, tol.get(t)),
+        CmpOp::ApproxLeq(t) => a.approx_leq(b, tol.get(t)),
+        CmpOp::Eq => a == b,
+        CmpOp::Leq => a <= b,
     }
 }
 

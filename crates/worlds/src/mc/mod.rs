@@ -5,12 +5,18 @@
 //! KB-worlds satisfying the query, so sampling `W_N` estimates the
 //! definition itself — the fallback of choice when neither a theorem
 //! pattern nor exact counting applies ("Random Worlds and Maximum
-//! Entropy", Grove–Halpern–Koller). This module industrializes the naive
-//! rejection loop in [`crate::sample`]:
+//! Entropy", Grove–Halpern–Koller). Plain rejection sampling draws
+//! uniform worlds ([`crate::sample`]) and keeps those satisfying the KB;
+//! this module builds a weighted, adaptive, parallel estimator on that
+//! idea:
 //!
 //! * **KB-aware proposals** ([`plan::SamplePlan`]): asserted ground facts
 //!   are forced, unary statistical constraints are sampled at their
 //!   nominal rates, and importance weights keep the estimator exact.
+//! * **A compiled acceptance kernel**: each draw is a flat slot vector in
+//!   [`crate::SlotLayout`] order, and the KB and query are lowered once
+//!   per sweep point into [`crate::Program`]s checked with
+//!   [`crate::Program::holds`] — integer counts, no per-draw gcds.
 //! * **Adaptive stopping** ([`estimate_point`]): draws proceed in fixed
 //!   chunks and stop as soon as the 95% Wilson half-width undercuts the
 //!   configured target, under a hard sample cap.
@@ -29,6 +35,7 @@ mod workers;
 pub use plan::SamplePlan;
 pub use stats::{extrapolate, extrapolate_half_width, wilson_half_width, Tally, Z_95};
 
+use crate::compile::Program;
 use rw_logic::ast::Formula;
 use rw_logic::{KnowledgeBase, Tolerances};
 use rw_util::Rat;
@@ -144,16 +151,18 @@ fn estimate_point_planned(
     cap: u64,
     cfg: &McConfig,
 ) -> PointEstimate {
-    let kb_formula = kb.as_formula();
+    // Compiled once per point, shared by every chunk: the acceptance
+    // kernel evaluates both programs on the drawn slot vector.
     let tol = Tolerances::uniform(tau);
+    let compile = |f: &Formula| {
+        Program::compile(kb.vocab(), n, &tol, f).expect("world space overflows usize")
+    };
+    let (kb_program, query_program) = (compile(&kb.as_formula()), compile(query));
     let chunk_size = cfg.chunk.max(1);
     let ctx = ChunkCtx {
-        kb_formula: &kb_formula,
-        query,
-        vocab: kb.vocab(),
-        tol: &tol,
+        kb: &kb_program,
+        query: &query_program,
         plan,
-        n,
         seed: cfg.seed,
         chunk_size,
         cap,

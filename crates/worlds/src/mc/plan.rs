@@ -30,10 +30,10 @@
 //!   bits exist first; dependency cycles demote the rule to its
 //!   unconditional base.
 
-use crate::world::World;
+use crate::compile::SlotLayout;
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
-use rw_logic::{analysis, KnowledgeBase, PredId, Vocabulary};
-use rw_util::Rng;
+use rw_logic::{analysis, KnowledgeBase, PredId};
+use rw_util::{Rng, StdRng};
 use std::collections::BTreeMap;
 
 /// Proposal biases are clamped into `[MIN_BIAS, 1 - MIN_BIAS]` so the
@@ -42,16 +42,41 @@ use std::collections::BTreeMap;
 /// tolerance band, biasing the estimator).
 const MIN_BIAS: f64 = 0.05;
 
+/// A biased coin with its importance-weight factors precomputed: a bit
+/// drawn `false` multiplies the weight by `factor[0] = 0.5 / (1 − p)`, a
+/// `true` bit by `factor[1] = 0.5 / p`. Both are the quotients the
+/// per-bit division used to produce, so weights stay bit-identical; a
+/// fair coin's factors are exactly `1.0`, which leave a weight unchanged.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Coin {
+    p: f64,
+    factor: [f64; 2],
+}
+
+impl Coin {
+    const FAIR: Coin = Coin {
+        p: 0.5,
+        factor: [1.0, 1.0],
+    };
+
+    fn new(p: f64) -> Coin {
+        Coin {
+            p,
+            factor: [0.5 / (1.0 - p), 0.5 / p],
+        }
+    }
+}
+
 /// How one predicate's bits are proposed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum BitRule {
     /// Fair coin (weight-neutral).
     Uniform,
-    /// Bernoulli(bias) for every bit.
-    Base(f64),
-    /// Unary only: Bernoulli(`then`) where the already-drawn `on` bit of
-    /// the same element holds, Bernoulli(`els`) otherwise.
-    Cond { on: PredId, then: f64, els: f64 },
+    /// The same coin for every bit.
+    Base(Coin),
+    /// Unary only: the `then` coin where the already-drawn `on` bit of
+    /// the same element holds, the `els` coin otherwise.
+    Cond { on: PredId, then: Coin, els: Coin },
 }
 
 /// A ground literal asserted by the KB: predicate, constant arguments,
@@ -153,17 +178,17 @@ impl SamplePlan {
                 }
             }
         }
-        let clamp = |a: f64| a.clamp(MIN_BIAS, 1.0 - MIN_BIAS);
+        let coin = |a: f64| Coin::new(a.clamp(MIN_BIAS, 1.0 - MIN_BIAS));
         let mut rules: Vec<BitRule> = (0..pred_count)
             .map(|i| {
                 if let Some(&(on, alpha)) = cond.get(&i) {
                     BitRule::Cond {
                         on,
-                        then: clamp(alpha),
-                        els: clamp(base.get(&i).copied().unwrap_or(0.5)),
+                        then: coin(alpha),
+                        els: coin(base.get(&i).copied().unwrap_or(0.5)),
                     }
                 } else if let Some(&alpha) = base.get(&i) {
-                    BitRule::Base(clamp(alpha))
+                    BitRule::Base(coin(alpha))
                 } else {
                     BitRule::Uniform
                 }
@@ -233,74 +258,81 @@ impl SamplePlan {
         self.forced.is_empty() && self.biased_preds() == 0
     }
 
-    /// Draws one world from the proposal into `world` (every slot is
-    /// rewritten). Returns the draw's importance weight relative to the
-    /// uniform distribution, or `None` when the drawn constant
-    /// denotations make the forced literals contradictory (no world with
-    /// those denotations satisfies the KB — an immediate rejection).
+    /// Draws one world from the proposal into `slots`, a full assignment
+    /// in `layout`'s order (every slot is rewritten). Returns the draw's
+    /// importance weight relative to the uniform distribution, or `None`
+    /// when the drawn constant denotations make the forced literals
+    /// contradictory (no world with those denotations satisfies the KB —
+    /// an immediate rejection). `forced` is scratch space reused across
+    /// draws.
+    ///
+    /// The random stream is fixed: constants, then function entries,
+    /// then predicate bits in dependency order, one call each, with
+    /// forced bits taking none.
     pub fn draw(
         &self,
-        vocab: &Vocabulary,
-        n: usize,
-        world: &mut World,
-        rng: &mut impl Rng,
+        layout: &SlotLayout,
+        slots: &mut [usize],
+        forced: &mut Vec<(usize, bool)>,
+        stream: &mut StdRng,
     ) -> Option<f64> {
-        for c in 0..vocab.const_count() {
-            world.set_const(c, rng.gen_range(0..n));
+        // Advance a local copy and store it back once: a generator behind
+        // `&mut` would have to be written back before every bounds check
+        // that could unwind, which costs more than the bits themselves.
+        let mut rng = stream.clone();
+        let n = layout.n();
+        for s in layout.const_slots().chain(layout.func_slots()) {
+            slots[s] = rng.gen_range(0..n);
         }
-        for f in 0..vocab.func_count() {
-            for entry in world.func_table_mut(f).iter_mut() {
-                *entry = rng.gen_range(0..n);
-            }
-        }
-        // Forced bits under this draw's constant denotations, deduplicated
-        // by raw bit index; an opposite-valued collision is a structural
-        // rejection.
-        let mut forced_bits: Vec<(usize, usize, bool)> = Vec::with_capacity(self.forced.len());
+        // Forced bits under this draw's constant denotations, sorted and
+        // deduplicated by slot; an opposite-valued collision is a
+        // structural rejection.
+        forced.clear();
         for lit in &self.forced {
-            let mut idx = 0usize;
-            for &c in &lit.args {
-                idx = idx * n + world.const_denotation(c);
-            }
-            forced_bits.push((lit.pred.index(), idx, lit.value));
+            let idx = lit
+                .args
+                .iter()
+                .fold(0, |idx, &c| idx * n + slots[layout.const_slot(c)]);
+            forced.push((layout.pred_slot(lit.pred.index(), idx), lit.value));
         }
-        forced_bits.sort_unstable();
-        forced_bits.dedup();
-        for pair in forced_bits.windows(2) {
-            if pair[0].0 == pair[1].0 && pair[0].1 == pair[1].1 {
-                return None; // same bit forced both ways
-            }
+        forced.sort_unstable();
+        forced.dedup();
+        if forced.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            *stream = rng;
+            return None; // same bit forced both ways
         }
 
         let mut weight = 1.0f64;
         for &pi in &self.order {
-            let pred = PredId(pi as u32);
-            let size = world.rel(pred).size();
-            let rule = self.rules[pi];
-            for idx in 0..size {
-                if let Ok(k) = forced_bits.binary_search_by(|&(p, i, _)| (p, i).cmp(&(pi, idx))) {
-                    world.rel_mut(pred).set_raw(idx, forced_bits[k].2);
-                    weight *= 0.5;
-                    continue;
+            let bits = layout.pred_range(pi);
+            // The coin pair a bit picks from (by its `on` bit for a
+            // conditional rule, always the first otherwise).
+            let (coins, on) = match self.rules[pi] {
+                BitRule::Uniform => ([Coin::FAIR; 2], None),
+                BitRule::Base(coin) => ([coin; 2], None),
+                BitRule::Cond { on, then, els } => {
+                    ([els, then], Some(layout.pred_range(on.index()).start))
                 }
-                let q = match rule {
-                    BitRule::Uniform => 0.5,
-                    BitRule::Base(b) => b,
-                    BitRule::Cond { on, then, els } => {
-                        if world.rel(on).get_raw(idx) {
-                            then
-                        } else {
-                            els
-                        }
+            };
+            // A cursor over this predicate's forced bits (they are
+            // contiguous in the sorted list).
+            let mut next = forced.partition_point(|&(s, _)| s < bits.start);
+            for (i, slot) in bits.enumerate() {
+                if let Some(&(s, value)) = forced.get(next) {
+                    if s == slot {
+                        slots[slot] = value as usize;
+                        weight *= 0.5;
+                        next += 1;
+                        continue;
                     }
-                };
-                let value = rng.gen_bool(q);
-                world.rel_mut(pred).set_raw(idx, value);
-                if q != 0.5 {
-                    weight *= 0.5 / if value { q } else { 1.0 - q };
                 }
+                let coin = coins[on.map_or(0, |start| slots[start + i])];
+                let value = rng.gen_bool(coin.p);
+                slots[slot] = value as usize;
+                weight *= coin.factor[value as usize];
             }
         }
+        *stream = rng;
         Some(weight)
     }
 }
@@ -308,7 +340,6 @@ impl SamplePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rw_util::StdRng;
 
     #[test]
     fn plan_compiles_stats_facts_and_conditionals() {
@@ -331,10 +362,12 @@ mod tests {
         let kb = KnowledgeBase::parse("||P(x)||_x <~_1 0.9").unwrap(); // bound, not ≈
         let plan = SamplePlan::build(&kb);
         assert!(plan.is_uniform());
+        let layout = SlotLayout::new(kb.vocab(), 4).unwrap();
+        let (mut slots, mut forced) = (vec![0; layout.slot_count()], Vec::new());
         let mut rng = StdRng::seed_from_u64(5);
-        let mut w = World::empty(kb.vocab(), 4);
         for _ in 0..50 {
-            assert_eq!(plan.draw(kb.vocab(), 4, &mut w, &mut rng), Some(1.0));
+            let weight = plan.draw(&layout, &mut slots, &mut forced, &mut rng);
+            assert_eq!(weight, Some(1.0));
         }
     }
 
@@ -343,23 +376,26 @@ mod tests {
         let kb = KnowledgeBase::parse("Likes(A, B); !Likes(B, A)").unwrap();
         let plan = SamplePlan::build(&kb);
         let vocab = kb.vocab();
-        let likes = vocab.lookup_pred("Likes").unwrap();
+        let likes = vocab.lookup_pred("Likes").unwrap().index();
         let a = vocab.lookup_const("A").unwrap().index();
         let b = vocab.lookup_const("B").unwrap().index();
+        let n = 5usize;
+        let layout = SlotLayout::new(vocab, n).unwrap();
+        let (mut slots, mut forced) = (vec![0; layout.slot_count()], Vec::new());
         let mut rng = StdRng::seed_from_u64(9);
-        let mut w = World::empty(vocab, 5);
         let mut viable = 0;
         for _ in 0..200 {
-            let Some(weight) = plan.draw(vocab, 5, &mut w, &mut rng) else {
+            let drawn = plan.draw(&layout, &mut slots, &mut forced, &mut rng);
+            let (ea, eb) = (slots[layout.const_slot(a)], slots[layout.const_slot(b)]);
+            let Some(weight) = drawn else {
                 // Structural rejection only when A and B collide.
-                assert_eq!(w.const_denotation(a), w.const_denotation(b));
+                assert_eq!(ea, eb);
                 continue;
             };
             viable += 1;
             assert!(weight > 0.0);
-            let (ea, eb) = (w.const_denotation(a), w.const_denotation(b));
-            assert!(w.rel(likes).contains(&[ea, eb]));
-            assert!(!w.rel(likes).contains(&[eb, ea]));
+            assert_eq!(slots[layout.pred_slot(likes, ea * n + eb)], 1);
+            assert_eq!(slots[layout.pred_slot(likes, eb * n + ea)], 0);
         }
         assert!(viable > 100);
     }
@@ -377,13 +413,16 @@ mod tests {
         let kb = KnowledgeBase::parse("||P(x)||_x ~=_1 0.8").unwrap();
         let plan = SamplePlan::build(&kb);
         let vocab = kb.vocab();
-        let p = vocab.lookup_pred("P").unwrap();
+        let p = vocab.lookup_pred("P").unwrap().index();
         let n = 6usize;
+        let layout = SlotLayout::new(vocab, n).unwrap();
+        let (mut slots, mut forced) = (vec![0; layout.slot_count()], Vec::new());
         let mut rng = StdRng::seed_from_u64(3);
-        let mut w = World::empty(vocab, n);
         for _ in 0..100 {
-            let weight = plan.draw(vocab, n, &mut w, &mut rng).unwrap();
-            let k = w.rel(p).count() as i32;
+            let weight = plan
+                .draw(&layout, &mut slots, &mut forced, &mut rng)
+                .unwrap();
+            let k = layout.pred_range(p).map(|s| slots[s]).sum::<usize>() as i32;
             let expect = (0.5f64 / 0.8).powi(k) * (0.5f64 / (1.0 - 0.8)).powi(n as i32 - k);
             assert!((weight - expect).abs() < 1e-12, "{weight} vs {expect}");
         }
@@ -394,7 +433,7 @@ mod tests {
         let kb = KnowledgeBase::parse("||P(x)||_x ~=_1 1").unwrap();
         let plan = SamplePlan::build(&kb);
         match plan.rules[0] {
-            BitRule::Base(b) => assert!((b - (1.0 - MIN_BIAS)).abs() < 1e-12, "{b}"),
+            BitRule::Base(b) => assert!((b.p - (1.0 - MIN_BIAS)).abs() < 1e-12, "{b:?}"),
             other => panic!("{other:?}"),
         }
     }

@@ -11,21 +11,17 @@
 
 use super::plan::SamplePlan;
 use super::stats::Tally;
-use crate::eval::Evaluator;
-use crate::world::World;
-use rw_logic::ast::Formula;
-use rw_logic::{Tolerances, Vocabulary};
+use crate::compile::Program;
 use rw_util::{par, StdRng};
 use std::ops::Range;
 
 /// Everything a chunk needs, shared read-only across workers.
 pub(crate) struct ChunkCtx<'a> {
-    pub kb_formula: &'a Formula,
-    pub query: &'a Formula,
-    pub vocab: &'a Vocabulary,
-    pub tol: &'a Tolerances,
+    /// The KB compiled at this sweep point: the acceptance check.
+    pub kb: &'a Program,
+    /// The query compiled over the same slot layout.
+    pub query: &'a Program,
     pub plan: &'a SamplePlan,
-    pub n: usize,
     pub seed: u64,
     /// Draws per full chunk.
     pub chunk_size: u64,
@@ -48,25 +44,27 @@ impl ChunkCtx<'_> {
             .min(self.cap - (chunk * self.chunk_size).min(self.cap))
     }
 
-    /// Runs one chunk to completion: `chunk_draws` proposal draws,
-    /// rejection against the KB, query evaluation on acceptance.
+    /// Runs one chunk to completion: `chunk_draws` proposal draws into a
+    /// reused slot vector, rejection against the compiled KB, the
+    /// compiled query on acceptance.
     fn run_chunk(&self, chunk: u64) -> Tally {
-        let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, self.n, chunk));
-        let mut world = World::empty(self.vocab, self.n);
+        let layout = self.kb.layout();
+        let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, layout.n(), chunk));
+        let mut slots = vec![0usize; layout.slot_count()];
+        let mut forced = Vec::new();
         let mut tally = Tally::default();
         for _ in 0..self.chunk_draws(chunk) {
             tally.drawn += 1;
-            let Some(weight) = self.plan.draw(self.vocab, self.n, &mut world, &mut rng) else {
+            let Some(weight) = self.plan.draw(layout, &mut slots, &mut forced, &mut rng) else {
                 continue; // forced-literal conflict: certain rejection
             };
-            let mut ev = Evaluator::new(&world, self.vocab, self.tol);
-            if !ev.eval(self.kb_formula) {
+            if !self.kb.holds(&slots) {
                 continue;
             }
             tally.accepted += 1;
             tally.w_acc += weight;
             tally.w2_acc += weight * weight;
-            if ev.eval(self.query) {
+            if self.query.holds(&slots) {
                 tally.hits += 1;
                 tally.w_hit += weight;
                 tally.w2_hit += weight * weight;
@@ -87,28 +85,29 @@ pub(crate) fn run_chunks(ctx: &ChunkCtx<'_>, range: Range<u64>, threads: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rw_logic::KnowledgeBase;
+    use rw_logic::{KnowledgeBase, Tolerances};
     use rw_util::Rat;
 
-    fn ctx_parts() -> (KnowledgeBase, Formula) {
+    /// The plan and the KB/query programs at `N = 4`, `τ = 1/4`.
+    fn ctx_parts() -> (SamplePlan, Program, Program) {
         let mut kb = KnowledgeBase::parse("||P(x)||_x ~=_1 0.5; Q(C)").unwrap();
         let q = kb.parse_query("P(C)").unwrap();
-        (kb, q)
+        let tol = Tolerances::uniform(Rat::new(1, 4));
+        let compile = |f| Program::compile(kb.vocab(), 4, &tol, f).unwrap();
+        (
+            SamplePlan::build(&kb),
+            compile(&kb.as_formula()),
+            compile(&q),
+        )
     }
 
     #[test]
     fn chunk_tallies_are_identical_across_thread_counts() {
-        let (kb, q) = ctx_parts();
-        let plan = SamplePlan::build(&kb);
-        let kbf = kb.as_formula();
-        let tol = Tolerances::uniform(Rat::new(1, 4));
+        let (plan, kb, q) = ctx_parts();
         let ctx = ChunkCtx {
-            kb_formula: &kbf,
+            kb: &kb,
             query: &q,
-            vocab: kb.vocab(),
-            tol: &tol,
             plan: &plan,
-            n: 4,
             seed: 77,
             chunk_size: 256,
             cap: 2048,
@@ -122,17 +121,11 @@ mod tests {
 
     #[test]
     fn last_chunk_truncates_to_the_cap() {
-        let (kb, q) = ctx_parts();
-        let plan = SamplePlan::build(&kb);
-        let kbf = kb.as_formula();
-        let tol = Tolerances::uniform(Rat::new(1, 4));
+        let (plan, kb, q) = ctx_parts();
         let ctx = ChunkCtx {
-            kb_formula: &kbf,
+            kb: &kb,
             query: &q,
-            vocab: kb.vocab(),
-            tol: &tol,
             plan: &plan,
-            n: 4,
             seed: 1,
             chunk_size: 100,
             cap: 250,
@@ -146,17 +139,11 @@ mod tests {
 
     #[test]
     fn different_chunks_get_different_streams() {
-        let (kb, q) = ctx_parts();
-        let plan = SamplePlan::build(&kb);
-        let kbf = kb.as_formula();
-        let tol = Tolerances::uniform(Rat::new(1, 4));
+        let (plan, kb, q) = ctx_parts();
         let ctx = ChunkCtx {
-            kb_formula: &kbf,
+            kb: &kb,
             query: &q,
-            vocab: kb.vocab(),
-            tol: &tol,
             plan: &plan,
-            n: 4,
             seed: 5,
             chunk_size: 512,
             cap: 1024,

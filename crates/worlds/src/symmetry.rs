@@ -48,6 +48,7 @@
 //! bit-identical at any thread count.
 
 use crate::count::{CountError, CountOptions};
+use crate::eval::decide;
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
 use rw_logic::{Tolerances, VarId, Vocabulary};
 use rw_util::{par, Rat};
@@ -614,12 +615,7 @@ impl SymmetrySpec {
             let l = eval_prop_node(&stat.lhs, counts, n);
             let r = eval_prop_node(&stat.rhs, counts, n);
             let ok = match (l, r) {
-                (Some(a), Some(b)) => match stat.op {
-                    CmpOp::ApproxEq(t) => a.approx_eq(b, tol.get(t)),
-                    CmpOp::ApproxLeq(t) => a.approx_leq(b, tol.get(t)),
-                    CmpOp::Eq => a == b,
-                    CmpOp::Leq => a <= b,
-                },
+                (Some(a), Some(b)) => decide(a, stat.op, b, tol),
                 _ => true,
             };
             if !ok {

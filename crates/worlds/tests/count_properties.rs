@@ -6,15 +6,19 @@
 //!   denominator and the `#(KB ∧ query)` numerator — so the Definition
 //!   4.2 ratio can never drift);
 //! * a count (value *and* visited/branched totals) is **bit-identical**
-//!   across 1/2/4 worker threads.
+//!   across 1/2/4 worker threads;
+//! * the full-assignment evaluator [`Program::holds`] (the Monte-Carlo
+//!   acceptance kernel) agrees with the tree-walking `Evaluator` world by
+//!   world on uniformly sampled worlds.
 
 mod common;
 
 use proptest::prelude::*;
 use rw_logic::ast::Formula;
 use rw_logic::{KnowledgeBase, Tolerances};
-use rw_util::Rat;
+use rw_util::{Rat, StdRng};
 use rw_worlds::eval::Evaluator;
+use rw_worlds::sample::sample_world;
 use rw_worlds::{count_models, for_each_world, CountOptions, Program};
 
 fn tolerances() -> Tolerances {
@@ -59,6 +63,18 @@ fn cases() -> impl Strategy<Value = (String, String, usize)> {
             n
         )),
         (2usize..4).prop_map(|n| ("P(Next(C))".to_string(), "P(C)".to_string(), n)),
+        (2usize..4).prop_map(|n| (
+            "|| ||Rises(x, y) | Day(y)||_y ~=_1 1 ||_x ~=_1 0.5".to_string(),
+            "Day(C)".to_string(),
+            n
+        )),
+        // The condition is empty in many worlds: the measure-zero
+        // convention decides those comparisons.
+        (2usize..5).prop_map(|n| (
+            "||Fly(x) | Bird(x) & Penguin(x)||_x ~=_1 0.1; Bird(T)".to_string(),
+            "Fly(T) & C = Next(T)".to_string(),
+            n
+        )),
     ]
 }
 
@@ -119,6 +135,39 @@ proptest! {
                 "`{}` ⊢ `{}` at N={} diverged at {} threads",
                 kb_src, q_src, n, threads
             );
+        }
+    }
+}
+
+proptest! {
+    // Evaluation is cheap next to the counts above, so this property
+    // samples the generator more densely: every shape, the rare
+    // measure-zero one included, shows up at least once.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn full_assignment_evaluation_matches_the_evaluator(
+        (kb_src, q_src, n) in cases(),
+        seed in 0u64..1_000_000,
+    ) {
+        let mut kb = KnowledgeBase::parse(&kb_src).unwrap();
+        let q = kb.parse_query(&q_src).unwrap();
+        let tol = tolerances();
+        let kb_formula = kb.as_formula();
+        let numerator = Formula::and(kb_formula.clone(), q.clone());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for f in [&kb_formula, &q, &numerator] {
+            let prog = Program::compile(kb.vocab(), n, &tol, f).unwrap();
+            for _ in 0..64 {
+                let world = sample_world(kb.vocab(), n, &mut rng);
+                let slots = prog.layout().encode(&world);
+                prop_assert_eq!(
+                    prog.holds(&slots),
+                    Evaluator::new(&world, kb.vocab(), &tol).eval(f),
+                    "`{}` ⊢ `{}` at N={}: verdicts differ on {:?}",
+                    kb_src, q_src, n, world
+                );
+            }
         }
     }
 }
