@@ -9,7 +9,8 @@
 //! ([`Session::answer_batch_jsonl`] is the collected convenience form).
 
 use rw_core::{
-    AnswerCache, BatchReport, DenomCache, EngineConfig, EngineError, McConfig, RandomWorlds,
+    AnswerCache, BatchReport, DenomCache, EngineConfig, EngineError, McConfig, PreparedKb,
+    RandomWorlds,
 };
 use rw_logic::{KnowledgeBase, Pretty, Tolerances};
 use rw_propensity::{Prior, PropensityEngine};
@@ -133,7 +134,9 @@ impl From<UnaryError> for SessionError {
 
 /// A loaded knowledge base ready to answer queries.
 pub struct Session {
-    kb: KnowledgeBase,
+    /// The loaded KB, prepared once: its fingerprint (computed when the
+    /// session caches) and theorem-stage analysis serve every query.
+    kb: PreparedKb,
     options: SessionOptions,
     engine: RandomWorlds,
     /// The engine the parallel batch executor uses: identical to
@@ -142,10 +145,6 @@ pub struct Session {
     /// parallelism). `None` when the distinction cannot matter
     /// (`--threads 1`, where both engines would be identical).
     batch_engine: Option<RandomWorlds>,
-    /// The KB's canonical fingerprint, computed once at load when the
-    /// session caches — re-fingerprinting an unchanging KB per query
-    /// would cost more than the theorem answers it guards.
-    kb_fingerprint: Option<u64>,
 }
 
 impl Session {
@@ -180,36 +179,24 @@ impl Session {
         // per-query wall time.
         let mut batch_engine =
             (options.threads != 1).then(|| build(mc.map(|c| McConfig { threads: 1, ..c }), 1));
-        let mut kb_fingerprint = None;
         if options.cache {
             let cache = Arc::new(AnswerCache::new());
             engine = engine.with_cache(Arc::clone(&cache));
             // Worker count is excluded from the engine-config
             // fingerprint, so both engines share one keyspace.
             batch_engine = batch_engine.map(|e| e.with_cache(cache));
-            kb_fingerprint = Some(rw_logic::canon::kb_fingerprint(&kb));
         }
         Session {
-            kb,
+            kb: PreparedKb::new(kb),
             options,
             engine,
             batch_engine,
-            kb_fingerprint,
-        }
-    }
-
-    /// [`rw_core::RandomWorlds::answer`], with the session's precomputed
-    /// KB fingerprint when caching (the session's KB never changes).
-    fn engine_answer(&self, query: &str) -> Result<rw_core::Response, EngineError> {
-        match self.kb_fingerprint {
-            Some(fp) => self.engine.answer_fingerprinted(&self.kb, query, fp),
-            None => self.engine.answer(&self.kb, query),
         }
     }
 
     /// The loaded knowledge base.
     pub fn kb(&self) -> &KnowledgeBase {
-        &self.kb
+        self.kb.kb()
     }
 
     /// Answers one textual query, returning the formatted output lines.
@@ -226,7 +213,7 @@ impl Session {
     /// pipeline; a bad query yields an `"ok":false` object, never an
     /// `Err`.
     pub fn answer_json_line(&self, query: &str) -> (String, bool) {
-        match self.engine_answer(query) {
+        match self.engine.answer_prepared(&self.kb, query) {
             Ok(response) => (crate::json::response_line(query, &response), true),
             Err(e) => (crate::json::error_line(query, &e.to_string()), false),
         }
@@ -261,7 +248,7 @@ impl Session {
     /// [`BatchReport`] behind `rwq batch`'s closing summary line.
     pub fn answer_batch_report(&self, queries: &[String]) -> (Vec<String>, BatchReport) {
         let engine = self.batch_engine.as_ref().unwrap_or(&self.engine);
-        let run = engine.answer_batch_report(&self.kb, queries, self.options.threads);
+        let run = engine.answer_batch_report(self.kb.kb(), queries, self.options.threads);
         let lines = queries
             .iter()
             .zip(&run.results)
@@ -290,7 +277,7 @@ impl Session {
     }
 
     fn answer_random_worlds(&self, query: &str) -> Result<String, SessionError> {
-        let result = self.engine_answer(query)?;
+        let result = self.engine.answer_prepared(&self.kb, query)?;
         let mut out = if self.options.explain {
             format!("Pr∞({query} | KB) = {}", result)
         } else {
@@ -307,7 +294,7 @@ impl Session {
         if self.options.trend.is_empty() {
             return Err(SessionError::NoTrendPoints);
         }
-        let mut kb = self.kb.clone();
+        let mut kb = self.kb().clone();
         let q = kb
             .parse_query(query)
             .map_err(|e| SessionError::Engine(EngineError::Parse(e)))?;
@@ -328,7 +315,7 @@ impl Session {
     /// Finite-`N` trend lines, via the unary counting engine (uniform
     /// prior) or the propensity engine.
     fn trend_lines(&self, query: &str, prior: Option<Prior>) -> Result<String, SessionError> {
-        let mut kb = self.kb.clone();
+        let mut kb = self.kb().clone();
         let q = kb
             .parse_query(query)
             .map_err(|e| SessionError::Engine(EngineError::Parse(e)))?;

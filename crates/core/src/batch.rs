@@ -19,8 +19,8 @@
 //! with wall/CPU time and cache-hit counts.
 
 use crate::engine::{EngineError, RandomWorlds, Response};
+use crate::prepared::PreparedKb;
 use crate::solver::{StageStatus, Trace};
-use rw_logic::canon;
 use rw_logic::KnowledgeBase;
 use rw_util::par;
 use std::fmt;
@@ -187,12 +187,15 @@ impl RandomWorlds {
     ) -> BatchRun {
         let start = Instant::now();
         let denoms_before = (self.denom_cache().hits(), self.denom_cache().misses());
-        let ctx = self.cache_ctx(|| canon::kb_fingerprint(kb));
+        // One preparation for the whole batch: workers share its
+        // fingerprint and theorem-stage analysis.
+        let prepared = PreparedKb::new(kb.clone());
+        let ctx = self.cache_ctx(|| prepared.fingerprint());
         let threads = par::threads(threads).min(queries.len()).max(1);
 
         let timed = par::map(queries.len(), threads, |i| {
             let t = Instant::now();
-            let r = self.answer_with(kb, queries[i].as_ref(), ctx.as_ref());
+            let r = self.answer_with(&prepared, queries[i].as_ref(), ctx.as_ref());
             (r, t.elapsed())
         });
 

@@ -4,13 +4,14 @@
 
 use crate::belief::{Belief, Provenance};
 use crate::cache::{AnswerCache, CachedAnswer, DenomCache};
+use crate::prepared::PreparedKb;
 use crate::solver::{Budget, Diagonal, SolverOutcome, Stage, StageStatus, Trace};
 use crate::solvers::{
     EnumerationDiagonalSolver, MaxEntSolver, MonteCarloSolver, TheoremSolver, UnaryDiagonalSolver,
 };
 use rw_logic::ast::Formula;
 use rw_logic::canon;
-use rw_logic::{KnowledgeBase, ParseError, Vocabulary};
+use rw_logic::{KnowledgeBase, ParseError};
 use rw_maxent::SweepConfig;
 use std::fmt;
 use std::sync::Arc;
@@ -322,25 +323,22 @@ impl RandomWorlds {
     /// assert_eq!(r.trace.to_string(), "theorems answered");
     /// ```
     pub fn answer(&self, kb: &KnowledgeBase, query: &str) -> Result<Response, EngineError> {
-        let ctx = self.cache_ctx(|| canon::kb_fingerprint(kb));
-        self.answer_with(kb, query, ctx.as_ref())
+        self.answer_prepared(&PreparedKb::new(kb.clone()), query)
     }
 
-    /// [`Self::answer`] with the KB's fingerprint
-    /// ([`rw_logic::canon::kb_fingerprint`]) supplied by the caller — the
-    /// single-query analogue of the hoisting [`Self::answer_batch`] does,
-    /// for serving loops (REPLs, streamed batches) that answer many
-    /// queries against one unchanging KB through a cache. Without an
-    /// installed cache the fingerprint is ignored. The caller must not
-    /// mutate `kb` between fingerprinting and answering.
-    pub fn answer_fingerprinted(
+    /// [`Self::answer`] against a [`PreparedKb`] — the serving-loop entry
+    /// point (server, REPL, streamed batches, lab trials), which answers
+    /// many queries against one unchanging KB. The KB's fingerprint
+    /// (computed only when a cache is installed) and its theorem-stage
+    /// analysis are each computed once per prepared KB, not once per
+    /// query.
+    pub fn answer_prepared(
         &self,
-        kb: &KnowledgeBase,
+        prepared: &PreparedKb,
         query: &str,
-        kb_fingerprint: u64,
     ) -> Result<Response, EngineError> {
-        let ctx = self.cache_ctx(|| kb_fingerprint);
-        self.answer_with(kb, query, ctx.as_ref())
+        let ctx = self.cache_ctx(|| prepared.fingerprint());
+        self.answer_with(prepared, query, ctx.as_ref())
     }
 
     /// Computes `Pr∞(query | KB)` for an already-parsed query.
@@ -349,14 +347,15 @@ impl RandomWorlds {
         kb: &KnowledgeBase,
         query: &Formula,
     ) -> Result<Response, EngineError> {
-        let ctx = self.cache_ctx(|| canon::kb_fingerprint(kb));
-        self.answer_parsed(kb, None, query, ctx.as_ref())
+        let prepared = PreparedKb::new(kb.clone());
+        let ctx = self.cache_ctx(|| prepared.fingerprint());
+        self.answer_parsed(&prepared, query, ctx.as_ref())
     }
 
     /// Answers many queries against one knowledge base, sequentially.
     ///
-    /// This is the serving-path primitive: the knowledge base is
-    /// fingerprinted once and reused across all queries. Per-query
+    /// This is the serving-path primitive: the knowledge base is prepared
+    /// ([`PreparedKb`]) once and reused across all queries. Per-query
     /// failures (parse errors, out-of-reach) are returned in place so one
     /// bad query never voids the rest. For the threaded version with an
     /// aggregate report, see
@@ -380,44 +379,45 @@ impl RandomWorlds {
         kb: &KnowledgeBase,
         queries: &[S],
     ) -> Vec<Result<Response, EngineError>> {
-        let ctx = self.cache_ctx(|| canon::kb_fingerprint(kb));
+        let prepared = PreparedKb::new(kb.clone());
+        let ctx = self.cache_ctx(|| prepared.fingerprint());
         queries
             .iter()
-            .map(|q| self.answer_with(kb, q.as_ref(), ctx.as_ref()))
+            .map(|q| self.answer_with(&prepared, q.as_ref(), ctx.as_ref()))
             .collect()
     }
 
     /// Parses a textual query and answers it through
-    /// [`Self::answer_parsed`]. Queries may mention fresh constants, so
-    /// each gets its own vocabulary extension; only the vocabulary is
-    /// cloned up front.
+    /// [`Self::answer_parsed`]. Queries may mention fresh symbols, so
+    /// each is parsed into its own clone of the KB's vocabulary — O(1),
+    /// since vocabularies copy their tables only on write, and a query
+    /// over known symbols writes none.
     pub(crate) fn answer_with(
         &self,
-        kb: &KnowledgeBase,
+        prepared: &PreparedKb,
         query: &str,
         cache: Option<&CacheCtx<'_>>,
     ) -> Result<Response, EngineError> {
-        let mut vocab = kb.vocab().clone();
+        let mut vocab = prepared.vocab().clone();
         let q = rw_logic::parse_formula(&mut vocab, query)?;
-        self.answer_parsed(kb, Some(vocab), &q, cache)
+        self.answer_parsed(&prepared.extended(vocab), &q, cache)
     }
 
     /// The common top-level path: consult the cache (if any), else run
-    /// the pipeline and remember the semantic answer. `vocab` is the
-    /// query's own extension of `kb`'s vocabulary, if it was parsed
-    /// against a copy; the KB is rebuilt around it only on a miss, so a
-    /// hit never pays for copying the conjunct list.
+    /// the pipeline and remember the semantic answer. `prepared` is the
+    /// KB over the query's vocabulary ([`PreparedKb::extended`] shares
+    /// the conjunct list and, when the query added no predicate or
+    /// function, the analysis).
     fn answer_parsed(
         &self,
-        kb: &KnowledgeBase,
-        vocab: Option<Vocabulary>,
+        prepared: &PreparedKb,
         query: &Formula,
         cache: Option<&CacheCtx<'_>>,
     ) -> Result<Response, EngineError> {
         let mut miss = None;
         if let Some(ctx) = cache {
             let start = Instant::now();
-            let canonical = canon::canonical_formula(vocab.as_ref().unwrap_or(kb.vocab()), query);
+            let canonical = canon::canonical_formula(prepared.vocab(), query);
             let key = AnswerCache::key(ctx.key_prefix, &canonical);
             let hit = ctx.cache.get(&key);
             observe_cache_lookup(start, hit.is_some());
@@ -426,13 +426,7 @@ impl RandomWorlds {
             }
             miss = Some((ctx.cache, key));
         }
-        let response = match vocab {
-            Some(vocab) => {
-                let local = KnowledgeBase::from_parts(vocab, kb.conjuncts().to_vec());
-                self.run_pipeline(&local, query)?
-            }
-            None => self.run_pipeline(kb, query)?,
-        };
+        let response = self.run_pipeline(prepared, query)?;
         if let Some((cache, key)) = miss {
             cache.insert(key, CachedAnswer::of(&response));
         }
@@ -452,18 +446,20 @@ impl RandomWorlds {
         }
     }
 
-    fn run_pipeline(&self, kb: &KnowledgeBase, query: &Formula) -> Result<Response, EngineError> {
+    fn run_pipeline(&self, kb: &PreparedKb, query: &Formula) -> Result<Response, EngineError> {
         // Recursion (independence products, nested defaults) re-enters the
-        // same stage list.
+        // same stage list, with each sub-KB prepared ad hoc.
         let recurse = |skb: &KnowledgeBase, sq: &Formula| {
-            self.run_pipeline(skb, sq)
+            self.run_pipeline(&PreparedKb::new(skb.clone()), sq)
                 .ok()
                 .map(|r| (r.belief, r.provenance))
         };
         let mut trace = Trace::default();
         for stage in self.stages.iter() {
             let start = Instant::now();
-            let outcome = stage.solver.solve(kb, query, &stage.budget, &recurse);
+            let outcome = stage
+                .solver
+                .solve_prepared(kb, query, &stage.budget, &recurse);
             let elapsed = start.elapsed();
             let name = stage.solver.name();
             match outcome {
@@ -1300,17 +1296,37 @@ mod tests {
     }
 
     #[test]
-    fn answer_fingerprinted_matches_answer() {
+    fn answer_prepared_matches_answer() {
         let kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();
         let e = engine().with_cache(Arc::new(AnswerCache::new()));
-        let fp = rw_logic::canon::kb_fingerprint(&kb);
-        let cold = e.answer_fingerprinted(&kb, "Hep(Eric)", fp).unwrap();
+        let prepared = PreparedKb::new(kb.clone());
+        let cold = e.answer_prepared(&prepared, "Hep(Eric)").unwrap();
         assert!(!cold.cached);
-        // Shares the keyspace with the self-fingerprinting entry point.
+        assert_eq!(prepared.fingerprint(), rw_logic::canon::kb_fingerprint(&kb));
+        // Shares the keyspace with the self-preparing entry point.
         assert!(e.answer(&kb, "Hep(Eric)").unwrap().cached);
-        let warm = e.answer_fingerprinted(&kb, "!!Hep(Eric)", fp).unwrap();
+        let warm = e.answer_prepared(&prepared, "!!Hep(Eric)").unwrap();
         assert!(warm.cached);
         assert_eq!(warm.belief, cold.belief);
+        // Without a cache the prepared path answers like the ad-hoc one,
+        // reusing one analysis across queries that add only constants.
+        let plain = engine();
+        let prepared = PreparedKb::new(kb.clone());
+        for q in [
+            "Hep(Eric)",
+            "Hep(Tom)",
+            "Jaun(Eric)",
+            "Hep(Eric) & Fever(Eric)",
+        ] {
+            let a = plain.answer_prepared(&prepared, q).unwrap();
+            let b = plain.answer(&kb, q).unwrap();
+            assert_eq!(
+                (&a.belief, &a.provenance),
+                (&b.belief, &b.provenance),
+                "{q}"
+            );
+        }
+        assert!(prepared.is_analysed());
     }
 
     #[test]

@@ -52,7 +52,10 @@
 //! The pipeline is open: [`RandomWorlds::with_solvers`] installs any stage
 //! list (custom [`Solver`] implementations included), and
 //! [`RandomWorlds::answer_batch`] answers many queries against one loaded
-//! KB — the serving-path primitive.
+//! KB — the serving-path primitive. Serving loops hold the KB as a
+//! [`PreparedKb`] and answer through [`RandomWorlds::answer_prepared`]:
+//! the KB's fingerprint and the theorem stage's indexed analysis are
+//! computed once per KB, not once per query.
 //!
 //! The serving path scales out in two orthogonal ways:
 //!
@@ -76,6 +79,7 @@ pub mod cache;
 pub mod engine;
 pub mod klm;
 pub mod patterns;
+pub mod prepared;
 pub mod solver;
 pub mod solvers;
 pub mod theorems;
@@ -84,6 +88,7 @@ pub use batch::{BatchReport, BatchRun, StageTotals};
 pub use belief::{Belief, Provenance};
 pub use cache::{AnswerCache, CachedAnswer, DenomCache, DenomKey};
 pub use engine::{BeliefResult, EngineConfig, EngineError, RandomWorlds, Response};
+pub use prepared::PreparedKb;
 pub use solver::{
     Budget, Diagonal, Recurse, Solver, SolverOutcome, Stage, StageStatus, StageTrace, Trace,
 };

@@ -8,12 +8,13 @@
 //! conjunct reordering, and decides class subsumption/disjointness under
 //! the KB's universal statements by atom-set reasoning.
 
-use rw_logic::ast::{CmpOp, Formula, PropExpr, TolId};
-use rw_logic::{analysis, ConstId, KnowledgeBase, VarId, Vocabulary};
+use rw_logic::ast::{CmpOp, Formula, PropExpr, Term, TolId};
+use rw_logic::{analysis, ConstId, FuncId, KnowledgeBase, PredId, VarId, Vocabulary};
 use rw_unary::atoms::{atom_count, compile_atom_set, compile_atom_set_const};
 use rw_unary::AtomSet;
 use rw_util::Rat;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Synthetic variables used for generalization during matching; never
 /// interned, never printed.
@@ -36,6 +37,15 @@ pub struct StatStatement {
     pub hi: Rat,
     /// Tolerance indices used by the contributing comparisons.
     pub tols: Vec<TolId>,
+    /// [`canon`] of `body` with `vars[j]` numbered `j`: the key a
+    /// generalized query must equal to be this statement's subject.
+    pub body_key: String,
+    /// [`canon_conjunction`] of `cond` under the same numbering.
+    pub cond_key: Vec<String>,
+    /// The class `cond` as an atom set, for single-variable statements
+    /// whose condition is quantifier-free unary — compiled only when the
+    /// KB has a [`Taxonomy`] (at most 16 predicates).
+    pub class: Option<AtomSet>,
 }
 
 impl StatStatement {
@@ -44,10 +54,60 @@ impl StatStatement {
     }
 }
 
-/// A conjunct-level classification of a knowledge base.
+/// A symbol one flattened conjunct mentions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Sym {
+    Pred(PredId),
+    Func(FuncId),
+    Const(ConstId),
+}
+
+/// The shape of one flattened conjunct, as the ground-fact and
+/// unique-names matchers need it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PartShape {
+    /// `true`.
+    True,
+    /// A ground literal `P(c̄)` / `!P(c̄)` (modulo double negation).
+    Literal,
+    /// An equality between two constants.
+    ConstEq(ConstId, ConstId),
+    /// A comparison under a tolerance (`~=_i`, `<~_i`).
+    TolerantCmp,
+    /// Anything else.
+    Other,
+}
+
+/// A conjunct-level classification of a knowledge base, indexed by
+/// symbol so each theorem matcher visits only the conjuncts that mention
+/// the query's constants and predicates.
+///
+/// Conjuncts are referred to by position in the flattened list (each
+/// top-level conjunct split at `∧`). The formulas themselves stay in the
+/// KB's shared conjunct list; the classification holds a handle to that
+/// list, never a copy of it. Everything here depends on the conjuncts and
+/// on the vocabulary's predicates and functions, not on its constants, so
+/// it stays valid for any extension of the vocabulary by constants or
+/// variables.
 pub struct Classified {
-    /// Flattened conjuncts, in order.
-    pub conjuncts: Vec<Formula>,
+    /// The KB's conjunct list (shared, not copied).
+    source: Arc<Vec<Formula>>,
+    /// Flattened conjuncts in order: (top-level index, leaf within it).
+    positions: Vec<(u32, u32)>,
+    shapes: Vec<PartShape>,
+    /// Each flattened conjunct's symbols (`syms[sym_starts[i]..sym_starts[i + 1]]`,
+    /// sorted).
+    sym_starts: Vec<u32>,
+    syms: Vec<Sym>,
+    /// Flattened-conjunct indices mentioning each predicate / function /
+    /// constant, ascending.
+    by_pred: Vec<Vec<usize>>,
+    by_func: Vec<Vec<usize>>,
+    by_const: Vec<Vec<usize>>,
+    /// Some ground literal is asserted both ways, or some conjunct other
+    /// than `true` mentions no symbol at all (`false`, `!true`): either
+    /// can void the KB without touching a query's symbols.
+    pub voids_ground_facts: bool,
     /// Statistical statements (merged bounds).
     pub stats: Vec<StatStatement>,
     /// Flattened-conjunct indices that are part of some statistical statement.
@@ -57,6 +117,97 @@ pub struct Classified {
     pub universals: Vec<(usize, AtomSet)>,
     /// Conjuncts recognized as `∃!x φ(x)` (desugared), with the inner body.
     pub exists_unique: Vec<(usize, Formula, VarId)>,
+    /// Class subsumption under the universals (`None` above 16
+    /// predicates).
+    pub taxonomy: Option<Taxonomy>,
+}
+
+impl Classified {
+    /// The number of flattened conjuncts.
+    pub fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.positions.is_empty()
+    }
+
+    /// The flattened conjunct at `idx`.
+    pub fn part(&self, idx: usize) -> &Formula {
+        let (top, leaf) = self.positions[idx];
+        nth_conjunct(&self.source[top as usize], leaf as usize)
+    }
+
+    /// The flattened conjuncts, in order.
+    pub fn parts(&self) -> impl Iterator<Item = &Formula> + '_ {
+        (0..self.len()).map(|i| self.part(i))
+    }
+
+    pub fn shape(&self, idx: usize) -> PartShape {
+        self.shapes[idx]
+    }
+
+    /// The symbols conjunct `idx` mentions: predicates, then functions,
+    /// then constants, each ascending.
+    pub fn symbols_of(&self, idx: usize) -> &[Sym] {
+        &self.syms[self.sym_starts[idx] as usize..self.sym_starts[idx + 1] as usize]
+    }
+
+    /// The number of distinct constants conjunct `idx` mentions.
+    pub fn const_count(&self, idx: usize) -> usize {
+        self.symbols_of(idx)
+            .iter()
+            .filter(|s| matches!(s, Sym::Const(_)))
+            .count()
+    }
+
+    /// Conjuncts mentioning `sym`, ascending (none for a symbol the KB
+    /// never uses, e.g. one a query introduced).
+    pub fn mentioning(&self, sym: Sym) -> &[usize] {
+        let list = match sym {
+            Sym::Pred(p) => self.by_pred.get(p.index()),
+            Sym::Func(f) => self.by_func.get(f.index()),
+            Sym::Const(c) => self.by_const.get(c.index()),
+        };
+        list.map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The `k`-th leaf of `f`'s `∧`-tree, in [`Formula::conjuncts`] order.
+fn nth_conjunct(f: &Formula, k: usize) -> &Formula {
+    fn walk<'a>(f: &'a Formula, k: &mut usize) -> Option<&'a Formula> {
+        match f {
+            Formula::And(a, b) => walk(a, k).or_else(|| walk(b, k)),
+            leaf if *k == 0 => Some(leaf),
+            _ => {
+                *k -= 1;
+                None
+            }
+        }
+    }
+    let mut k = k;
+    walk(f, &mut k).expect("conjunct position within its conjunction")
+}
+
+/// The symbols of one conjunct in [`Classified`]'s sorted order.
+pub(crate) fn sorted_symbols(f: &Formula) -> Vec<Sym> {
+    let s = analysis::symbols(f);
+    let preds = s.preds.into_iter().map(Sym::Pred);
+    let funcs = s.funcs.into_iter().map(Sym::Func);
+    preds
+        .chain(funcs)
+        .chain(s.consts.into_iter().map(Sym::Const))
+        .collect()
+}
+
+fn part_shape(f: &Formula) -> PartShape {
+    match f {
+        Formula::True => PartShape::True,
+        Formula::TermEq(Term::Const(a), Term::Const(b)) => PartShape::ConstEq(*a, *b),
+        Formula::Cmp(_, op, _) if op.tolerance().is_some() => PartShape::TolerantCmp,
+        _ if analysis::as_ground_literal(f).is_some() => PartShape::Literal,
+        _ => PartShape::Other,
+    }
 }
 
 /// Extracts `(x, φ)` from the desugared `∃x (φ ∧ ∀y (φ[y/x] ⇒ y = x))`.
@@ -66,7 +217,6 @@ pub fn match_exists_unique(f: &Formula) -> Option<(VarId, Formula)> {
             if let Formula::Forall(y, imp) = guard.as_ref() {
                 if let Formula::Implies(phi_y, eq) = imp.as_ref() {
                     if let Formula::TermEq(l, r) = eq.as_ref() {
-                        use rw_logic::Term;
                         let ok_eq = (*l == Term::Var(*y) && *r == Term::Var(*x))
                             || (*l == Term::Var(*x) && *r == Term::Var(*y));
                         if ok_eq && analysis::alpha_eq(&analysis::rename_var(phi, *x, *y), phi_y) {
@@ -105,13 +255,7 @@ fn canon_var(v: VarId, free_map: &BTreeMap<VarId, usize>, bound: &[VarId], out: 
     }
 }
 
-fn canon_term(
-    t: &rw_logic::Term,
-    free_map: &BTreeMap<VarId, usize>,
-    bound: &[VarId],
-    out: &mut String,
-) {
-    use rw_logic::Term;
+fn canon_term(t: &Term, free_map: &BTreeMap<VarId, usize>, bound: &[VarId], out: &mut String) {
     match t {
         Term::Var(v) => canon_var(*v, free_map, bound, out),
         Term::Const(c) => out.push_str(&format!("c{}", c.0)),
@@ -230,21 +374,54 @@ pub fn canon_conjunction(f: &Formula, free_map: &BTreeMap<VarId, usize>) -> Vec<
     parts
 }
 
-/// Classifies a knowledge base's flattened conjuncts.
+/// Classifies a knowledge base's flattened conjuncts and indexes them by
+/// symbol.
 pub fn classify(kb: &KnowledgeBase) -> Classified {
     let vocab = kb.vocab();
+    let source = Arc::clone(kb.shared_conjuncts());
+    let mut positions = Vec::new();
     let mut conjuncts = Vec::new();
-    for c in kb.conjuncts() {
-        for part in c.conjuncts() {
-            conjuncts.push(part.clone());
+    for (top, c) in source.iter().enumerate() {
+        for (leaf, part) in c.conjuncts().into_iter().enumerate() {
+            positions.push((top as u32, leaf as u32));
+            conjuncts.push(part);
         }
     }
     let mut stats_map: BTreeMap<String, StatStatement> = BTreeMap::new();
     let mut stat_sources = vec![false; conjuncts.len()];
     let mut universals = Vec::new();
     let mut exists_unique = Vec::new();
+    let mut shapes = Vec::with_capacity(conjuncts.len());
+    let mut sym_starts = Vec::with_capacity(conjuncts.len() + 1);
+    let mut syms = Vec::new();
+    let mut by_pred = vec![Vec::new(); vocab.pred_count()];
+    let mut by_func = vec![Vec::new(); vocab.func_count()];
+    let mut by_const = vec![Vec::new(); vocab.const_count()];
+    let mut literals: BTreeMap<(PredId, Vec<ConstId>), bool> = BTreeMap::new();
+    let mut voids_ground_facts = false;
 
-    for (idx, f) in conjuncts.iter().enumerate() {
+    for (idx, &f) in conjuncts.iter().enumerate() {
+        let shape = part_shape(f);
+        shapes.push(shape);
+        let own = sorted_symbols(f);
+        sym_starts.push(syms.len() as u32);
+        for &sym in &own {
+            match sym {
+                Sym::Pred(p) => by_pred[p.index()].push(idx),
+                Sym::Func(g) => by_func[g.index()].push(idx),
+                Sym::Const(c) => by_const[c.index()].push(idx),
+            }
+        }
+        if own.is_empty() && shape != PartShape::True {
+            voids_ground_facts = true;
+        }
+        syms.extend(own);
+        if let Some((p, args, value)) = analysis::as_ground_literal(f) {
+            if literals.insert((p, args), value) == Some(!value) {
+                voids_ground_facts = true;
+            }
+        }
+
         if let Some((v, inner)) = match_exists_unique(f) {
             exists_unique.push((idx, inner, v));
             continue;
@@ -259,8 +436,7 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
                 if let Some((PropExpr::Prop { body, cond, vars }, bound, prop_on_left)) =
                     split_comparison(lhs, rhs)
                 {
-                    let free_map: BTreeMap<VarId, usize> =
-                        vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+                    let free_map = numbering(vars);
                     let cond_f = cond
                         .as_ref()
                         .map(|c| c.as_ref().clone())
@@ -279,6 +455,9 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
                         lo: Rat::ZERO,
                         hi: Rat::ONE,
                         tols: Vec::new(),
+                        body_key: String::new(),
+                        cond_key: Vec::new(),
+                        class: None,
                     });
                     entry.sources.push(idx);
                     stat_sources[idx] = true;
@@ -304,6 +483,7 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
             _ => {}
         }
     }
+    sym_starts.push(syms.len() as u32);
 
     // Complement normalization: `||¬φ|ψ|| ∈ [lo, hi]` is the same statement
     // as `||φ|ψ|| ∈ [1-hi, 1-lo]` (defaults `A ->_i !B` must be visible as
@@ -324,18 +504,45 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
                 lo: Rat::ONE - s.hi,
                 hi: Rat::ONE - s.lo,
                 tols: s.tols.clone(),
+                body_key: String::new(),
+                cond_key: Vec::new(),
+                class: None,
             }
         })
         .collect();
     stats.extend(derived);
 
+    let taxonomy = Taxonomy::from_universals(&universals, vocab);
+    for s in &mut stats {
+        let map = numbering(&s.vars);
+        s.body_key = canon(&s.body, &map);
+        s.cond_key = canon_conjunction(&s.cond, &map);
+        if taxonomy.is_some() && s.vars.len() == 1 {
+            s.class = compile_atom_set(&s.cond, s.vars[0], vocab);
+        }
+    }
+
     Classified {
-        conjuncts,
+        positions,
+        source,
+        shapes,
+        sym_starts,
+        syms,
+        by_pred,
+        by_func,
+        by_const,
+        voids_ground_facts,
         stats,
         stat_sources,
         universals,
         exists_unique,
+        taxonomy,
     }
+}
+
+/// `vars[j] ↦ j`: the free-variable numbering statement keys use.
+fn numbering(vars: &[VarId]) -> BTreeMap<VarId, usize> {
+    vars.iter().enumerate().map(|(i, &v)| (v, i)).collect()
 }
 
 /// Splits a comparison into (proportion expression, rational bound,
@@ -357,13 +564,13 @@ pub struct Taxonomy {
 }
 
 impl Taxonomy {
-    pub fn build(classified: &Classified, vocab: &Vocabulary) -> Option<Taxonomy> {
+    fn from_universals(universals: &[(usize, AtomSet)], vocab: &Vocabulary) -> Option<Taxonomy> {
         if vocab.pred_count() > 16 {
             return None;
         }
         let n = atom_count(vocab);
         let mut allowed = AtomSet::full(n);
-        for (_, s) in &classified.universals {
+        for (_, s) in universals {
             allowed = allowed.intersect(s);
         }
         Some(Taxonomy { atoms: n, allowed })
@@ -390,10 +597,9 @@ impl Taxonomy {
 pub fn const_atom_set(classified: &Classified, c: ConstId, vocab: &Vocabulary) -> AtomSet {
     let n = atom_count(vocab);
     let mut s = AtomSet::full(n);
-    for f in &classified.conjuncts {
-        let consts = analysis::constants(f);
-        if consts.len() == 1 && consts.contains(&c) {
-            if let Some(set) = compile_atom_set_const(f, c, vocab) {
+    for &i in classified.mentioning(Sym::Const(c)) {
+        if classified.const_count(i) == 1 {
+            if let Some(set) = compile_atom_set_const(classified.part(i), c, vocab) {
                 s = s.intersect(&set);
             }
         }
@@ -401,18 +607,16 @@ pub fn const_atom_set(classified: &Classified, c: ConstId, vocab: &Vocabulary) -
     s
 }
 
-/// Indices of flattened conjuncts mentioning any of the given constants.
+/// Indices of flattened conjuncts mentioning any of the given constants,
+/// ascending.
 pub fn conjuncts_mentioning(classified: &Classified, consts: &[ConstId]) -> Vec<usize> {
-    classified
-        .conjuncts
+    let mut out: Vec<usize> = consts
         .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            let cs = analysis::constants(f);
-            consts.iter().any(|c| cs.contains(c))
-        })
-        .map(|(i, _)| i)
-        .collect()
+        .flat_map(|&c| classified.mentioning(Sym::Const(c)).iter().copied())
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 #[cfg(test)]
@@ -461,7 +665,7 @@ mod tests {
         let kb = KnowledgeBase::parse("forall x (Penguin(x) => Bird(x)); Penguin(Tweety)").unwrap();
         let c = classify(&kb);
         assert_eq!(c.universals.len(), 1);
-        let tax = Taxonomy::build(&c, kb.vocab()).unwrap();
+        let tax = c.taxonomy.as_ref().unwrap();
         // Penguin ⊆ Bird must be entailed.
         let mut kb2 = kb.clone();
         let peng = kb2.parse_query("Penguin(x)").unwrap();

@@ -11,6 +11,7 @@
 //! always see *why* an answer came from the stage it did.
 
 use crate::belief::{Belief, Provenance};
+use crate::prepared::PreparedKb;
 use rw_logic::ast::Formula;
 use rw_logic::KnowledgeBase;
 use rw_util::Rat;
@@ -99,6 +100,20 @@ pub trait Solver: Send + Sync {
         budget: &Budget,
         recurse: &Recurse<'_>,
     ) -> SolverOutcome;
+
+    /// [`Self::solve`] against a [`PreparedKb`] — the entry point the
+    /// engine calls. A stage with per-KB analysis overrides it to reuse
+    /// the prepared analysis across queries; by default the preparation
+    /// is ignored.
+    fn solve_prepared(
+        &self,
+        prepared: &PreparedKb,
+        query: &Formula,
+        budget: &Budget,
+        recurse: &Recurse<'_>,
+    ) -> SolverOutcome {
+        self.solve(prepared.kb(), query, budget, recurse)
+    }
 }
 
 /// A solver plus the budget it may spend: one slot of the pipeline.

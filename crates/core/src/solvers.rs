@@ -10,6 +10,7 @@
 
 use crate::belief::{Belief, Provenance};
 use crate::cache::{DenomCache, DenomKey};
+use crate::prepared::PreparedKb;
 use crate::solver::{Budget, Diagonal, Recurse, Solver, SolverOutcome};
 use crate::theorems;
 use rw_logic::ast::Formula;
@@ -38,14 +39,26 @@ impl Solver for TheoremSolver {
         "theorems"
     }
 
+    /// Prepares `kb` ad hoc: the analysis is built for this one query.
     fn solve(
         &self,
         kb: &KnowledgeBase,
         query: &Formula,
+        budget: &Budget,
+        recurse: &Recurse<'_>,
+    ) -> SolverOutcome {
+        self.solve_prepared(&PreparedKb::new(kb.clone()), query, budget, recurse)
+    }
+
+    fn solve_prepared(
+        &self,
+        prepared: &PreparedKb,
+        query: &Formula,
         _budget: &Budget,
         recurse: &Recurse<'_>,
     ) -> SolverOutcome {
-        match theorems::try_all(kb, query, recurse) {
+        let (kb, analysis) = (prepared.kb(), prepared.analysis());
+        match theorems::try_classified(kb, analysis, query, recurse) {
             Some((belief, provenance)) => SolverOutcome::Answered { belief, provenance },
             None => SolverOutcome::Declined {
                 reason: "no theorem pattern matched with verified side conditions".to_string(),

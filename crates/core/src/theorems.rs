@@ -9,12 +9,12 @@
 
 use crate::belief::{Belief, Provenance};
 use crate::patterns::{
-    canon, canon_conjunction, classify, conjuncts_mentioning, const_atom_set, synthetic_var,
-    Classified, StatStatement, Taxonomy,
+    canon, canon_conjunction, classify, conjuncts_mentioning, const_atom_set, sorted_symbols,
+    synthetic_var, Classified, PartShape, StatStatement, Sym,
 };
 use rw_logic::ast::{Formula, PropExpr, Term};
 use rw_logic::{analysis, ConstId, KnowledgeBase, PredId, VarId};
-use rw_unary::atoms::compile_atom_set;
+use rw_unary::atoms::compile_atom_set_const;
 use rw_unary::AtomSet;
 use rw_util::Rat;
 use std::collections::BTreeMap;
@@ -31,21 +31,35 @@ pub fn dempster_rule(alphas: &[f64]) -> f64 {
     num / den
 }
 
-/// Tries every theorem pattern in order of specificity.
+/// Tries every theorem pattern in order of specificity, classifying the
+/// KB from scratch.
 pub fn try_all(
     kb: &KnowledgeBase,
     query: &Formula,
     solver: &Solver<'_>,
 ) -> Option<(Belief, Provenance)> {
-    let cls = classify(kb);
-    try_ground_facts(query, &cls)
-        .or_else(|| try_unique_names(kb, query, &cls))
-        .or_else(|| try_dempster(kb, query, &cls))
-        .or_else(|| try_strength(kb, query, &cls))
-        .or_else(|| try_direct_inference(kb, query, &cls))
-        .or_else(|| try_minimal_class(kb, query, &cls))
-        .or_else(|| try_nested_default(kb, query, &cls))
-        .or_else(|| try_independence(kb, query, &cls, solver))
+    try_classified(kb, &classify(kb), query, solver)
+}
+
+/// [`try_all`] against an existing classification of `kb`'s conjuncts:
+/// `classify(kb)` itself, or the classification of a KB with the same
+/// conjuncts whose vocabulary has the same predicates and functions (a
+/// [`crate::PreparedKb`]'s analysis, reused across queries that add only
+/// constants or variables).
+pub fn try_classified(
+    kb: &KnowledgeBase,
+    cls: &Classified,
+    query: &Formula,
+    solver: &Solver<'_>,
+) -> Option<(Belief, Provenance)> {
+    try_ground_facts(query, cls)
+        .or_else(|| try_unique_names(kb, query, cls))
+        .or_else(|| try_dempster(kb, query, cls))
+        .or_else(|| try_strength(kb, query, cls))
+        .or_else(|| try_direct_inference(kb, query, cls))
+        .or_else(|| try_minimal_class(kb, query, cls))
+        .or_else(|| try_nested_default(kb, query, cls))
+        .or_else(|| try_independence(kb, query, cls, solver))
 }
 
 fn interval_belief(lo: Rat, hi: Rat) -> Option<Belief> {
@@ -117,52 +131,27 @@ pub fn try_ground_facts(query: &Formula, cls: &Classified) -> Option<(Belief, Pr
     for part in stripped.conjuncts() {
         literals.push(analysis::as_ground_literal(part)?);
     }
-    if literals.is_empty() {
+    if literals.is_empty() || cls.voids_ground_facts {
         return None;
     }
-    let q_preds: std::collections::BTreeSet<PredId> = literals.iter().map(|(p, _, _)| *p).collect();
-    let q_consts: std::collections::BTreeSet<ConstId> = literals
-        .iter()
-        .flat_map(|(_, args, _)| args.iter().copied())
-        .collect();
-    // The KB's asserted ground literals, with a direct-contradiction scan;
-    // everything else sharing symbols with the query must be a
-    // tolerance-carrying statistical statement.
-    let mut asserted: BTreeMap<(PredId, Vec<ConstId>), bool> = BTreeMap::new();
-    for f in &cls.conjuncts {
-        if let Some((p, args, value)) = analysis::as_ground_literal(f) {
-            match asserted.insert((p, args), value) {
-                Some(prior) if prior != value => return None, // KB ⊨ ⊥ on this literal
-                _ => {}
+    // Everything sharing a predicate or constant with the query, other
+    // than asserted ground literals, must be a tolerance-carrying
+    // statistical statement: a proportion compared under a tolerance
+    // (`~=_i`, `<~_i`) is satisfiable alongside any finite set of ground
+    // facts for all large `N`; anything else could entail their negation.
+    let allowed = |&i: &usize| matches!(cls.shape(i), PartShape::Literal | PartShape::TolerantCmp);
+    for (p, args, _) in &literals {
+        let touched = std::iter::once(Sym::Pred(*p)).chain(args.iter().map(|&c| Sym::Const(c)));
+        for sym in touched {
+            if !cls.mentioning(sym).iter().all(allowed) {
+                return None;
             }
-            continue;
         }
-        if matches!(f, Formula::True) {
-            continue;
-        }
-        let syms = analysis::symbols(f);
-        // A symbol-free conjunct other than `true` (e.g. a literal
-        // `false`, or `!true`) can void the whole KB without ever
-        // "touching" the query's symbols — never certify past one.
-        if syms.preds.is_empty() && syms.consts.is_empty() && syms.funcs.is_empty() {
-            return None;
-        }
-        let touches = !syms.preds.is_disjoint(&q_preds) || !syms.consts.is_disjoint(&q_consts);
-        if !touches {
-            continue;
-        }
-        // A proportion compared under a tolerance (`~=_i`, `<~_i`) is
-        // satisfiable alongside any finite set of ground facts for all
-        // large `N`; anything else could entail their negation.
-        let Formula::Cmp(_, op, _) = f else {
-            return None;
-        };
-        op.tolerance()?;
     }
     let mut all_match = true;
     for (p, args, value) in literals {
-        match asserted.get(&(p, args)) {
-            Some(&v) if v == value => {}
+        match asserted(cls, p, &args) {
+            Some(v) if v == value => {}
             // One conjunct entailed false bounds the whole conjunction:
             // Pr(φ ∧ ψ | KB) ≤ Pr(φ | KB) = 0.
             Some(_) => return Some((Belief::Point(0.0), Provenance::Entailed)),
@@ -174,6 +163,22 @@ pub fn try_ground_facts(query: &Formula, cls: &Classified) -> Option<(Belief, Pr
     } else {
         None
     }
+}
+
+/// The polarity with which the KB asserts the ground atom `p(args)`, if
+/// it does (a KB asserting it both ways never gets this far).
+fn asserted(cls: &Classified, p: PredId, args: &[ConstId]) -> Option<bool> {
+    let scope = match args.first() {
+        Some(&c) => cls.mentioning(Sym::Const(c)),
+        None => cls.mentioning(Sym::Pred(p)),
+    };
+    scope
+        .iter()
+        .filter(|&&i| cls.shape(i) == PartShape::Literal)
+        .find_map(|&i| match analysis::as_ground_literal(cls.part(i)) {
+            Some((q, a, v)) if q == p && a == args => Some(v),
+            _ => None,
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -203,6 +208,10 @@ pub fn try_direct_inference(
             .filter(|(i, _)| mask >> i & 1 == 1)
             .map(|(_, c)| *c)
             .collect();
+        // Only statements over |c̄| variables can match.
+        if !cls.stats.iter().any(|s| s.vars.len() == cbar.len()) {
+            continue;
+        }
         let f_idx = conjuncts_mentioning(cls, &cbar);
         // Generalize c̄ → synthetic variables in the query and the facts.
         let generalize = |f: &Formula| {
@@ -213,7 +222,17 @@ pub fn try_direct_inference(
             g
         };
         let phi = generalize(query);
-        let psi = Formula::conjoin(f_idx.iter().map(|&i| generalize(&cls.conjuncts[i])));
+        let psi = Formula::conjoin(f_idx.iter().map(|&i| generalize(cls.part(i))));
+        // (φ, ψ) keyed under every numbering of the synthetic variables.
+        let keys: Vec<(String, Vec<String>)> = permutations(cbar.len())
+            .into_iter()
+            .map(|perm| {
+                let our_map: BTreeMap<VarId, usize> = (0..cbar.len())
+                    .map(|i| (synthetic_var(i), perm[i]))
+                    .collect();
+                (canon(&phi, &our_map), canon_conjunction(&psi, &our_map))
+            })
+            .collect();
 
         'stat: for s in &cls.stats {
             if s.vars.len() != cbar.len() {
@@ -221,20 +240,11 @@ pub fn try_direct_inference(
             }
             // The statistical statement itself must not mention c̄ (it would
             // have been swept into ψ otherwise).
-            if s.sources.iter().any(|i| f_idx.contains(i)) {
+            if s.sources.iter().any(|i| f_idx.binary_search(i).is_ok()) {
                 continue;
             }
-            let their_map: BTreeMap<VarId, usize> =
-                s.vars.iter().enumerate().map(|(j, &v)| (v, j)).collect();
-            let their_body = canon(&s.body, &their_map);
-            let their_cond = canon_conjunction(&s.cond, &their_map);
-            for perm in permutations(cbar.len()) {
-                let our_map: BTreeMap<VarId, usize> = (0..cbar.len())
-                    .map(|i| (synthetic_var(i), perm[i]))
-                    .collect();
-                if canon(&phi, &our_map) == their_body
-                    && canon_conjunction(&psi, &our_map) == their_cond
-                {
+            for (phi_key, psi_key) in &keys {
+                if *phi_key == s.body_key && *psi_key == s.cond_key {
                     let belief = match interval_belief(s.lo, s.hi) {
                         Some(b) => b,
                         None => continue 'stat,
@@ -253,7 +263,7 @@ pub fn try_direct_inference(
 
 struct Candidate<'a> {
     stat: &'a StatStatement,
-    class: AtomSet,
+    class: &'a AtomSet,
 }
 
 /// Reference-class candidates for a single-constant query: statistical
@@ -261,25 +271,21 @@ struct Candidate<'a> {
 /// compilable (quantifier-free unary) condition classes. Returns `None` if
 /// some statement about `φ` has a class we cannot analyze (the theorems'
 /// side conditions quantify over *all* such statements).
-fn phi_candidates<'a>(
-    kb: &KnowledgeBase,
-    cls: &'a Classified,
-    phi: &Formula,
-) -> Option<Vec<Candidate<'a>>> {
-    let vocab = kb.vocab();
+///
+/// Only called once the KB has a taxonomy, so every single-variable
+/// statement's class was compiled if it could be.
+fn phi_candidates<'a>(cls: &'a Classified, phi: &Formula) -> Option<Vec<Candidate<'a>>> {
     let our_map: BTreeMap<VarId, usize> = [(synthetic_var(0), 0)].into_iter().collect();
     let phi_canon = canon(phi, &our_map);
     let mut out = Vec::new();
     for s in &cls.stats {
-        if s.vars.len() != 1 {
+        if s.vars.len() != 1 || s.body_key != phi_canon {
             continue;
         }
-        let their_map: BTreeMap<VarId, usize> = [(s.vars[0], 0)].into_iter().collect();
-        if canon(&s.body, &their_map) != phi_canon {
-            continue;
-        }
-        let class = compile_atom_set(&s.cond, s.vars[0], vocab)?;
-        out.push(Candidate { stat: s, class });
+        out.push(Candidate {
+            stat: s,
+            class: s.class.as_ref()?,
+        });
     }
     Some(out)
 }
@@ -292,12 +298,18 @@ fn phi_symbols_isolated(cls: &Classified, phi: &Formula, candidates: &[Candidate
         .iter()
         .flat_map(|c| c.stat.sources.iter().copied())
         .collect();
-    for (idx, f) in cls.conjuncts.iter().enumerate() {
-        let syms = analysis::symbols(f);
-        let shares = !syms.preds.is_disjoint(&phi_syms.preds)
-            || !syms.funcs.is_disjoint(&phi_syms.funcs)
-            || !syms.consts.is_disjoint(&phi_syms.consts);
-        if shares && !candidate_sources.contains(&idx) {
+    let shared = phi_syms
+        .preds
+        .iter()
+        .map(|&p| Sym::Pred(p))
+        .chain(phi_syms.funcs.iter().map(|&f| Sym::Func(f)))
+        .chain(phi_syms.consts.iter().map(|&c| Sym::Const(c)));
+    for sym in shared {
+        if !cls
+            .mentioning(sym)
+            .iter()
+            .all(|idx| candidate_sources.contains(idx))
+        {
             return false;
         }
     }
@@ -333,9 +345,9 @@ pub fn try_minimal_class(
 ) -> Option<(Belief, Provenance)> {
     let c = single_query_constant(query)?;
     let vocab = kb.vocab();
-    let taxonomy = Taxonomy::build(cls, vocab)?;
+    let taxonomy = cls.taxonomy.as_ref()?;
     let phi = analysis::generalize_const(query, c, synthetic_var(0));
-    let candidates = phi_candidates(kb, cls, &phi)?;
+    let candidates = phi_candidates(cls, &phi)?;
     if candidates.is_empty() || !phi_symbols_isolated(cls, &phi, &candidates) {
         return None;
     }
@@ -346,13 +358,12 @@ pub fn try_minimal_class(
     // Classes containing c.
     let mut best: Option<&Candidate> = None;
     for cand in &candidates {
-        if !taxonomy.entails(&facts, &cand.class) {
+        if !taxonomy.entails(&facts, cand.class) {
             continue;
         }
         // Minimality against every candidate class.
         let minimal = candidates.iter().all(|other| {
-            taxonomy.entails(&cand.class, &other.class)
-                || taxonomy.disjoint(&cand.class, &other.class)
+            taxonomy.entails(cand.class, other.class) || taxonomy.disjoint(cand.class, other.class)
         });
         if minimal {
             match best {
@@ -360,8 +371,8 @@ pub fn try_minimal_class(
                 Some(b) => {
                     // Prefer the smaller class; merge equal classes by
                     // interval intersection.
-                    if taxonomy.entails(&cand.class, &b.class)
-                        && !taxonomy.entails(&b.class, &cand.class)
+                    if taxonomy.entails(cand.class, b.class)
+                        && !taxonomy.entails(b.class, cand.class)
                     {
                         best = Some(cand);
                     }
@@ -389,17 +400,17 @@ pub fn try_strength(
 ) -> Option<(Belief, Provenance)> {
     let c = single_query_constant(query)?;
     let vocab = kb.vocab();
-    let taxonomy = Taxonomy::build(cls, vocab)?;
+    let taxonomy = cls.taxonomy.as_ref()?;
     let phi = analysis::generalize_const(query, c, synthetic_var(0));
-    let candidates = phi_candidates(kb, cls, &phi)?;
+    let candidates = phi_candidates(cls, &phi)?;
     if candidates.len() < 2 || !phi_symbols_isolated(cls, &phi, &candidates) {
         return None;
     }
     // Chain check.
     for i in 0..candidates.len() {
         for j in i + 1..candidates.len() {
-            let a = &candidates[i].class;
-            let b = &candidates[j].class;
+            let a = candidates[i].class;
+            let b = candidates[j].class;
             if !taxonomy.entails(a, b) && !taxonomy.entails(b, a) {
                 return None;
             }
@@ -413,9 +424,9 @@ pub fn try_strength(
     let bottom = candidates.iter().find(|cand| {
         candidates
             .iter()
-            .all(|other| taxonomy.entails(&cand.class, &other.class))
+            .all(|other| taxonomy.entails(cand.class, other.class))
     })?;
-    if !taxonomy.entails(&facts, &bottom.class) {
+    if !taxonomy.entails(&facts, bottom.class) {
         return None;
     }
     // Strictly tightest interval.
@@ -457,7 +468,7 @@ pub fn try_dempster(
         _ => return None,
     };
     let vocab = kb.vocab();
-    let taxonomy = Taxonomy::build(cls, vocab)?;
+    let taxonomy = cls.taxonomy.as_ref()?;
     let phi = analysis::generalize_const(query, c, synthetic_var(0));
     let phi_pos = if negated {
         match &phi {
@@ -467,7 +478,7 @@ pub fn try_dempster(
     } else {
         phi.clone()
     };
-    let candidates = phi_candidates(kb, cls, &phi_pos)?;
+    let candidates = phi_candidates(cls, &phi_pos)?;
     if candidates.len() < 2 {
         return None;
     }
@@ -486,7 +497,7 @@ pub fn try_dempster(
         if cond_syms.preds.contains(&pred) || cond_syms.consts.contains(&c) {
             return None;
         }
-        if !taxonomy.entails(&facts, &cand.class) {
+        if !taxonomy.entails(&facts, cand.class) {
             return None;
         }
         alphas.push(cand.stat.lo);
@@ -521,22 +532,30 @@ pub fn try_dempster(
             return None;
         }
     }
-    // Strictness: every remaining conjunct must belong to the pattern.
-    for (idx, f) in cls.conjuncts.iter().enumerate() {
-        let is_stat_source = candidates
-            .iter()
-            .any(|cand| cand.stat.sources.contains(&idx));
-        let is_exists = cls.exists_unique.iter().any(|(i, _, _)| *i == idx);
-        let is_fact = {
-            let cs = analysis::constants(f);
-            cs.len() == 1
-                && cs.contains(&c)
-                && !analysis::symbols(f).preds.contains(&pred)
-                && rw_unary::atoms::compile_atom_set_const(f, c, vocab).is_some()
-        };
-        if !(is_stat_source || is_exists || is_fact || matches!(f, Formula::True)) {
-            return None;
+    // Strictness: every conjunct must belong to the pattern — a source
+    // of a candidate statement, an `∃!` conjunct, `true`, or a unary fact
+    // about `c` alone that does not mention `P`.
+    let mut in_pattern: Vec<bool> = (0..cls.len())
+        .map(|i| cls.shape(i) == PartShape::True)
+        .collect();
+    for cand in &candidates {
+        for &i in &cand.stat.sources {
+            in_pattern[i] = true;
         }
+    }
+    for (i, _, _) in &cls.exists_unique {
+        in_pattern[*i] = true;
+    }
+    for &i in cls.mentioning(Sym::Const(c)) {
+        if cls.const_count(i) == 1
+            && !cls.symbols_of(i).contains(&Sym::Pred(pred))
+            && compile_atom_set_const(cls.part(i), c, vocab).is_some()
+        {
+            in_pattern[i] = true;
+        }
+    }
+    if in_pattern.contains(&false) {
+        return None;
     }
 
     let ones = alphas.iter().filter(|a| **a == Rat::ONE).count();
@@ -586,16 +605,28 @@ pub fn try_independence(
     cls: &Classified,
     solver: &Solver<'_>,
 ) -> Option<(Belief, Provenance)> {
-    let query_parts: Vec<Formula> = query.conjuncts().into_iter().cloned().collect();
-    let n_kb = cls.conjuncts.len();
+    let query_parts: Vec<&Formula> = query.conjuncts();
+    let n_kb = cls.len();
     let n_all = n_kb + query_parts.len();
     if n_all < 2 {
         return None;
     }
     let q_consts = analysis::constants(query);
+    let q_syms: Vec<Vec<Sym>> = query_parts.iter().map(|f| sorted_symbols(f)).collect();
+    let symbols_of = |i: usize| -> &[Sym] {
+        if i < n_kb {
+            cls.symbols_of(i)
+        } else {
+            &q_syms[i - n_kb]
+        }
+    };
 
     // Union-find over conjuncts + query parts; edges share a predicate, a
-    // function, or a constant outside the query's constants.
+    // function, or a constant outside the query's constants. Each part's
+    // neighbours come from the symbol index, and unions run in the same
+    // (i, j) order as a scan over all pairs would, so the component
+    // roots — and with them the order of the product below — are those
+    // of that scan.
     let mut parent: Vec<usize> = (0..n_all).collect();
     fn find(parent: &mut Vec<usize>, i: usize) -> usize {
         if parent[i] != i {
@@ -604,28 +635,25 @@ pub fn try_independence(
         }
         parent[i]
     }
-    let sym_of = |i: usize| -> analysis::Symbols {
-        if i < n_kb {
-            analysis::symbols(&cls.conjuncts[i])
-        } else {
-            analysis::symbols(&query_parts[i - n_kb])
-        }
-    };
-    let symbols: Vec<analysis::Symbols> = (0..n_all).map(sym_of).collect();
+    let mut neighbours = Vec::new();
     for i in 0..n_all {
-        for j in i + 1..n_all {
-            let a = &symbols[i];
-            let b = &symbols[j];
-            let share_pred = !a.preds.is_disjoint(&b.preds) || !a.funcs.is_disjoint(&b.funcs);
-            let share_other_const = a
-                .consts
-                .intersection(&b.consts)
-                .any(|c| !q_consts.contains(c));
-            if share_pred || share_other_const {
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    parent[ri] = rj;
-                }
+        neighbours.clear();
+        for &sym in symbols_of(i) {
+            if matches!(sym, Sym::Const(c) if q_consts.contains(&c)) {
+                continue;
+            }
+            let in_query = (0..q_syms.len())
+                .filter(|&k| q_syms[k].contains(&sym))
+                .map(|k| n_kb + k);
+            let sharing = cls.mentioning(sym).iter().copied().chain(in_query);
+            neighbours.extend(sharing.filter(|&j| j > i));
+        }
+        neighbours.sort_unstable();
+        neighbours.dedup();
+        for &j in &neighbours {
+            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+            if ri != rj {
+                parent[ri] = rj;
             }
         }
     }
@@ -647,14 +675,14 @@ pub fn try_independence(
     let comp_consts: Vec<std::collections::BTreeSet<ConstId>> = components
         .values()
         .map(|(ks, qs)| {
-            let mut s = std::collections::BTreeSet::new();
-            for &k in ks {
-                s.extend(analysis::constants(&cls.conjuncts[k]));
-            }
-            for &q in qs {
-                s.extend(analysis::constants(&query_parts[q]));
-            }
-            s
+            let members = ks.iter().copied().chain(qs.iter().map(|q| n_kb + q));
+            members
+                .flat_map(|i| symbols_of(i).iter())
+                .filter_map(|sym| match sym {
+                    Sym::Const(c) => Some(*c),
+                    _ => None,
+                })
+                .collect()
         })
         .collect();
     let mut shared_total: std::collections::BTreeSet<ConstId> = Default::default();
@@ -677,7 +705,7 @@ pub fn try_independence(
         }
         let sub_kb = KnowledgeBase::from_parts(
             kb.vocab().clone(),
-            kidxs.iter().map(|&i| cls.conjuncts[i].clone()).collect(),
+            kidxs.iter().map(|&i| cls.part(i).clone()).collect(),
         );
         let sub_q = Formula::conjoin(qidxs.iter().map(|&i| query_parts[i].clone()));
         let (belief, prov) = solver(&sub_kb, &sub_q)?;
@@ -715,6 +743,17 @@ pub fn try_unique_names(
         },
         _ => return None,
     };
+    // Any non-equality information about either constant blocks the
+    // pattern (but information about *other* symbols is fine).
+    for c in [a, b] {
+        let about = cls.mentioning(Sym::Const(c));
+        if !about
+            .iter()
+            .all(|&i| matches!(cls.shape(i), PartShape::ConstEq(..)))
+        {
+            return None;
+        }
+    }
     let n_consts = kb.vocab().const_count();
     let mut uf: Vec<usize> = (0..n_consts).collect();
     fn find(uf: &mut Vec<usize>, i: usize) -> usize {
@@ -724,22 +763,11 @@ pub fn try_unique_names(
         }
         uf[i]
     }
-    for f in &cls.conjuncts {
-        match f {
-            Formula::True => {}
-            Formula::TermEq(Term::Const(x), Term::Const(y)) => {
-                let (rx, ry) = (find(&mut uf, x.index()), find(&mut uf, y.index()));
-                if rx != ry {
-                    uf[rx] = ry;
-                }
-            }
-            other => {
-                // Any non-equality information about either constant blocks
-                // the pattern (but information about *other* symbols is fine).
-                let cs = analysis::constants(other);
-                if cs.contains(&a) || cs.contains(&b) {
-                    return None;
-                }
+    for i in 0..cls.len() {
+        if let PartShape::ConstEq(x, y) = cls.shape(i) {
+            let (rx, ry) = (find(&mut uf, x.index()), find(&mut uf, y.index()));
+            if rx != ry {
+                uf[rx] = ry;
             }
         }
     }
@@ -815,7 +843,7 @@ pub fn try_nested_default(
         let syn_map: BTreeMap<VarId, usize> = [(synthetic_var(0), 0)].into_iter().collect();
         let mut c1_ok = false;
         let mut d_c2_ok = false;
-        for (idx, f) in cls.conjuncts.iter().enumerate() {
+        for (idx, f) in cls.parts().enumerate() {
             if s.sources.contains(&idx) {
                 continue;
             }
@@ -834,7 +862,7 @@ pub fn try_nested_default(
         }
         // Side conditions: R and c2 appear nowhere else.
         let mut ok = true;
-        for (idx, f) in cls.conjuncts.iter().enumerate() {
+        for (idx, f) in cls.parts().enumerate() {
             if s.sources.contains(&idx) {
                 continue;
             }

@@ -1,0 +1,180 @@
+//! The prepared-KB contract: answering through a [`PreparedKb`] — whose
+//! theorem-stage analysis is built once and reused by every query that
+//! adds no predicate or function symbol — gives exactly what the theorem
+//! matchers give on a KB classified from scratch for that one query.
+//!
+//! KBs are theorem-shaped: statistics (point, interval, conjunctive and
+//! negated classes, two-variable), taxonomy universals, `exists!`
+//! statements, unary and binary facts over several constants, and
+//! constant equalities. Queries mention known constants, a fresh
+//! constant, or a fresh predicate, with `!!` and parenthesised variants.
+
+use proptest::prelude::*;
+use rw_core::solvers::TheoremSolver;
+use rw_core::theorems;
+use rw_core::{Belief, EngineError, PreparedKb, Provenance, RandomWorlds, Stage};
+use rw_logic::ast::Formula;
+use rw_logic::KnowledgeBase;
+
+const PREDS: [&str; 6] = ["Bird", "Fly", "Penguin", "Jaun", "Hep", "Child"];
+const CONSTS: [&str; 3] = ["Tweety", "Eric", "Nixon"];
+const VALUES: [&str; 6] = ["0", "0.2", "0.5", "0.8", "0.9", "1"];
+
+fn pred() -> std::ops::Range<usize> {
+    0..PREDS.len()
+}
+
+fn constant() -> std::ops::Range<usize> {
+    0..CONSTS.len()
+}
+
+fn statement() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (pred(), pred(), 1u32..4, 0..VALUES.len()).prop_map(|(p, q, t, v)| format!(
+            "||{}(x) | {}(x)||_x ~=_{t} {}",
+            PREDS[p], PREDS[q], VALUES[v]
+        )),
+        (pred(), pred(), pred(), 1u32..4, 0..VALUES.len()).prop_map(|(p, q, r, t, v)| format!(
+            "||{}(x) | {}(x) & {}(x)||_x ~=_{t} {}",
+            PREDS[p], PREDS[q], PREDS[r], VALUES[v]
+        )),
+        (pred(), pred(), 1u32..4, 0..VALUES.len()).prop_map(|(p, q, t, v)| format!(
+            "||!{}(x) | {}(x)||_x ~=_{t} {}",
+            PREDS[p], PREDS[q], VALUES[v]
+        )),
+        (pred(), pred(), 0usize..3, 3usize..6).prop_map(|(p, q, lo, hi)| format!(
+            "{} <~_1 ||{}(x) | {}(x)||_x <~_2 {}",
+            VALUES[lo], PREDS[p], PREDS[q], VALUES[hi]
+        )),
+        (pred(), 0..VALUES.len())
+            .prop_map(|(p, v)| format!("||{}(x)||_x ~=_3 {}", PREDS[p], VALUES[v])),
+        (pred(), pred(), 0..VALUES.len()).prop_map(|(p, q, v)| format!(
+            "||Likes(x, y) | {}(x) & {}(y)||_{{x,y}} ~=_1 {}",
+            PREDS[p], PREDS[q], VALUES[v]
+        )),
+        (pred(), pred())
+            .prop_map(|(p, q)| format!("forall x ({}(x) => {}(x))", PREDS[p], PREDS[q])),
+        (pred(), pred())
+            .prop_map(|(p, q)| format!("exists! x ({}(x) & {}(x))", PREDS[p], PREDS[q])),
+        (pred(), constant()).prop_map(|(p, c)| format!("{}({})", PREDS[p], CONSTS[c])),
+        (pred(), constant()).prop_map(|(p, c)| format!("!{}({})", PREDS[p], CONSTS[c])),
+        (pred(), constant()).prop_map(|(p, c)| format!("{}({})", PREDS[p], CONSTS[c])),
+        (constant(), constant()).prop_map(|(c, d)| format!("Likes({}, {})", CONSTS[c], CONSTS[d])),
+        (constant(), constant()).prop_map(|(c, d)| format!("{} = {}", CONSTS[c], CONSTS[d])),
+    ]
+}
+
+fn query() -> impl Strategy<Value = String> {
+    let atom = (pred(), constant()).prop_map(|(p, c)| format!("{}({})", PREDS[p], CONSTS[c]));
+    prop_oneof![
+        atom.clone(),
+        atom.clone().prop_map(|a| format!("!{a}")),
+        atom.clone().prop_map(|a| format!("({a})")),
+        atom.clone().prop_map(|a| format!("!!{a}")),
+        atom.clone().prop_map(|a| format!("!!({a})")),
+        // A fresh constant, then a fresh predicate: the first reuses the
+        // prepared analysis, the second must not.
+        pred().prop_map(|p| format!("{}(Opus)", PREDS[p])),
+        constant().prop_map(|c| format!("Fresh({})", CONSTS[c])),
+        (atom.clone(), constant()).prop_map(|(a, c)| format!("{a} & Fresh({})", CONSTS[c])),
+        (atom.clone(), atom).prop_map(|(a, b)| format!("{a} & {b}")),
+        (constant(), constant()).prop_map(|(c, d)| format!("{} = {}", CONSTS[c], CONSTS[d])),
+        (constant(), constant()).prop_map(|(c, d)| format!("!({} = {})", CONSTS[c], CONSTS[d])),
+        (constant(), constant()).prop_map(|(c, d)| format!("Likes({}, {})", CONSTS[c], CONSTS[d])),
+    ]
+}
+
+type Answer = Option<(Belief, Provenance)>;
+
+/// The theorem matchers on a KB classified from scratch, recursing the
+/// same way.
+fn ad_hoc(kb: &KnowledgeBase, query: &Formula) -> Answer {
+    theorems::try_all(kb, query, &ad_hoc)
+}
+
+fn theorems_only() -> RandomWorlds {
+    RandomWorlds::new().with_solvers(vec![Stage::new(Box::new(TheoremSolver))])
+}
+
+/// The theorem stage's answer through the prepared path.
+fn prepared_answer(engine: &RandomWorlds, kb: &PreparedKb, query: &str) -> Answer {
+    match engine.answer_prepared(kb, query) {
+        Ok(r) => Some((r.belief, r.provenance)),
+        Err(EngineError::OutOfReach { .. }) => None,
+        Err(e) => panic!("`{query}`: {e}"),
+    }
+}
+
+fn from_scratch(kb: &KnowledgeBase, query: &str) -> Answer {
+    let mut local = kb.clone();
+    let q = local.parse_query(query).unwrap();
+    ad_hoc(&local, &q)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn prepared_answers_match_the_ad_hoc_theorem_stage(
+        statements in prop::collection::vec(statement(), 1..9),
+        queries in prop::collection::vec(query(), 1..7),
+    ) {
+        let src = statements.join("; ");
+        let kb = KnowledgeBase::parse(&src).unwrap();
+        let engine = theorems_only();
+        // One prepared KB answers the whole sequence, so later queries
+        // run on the analysis an earlier one built.
+        let prepared = PreparedKb::new(kb.clone());
+        for q in &queries {
+            let got = prepared_answer(&engine, &prepared, q);
+            let want = from_scratch(&kb, q);
+            prop_assert_eq!(got, want, "KB `{}` ⊢ `{}`", src, q);
+        }
+    }
+}
+
+#[test]
+fn a_seventeenth_predicate_re_prepares_the_analysis() {
+    // Exactly 16 predicates: the taxonomy (and with it the minimal
+    // reference class) is in reach.
+    let mut statements = vec![
+        "||Fly(x) | Bird(x)||_x ~=_1 0.9".to_string(),
+        "||Fly(x) | Penguin(x)||_x ~=_2 0".to_string(),
+        "forall x (Penguin(x) => Bird(x))".to_string(),
+        "Penguin(Tweety)".to_string(),
+        "Yellow(Tweety)".to_string(),
+    ];
+    statements.extend((0..12).map(|i| format!("Filler{i}(Other)")));
+    let kb = KnowledgeBase::parse(&statements.join("; ")).unwrap();
+    assert_eq!(kb.vocab().pred_count(), 16);
+    let prepared = PreparedKb::new(kb.clone());
+    let engine = theorems_only();
+
+    let base = prepared_answer(&engine, &prepared, "Fly(Tweety)");
+    assert_eq!(base, from_scratch(&kb, "Fly(Tweety)"));
+    assert_eq!(
+        base,
+        Some((Belief::Point(0.0), Provenance::MinimalReferenceClass))
+    );
+    assert!(prepared.analysis().taxonomy.is_some());
+
+    // A 17th predicate: the query's own KB is analysed afresh (no
+    // taxonomy above 16 predicates) and answers like the ad-hoc stage.
+    let query = "Fly(Tweety) & Extra(Tweety)";
+    let mut vocab = prepared.vocab().clone();
+    rw_logic::parse_formula(&mut vocab, query).unwrap();
+    assert_eq!(vocab.pred_count(), 17);
+    let local = prepared.extended(vocab);
+    assert!(!local.is_analysed());
+    assert!(local.analysis().taxonomy.is_none());
+    assert!(!std::ptr::eq(local.analysis(), prepared.analysis()));
+    for q in [query, "Extra(Tweety)", "!Extra(Tweety)", "Fly(Tweety)"] {
+        assert_eq!(
+            prepared_answer(&engine, &prepared, q),
+            from_scratch(&kb, q),
+            "{q}"
+        );
+    }
+    // The 16-predicate analysis is still the one constant-only queries use.
+    assert!(prepared.analysis().taxonomy.is_some());
+}

@@ -8,8 +8,7 @@
 //! determinism and shuffle-invariance gates meaningful.
 
 use crate::workload::{Task, Workload};
-use rw_core::{AnswerCache, Belief, EngineConfig, McConfig, RandomWorlds, Response};
-use rw_logic::KnowledgeBase;
+use rw_core::{AnswerCache, Belief, EngineConfig, McConfig, PreparedKb, RandomWorlds, Response};
 use rw_server::json::{belief_json, counters_json, escape};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -235,9 +234,10 @@ fn failure(task: &Task, engine: Engine, threads: usize, cache: bool, error: Stri
     }
 }
 
-/// Runs one trial: a fresh variant engine over the task's KB.
+/// Runs one trial: a fresh variant engine over the task's KB, which is
+/// prepared once per task and shared by all of its trials.
 fn run_trial(
-    kb: &KnowledgeBase,
+    kb: &PreparedKb,
     task: &Task,
     engine: Engine,
     threads: usize,
@@ -249,7 +249,7 @@ fn run_trial(
         rw = rw.with_cache(Arc::new(AnswerCache::new()));
     }
     let started = Instant::now();
-    let cold = rw.answer(kb, &task.query);
+    let cold = rw.answer_prepared(kb, &task.query);
     let elapsed_us = started.elapsed().as_micros();
     let mut row = match cold {
         Ok(r) => success(task, engine, threads, cache, &r),
@@ -260,7 +260,7 @@ fn run_trial(
         // Replay the query through the same engine: the canonical-query
         // cache must hit and must return the identical belief (the PR-4
         // fingerprinting contract, armored on every cached trial).
-        match rw.answer(kb, &task.query) {
+        match rw.answer_prepared(kb, &task.query) {
             Ok(warm) if !warm.cached => {
                 return failure(
                     task,
@@ -307,7 +307,7 @@ fn run_trial(
 pub fn run(workload: &Workload, cfg: &RunConfig) -> Vec<TrialRow> {
     let mut rows = Vec::new();
     for task in &workload.tasks {
-        let kb = rw_server::format::parse_kb(&task.kb_source);
+        let kb = rw_server::format::parse_kb(&task.kb_source).map(PreparedKb::new);
         for &engine in &cfg.engines {
             for &threads in &cfg.threads {
                 for &cache in &cfg.cache {

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident) => {
@@ -95,17 +96,35 @@ enum SymbolKind {
 }
 
 /// A finite first-order signature with a variable-name interner.
+///
+/// Cloning is O(1): the symbol and variable tables sit behind [`Arc`]s
+/// and are copied on write, so a clone shares both tables with its source
+/// until one of the two interns something new into one of them (the
+/// other table stays shared). Answering a query parses it against a clone
+/// of the KB's vocabulary; a query over known symbols never copies a
+/// table at all.
 #[derive(Clone, Default)]
 pub struct Vocabulary {
+    symbols: Arc<SymbolTable>,
+    vars: Arc<VarTable>,
+    fresh_counter: u32,
+}
+
+/// Predicates, functions and constants: one namespace, three id spaces.
+#[derive(Clone, Default)]
+struct SymbolTable {
     pred_names: Vec<String>,
     pred_arities: Vec<usize>,
     func_names: Vec<String>,
     func_arities: Vec<usize>,
     const_names: Vec<String>,
-    var_names: Vec<String>,
-    symbols: HashMap<String, SymbolKind>,
-    vars: HashMap<String, VarId>,
-    fresh_counter: u32,
+    kinds: HashMap<String, SymbolKind>,
+}
+
+#[derive(Clone, Default)]
+struct VarTable {
+    names: Vec<String>,
+    ids: HashMap<String, VarId>,
 }
 
 impl Vocabulary {
@@ -115,9 +134,9 @@ impl Vocabulary {
 
     /// Interns a predicate symbol, checking arity consistency.
     pub fn pred(&mut self, name: &str, arity: usize) -> Result<PredId, VocabError> {
-        match self.symbols.get(name) {
+        match self.symbols.kinds.get(name) {
             Some(&SymbolKind::Pred(id)) => {
-                let declared = self.pred_arities[id.index()];
+                let declared = self.symbols.pred_arities[id.index()];
                 if declared != arity {
                     return Err(VocabError::ArityMismatch {
                         name: name.to_string(),
@@ -133,10 +152,11 @@ impl Vocabulary {
                 used: "predicate",
             }),
             None => {
-                let id = PredId(self.pred_names.len() as u32);
-                self.pred_names.push(name.to_string());
-                self.pred_arities.push(arity);
-                self.symbols.insert(name.to_string(), SymbolKind::Pred(id));
+                let t = Arc::make_mut(&mut self.symbols);
+                let id = PredId(t.pred_names.len() as u32);
+                t.pred_names.push(name.to_string());
+                t.pred_arities.push(arity);
+                t.kinds.insert(name.to_string(), SymbolKind::Pred(id));
                 Ok(id)
             }
         }
@@ -144,9 +164,9 @@ impl Vocabulary {
 
     /// Interns a function symbol, checking arity consistency.
     pub fn func(&mut self, name: &str, arity: usize) -> Result<FuncId, VocabError> {
-        match self.symbols.get(name) {
+        match self.symbols.kinds.get(name) {
             Some(&SymbolKind::Func(id)) => {
-                let declared = self.func_arities[id.index()];
+                let declared = self.symbols.func_arities[id.index()];
                 if declared != arity {
                     return Err(VocabError::ArityMismatch {
                         name: name.to_string(),
@@ -162,10 +182,11 @@ impl Vocabulary {
                 used: "function",
             }),
             None => {
-                let id = FuncId(self.func_names.len() as u32);
-                self.func_names.push(name.to_string());
-                self.func_arities.push(arity);
-                self.symbols.insert(name.to_string(), SymbolKind::Func(id));
+                let t = Arc::make_mut(&mut self.symbols);
+                let id = FuncId(t.func_names.len() as u32);
+                t.func_names.push(name.to_string());
+                t.func_arities.push(arity);
+                t.kinds.insert(name.to_string(), SymbolKind::Func(id));
                 Ok(id)
             }
         }
@@ -173,7 +194,7 @@ impl Vocabulary {
 
     /// Interns a constant symbol.
     pub fn constant(&mut self, name: &str) -> Result<ConstId, VocabError> {
-        match self.symbols.get(name) {
+        match self.symbols.kinds.get(name) {
             Some(&SymbolKind::Const(id)) => Ok(id),
             Some(other) => Err(VocabError::KindMismatch {
                 name: name.to_string(),
@@ -181,9 +202,10 @@ impl Vocabulary {
                 used: "constant",
             }),
             None => {
-                let id = ConstId(self.const_names.len() as u32);
-                self.const_names.push(name.to_string());
-                self.symbols.insert(name.to_string(), SymbolKind::Const(id));
+                let t = Arc::make_mut(&mut self.symbols);
+                let id = ConstId(t.const_names.len() as u32);
+                t.const_names.push(name.to_string());
+                t.kinds.insert(name.to_string(), SymbolKind::Const(id));
                 Ok(id)
             }
         }
@@ -191,12 +213,13 @@ impl Vocabulary {
 
     /// Interns a variable name (variables live in a separate namespace).
     pub fn var(&mut self, name: &str) -> VarId {
-        if let Some(&id) = self.vars.get(name) {
+        if let Some(&id) = self.vars.ids.get(name) {
             return id;
         }
-        let id = VarId(self.var_names.len() as u32);
-        self.var_names.push(name.to_string());
-        self.vars.insert(name.to_string(), id);
+        let t = Arc::make_mut(&mut self.vars);
+        let id = VarId(t.names.len() as u32);
+        t.names.push(name.to_string());
+        t.ids.insert(name.to_string(), id);
         id
     }
 
@@ -205,83 +228,89 @@ impl Vocabulary {
         loop {
             self.fresh_counter += 1;
             let name = format!("{hint}#{}", self.fresh_counter);
-            if !self.vars.contains_key(&name) {
+            if !self.vars.ids.contains_key(&name) {
                 return self.var(&name);
             }
         }
     }
 
+    /// True when `self` and `other` still share both interning tables —
+    /// neither has interned anything since one was cloned from the other.
+    pub fn shares_tables_with(&self, other: &Vocabulary) -> bool {
+        Arc::ptr_eq(&self.symbols, &other.symbols) && Arc::ptr_eq(&self.vars, &other.vars)
+    }
+
     pub fn pred_count(&self) -> usize {
-        self.pred_names.len()
+        self.symbols.pred_names.len()
     }
 
     pub fn func_count(&self) -> usize {
-        self.func_names.len()
+        self.symbols.func_names.len()
     }
 
     pub fn const_count(&self) -> usize {
-        self.const_names.len()
+        self.symbols.const_names.len()
     }
 
     pub fn var_count(&self) -> usize {
-        self.var_names.len()
+        self.vars.names.len()
     }
 
     pub fn pred_name(&self, id: PredId) -> &str {
-        &self.pred_names[id.index()]
+        &self.symbols.pred_names[id.index()]
     }
 
     pub fn pred_arity(&self, id: PredId) -> usize {
-        self.pred_arities[id.index()]
+        self.symbols.pred_arities[id.index()]
     }
 
     pub fn func_name(&self, id: FuncId) -> &str {
-        &self.func_names[id.index()]
+        &self.symbols.func_names[id.index()]
     }
 
     pub fn func_arity(&self, id: FuncId) -> usize {
-        self.func_arities[id.index()]
+        self.symbols.func_arities[id.index()]
     }
 
     pub fn const_name(&self, id: ConstId) -> &str {
-        &self.const_names[id.index()]
+        &self.symbols.const_names[id.index()]
     }
 
     pub fn var_name(&self, id: VarId) -> &str {
-        &self.var_names[id.index()]
+        &self.vars.names[id.index()]
     }
 
     pub fn lookup_pred(&self, name: &str) -> Option<PredId> {
-        match self.symbols.get(name) {
+        match self.symbols.kinds.get(name) {
             Some(&SymbolKind::Pred(id)) => Some(id),
             _ => None,
         }
     }
 
     pub fn lookup_const(&self, name: &str) -> Option<ConstId> {
-        match self.symbols.get(name) {
+        match self.symbols.kinds.get(name) {
             Some(&SymbolKind::Const(id)) => Some(id),
             _ => None,
         }
     }
 
     pub fn preds(&self) -> impl Iterator<Item = PredId> + '_ {
-        (0..self.pred_names.len() as u32).map(PredId)
+        (0..self.symbols.pred_names.len() as u32).map(PredId)
     }
 
     pub fn funcs(&self) -> impl Iterator<Item = FuncId> + '_ {
-        (0..self.func_names.len() as u32).map(FuncId)
+        (0..self.symbols.func_names.len() as u32).map(FuncId)
     }
 
     pub fn consts(&self) -> impl Iterator<Item = ConstId> + '_ {
-        (0..self.const_names.len() as u32).map(ConstId)
+        (0..self.symbols.const_names.len() as u32).map(ConstId)
     }
 
     /// True when the signature is unary: every predicate has arity 1 and
     /// there are no function symbols. This is the fragment where the
     /// maximum-entropy connection (paper §6) applies.
     pub fn is_unary(&self) -> bool {
-        self.func_names.is_empty() && self.pred_arities.iter().all(|&a| a == 1)
+        self.symbols.func_names.is_empty() && self.symbols.pred_arities.iter().all(|&a| a == 1)
     }
 }
 
@@ -296,9 +325,9 @@ fn kind_name(kind: SymbolKind) -> &'static str {
 impl fmt::Debug for Vocabulary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Vocabulary")
-            .field("preds", &self.pred_names)
-            .field("funcs", &self.func_names)
-            .field("consts", &self.const_names)
+            .field("preds", &self.symbols.pred_names)
+            .field("funcs", &self.symbols.func_names)
+            .field("consts", &self.symbols.const_names)
             .finish()
     }
 }
@@ -361,6 +390,84 @@ mod tests {
         assert_ne!(a, b);
         let c = v.fresh_var("u");
         assert_ne!(b, c);
+    }
+
+    fn sample() -> Vocabulary {
+        let mut v = Vocabulary::new();
+        v.pred("Bird", 1).unwrap();
+        v.func("Mother", 1).unwrap();
+        v.constant("Tweety").unwrap();
+        v.var("x");
+        v
+    }
+
+    fn counts(v: &Vocabulary) -> (usize, usize, usize, usize) {
+        (
+            v.pred_count(),
+            v.func_count(),
+            v.const_count(),
+            v.var_count(),
+        )
+    }
+
+    #[test]
+    fn clones_share_tables_until_written() {
+        let v = sample();
+        let mut c = v.clone();
+        assert!(c.shares_tables_with(&v));
+        // Re-interning known symbols is a read, not a write.
+        assert_eq!(c.pred("Bird", 1).unwrap(), v.lookup_pred("Bird").unwrap());
+        c.constant("Tweety").unwrap();
+        c.var("x");
+        assert!(c.shares_tables_with(&v));
+        c.constant("Opus").unwrap();
+        assert!(!c.shares_tables_with(&v));
+        // A clone of the written copy shares with it, not with the source.
+        let d = c.clone();
+        assert!(d.shares_tables_with(&c));
+        assert!(!d.shares_tables_with(&v));
+    }
+
+    #[test]
+    fn writes_to_a_clone_leave_the_source_unchanged() {
+        let v = sample();
+        let before = counts(&v);
+        type Write = fn(&mut Vocabulary);
+        let writes: [(&str, Write); 5] = [
+            ("pred", |c| {
+                assert_eq!(c.pred("Fly", 1).unwrap(), PredId(1));
+            }),
+            ("func", |c| {
+                assert_eq!(c.func("Father", 1).unwrap(), FuncId(1));
+            }),
+            ("constant", |c| {
+                assert_eq!(c.constant("Opus").unwrap(), ConstId(1));
+            }),
+            ("var", |c| {
+                assert_eq!(c.var("y"), VarId(1));
+            }),
+            ("fresh_var", |c| {
+                assert_eq!(c.fresh_var("u"), VarId(1));
+            }),
+        ];
+        for (what, write) in writes {
+            let mut c = v.clone();
+            write(&mut c);
+            assert_ne!(counts(&c), before, "{what}");
+            assert_eq!(counts(&v), before, "{what} leaked into the source");
+            assert_eq!(v.lookup_pred("Fly"), None, "{what}");
+            assert_eq!(v.lookup_const("Opus"), None, "{what}");
+            assert_eq!(v.lookup_pred("Bird"), Some(PredId(0)), "{what}");
+            assert_eq!(v.lookup_const("Tweety"), Some(ConstId(0)), "{what}");
+            assert_eq!(v.var_name(VarId(0)), "x", "{what}");
+        }
+        // The source can still be written independently, with its own ids.
+        let mut v = v;
+        let mut c = v.clone();
+        assert_eq!(c.constant("Opus").unwrap(), ConstId(1));
+        assert_eq!(v.constant("Polly").unwrap(), ConstId(1));
+        assert_eq!(c.const_name(ConstId(1)), "Opus");
+        assert_eq!(v.const_name(ConstId(1)), "Polly");
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! classifier and atom-set taxonomy, so a `KnowledgeBase` written for the
 //! random-worlds engine can be handed to the baseline unchanged.
 
-use rw_core::patterns::{classify, const_atom_set, synthetic_var, Taxonomy};
+use rw_core::patterns::{classify, const_atom_set, synthetic_var};
 use rw_logic::{analysis, KnowledgeBase, ParseError};
-use rw_unary::atoms::compile_atom_set;
 use rw_unary::AtomSet;
 use rw_util::Rat;
 use std::collections::BTreeMap;
@@ -133,7 +132,7 @@ pub fn reference_class_belief_policy(
     let c = consts[0];
     let vocab = kb.vocab();
     let cls = classify(&kb);
-    let Some(taxonomy) = Taxonomy::build(&cls, vocab) else {
+    let Some(taxonomy) = &cls.taxonomy else {
         return Ok(RefClassAnswer::NoOpinion {
             reason: "vocabulary too large for class analysis".to_string(),
         });
@@ -153,7 +152,7 @@ pub fn reference_class_belief_policy(
         if rw_core::patterns::canon(&s.body, &their) != phi_canon {
             continue;
         }
-        let Some(atoms) = compile_atom_set(&s.cond, s.vars[0], vocab) else {
+        let Some(atoms) = s.class.clone() else {
             continue;
         };
         if !policy.allow_disjunctive && is_disjunctive(&s.cond) {

@@ -11,8 +11,10 @@
 //! speaks the same JSONL request/response format as `rwq batch`,
 //! multiplexing thousands of connections — each a small [`mod@conn`]
 //! state machine — on one thread. A [`registry::KbRegistry`] holds named
-//! loaded KBs (each with its fingerprint and its engine built once at
-//! load — exact or Monte-Carlo), and a scoped-thread worker pool
+//! loaded KBs (each a [`PreparedKb`](rw_core::PreparedKb) — fingerprint
+//! at load, theorem-stage analysis on the first cache miss — with its
+//! engine built once at load, exact or Monte-Carlo), and a scoped-thread
+//! worker pool
 //! behind a **bounded admission queue** answers queries through one
 //! shared sharded cache; per-connection response slots keep pipelined
 //! answers in request order. Overload is met with a structured

@@ -4,15 +4,16 @@
 //! once and stay resident — the whole point of the serving layer is to
 //! stop re-parsing and re-fingerprinting the KB on every invocation the
 //! way one-shot `rwq query` does. Each [`LoadedKb`] carries its parsed
-//! [`KnowledgeBase`], its canonical fingerprint (computed once at load),
-//! and a [`RandomWorlds`] engine wired to the server's shared
+//! statements as a [`PreparedKb`] — canonical fingerprint computed once at
+//! load, theorem-stage analysis built once on the first cache miss — and
+//! a [`RandomWorlds`] engine wired to the server's shared
 //! [`AnswerCache`]. Exact and approximate (Monte-Carlo) sessions can
 //! coexist against the same statements: the engine-config fingerprint
 //! inside every cache key keeps their keyspaces disjoint.
 
 use crate::format;
 use crate::proto::{ApproxParams, KbSource, ProtoError, ScanParams};
-use rw_core::{AnswerCache, DenomCache, EngineConfig, McConfig, RandomWorlds};
+use rw_core::{AnswerCache, DenomCache, EngineConfig, McConfig, PreparedKb, RandomWorlds};
 use rw_logic::KnowledgeBase;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -24,10 +25,9 @@ use std::sync::{Arc, RwLock};
 pub struct LoadedKb {
     /// The registry name.
     pub name: String,
-    /// The parsed statements.
-    pub kb: KnowledgeBase,
-    /// [`rw_logic::canon::kb_fingerprint`], computed once at load.
-    pub fingerprint: u64,
+    /// The parsed statements, prepared: its fingerprint
+    /// ([`PreparedKb::fingerprint`]) is computed at load.
+    pub kb: PreparedKb,
     /// The engine (cache installed; Monte-Carlo stage when the load
     /// requested `approx`).
     pub engine: RandomWorlds,
@@ -73,12 +73,12 @@ impl LoadedKb {
             ..EngineConfig::default()
         })
         .with_cache(cache);
-        let fingerprint = rw_logic::canon::kb_fingerprint(&kb);
+        let kb = PreparedKb::new(kb);
+        kb.fingerprint();
         LoadedKb {
             name,
             approx: approx.is_some(),
             kb,
-            fingerprint,
             engine,
             source,
             approx_params: approx.cloned(),
@@ -90,10 +90,7 @@ impl LoadedKb {
     /// flag — identical bytes to `rwq batch` on the same engine
     /// configuration (the golden-corpus contract).
     pub fn answer_json_line(&self, query: &str) -> (String, bool) {
-        match self
-            .engine
-            .answer_fingerprinted(&self.kb, query, self.fingerprint)
-        {
+        match self.answer(query) {
             Ok(response) => (crate::json::response_line(query, &response), true),
             Err(e) => (crate::json::error_line(query, &e.to_string()), false),
         }
@@ -102,8 +99,7 @@ impl LoadedKb {
     /// The answer including the full [`rw_core::Response`] (for callers
     /// that aggregate traces).
     pub fn answer(&self, query: &str) -> Result<rw_core::Response, rw_core::EngineError> {
-        self.engine
-            .answer_fingerprinted(&self.kb, query, self.fingerprint)
+        self.engine.answer_prepared(&self.kb, query)
     }
 
     /// One entry of the `list` response.
@@ -111,7 +107,7 @@ impl LoadedKb {
         format!(
             r#"{{"kb":"{}","fingerprint":"{:016x}","statements":{},"approx":{}}}"#,
             crate::json::escape(&self.name),
-            self.fingerprint,
+            self.kb.fingerprint(),
             self.kb.conjuncts().len(),
             self.approx
         )

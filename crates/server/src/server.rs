@@ -448,7 +448,7 @@ impl Server {
                     Self::unix_micros(),
                     trace_id,
                     crate::json::escape(&kb.name),
-                    kb.fingerprint,
+                    kb.kb.fingerprint(),
                     crate::json::escape(query),
                     ok,
                     elapsed.as_micros(),
@@ -553,7 +553,7 @@ impl Handler for Server {
                 Ok(loaded) => Handled::inline(format!(
                     r#"{{"ok":true,"op":"load","kb":"{}","fingerprint":"{:016x}","statements":{},"approx":{}}}"#,
                     crate::json::escape(&kb),
-                    loaded.fingerprint,
+                    loaded.kb.fingerprint(),
                     loaded.kb.conjuncts().len(),
                     loaded.approx
                 )),

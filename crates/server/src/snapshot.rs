@@ -450,7 +450,7 @@ fn registry_entry_json(kb: &crate::registry::LoadedKb, text: &str) -> String {
     format!(
         r#"{{"kb":"{}","fingerprint":"{:016x}","text":"{}","approx":{},"symmetry":{},"min_n":{},"max_n":{}}}"#,
         crate::json::escape(&kb.name),
-        kb.fingerprint,
+        kb.kb.fingerprint(),
         crate::json::escape(text),
         approx,
         kb.scan.symmetry,
@@ -820,7 +820,7 @@ mod tests {
         // Tamper with the recorded fingerprint, then re-seal so the
         // checksum passes and the fingerprint check itself must catch it.
         let content = fs::read_to_string(&path).unwrap();
-        let fp = reg.get("med").unwrap().fingerprint;
+        let fp = reg.get("med").unwrap().kb.fingerprint();
         let mut body: String = content
             .lines()
             .take(content.lines().count() - 1)

@@ -243,7 +243,7 @@ fn version_skew_and_fingerprint_tamper_have_distinct_codes() {
 
     // Tampered fingerprint, re-sealed so the checksum passes and the
     // fingerprint re-verification itself must catch it.
-    let fp = reg.get("kb0").unwrap().fingerprint;
+    let fp = reg.get("kb0").unwrap().kb.fingerprint();
     let tampered = reseal(
         &pristine,
         &format!("{fp:016x}"),
