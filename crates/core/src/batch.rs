@@ -190,12 +190,11 @@ impl RandomWorlds {
         // One preparation for the whole batch: workers share its
         // fingerprint and theorem-stage analysis.
         let prepared = PreparedKb::new(kb.clone());
-        let ctx = self.cache_ctx(|| prepared.fingerprint());
         let threads = par::threads(threads).min(queries.len()).max(1);
 
         let timed = par::map(queries.len(), threads, |i| {
             let t = Instant::now();
-            let r = self.answer_with(&prepared, queries[i].as_ref(), ctx.as_ref());
+            let r = self.answer_prepared(&prepared, queries[i].as_ref());
             (r, t.elapsed())
         });
 
@@ -205,7 +204,8 @@ impl RandomWorlds {
         // stage) gets a slot appended on demand.
         let stages = self.solvers();
         let mut totals: Vec<StageTotals> = Vec::with_capacity(stages.len() + 1);
-        if ctx.is_some() {
+        let cached = self.cache().is_some();
+        if cached {
             totals.push(StageTotals {
                 stage: "cache".to_string(),
                 ..StageTotals::default()
@@ -231,7 +231,7 @@ impl RandomWorlds {
         // A miss is a query that consulted the cache and then ran the
         // pipeline: computed answers and out-of-reach walks, but not
         // parse errors (those fail before the lookup).
-        let cache_misses = if ctx.is_some() {
+        let cache_misses = if cached {
             results
                 .iter()
                 .filter(|r| {

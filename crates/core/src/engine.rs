@@ -297,17 +297,6 @@ impl RandomWorlds {
         canon::fnv1a(&bytes)
     }
 
-    /// The cache context for queries against one KB: the installed cache
-    /// plus the combined KB/config key prefix, computed once per KB
-    /// rather than per query. The KB fingerprint is only computed when a
-    /// cache is installed.
-    pub(crate) fn cache_ctx(&self, kb_fingerprint: impl FnOnce() -> u64) -> Option<CacheCtx<'_>> {
-        self.cache.as_deref().map(|cache| CacheCtx {
-            cache,
-            key_prefix: self.key_prefix(kb_fingerprint()),
-        })
-    }
-
     /// Computes `Pr∞(query | KB)` for a textual query.
     ///
     /// ```
@@ -331,14 +320,14 @@ impl RandomWorlds {
     /// many queries against one unchanging KB. The KB's fingerprint
     /// (computed only when a cache is installed) and its theorem-stage
     /// analysis are each computed once per prepared KB, not once per
-    /// query.
+    /// query. Equivalent to [`Self::probe`] followed, on a miss, by
+    /// [`Self::finish`].
     pub fn answer_prepared(
         &self,
         prepared: &PreparedKb,
         query: &str,
     ) -> Result<Response, EngineError> {
-        let ctx = self.cache_ctx(|| prepared.fingerprint());
-        self.answer_with(prepared, query, ctx.as_ref())
+        self.resolve(self.probe(prepared, query)?)
     }
 
     /// Computes `Pr∞(query | KB)` for an already-parsed query.
@@ -347,9 +336,7 @@ impl RandomWorlds {
         kb: &KnowledgeBase,
         query: &Formula,
     ) -> Result<Response, EngineError> {
-        let prepared = PreparedKb::new(kb.clone());
-        let ctx = self.cache_ctx(|| prepared.fingerprint());
-        self.answer_parsed(&prepared, query, ctx.as_ref())
+        self.resolve(self.probe_parsed(PreparedKb::new(kb.clone()), query.clone()))
     }
 
     /// Answers many queries against one knowledge base, sequentially.
@@ -380,57 +367,98 @@ impl RandomWorlds {
         queries: &[S],
     ) -> Vec<Result<Response, EngineError>> {
         let prepared = PreparedKb::new(kb.clone());
-        let ctx = self.cache_ctx(|| prepared.fingerprint());
         queries
             .iter()
-            .map(|q| self.answer_with(&prepared, q.as_ref(), ctx.as_ref()))
+            .map(|q| self.answer_prepared(&prepared, q.as_ref()))
             .collect()
     }
 
-    /// Parses a textual query and answers it through
-    /// [`Self::answer_parsed`]. Queries may mention fresh symbols, so
-    /// each is parsed into its own clone of the KB's vocabulary — O(1),
-    /// since vocabularies copy their tables only on write, and a query
-    /// over known symbols writes none.
-    pub(crate) fn answer_with(
-        &self,
-        prepared: &PreparedKb,
-        query: &str,
-        cache: Option<&CacheCtx<'_>>,
-    ) -> Result<Response, EngineError> {
+    /// The cheap first half of answering: parses `query`, and — when a
+    /// cache is installed — canonicalises it and looks it up, running no
+    /// pipeline stage. A hit comes back as a finished [`Response`]
+    /// ([`Response::cached`] set, a one-step `cache` trace); anything
+    /// else, and every query on an engine without a cache, as a
+    /// [`PendingQuery`] for [`Self::finish`]. Parse errors fail here.
+    ///
+    /// A serving loop probes on its own thread and hands only misses to
+    /// workers, so a miss is parsed and canonicalised once. Queries may
+    /// mention fresh symbols, so each is parsed into its own clone of the
+    /// KB's vocabulary — O(1), since vocabularies copy their tables only
+    /// on write, and a query over known symbols writes none.
+    ///
+    /// ```
+    /// use rw_core::{cache::AnswerCache, PreparedKb, Probe, RandomWorlds};
+    /// use rw_logic::KnowledgeBase;
+    /// use std::sync::Arc;
+    ///
+    /// let kb = PreparedKb::new(
+    ///     KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap(),
+    /// );
+    /// let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
+    /// let Probe::Miss(pending) = engine.probe(&kb, "Hep(Eric)").unwrap() else {
+    ///     panic!("a cold cache cannot hit");
+    /// };
+    /// let cold = engine.finish(pending).unwrap();
+    /// // The finished answer is now cached under the canonical form, so
+    /// // a syntactic variant is answered by the probe alone.
+    /// let Probe::Hit(warm) = engine.probe(&kb, "!!Hep(Eric)").unwrap() else {
+    ///     panic!("the variant must hit");
+    /// };
+    /// assert!(warm.cached);
+    /// assert_eq!(warm.belief, cold.belief);
+    /// ```
+    pub fn probe(&self, prepared: &PreparedKb, query: &str) -> Result<Probe, EngineError> {
+        if self.cache.is_some() {
+            // Fill the base KB's fingerprint once, so every query's
+            // extended view inherits it instead of recomputing it.
+            prepared.fingerprint();
+        }
         let mut vocab = prepared.vocab().clone();
         let q = rw_logic::parse_formula(&mut vocab, query)?;
-        self.answer_parsed(&prepared.extended(vocab), &q, cache)
+        Ok(self.probe_parsed(prepared.extended(vocab), q))
     }
 
-    /// The common top-level path: consult the cache (if any), else run
-    /// the pipeline and remember the semantic answer. `prepared` is the
-    /// KB over the query's vocabulary ([`PreparedKb::extended`] shares
-    /// the conjunct list and, when the query added no predicate or
-    /// function, the analysis).
-    fn answer_parsed(
-        &self,
-        prepared: &PreparedKb,
-        query: &Formula,
-        cache: Option<&CacheCtx<'_>>,
-    ) -> Result<Response, EngineError> {
-        let mut miss = None;
-        if let Some(ctx) = cache {
-            let start = Instant::now();
-            let canonical = canon::canonical_formula(prepared.vocab(), query);
-            let key = AnswerCache::key(ctx.key_prefix, &canonical);
-            let hit = ctx.cache.get(&key);
-            observe_cache_lookup(start, hit.is_some());
-            if let Some(hit) = hit {
-                return Ok(Self::cached_response(hit, start));
-            }
-            miss = Some((ctx.cache, key));
+    /// [`Self::probe`] for a query already parsed over `kb`'s vocabulary.
+    fn probe_parsed(&self, kb: PreparedKb, query: Formula) -> Probe {
+        let Some(cache) = self.cache.as_deref() else {
+            return Probe::Miss(PendingQuery {
+                kb,
+                query,
+                key: None,
+            });
+        };
+        let start = Instant::now();
+        let canonical = canon::canonical_formula(kb.vocab(), &query);
+        let key = AnswerCache::key(self.key_prefix(kb.fingerprint()), &canonical);
+        let hit = cache.get(&key);
+        observe_cache_lookup(start, hit.is_some());
+        match hit {
+            Some(hit) => Probe::Hit(Self::cached_response(hit, start)),
+            None => Probe::Miss(PendingQuery {
+                kb,
+                query,
+                key: Some(key),
+            }),
         }
-        let response = self.run_pipeline(prepared, query)?;
-        if let Some((cache, key)) = miss {
+    }
+
+    /// The second half of answering: runs the pipeline on a query
+    /// [`Self::probe`] could not answer and, when it was probed against a
+    /// cache, remembers the semantic answer under the probed key.
+    pub fn finish(&self, pending: PendingQuery) -> Result<Response, EngineError> {
+        let response = self.run_pipeline(&pending.kb, &pending.query)?;
+        if let (Some(cache), Some(key)) = (&self.cache, pending.key) {
             cache.insert(key, CachedAnswer::of(&response));
         }
         Ok(response)
+    }
+
+    /// A probe carried through to its answer.
+    fn resolve(&self, probe: Probe) -> Result<Response, EngineError> {
+        match probe {
+            Probe::Hit(response) => Ok(response),
+            Probe::Miss(pending) => self.finish(pending),
+        }
     }
 
     /// A [`Response`] materialized from a cache hit: a one-step `cache`
@@ -655,11 +683,25 @@ pub struct Response {
     pub cached: bool,
 }
 
-/// An [`AnswerCache`] plus the combined KB/engine-config key prefix it is
-/// being consulted under — computed once per KB and shared across a batch.
-pub(crate) struct CacheCtx<'c> {
-    pub(crate) cache: &'c AnswerCache,
-    pub(crate) key_prefix: u64,
+/// What [`RandomWorlds::probe`] found.
+#[derive(Debug)]
+pub enum Probe {
+    /// The installed cache already held the answer.
+    Hit(Response),
+    /// The pipeline must run: hand the query to [`RandomWorlds::finish`].
+    Miss(PendingQuery),
+}
+
+/// A parsed query [`RandomWorlds::probe`] could not answer, waiting for
+/// [`RandomWorlds::finish`]. It owns everything the pipeline needs, so it
+/// can cross threads: the KB over the query's vocabulary, the parsed
+/// query, and the cache key it was looked up under (`None` when the
+/// engine has no cache).
+#[derive(Debug)]
+pub struct PendingQuery {
+    kb: PreparedKb,
+    query: Formula,
+    key: Option<String>,
 }
 
 /// The historical name for [`Response`], kept so terse example code and

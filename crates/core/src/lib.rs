@@ -55,7 +55,13 @@
 //! KB — the serving-path primitive. Serving loops hold the KB as a
 //! [`PreparedKb`] and answer through [`RandomWorlds::answer_prepared`]:
 //! the KB's fingerprint and the theorem stage's indexed analysis are
-//! computed once per KB, not once per query.
+//! computed once per KB, not once per query. Answering has two halves,
+//! and every entry point is the one followed by the other:
+//! [`RandomWorlds::probe`] parses, canonicalises and looks the query up
+//! in the cache without running a stage, returning a [`Probe::Hit`] or a
+//! [`Probe::Miss`] carrying a [`PendingQuery`]; [`RandomWorlds::finish`]
+//! runs the pipeline on that and caches the answer. A server probes on
+//! its event loop and sends only misses to its workers.
 //!
 //! The serving path scales out in two orthogonal ways:
 //!
@@ -87,7 +93,9 @@ pub mod theorems;
 pub use batch::{BatchReport, BatchRun, StageTotals};
 pub use belief::{Belief, Provenance};
 pub use cache::{AnswerCache, CachedAnswer, DenomCache, DenomKey};
-pub use engine::{BeliefResult, EngineConfig, EngineError, RandomWorlds, Response};
+pub use engine::{
+    BeliefResult, EngineConfig, EngineError, PendingQuery, Probe, RandomWorlds, Response,
+};
 pub use prepared::PreparedKb;
 pub use solver::{
     Budget, Diagonal, Recurse, Solver, SolverOutcome, Stage, StageStatus, StageTrace, Trace,

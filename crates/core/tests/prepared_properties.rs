@@ -8,13 +8,23 @@
 //! statements, unary and binary facts over several constants, and
 //! constant equalities. Queries mention known constants, a fresh
 //! constant, or a fresh predicate, with `!!` and parenthesised variants.
+//!
+//! The split answer path is checked here too: [`RandomWorlds::probe`]
+//! followed by [`RandomWorlds::finish`] must give what the single-call
+//! flow gives — parse, look the canonical form up, else run the pipeline
+//! and remember the answer — with and without a cache installed.
 
 use proptest::prelude::*;
 use rw_core::solvers::TheoremSolver;
 use rw_core::theorems;
-use rw_core::{Belief, EngineError, PreparedKb, Provenance, RandomWorlds, Stage};
+use rw_core::{
+    AnswerCache, Belief, EngineError, PreparedKb, Probe, Provenance, RandomWorlds, Response, Stage,
+    StageStatus,
+};
 use rw_logic::ast::Formula;
-use rw_logic::KnowledgeBase;
+use rw_logic::{canon, KnowledgeBase};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 const PREDS: [&str; 6] = ["Bird", "Fly", "Penguin", "Jaun", "Hep", "Child"];
 const CONSTS: [&str; 3] = ["Tweety", "Eric", "Nixon"];
@@ -111,8 +121,122 @@ fn from_scratch(kb: &KnowledgeBase, query: &str) -> Answer {
     ad_hoc(&local, &q)
 }
 
+/// Queries that fail to parse, answered with the parser's error text.
+fn malformed() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("Hep(".to_string()),
+        Just("Hep(Eric) &".to_string()),
+        Just("Likes(Eric)".to_string()),
+        Just("||Hep(x)||_x".to_string()),
+    ]
+}
+
+/// What a caller sees of one answer, recorded wall times aside.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Answer {
+        belief: Belief,
+        provenance: Provenance,
+        cached: bool,
+        steps: Vec<(String, StageStatus)>,
+    },
+    Error(String),
+}
+
+fn seen(result: Result<Response, EngineError>) -> Seen {
+    match result {
+        Ok(r) => Seen::Answer {
+            steps: r
+                .trace
+                .steps()
+                .iter()
+                .map(|s| (s.stage.clone(), s.status.clone()))
+                .collect(),
+            belief: r.belief,
+            provenance: r.provenance,
+            cached: r.cached,
+        },
+        Err(e) => Seen::Error(e.to_string()),
+    }
+}
+
+/// The single-call flow, modelled: parse into a clone of the KB's
+/// vocabulary; with a memo (one KB and one engine, so the canonical form
+/// alone is the key), answer a remembered canonical form as a one-step
+/// `cache` trace, else run the uncached `pipeline` and remember its
+/// belief and provenance.
+fn single_call(
+    pipeline: &RandomWorlds,
+    memo: Option<&mut HashMap<String, (Belief, Provenance)>>,
+    kb: &KnowledgeBase,
+    query: &str,
+) -> Seen {
+    let mut vocab = kb.vocab().clone();
+    let q = match rw_logic::parse_formula(&mut vocab, query) {
+        Ok(q) => q,
+        Err(e) => return Seen::Error(EngineError::Parse(e).to_string()),
+    };
+    let Some(memo) = memo else {
+        return seen(pipeline.answer(kb, query));
+    };
+    let key = canon::canonical_formula(&vocab, &q);
+    if let Some((belief, provenance)) = memo.get(&key) {
+        return Seen::Answer {
+            belief: belief.clone(),
+            provenance: provenance.clone(),
+            cached: true,
+            steps: vec![("cache".to_string(), StageStatus::Answered)],
+        };
+    }
+    let result = pipeline.answer(kb, query);
+    if let Ok(r) = &result {
+        memo.insert(key, (r.belief.clone(), r.provenance.clone()));
+    }
+    seen(result)
+}
+
+/// The split flow: [`RandomWorlds::probe`], then [`RandomWorlds::finish`]
+/// on a miss.
+fn probed(engine: &RandomWorlds, kb: &PreparedKb, query: &str) -> Seen {
+    match engine.probe(kb, query) {
+        Ok(Probe::Hit(r)) => {
+            assert!(r.cached, "`{query}`: a hit must be marked cached");
+            seen(Ok(r))
+        }
+        Ok(Probe::Miss(pending)) => seen(engine.finish(pending)),
+        Err(e) => Seen::Error(e.to_string()),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn probe_then_finish_matches_the_single_call_flow(
+        statements in prop::collection::vec(statement(), 1..9),
+        queries in prop::collection::vec(prop_oneof![query(), query(), malformed()], 1..7),
+    ) {
+        let src = statements.join("; ");
+        let kb = KnowledgeBase::parse(&src).unwrap();
+        let pipeline = theorems_only();
+        let cached = theorems_only().with_cache(Arc::new(AnswerCache::new()));
+        let prepared = PreparedKb::new(kb.clone());
+        let mut memo = HashMap::new();
+        // Twice through: the second pass hits what the first computed.
+        for q in queries.iter().chain(&queries) {
+            let want = single_call(&pipeline, Some(&mut memo), &kb, q);
+            prop_assert_eq!(probed(&cached, &prepared, q), want, "KB `{}` ⊢ `{}`", src, q);
+            // Without a cache every probe that parses is a miss, and
+            // finishing it is the pipeline's answer.
+            let plain = pipeline.probe(&prepared, q);
+            prop_assert!(!matches!(plain, Ok(Probe::Hit(_))), "uncached hit for `{}`", q);
+            prop_assert_eq!(
+                probed(&pipeline, &prepared, q),
+                single_call(&pipeline, None, &kb, q),
+                "uncached: KB `{}` ⊢ `{}`", src, q
+            );
+        }
+    }
 
     #[test]
     fn prepared_answers_match_the_ad_hoc_theorem_stage(
@@ -177,4 +301,41 @@ fn a_seventeenth_predicate_re_prepares_the_analysis() {
     }
     // The 16-predicate analysis is still the one constant-only queries use.
     assert!(prepared.analysis().taxonomy.is_some());
+}
+
+#[test]
+fn probe_then_finish_matches_the_single_call_flow_on_the_default_cascade() {
+    // Stages past theorems: maxent answers the first query after the
+    // theorem stage declines, and the binary KB is counted by the
+    // enumeration stage (its budget kept small for debug builds), so the
+    // compared traces have several steps.
+    for (src, queries) in [
+        (
+            "||Black(x) | Bird(x)||_x ~=_1 0.2; ||Bird(x)||_x ~=_2 0.1",
+            &["Black(Clyde)", "!!Black(Clyde)", "Black(", "Fresh(Clyde)"][..],
+        ),
+        (
+            "Likes(A, B)",
+            &["Likes(B, A)", "(Likes(B, A))", "Likes(B)"][..],
+        ),
+    ] {
+        let kb = KnowledgeBase::parse(src).unwrap();
+        let config = rw_core::EngineConfig {
+            enum_max_worlds: 1 << 13,
+            ..rw_core::EngineConfig::default()
+        };
+        let pipeline = RandomWorlds::from(config.clone());
+        let cached = RandomWorlds::from(config).with_cache(Arc::new(AnswerCache::new()));
+        let prepared = PreparedKb::new(kb.clone());
+        let mut memo = HashMap::new();
+        let mut hits = 0;
+        for q in queries.iter().chain(queries) {
+            let want = single_call(&pipeline, Some(&mut memo), &kb, q);
+            hits += matches!(want, Seen::Answer { cached: true, .. }) as u64;
+            assert_eq!(probed(&cached, &prepared, q), want, "{src} ⊢ {q}");
+        }
+        // Every query that parsed hit on the second pass at the latest.
+        assert!(hits >= queries.len() as u64 - 1, "{src}");
+        assert_eq!(cached.cache().unwrap().hits(), hits, "{src}");
+    }
 }

@@ -4,10 +4,11 @@
 //! ```text
 //!                 ┌──────────────────────── Front::serve (one thread) ────────────────────────┐
 //!  client A ─TCP─▶│ ┌─────────┐  read → frame → Handler::handle_line ─┬─ Inline: fill slot  │
-//!  client B ─TCP─▶│ │ conns:  │                                       └─ Queued: caller's   │
-//!     ⋮           │ │ nonblk  │                                          JobQueue + workers │
+//!  client B ─TCP─▶│ │ conns:  │                  (control ops, serve's └─ Queued: caller's   │
+//!     ⋮           │ │ nonblk  │                   cache hits)             JobQueue + workers │
 //!  client N ─TCP─▶│ │ sockets │ ◀─ ordered slots ◀─ Front::complete ◀─ (any thread)         │
-//!                 │ └─────────┘    → write-back      + wake pipe                            │
+//!                 │ └─────────┘    → write-back      + wake byte when                       │
+//!                 │                                    the list was empty                   │
 //!                 └───────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -17,9 +18,13 @@
 //! backends — each framed request line goes to one hook,
 //! [`Handler::handle_line`], which either answers inline or admits the
 //! request to the caller's own worker queue; workers hand answers back
-//! through [`Front::complete`]. Per-connection response slots
+//! through [`Front::complete`]. `rwq serve` answers cache hits inline
+//! too, so only misses reach its workers. Per-connection response slots
 //! ([`crate::conn::Conn`]) flush answers in request order however the
-//! workers interleave.
+//! workers interleave, so an inline answer behind a queued one waits
+//! for it. A completion writes a wake byte only when it finds the
+//! completion list empty; the loop drains the pipe before it takes the
+//! list, which is what makes one byte per batch enough.
 //!
 //! Overload and lifecycle behaviors, all on the loop thread:
 //!
@@ -218,13 +223,23 @@ impl Front {
     }
 
     /// Hands a finished job's answer for slot `seq` of connection `conn`
-    /// back to the event loop and wakes it.
+    /// back to the event loop, waking it when the list was empty.
+    ///
+    /// One wake byte per batch of completions is enough, because the loop
+    /// drains the wake pipe *before* it takes the list. A byte is written
+    /// after the push that found the list empty, so any take that follows
+    /// the drain of that byte includes that push. Pushes onto a non-empty
+    /// list ride on the same take: only a take empties the list, and it
+    /// takes everything. So no completion waits for the poll timeout.
     pub(crate) fn complete(&self, conn: u64, seq: u64, line: String) {
-        self.completions
-            .lock()
-            .expect("completions lock poisoned")
-            .push(Completion { conn, seq, line });
-        self.wake();
+        let was_empty = {
+            let mut completions = self.completions.lock().expect("completions lock poisoned");
+            completions.push(Completion { conn, seq, line });
+            completions.len() == 1
+        };
+        if was_empty {
+            self.wake();
+        }
     }
 
     /// The `metrics` op: the full observability-registry snapshot, with
@@ -365,6 +380,8 @@ impl Front {
             poll::poll(&mut fds, Some(timeout))?;
 
             // ---- drain the wake pipe, apply completions ----
+            // The drain must come before the take: `Front::complete`
+            // writes a wake byte only when it finds the list empty.
             if fds[0].ready(POLLIN) {
                 while matches!((&self.wake_rx).read(&mut chunk), Ok(n) if n > 0) {}
             }
@@ -582,5 +599,36 @@ fn refuse(mut stream: TcpStream, error: ProtoError) {
 pub(crate) fn count(name: &str) {
     if rw_obs::enabled() {
         rw_obs::registry().counter(name).inc();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The wake bytes waiting in the pipe.
+    fn pending_wakes(front: &Front) -> usize {
+        let mut buf = [0u8; 16];
+        match (&front.wake_rx).read(&mut buf) {
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => 0,
+            Err(e) => panic!("wake pipe: {e}"),
+        }
+    }
+
+    #[test]
+    fn completions_write_one_wake_byte_per_batch() {
+        let front = Front::bind("127.0.0.1:0", 1, 0).unwrap();
+        for seq in 0..3 {
+            front.complete(0, seq, format!("answer {seq}"));
+        }
+        assert_eq!(pending_wakes(&front), 1);
+        // Once the loop has taken the list, the next completion wakes it
+        // again.
+        let taken = std::mem::take(&mut *front.completions.lock().unwrap());
+        assert_eq!(taken.len(), 3);
+        front.complete(1, 0, "answer".to_string());
+        assert_eq!(pending_wakes(&front), 1);
+        assert_eq!(pending_wakes(&front), 0);
     }
 }

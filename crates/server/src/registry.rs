@@ -13,7 +13,10 @@
 
 use crate::format;
 use crate::proto::{ApproxParams, KbSource, ProtoError, ScanParams};
-use rw_core::{AnswerCache, DenomCache, EngineConfig, McConfig, PreparedKb, RandomWorlds};
+use rw_core::{
+    AnswerCache, DenomCache, EngineConfig, EngineError, McConfig, PendingQuery, PreparedKb, Probe,
+    RandomWorlds, Response,
+};
 use rw_logic::KnowledgeBase;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -97,9 +100,23 @@ impl LoadedKb {
     }
 
     /// The answer including the full [`rw_core::Response`] (for callers
-    /// that aggregate traces).
-    pub fn answer(&self, query: &str) -> Result<rw_core::Response, rw_core::EngineError> {
+    /// that aggregate traces): [`Self::probe`], then [`Self::finish`] on a
+    /// miss.
+    pub fn answer(&self, query: &str) -> Result<Response, EngineError> {
         self.engine.answer_prepared(&self.kb, query)
+    }
+
+    /// Parses, canonicalises and looks `query` up in the shared cache
+    /// without running a pipeline stage ([`RandomWorlds::probe`]). The
+    /// serving loop answers hits and parse errors with this alone.
+    pub fn probe(&self, query: &str) -> Result<Probe, EngineError> {
+        self.engine.probe(&self.kb, query)
+    }
+
+    /// Runs the pipeline on a query [`Self::probe`] missed and caches the
+    /// answer ([`RandomWorlds::finish`]).
+    pub fn finish(&self, pending: PendingQuery) -> Result<Response, EngineError> {
+        self.engine.finish(pending)
     }
 
     /// One entry of the `list` response.

@@ -3,15 +3,20 @@
 //! event loop.
 //!
 //! ```text
-//!                 ┌──────────────────────────── rw-server ────────────────────────────┐
-//!                 │              event loop (one thread, ppoll)                       │
-//!  client A ─TCP─▶│ ┌─────────┐  read → frame → handle_line     ┌─────────────┐       │
-//!  client B ─TCP─▶│ │ conns:  │ ───────────────┬─ control ops ──│ answered    │       │
-//!  client C ─TCP─▶│ │ nonblk  │                └─ query/sleep ─▶│ bounded     │ worker│
-//!     ⋮           │ │ sockets │                                 │ JobQueue    │─▶pool │
-//!  client N ─TCP─▶│ │ + state │ ◀─ ordered slots ◀─ completions ◀─ (reject    │  +    │
-//!                 │ └─────────┘    → write-back     + wake pipe    when full) │ engine│
-//!                 └───────────────────────────────────────────────────────────────────┘
+//!                 ┌────────────────────────────── rw-server ───────────────────────────────┐
+//!                 │               event loop (one thread, ppoll)                           │
+//!  client A ─TCP─▶│ ┌─────────┐  read → frame → handle_line                                │
+//!  client B ─TCP─▶│ │ conns:  │ ─┬─ control ops ──────────────────────▶ answered inline    │
+//!  client C ─TCP─▶│ │ nonblk  │  └─ query ─▶ probe: parse, canonicalise, look up           │
+//!     ⋮           │ │ sockets │      ├─ hit / parse error ─────────────▶ answered inline   │
+//!  client N ─TCP─▶│ │ + state │      └─ miss (+ sleep) ─▶ bounded JobQueue (full: reject)  │
+//!                 │ │         │                               │                            │
+//!                 │ │         │                               ▼                            │
+//!                 │ │         │                          worker pool: finish = pipeline    │
+//!                 │ │         │                               │         + cache insert     │
+//!                 │ │         │ ◀─ ordered slots ◀─ completions + wake pipe                │
+//!                 │ └─────────┘    → write-back                                            │
+//!                 └────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! The connection side — listener, wake pipe, the `ppoll` loop over
@@ -27,12 +32,19 @@
 //! waiting, and each is dispatched as it is framed. Cheap control
 //! requests (`load`/`unload`/`list`/`stats`/`metrics`/`ping`) are
 //! answered inline on the loop thread — they stay responsive even when
-//! every worker is busy and the queue is full. `query`/`sleep` work is
-//! admitted to the **bounded** queue and picked up by the worker pool;
-//! when the queue is full the request is *rejected immediately* with a
-//! structured `overloaded` error — backpressure instead of unbounded
-//! buffering. Answers flush in request order no matter how workers
-//! interleave.
+//! every worker is busy and the queue is full. So are **cache hits**: a
+//! `query` is first probed on the loop ([`LoadedKb::probe`]: parse,
+//! canonicalise, look up, no stage run), and a hit or a parse error is
+//! answered there and then. Only a miss is admitted to the **bounded**
+//! queue, carrying its parsed query ([`rw_core::PendingQuery`]) so a
+//! worker runs just the pipeline ([`LoadedKb::finish`]); `sleep` test
+//! work is admitted too. When the queue is full the request is
+//! *rejected immediately* with a structured `overloaded` error —
+//! backpressure instead of unbounded buffering — so a hit is never
+//! refused and a miss may be. Answers flush in request order no matter
+//! how workers interleave, so a hit pipelined behind a slow miss waits
+//! for it. Inline answers are booked like worker answers: `stats`
+//! totals, the access log (`"queue_wait_us":0`) and the slow log.
 //!
 //! Overload and lifecycle behaviors:
 //!
@@ -59,7 +71,7 @@ use crate::front::{self, Front, Handled, Handler};
 use crate::proto::{self, ErrorCode, ProtoError, Request};
 use crate::queue::JobQueue;
 use crate::registry::{KbRegistry, LoadedKb};
-use rw_core::{AnswerCache, StageTotals};
+use rw_core::{AnswerCache, EngineError, PendingQuery, Probe, Response, StageTotals};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -68,6 +80,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 pub use crate::front::MAX_LINE;
+
+/// Longest query text the event loop probes itself. Parsing costs about
+/// 0.2 µs a byte, so a longer query would stall every connection; it is
+/// admitted unparsed and its worker probes it.
+const INLINE_QUERY_MAX: usize = 4096;
 
 /// How a [`Server`] is built.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,9 +153,25 @@ struct Totals {
     stages: Vec<StageTotals>,
 }
 
+// `Sleep` is test-only, so every real job is a `Query` and boxing it
+// would add an allocation per miss for nothing.
+#[allow(clippy::large_enum_variant)]
 enum Work {
-    Query { kb: Arc<LoadedKb>, query: String },
-    Sleep { ms: u64 },
+    /// A query the event loop's probe missed; the worker runs the
+    /// pipeline on it. `None` for a query too long to probe on the loop
+    /// ([`INLINE_QUERY_MAX`]): the worker probes it itself.
+    Query {
+        kb: Arc<LoadedKb>,
+        query: String,
+        pending: Option<PendingQuery>,
+        /// When the event loop began probing: the request span starts
+        /// here, and the probe's share of the logged answer time is
+        /// measured from it to admission.
+        received: Instant,
+    },
+    Sleep {
+        ms: u64,
+    },
 }
 
 struct Job {
@@ -148,7 +181,7 @@ struct Job {
     /// The reserved slot in that connection's ordered response queue.
     seq: u64,
     /// When the job was admitted — the worker reports the pop-side delta
-    /// as queue wait and backdates the request span to it.
+    /// as queue wait.
     enqueued: Instant,
     /// Process-unique id tying this request's span tree, access-log line
     /// and slow-log line together.
@@ -163,9 +196,10 @@ pub struct Server {
     front: Front,
     registry: KbRegistry,
     queue: JobQueue<Job>,
-    /// One slot per worker (the `batch.rs` per-worker-shard pattern):
-    /// the hot path locks only its own uncontended slot; `stats` merges
-    /// them on demand.
+    /// One slot per worker plus one, last, for the event loop's inline
+    /// answers (the `batch.rs` per-worker-shard pattern): each thread
+    /// locks only its own uncontended slot; `stats` merges them on
+    /// demand.
     totals: Vec<Mutex<Totals>>,
     rejected: AtomicU64,
     threads: usize,
@@ -210,7 +244,7 @@ impl Server {
             front,
             registry: KbRegistry::new(Arc::new(AnswerCache::with_shards(config.cache_shards))),
             queue: JobQueue::new(config.max_queue),
-            totals: (0..threads)
+            totals: (0..=threads)
                 .map(|_| Mutex::new(Totals::default()))
                 .collect(),
             rejected: AtomicU64::new(0),
@@ -335,8 +369,13 @@ impl Server {
 
     fn worker_loop(&self, worker: usize) {
         while let Some(job) = self.queue.pop() {
-            let line = match &job.work {
-                Work::Query { kb, query } => {
+            let line = match job.work {
+                Work::Query {
+                    kb,
+                    query,
+                    pending,
+                    received,
+                } => {
                     let queue_wait = job.enqueued.elapsed();
                     if rw_obs::enabled() {
                         rw_obs::registry()
@@ -344,54 +383,121 @@ impl Server {
                             .record_us(queue_wait.as_micros() as u64);
                     }
                     // The span tree: request ⊃ {queue-wait, answer ⊃ stage:*}.
-                    // The request span is backdated to admission time, so the
-                    // queue-wait child always nests inside it; stage spans
-                    // come from the response trace after the answer span has
-                    // closed.
+                    // The request span is backdated to the probe on the
+                    // event loop, so the queue-wait child always nests
+                    // inside it; stage spans come from the response trace
+                    // after the answer span has closed. Only the slow log
+                    // reads spans, and a guard span reads the thread's CPU
+                    // clock from procfs twice (about 12 µs a read on a
+                    // 2-core VM), so without a slow log none is opened.
                     let recorder = rw_obs::SpanRecorder::new(job.trace_id);
                     let started = Instant::now();
-                    let (result, answer_id) = {
-                        let request = recorder.span_started_at("request", job.enqueued);
+                    let answer = || match pending {
+                        Some(pending) => kb.finish(pending),
+                        None => kb.answer(&query),
+                    };
+                    let (result, answer_id) = if self.slow_log.is_none() {
+                        (answer(), 0)
+                    } else {
+                        let request = recorder.span_started_at("request", received);
                         recorder.add(
                             Some(request.id()),
                             "queue-wait",
                             queue_wait.as_micros() as u64,
                             0,
                         );
-                        let answer = recorder.span("answer");
-                        let answer_id = answer.id();
-                        (kb.answer(query), answer_id)
+                        let span = recorder.span("answer");
+                        (answer(), span.id())
                     };
-                    if let Ok(response) = &result {
-                        for step in response.trace.steps() {
-                            recorder.add(
-                                Some(answer_id),
-                                &format!("stage:{}", step.stage),
-                                step.elapsed.as_micros() as u64,
-                                0,
-                            );
-                        }
-                    }
-                    let elapsed = started.elapsed();
-                    {
-                        let mut totals = self.totals[worker].lock().expect("totals lock poisoned");
-                        StageTotals::absorb_result(&mut totals.stages, &result);
-                        match &result {
-                            Ok(_) => totals.answered += 1,
-                            Err(_) => totals.failed += 1,
-                        }
-                    }
-                    self.log_request(kb, query, &result, queue_wait, elapsed, recorder);
-                    crate::json::result_line(query, &result)
+                    // Answer time: the probe on the loop plus the pipeline
+                    // here, without the wait in between.
+                    let probed = job.enqueued.saturating_duration_since(received);
+                    let elapsed = probed + started.elapsed();
+                    self.record(
+                        worker,
+                        &kb,
+                        &query,
+                        &result,
+                        queue_wait,
+                        elapsed,
+                        job.trace_id,
+                        || {
+                            add_stage_spans(&recorder, answer_id, &result);
+                            recorder.finish()
+                        },
+                    );
+                    crate::json::result_line(&query, &result)
                 }
                 Work::Sleep { ms } => {
                     // Test-only: occupy this worker slot for a bounded time.
-                    std::thread::sleep(Duration::from_millis((*ms).min(10_000)));
+                    std::thread::sleep(Duration::from_millis(ms.min(10_000)));
                     r#"{"ok":true,"op":"sleep"}"#.to_string()
                 }
             };
             self.front.complete(job.conn, job.seq, line);
         }
+    }
+
+    /// A `query` on the event loop: the probe parses, canonicalises and
+    /// looks the query up without running a stage. A cache hit or a parse
+    /// error is answered inline, so it never waits behind a worker and is
+    /// never refused as `overloaded`; only a miss is admitted to the
+    /// queue, carrying its parsed query so a worker runs just the
+    /// pipeline.
+    fn query(&self, kb: Arc<LoadedKb>, query: String, conn: u64, seq: u64) -> Handled {
+        let received = Instant::now();
+        let pending = if query.len() > INLINE_QUERY_MAX {
+            None
+        } else {
+            match kb.probe(&query) {
+                Ok(Probe::Miss(pending)) => Some(pending),
+                Ok(Probe::Hit(response)) => {
+                    return self.inline(&kb, &query, received, Ok(response))
+                }
+                Err(e) => return self.inline(&kb, &query, received, Err(e)),
+            }
+        };
+        let work = Work::Query {
+            kb,
+            query,
+            pending,
+            received,
+        };
+        self.admit(work, conn, seq)
+    }
+
+    /// Answers a probed query on the event loop, keeping the worker
+    /// path's books (stats, stage totals, both logs) in the loop's own
+    /// `Totals` slot. The span tree, request ⊃ answer ⊃ stage:cache, is
+    /// measured by the probe itself, so it is only built when the slow
+    /// log writes it.
+    fn inline(
+        &self,
+        kb: &LoadedKb,
+        query: &str,
+        received: Instant,
+        result: Result<Response, EngineError>,
+    ) -> Handled {
+        let elapsed = received.elapsed();
+        let trace_id = rw_obs::next_trace_id();
+        self.record(
+            self.threads,
+            kb,
+            query,
+            &result,
+            Duration::ZERO,
+            elapsed,
+            trace_id,
+            || {
+                let recorder = rw_obs::SpanRecorder::new(trace_id);
+                let wall_us = elapsed.as_micros() as u64;
+                let request = recorder.add(None, "request", wall_us, 0);
+                let answer = recorder.add(Some(request), "answer", wall_us, 0);
+                add_stage_spans(&recorder, answer, &result);
+                recorder.finish()
+            },
+        );
+        Handled::inline(crate::json::result_line(query, &result))
     }
 
     /// Admits work to the queue (a full queue is answered immediately
@@ -407,23 +513,35 @@ impl Server {
         front::admit(&self.queue, job, &self.rejected)
     }
 
-    /// Writes the per-request access-log line and — at or over the slow
-    /// threshold — the slow-query line with the full span tree. Logging
-    /// happens after the response line is already determined, so it can
-    /// never change answer bytes.
-    fn log_request(
+    /// Books one answered query in `Totals` slot `slot` (`stats` and the
+    /// stage totals), then writes the per-request access-log line and —
+    /// at or over the slow threshold — the slow-query line with the span
+    /// tree `spans` builds. `trace_id` ties the two log lines together.
+    /// Logging happens after the response line is already determined, so
+    /// it can never change answer bytes.
+    #[allow(clippy::too_many_arguments)]
+    fn record(
         &self,
+        slot: usize,
         kb: &LoadedKb,
         query: &str,
-        result: &Result<rw_core::Response, rw_core::EngineError>,
+        result: &Result<Response, EngineError>,
         queue_wait: Duration,
         elapsed: Duration,
-        recorder: rw_obs::SpanRecorder,
+        trace_id: u64,
+        spans: impl FnOnce() -> Vec<rw_obs::SpanRecord>,
     ) {
+        {
+            let mut totals = self.totals[slot].lock().expect("totals lock poisoned");
+            StageTotals::absorb_result(&mut totals.stages, result);
+            match result {
+                Ok(_) => totals.answered += 1,
+                Err(_) => totals.failed += 1,
+            }
+        }
         if self.access_log.is_none() && self.slow_log.is_none() {
             return;
         }
-        let trace_id = recorder.trace_id();
         let ok = result.is_ok();
         let cache_hit = matches!(result, Ok(r) if r.cached);
         if let Some(file) = &self.access_log {
@@ -442,7 +560,7 @@ impl Server {
         }
         if let Some(file) = &self.slow_log {
             if elapsed >= Duration::from_millis(self.slow_ms) {
-                let spans = recorder.finish();
+                let spans = spans();
                 let line = format!(
                     r#"{{"ts_us":{},"trace_id":{},"kb":"{}","fingerprint":"{:016x}","query":"{}","ok":{},"elapsed_us":{},"spans":{}}}"#,
                     Self::unix_micros(),
@@ -514,9 +632,29 @@ impl Server {
     }
 }
 
+/// Adds one `stage:<name>` span per step of the answer's trace under
+/// span `answer`.
+fn add_stage_spans(
+    recorder: &rw_obs::SpanRecorder,
+    answer: usize,
+    result: &Result<Response, EngineError>,
+) {
+    if let Ok(response) = result {
+        for step in response.trace.steps() {
+            recorder.add(
+                Some(answer),
+                &format!("stage:{}", step.stage),
+                step.elapsed.as_micros() as u64,
+                0,
+            );
+        }
+    }
+}
+
 impl Handler for Server {
-    /// Answers one request line: control ops inline, `query`/`sleep`
-    /// through the admission queue into slot `seq` of connection `conn`.
+    /// Answers one request line: control ops and probed cache hits
+    /// inline, misses and `sleep` through the admission queue into slot
+    /// `seq` of connection `conn`.
     fn handle_line(&self, line: &str, conn: u64, seq: u64) -> Handled {
         let request = match proto::parse_request(line) {
             Ok(r) => r,
@@ -563,7 +701,7 @@ impl Handler for Server {
                 let Some(loaded) = self.registry.get(&kb) else {
                     return Handled::inline(Self::unknown_kb(&kb).line());
                 };
-                self.admit(Work::Query { kb: loaded, query }, conn, seq)
+                self.query(loaded, query, conn, seq)
             }
             Request::Sleep { ms } => {
                 if !self.test_ops {

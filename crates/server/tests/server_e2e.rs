@@ -2,7 +2,8 @@
 //! [`Server`]: the full request surface (ping/load/unload/list/query/
 //! stats/shutdown), structured errors for malformed lines and unknown
 //! KBs, admission-queue backpressure, and per-KB exact vs approximate
-//! sessions. The event-loop behaviors `rwq serve` and `rwq shard` share
+//! sessions, and cache hits answered on the event loop while every
+//! worker is busy. The event-loop behaviors `rwq serve` and `rwq shard` share
 //! (pipelined ordering, the connection ceiling) run against both
 //! fronts.
 
@@ -247,6 +248,126 @@ fn overload_is_rejected_with_backpressure_not_buffering() {
                 Some(1),
                 "{stats}"
             );
+        },
+    );
+}
+
+fn query_line(kb: &str, query: &str) -> String {
+    format!(r#"{{"op":"query","kb":"{kb}","query":"{query}"}}"#)
+}
+
+/// The `queries` and `cache` objects of a `stats` response.
+fn stats(c: &mut Client) -> (Value, Value) {
+    let stats = c.request_line(r#"{"op":"stats"}"#).unwrap();
+    let v = Value::parse(&stats).unwrap();
+    (
+        v.get("queries").unwrap().clone(),
+        v.get("cache").unwrap().clone(),
+    )
+}
+
+#[test]
+fn cache_hits_are_answered_while_the_worker_and_queue_are_held() {
+    // The overload set-up again — one worker, one queue slot, both held
+    // by sleeps — but this time the query was answered before: the
+    // event loop's probe finds it in the cache and answers it inline.
+    // A query never asked before still needs a worker and bounces, and
+    // so does one too long to probe on the loop, cached or not.
+    with_server(
+        ServerConfig {
+            threads: 1,
+            max_queue: 1,
+            test_ops: true,
+            ..ServerConfig::default()
+        },
+        |addr| {
+            let mut c = Client::connect(*addr).unwrap();
+            c.request_line(&load_line("med")).unwrap();
+            let cold = c.request_line(&query_line("med", "Hep(Eric)")).unwrap();
+            assert!(cold.contains(r#""cache_hit":false"#), "{cold}");
+
+            let hold = |addr: std::net::SocketAddr| {
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr).unwrap();
+                    c.request_line(r#"{"op":"sleep","ms":600}"#).unwrap()
+                })
+            };
+            let a = hold(*addr); // occupies the single worker
+            std::thread::sleep(Duration::from_millis(150));
+            let b = hold(*addr); // occupies the single queue slot
+            std::thread::sleep(Duration::from_millis(150));
+
+            // A repeat and a syntactic variant are both hits.
+            for query in ["Hep(Eric)", "!!Hep(Eric)"] {
+                let warm = c.request_line(&query_line("med", query)).unwrap();
+                assert!(warm.contains(r#""ok":true"#), "{warm}");
+                assert!(warm.contains(r#""cache_hit":true"#), "{warm}");
+                assert!(warm.contains(r#""value":0.8"#), "{warm}");
+            }
+            // A parse error needs no worker either.
+            let bad = c.request_line(&query_line("med", "Hep(")).unwrap();
+            assert!(
+                bad.starts_with(r#"{"query":"Hep(","ok":false,"error":""#),
+                "{bad}"
+            );
+            let fresh = c.request_line(&query_line("med", "Hep(Tom)")).unwrap();
+            assert!(fresh.contains(r#""code":"overloaded""#), "{fresh}");
+            let long = format!("Hep(Eric){}", " ".repeat(5000));
+            let queued = c.request_line(&query_line("med", &long)).unwrap();
+            assert!(queued.contains(r#""code":"overloaded""#), "{queued}");
+
+            assert!(a.join().unwrap().contains(r#""ok":true"#));
+            assert!(b.join().unwrap().contains(r#""ok":true"#));
+            // Its worker probes the long query, and finds it cached.
+            let answered = c.request_line(&query_line("med", &long)).unwrap();
+            assert!(answered.contains(r#""cache_hit":true"#), "{answered}");
+            let (queries, cache) = stats(&mut c);
+            assert_eq!(queries.get("answered").and_then(Value::as_u64), Some(4));
+            assert_eq!(queries.get("failed").and_then(Value::as_u64), Some(1));
+            assert_eq!(queries.get("rejected").and_then(Value::as_u64), Some(2));
+            assert_eq!(cache.get("hits").and_then(Value::as_u64), Some(3));
+        },
+    );
+}
+
+#[test]
+fn an_inline_cache_hit_waits_for_the_reply_ahead_of_it() {
+    with_server(
+        ServerConfig {
+            test_ops: true,
+            ..config()
+        },
+        |addr| {
+            let mut c = Client::connect(addr).unwrap();
+            c.request_line(&load_line("med")).unwrap();
+            let cold = c.request_line(&query_line("med", "Hep(Eric)")).unwrap();
+            assert!(cold.contains(r#""cache_hit":false"#), "{cold}");
+            // One burst: the hit is answered on the event loop at once,
+            // long before the worker finishes the sleep, yet its reply
+            // leaves second. A miss behind it keeps its place too.
+            c.send_line(r#"{"op":"sleep","ms":300}"#).unwrap();
+            c.send_line(&query_line("med", "Hep(Eric)")).unwrap();
+            c.send_line(&query_line("med", "Hep(Tom)")).unwrap();
+            c.send_line(&query_line("med", "(Hep(Eric))")).unwrap();
+            assert_eq!(c.recv_line().unwrap(), r#"{"ok":true,"op":"sleep"}"#);
+            for (query, hit) in [
+                ("Hep(Eric)", true),
+                ("Hep(Tom)", false),
+                ("(Hep(Eric))", true),
+            ] {
+                let line = c.recv_line().unwrap();
+                assert!(line.contains(&format!(r#""query":"{query}""#)), "{line}");
+                assert!(
+                    line.contains(&format!(r#""cache_hit":{hit}"#)),
+                    "{query}: {line}"
+                );
+            }
+            // Inline answers are booked like worker answers: every query
+            // sent is counted as answered.
+            let (queries, cache) = stats(&mut c);
+            assert_eq!(queries.get("answered").and_then(Value::as_u64), Some(4));
+            assert_eq!(queries.get("failed").and_then(Value::as_u64), Some(0));
+            assert_eq!(cache.get("hits").and_then(Value::as_u64), Some(2));
         },
     );
 }
