@@ -20,11 +20,72 @@
 //! not a different one. Bare asserted
 //! facts, the third trap shape, no longer need either stage: the
 //! theorem fast path answers them in microseconds (asserted below).
+//!
+//! A second table times the sampler's per-draw kernel on the
+//! `||Hep(x) | Jaun(x)||_x ≈ 0.8; Jaun(Eric); Jaun(Tom)` shape at the
+//! served diagonal's domain sizes: the proposal (one world drawn into a
+//! slot vector) and the acceptance check (the compiled KB on each drawn
+//! world, the query on the accepted ones) separately, in ns per draw.
 
 use rw_core::solvers::{MaxEntSolver, MonteCarloSolver, TheoremSolver};
 use rw_core::{Belief, Budget, Provenance, Solver, SolverOutcome};
-use rw_logic::KnowledgeBase;
+use rw_logic::{KnowledgeBase, Tolerances};
+use rw_util::{Rat, StdRng};
+use rw_worlds::mc::SamplePlan;
+use rw_worlds::Program;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
+
+/// Draws per timed repetition of the kernel table.
+const KERNEL_DRAWS: usize = 200_000;
+
+/// Best-of-5 ns per draw for the proposal and for the acceptance check
+/// at domain size `n` under tolerance `tau`.
+fn kernel_ns(n: usize, tau: Rat) -> (f64, f64) {
+    let mut kb =
+        KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)").unwrap();
+    let q = kb.parse_query("Hep(Eric) & Hep(Tom)").unwrap();
+    let tol = Tolerances::uniform(tau);
+    let kb_program = Program::compile(kb.vocab(), n, &tol, &kb.as_formula()).unwrap();
+    let q_program = Program::compile(kb.vocab(), n, &tol, &q).unwrap();
+    let proposal = SamplePlan::build(&kb).proposal(kb_program.layout());
+    let mut slots = vec![0; kb_program.layout().slot_count()];
+    let mut forced = Vec::new();
+    // The acceptance check runs over a fixed set of drawn worlds, so it
+    // is timed without the proposal's cost.
+    let mut rng = StdRng::seed_from_u64(2);
+    let worlds: Vec<Vec<usize>> = (0..1024)
+        .map(|_| {
+            while proposal.draw(&mut slots, &mut forced, &mut rng).is_none() {}
+            slots.clone()
+        })
+        .collect();
+    let (mut propose, mut accept) = (f64::MAX, f64::MAX);
+    for _ in 0..5 {
+        let mut rng = StdRng::seed_from_u64(1);
+        let t = Instant::now();
+        let mut total = 0.0;
+        for _ in 0..KERNEL_DRAWS {
+            total += proposal
+                .draw(&mut slots, &mut forced, &mut rng)
+                .unwrap_or(0.0);
+        }
+        black_box(total);
+        propose = propose.min(t.elapsed().as_nanos() as f64 / KERNEL_DRAWS as f64);
+
+        let t = Instant::now();
+        let mut hits = 0usize;
+        for i in 0..KERNEL_DRAWS {
+            let world = &worlds[i % worlds.len()];
+            if kb_program.holds(world) {
+                hits += 1 + q_program.holds(world) as usize;
+            }
+        }
+        black_box(hits);
+        accept = accept.min(t.elapsed().as_nanos() as f64 / KERNEL_DRAWS as f64);
+    }
+    (propose, accept)
+}
 
 fn kb() -> KnowledgeBase {
     KnowledgeBase::parse(
@@ -104,4 +165,20 @@ fn main() {
     );
     println!("sampler estimates compatible with maxent: {all_compatible}");
     assert!(all_compatible, "a sampler estimate left its own interval");
+
+    println!(
+        "\nper-draw kernel on ||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)\n\n{:>4} {:>6} {:>16} {:>18}",
+        "N", "tau", "proposal ns", "acceptance ns"
+    );
+    for (n, tau) in [
+        (8, Rat::new(1, 4)),
+        (16, Rat::new(1, 8)),
+        (32, Rat::new(1, 16)),
+    ] {
+        let (propose, accept) = kernel_ns(n, tau);
+        println!(
+            "{n:>4} {:>6} {propose:>16.1} {accept:>18.1}",
+            tau.to_string()
+        );
+    }
 }

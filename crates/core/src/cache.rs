@@ -106,17 +106,22 @@ impl AnswerCache {
     /// Looks up a key, counting the outcome in [`Self::hits`] /
     /// [`Self::misses`].
     pub fn get(&self, key: &str) -> Option<CachedAnswer> {
-        let found = self
-            .shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(key)
-            .cloned();
+        let found = self.peek(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         found
+    }
+
+    /// Looks up a key without counting it: for a second look at a key
+    /// whose counted lookup already missed.
+    pub fn peek(&self, key: &str) -> Option<CachedAnswer> {
+        self.shard(key)
+            .lock()
+            .expect("cache shard poisoned")
+            .get(key)
+            .cloned()
     }
 
     /// Stores an answer. Concurrent inserts of the same key are benign:

@@ -445,7 +445,18 @@ impl RandomWorlds {
     /// The second half of answering: runs the pipeline on a query
     /// [`Self::probe`] could not answer and, when it was probed against a
     /// cache, remembers the semantic answer under the probed key.
+    ///
+    /// The key is looked up once more first, uncounted: a duplicate
+    /// queued behind a miss that has been answered since is answered from
+    /// the cache instead of running the pipeline a second time.
     pub fn finish(&self, pending: PendingQuery) -> Result<Response, EngineError> {
+        let cached = self.cache.as_deref().zip(pending.key.as_deref());
+        if let Some((cache, key)) = cached {
+            let start = Instant::now();
+            if let Some(hit) = cache.peek(key) {
+                return Ok(Self::cached_response(hit, start));
+            }
+        }
         let response = self.run_pipeline(&pending.kb, &pending.query)?;
         if let (Some(cache), Some(key)) = (&self.cache, pending.key) {
             cache.insert(key, CachedAnswer::of(&response));

@@ -8,11 +8,25 @@
 //!   symbol), so proportion subtraction needs surrounding spaces;
 //! * approximate operators may carry a tolerance subscript (`~=_2`,
 //!   `<~_3`, `->_1`); omitting it defaults to tolerance index 1.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels: parentheses, negations,
+//! each quantified variable, proportion bodies and conditions, function
+//! arguments and right-nested `=>`. Deeper input is a positioned
+//! [`ParseError`] instead of a stack overflow in the parser. The cap
+//! does not cover flat `&`/`or` chains: the parser builds those with
+//! loops, but they come out left-deep, and a later pass that recurses
+//! over a very long chain can still exhaust a small stack.
 
 use crate::ast::{CmpOp, Formula, PropExpr, Term, TolId};
 use crate::vocab::{VarId, VocabError, Vocabulary};
 use rw_util::Rat;
 use std::fmt;
+
+/// The deepest nesting the parser accepts. Every formula in the bundled
+/// corpora nests at most three levels, and a nested level costs several
+/// recursive frames here and in every later pass over the formula, so
+/// the cap keeps even unoptimised builds far inside a 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parse failure, with a byte offset into the source string.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -276,6 +290,8 @@ struct Parser<'v> {
     pos: usize,
     vocab: &'v mut Vocabulary,
     end: usize,
+    /// Nesting levels entered so far ([`Parser::nested`]).
+    depth: usize,
 }
 
 impl<'v> Parser<'v> {
@@ -316,6 +332,32 @@ impl<'v> Parser<'v> {
         Err(ParseError::new(self.here(), msg.into()))
     }
 
+    /// Parses one nested production a level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        production: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.nested_by(1, production)
+    }
+
+    /// Parses a production that the caller wraps in `levels` nodes (a
+    /// quantifier wraps its body once per variable), refusing once the
+    /// total passes [`MAX_DEPTH`].
+    fn nested_by<T>(
+        &mut self,
+        levels: usize,
+        production: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth + levels > MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += levels;
+        let out = production(self);
+        self.depth -= levels;
+        out
+    }
+
     // formula := iff ( '->_i' iff )?
     fn formula(&mut self) -> Result<Formula, ParseError> {
         let prem = self.iff()?;
@@ -347,7 +389,7 @@ impl<'v> Parser<'v> {
     fn implies(&mut self) -> Result<Formula, ParseError> {
         let lhs = self.or()?;
         if self.eat(&Tok::Implies) {
-            let rhs = self.implies()?; // right associative
+            let rhs = self.nested(Self::implies)?; // right associative
             return Ok(Formula::implies(lhs, rhs));
         }
         Ok(lhs)
@@ -387,11 +429,11 @@ impl<'v> Parser<'v> {
         match self.peek() {
             Some(Tok::Bang) => {
                 self.bump();
-                Ok(Formula::not(self.unary()?))
+                Ok(Formula::not(self.nested(Self::unary)?))
             }
             Some(Tok::Ident(s)) if s == "not" => {
                 self.bump();
-                Ok(Formula::not(self.unary()?))
+                Ok(Formula::not(self.nested(Self::unary)?))
             }
             Some(Tok::Ident(s)) if s == "forall" || s == "exists" => self.quantifier(),
             _ => self.atom(),
@@ -421,7 +463,7 @@ impl<'v> Parser<'v> {
             return self.err("quantifier needs at least one variable");
         }
         self.expect(&Tok::LParen, "`(` after quantifier variables")?;
-        let body = self.formula()?;
+        let body = self.nested_by(vars.len(), Self::formula)?;
         self.expect(&Tok::RParen, "`)` closing quantifier body")?;
         let mut out = body;
         for &v in vars.iter().rev() {
@@ -442,7 +484,7 @@ impl<'v> Parser<'v> {
             Some(Tok::Number(_)) | Some(Tok::DoubleBar) => self.cmp_chain(),
             Some(Tok::LParen) => {
                 self.bump();
-                let f = self.formula()?;
+                let f = self.nested(Self::formula)?;
                 self.expect(&Tok::RParen, "`)`")?;
                 Ok(f)
             }
@@ -525,7 +567,7 @@ impl<'v> Parser<'v> {
             let mut args = Vec::new();
             if self.peek() != Some(&Tok::RParen) {
                 loop {
-                    args.push(self.term()?);
+                    args.push(self.nested(Self::term)?);
                     if !self.eat(&Tok::Comma) {
                         break;
                     }
@@ -623,15 +665,15 @@ impl<'v> Parser<'v> {
             }
             Some(Tok::LParen) => {
                 self.bump();
-                let e = self.propexpr()?;
+                let e = self.nested(Self::propexpr)?;
                 self.expect(&Tok::RParen, "`)` closing proportion expression")?;
                 Ok(e)
             }
             Some(Tok::DoubleBar) => {
                 self.bump();
-                let body = self.formula()?;
+                let body = self.nested(Self::formula)?;
                 let cond = if self.eat(&Tok::Bar) {
-                    Some(self.formula()?)
+                    Some(self.nested(Self::formula)?)
                 } else {
                     None
                 };
@@ -685,6 +727,7 @@ pub fn parse_formula(vocab: &mut Vocabulary, src: &str) -> Result<Formula, Parse
         pos: 0,
         vocab,
         end: src.len(),
+        depth: 0,
     };
     let f = p.formula()?;
     if p.pos != p.toks.len() {
@@ -701,6 +744,7 @@ pub fn parse_kb(vocab: &mut Vocabulary, src: &str) -> Result<Vec<Formula>, Parse
         pos: 0,
         vocab,
         end: src.len(),
+        depth: 0,
     };
     let mut out = Vec::new();
     loop {
@@ -888,6 +932,73 @@ mod tests {
         let mut v = Vocabulary::new();
         parse_formula(&mut v, "Likes(x, y)").unwrap();
         assert!(parse_formula(&mut v, "Likes(x)").is_err());
+    }
+
+    /// Parses `src` on a thread with a 2 MiB stack, the size of a server
+    /// worker's.
+    fn parse_on_small_stack(src: String) -> Result<Formula, ParseError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_formula(&mut Vocabulary::new(), &src))
+            .unwrap()
+            .join()
+            .expect("the parser overflowed a 2 MiB stack")
+    }
+
+    #[test]
+    fn deep_nesting_is_a_positioned_error_not_a_stack_overflow() {
+        let parens = format!("{}Hep(Eric){}", "(".repeat(1000), ")".repeat(1000));
+        let bangs = format!("{}Hep(Eric)", "!".repeat(10_000));
+        let terms = format!("P({}C{})", "F(".repeat(10_000), ")".repeat(10_000));
+        let nots = format!("{}P(C)", "not ".repeat(1000));
+        let implications = vec!["P(C)"; 1000].join(" => ");
+        let vars: Vec<String> = (0..5000).map(|i| format!("v{i}")).collect();
+        let quantified = format!("forall {} (P(C))", vars.join(", "));
+        let props = format!(
+            "{}||P(x)||_x{} ~=_1 0.5",
+            "(".repeat(1000),
+            ")".repeat(1000)
+        );
+        for src in [parens, bangs, terms, nots, implications, props, quantified] {
+            let head: String = src.chars().take(12).collect();
+            let err = parse_on_small_stack(src).unwrap_err();
+            assert!(
+                err.message.contains("nesting deeper than"),
+                "{head}…: {err}"
+            );
+            assert!(err.pos > 0, "{head}…: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_still_parses() {
+        // The cap's own levels, on the small stack: one for the parenthesis
+        // chain, the rest for the innermost `!`.
+        let src = format!(
+            "{}!Hep(Eric){}",
+            "(".repeat(MAX_DEPTH - 1),
+            ")".repeat(MAX_DEPTH - 1)
+        );
+        assert!(parse_on_small_stack(src).is_ok());
+        let over = format!(
+            "{}!Hep(Eric){}",
+            "(".repeat(MAX_DEPTH),
+            ")".repeat(MAX_DEPTH)
+        );
+        assert!(parse_on_small_stack(over).is_err());
+        let term = format!("P({}C{})", "F(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert!(parse_on_small_stack(term).is_ok());
+        // Each quantified variable is a level, counted with the nesting
+        // around it.
+        let vars = |k: usize| {
+            (0..k)
+                .map(|i| format!("v{i}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        assert!(parse_on_small_stack(format!("forall {} (P(C))", vars(MAX_DEPTH))).is_ok());
+        assert!(parse_on_small_stack(format!("forall {} (P(C))", vars(MAX_DEPTH + 1))).is_err());
+        assert!(parse_on_small_stack(format!("!forall {} (P(C))", vars(MAX_DEPTH))).is_err());
     }
 
     #[test]

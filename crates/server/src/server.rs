@@ -38,10 +38,12 @@
 //! answered there and then. Only a miss is admitted to the **bounded**
 //! queue, carrying its parsed query ([`rw_core::PendingQuery`]) so a
 //! worker runs just the pipeline ([`LoadedKb::finish`]); `sleep` test
-//! work is admitted too. When the queue is full the request is
-//! *rejected immediately* with a structured `overloaded` error —
-//! backpressure instead of unbounded buffering — so a hit is never
-//! refused and a miss may be. Answers flush in request order no matter
+//! work is admitted too. `finish` first looks the query's key up once
+//! more, uncounted, so a duplicate pipelined behind a miss that has
+//! been answered since is answered from the cache. When the queue is
+//! full the request is *rejected immediately* with a structured
+//! `overloaded` error — backpressure instead of unbounded buffering —
+//! so a hit is never refused and a miss may be. Answers flush in request order no matter
 //! how workers interleave, so a hit pipelined behind a slow miss waits
 //! for it. Inline answers are booked like worker answers: `stats`
 //! totals, the access log (`"queue_wait_us":0`) and the slow log.
@@ -387,9 +389,7 @@ impl Server {
                     // event loop, so the queue-wait child always nests
                     // inside it; stage spans come from the response trace
                     // after the answer span has closed. Only the slow log
-                    // reads spans, and a guard span reads the thread's CPU
-                    // clock from procfs twice (about 12 µs a read on a
-                    // 2-core VM), so without a slow log none is opened.
+                    // reads spans, so without a slow log none is opened.
                     let recorder = rw_obs::SpanRecorder::new(job.trace_id);
                     let started = Instant::now();
                     let answer = || match pending {

@@ -372,6 +372,85 @@ fn an_inline_cache_hit_waits_for_the_reply_ahead_of_it() {
     );
 }
 
+/// `answered` of stage `stage` in a `stats` response's `stages` array.
+fn stage_answered(c: &mut Client, stage: &str) -> Option<u64> {
+    let stats = Value::parse(&c.request_line(r#"{"op":"stats"}"#).unwrap()).unwrap();
+    let Some(Value::Arr(stages)) = stats.get("stages") else {
+        panic!("no stages array");
+    };
+    stages
+        .iter()
+        .find(|s| s.get("stage").and_then(Value::as_str) == Some(stage))
+        .and_then(|s| s.get("answered").and_then(Value::as_u64))
+}
+
+#[test]
+fn pipelined_duplicates_behind_a_miss_run_the_pipeline_once() {
+    // One worker, held by a sleep while eight copies of a maxent query are
+    // framed: every probe on the event loop misses. The first copy runs
+    // the pipeline; each copy behind it finds the answer on the worker's
+    // uncounted second look, and every reply keeps its place.
+    with_server(
+        ServerConfig {
+            threads: 1,
+            test_ops: true,
+            ..ServerConfig::default()
+        },
+        |addr| {
+            let mut c = Client::connect(*addr).unwrap();
+            let kb = "||Black(x) | Bird(x)||_x ~=_1 0.2; ||Bird(x)||_x ~=_2 0.1";
+            c.request_line(&format!(r#"{{"op":"load","kb":"birds","text":"{kb}"}}"#))
+                .unwrap();
+            c.send_line(r#"{"op":"sleep","ms":300}"#).unwrap();
+            for _ in 0..8 {
+                c.send_line(&query_line("birds", "Black(Clyde)")).unwrap();
+            }
+            assert_eq!(c.recv_line().unwrap(), r#"{"ok":true,"op":"sleep"}"#);
+            let belief = |line: &str| {
+                let v = Value::parse(line).unwrap();
+                v.get("belief")
+                    .and_then(|b| b.get("value"))
+                    .and_then(Value::as_f64)
+            };
+            let first = c.recv_line().unwrap();
+            assert!(first.contains(r#""cache_hit":false"#), "{first}");
+            assert!(first.contains("maximum entropy"), "{first}");
+            for i in 1..8 {
+                let line = c.recv_line().unwrap();
+                assert!(line.contains(r#""query":"Black(Clyde)""#), "{line}");
+                assert!(line.contains(r#""cache_hit":true"#), "{i}: {line}");
+                assert_eq!(belief(&line), belief(&first), "{i}: {line}");
+            }
+            assert_eq!(stage_answered(&mut c, "maxent"), Some(1));
+            assert_eq!(stage_answered(&mut c, "cache"), Some(7));
+            // The eight probes are the only counted lookups.
+            let (queries, cache) = stats(&mut c);
+            assert_eq!(queries.get("answered").and_then(Value::as_u64), Some(8));
+            assert_eq!(cache.get("hits").and_then(Value::as_u64), Some(0));
+            assert_eq!(cache.get("misses").and_then(Value::as_u64), Some(8));
+        },
+    );
+}
+
+#[test]
+fn a_deeply_nested_query_is_a_parse_error_and_the_connection_lives_on() {
+    // Deep enough to overflow a worker's stack without the parser's
+    // nesting cap, yet far below the line limit.
+    with_server(config(), |addr| {
+        let mut c = Client::connect(addr).unwrap();
+        c.request_line(&load_line("med")).unwrap();
+        let deep = format!("{}Hep(Eric){}", "(".repeat(1000), ")".repeat(1000));
+        let bangs = format!("{}Hep(Eric)", "!".repeat(10_000));
+        for query in [deep, bangs] {
+            let line = c.request_line(&query_line("med", &query)).unwrap();
+            assert!(line.contains(r#""ok":false"#), "{line}");
+            assert!(line.contains("nesting deeper than"), "{line}");
+        }
+        let fine = c.request_line(&query_line("med", "Hep(Eric)")).unwrap();
+        assert!(fine.contains(r#""value":0.8"#), "{fine}");
+    });
+}
+
 #[test]
 fn oversized_lines_are_answered_and_resynced_not_buffered() {
     with_server(config(), |addr| {

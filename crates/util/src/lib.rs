@@ -30,4 +30,4 @@ pub use compositions::Compositions;
 pub use logweight::LogWeight;
 pub use partitions::SetPartitions;
 pub use rat::Rat;
-pub use rng::{Rng, StdRng};
+pub use rng::{Below, Rng, StdRng};

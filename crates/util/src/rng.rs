@@ -27,14 +27,51 @@ pub trait Rng {
     /// A uniform draw from `range` (which must be non-empty).
     fn gen_range(&mut self, range: std::ops::Range<usize>) -> usize {
         assert!(range.start < range.end, "gen_range over empty range");
-        let span = (range.end - range.start) as u64;
-        // Rejection sampling over the largest multiple of `span` avoids
-        // modulo bias; the loop rejects < 1 draw on average.
-        let zone = u64::MAX - (u64::MAX % span);
+        range.start + Below::new(range.end - range.start).sample(self)
+    }
+}
+
+/// A uniform draw from `0..n` with its rejection zone computed once.
+///
+/// [`Rng::gen_range`] builds one per call; a sampler drawing many
+/// elements below the same `n` keeps one and skips the two 64-bit
+/// divisions. Both consume the same words and return the same values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Below {
+    span: u64,
+    /// The largest multiple of `span` not above `u64::MAX`: words at or
+    /// past it are rejected, which avoids modulo bias (less than one
+    /// rejection per draw on average).
+    zone: u64,
+    /// `span − 1` when `span` is a power of two above 1 (the reduction is
+    /// then a mask), 0 otherwise.
+    mask: u64,
+}
+
+impl Below {
+    /// The sampler for `0..n` (`n` must be positive).
+    pub fn new(n: usize) -> Below {
+        assert!(n > 0, "uniform draw below 0");
+        let span = n as u64;
+        Below {
+            span,
+            zone: u64::MAX - (u64::MAX % span),
+            mask: if span.is_power_of_two() { span - 1 } else { 0 },
+        }
+    }
+
+    /// One draw: the first word below the zone, reduced modulo `n`.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         loop {
-            let v = self.next_u64();
-            if v < zone {
-                return range.start + (v % span) as usize;
+            let v = rng.next_u64();
+            if v < self.zone {
+                let reduced = if self.mask != 0 {
+                    v & self.mask
+                } else {
+                    v % self.span
+                };
+                return reduced as usize;
             }
         }
     }
@@ -65,6 +102,7 @@ impl StdRng {
 }
 
 impl Rng for StdRng {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -117,6 +155,31 @@ mod tests {
         for c in counts {
             let p = c as f64 / 50_000.0;
             assert!((p - 0.2).abs() < 0.02, "{counts:?}");
+        }
+    }
+
+    #[test]
+    fn below_matches_the_division_form_word_for_word() {
+        // The mask and the precomputed zone must reproduce `v % n` with
+        // the zone computed per call, rejections included.
+        for n in [1usize, 2, 3, 7, 8, 32, 33, 1 << 40, (1 << 63) + 1] {
+            let below = Below::new(n);
+            let (mut a, mut b) = (
+                StdRng::seed_from_u64(n as u64),
+                StdRng::seed_from_u64(n as u64),
+            );
+            for _ in 0..2000 {
+                let span = n as u64;
+                let zone = u64::MAX - (u64::MAX % span);
+                let expect = loop {
+                    let v = b.next_u64();
+                    if v < zone {
+                        break (v % span) as usize;
+                    }
+                };
+                assert_eq!(below.sample(&mut a), expect, "n = {n}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "n = {n}: streams diverged");
         }
     }
 }

@@ -20,15 +20,18 @@
 //!
 //! The same program also runs two-valued under a *full* assignment
 //! ([`Program::holds`]): that is the Monte-Carlo acceptance check in
-//! [`crate::mc`], with proportions kept as integer counts and every
-//! comparison decided by cross-multiplication.
+//! [`crate::mc`], run once per draw. Proportions stay integer counts; a
+//! proportion whose every instance reads a static bit (or its negation)
+//! is also compiled to slot tables and summed without a branch on any
+//! bit. Each comparison's tolerance is resolved here, once, and decided
+//! by cross-multiplication on the unreduced counts.
 //!
 //! Semantics are mirrored from [`crate::eval::Evaluator`] exactly —
 //! including the measure-zero convention (comparisons touching an
 //! undefined conditional proportion hold vacuously) — so a compiled
 //! count always equals the oracle count.
 
-use crate::eval::decide;
+use crate::eval::{decide_at, tolerance};
 use crate::world::World;
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
 use rw_logic::{PredId, Tolerances, Vocabulary};
@@ -209,9 +212,12 @@ pub(crate) enum CNode {
     And(Vec<u32>),
     Or(Vec<u32>),
     Iff(u32, u32),
+    /// `lhs op rhs`, with `op`'s tolerance resolved at compile time
+    /// (zero for the exact operators, which do not read it).
     Cmp {
         lhs: u32,
         op: CmpOp,
+        tau: Rat,
         rhs: u32,
     },
 }
@@ -223,6 +229,52 @@ pub(crate) enum CNode {
 pub(crate) struct CountInst {
     pub(crate) body: u32,
     pub(crate) cond: u32,
+}
+
+/// A predicate bit a count instance reads directly: its value is
+/// `slots[slot] ^ flip`, with `flip = 1` for a negated atom.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StaticBit {
+    slot: usize,
+    flip: usize,
+}
+
+impl StaticBit {
+    #[inline]
+    fn read(self, slots: &[usize]) -> usize {
+        (slots[self.slot] == 1) as usize ^ self.flip
+    }
+}
+
+/// The instances of a count whose body and condition are all static
+/// bits, as slot tables: [`Program::holds`] sums them with no branch on
+/// any bit.
+#[derive(Clone, Debug)]
+pub(crate) struct BitCount {
+    /// Body bits of the instances whose condition is statically true
+    /// (every instance of an unconditional count).
+    bodies: Vec<StaticBit>,
+    /// `(condition, body)` bits of the other instances.
+    pairs: Vec<(StaticBit, StaticBit)>,
+}
+
+impl BitCount {
+    /// `(body, condition)` counts over the table's instances: an
+    /// instance adds to the body count only where its condition holds.
+    #[inline]
+    fn counts(&self, slots: &[usize]) -> (usize, usize) {
+        let mut body = 0;
+        for b in &self.bodies {
+            body += b.read(slots);
+        }
+        let mut cond = self.bodies.len();
+        for &(c, b) in &self.pairs {
+            let c = c.read(slots);
+            cond += c;
+            body += c & b.read(slots);
+        }
+        (body, cond)
+    }
 }
 
 /// A compiled proportion expression.
@@ -239,6 +291,9 @@ pub(crate) enum CProp {
         conditional: bool,
         /// `n^k`, the unconditional denominator.
         total: i128,
+        /// `insts` as slot tables, when every instance reads static bits
+        /// only; `None` sends [`Program::holds`] through the instances.
+        bits: Option<BitCount>,
     },
     Add(u32, u32),
     Sub(u32, u32),
@@ -273,7 +328,6 @@ pub struct Program {
     /// descending occurrence count, then by slot index — deterministic).
     pub(crate) branch_order: Vec<u32>,
     pub(crate) units: Vec<Unit>,
-    pub(crate) tol: Tolerances,
 }
 
 impl Program {
@@ -290,6 +344,7 @@ impl Program {
         let mut c = Compiler {
             layout,
             n,
+            tol,
             terms: Vec::new(),
             nodes: Vec::new(),
             props: Vec::new(),
@@ -304,7 +359,6 @@ impl Program {
             root,
             branch_order: Vec::new(),
             units: Vec::new(),
-            tol: tol.clone(),
         };
         prog.finish();
         Some(prog)
@@ -494,11 +548,11 @@ fn to_rat((num, den): Pair) -> Rat {
     Rat::new(num, den)
 }
 
-/// `l ⋈ r` under `tol`, decided by exact cross-multiplication on the
-/// unreduced fractions. On `i128` overflow it falls back to [`Rat`],
-/// whose reduced operands are exactly what the tree-walking evaluator
-/// compares, so both paths always agree.
-fn compare(l: Pair, op: CmpOp, r: Pair, tol: &Tolerances) -> bool {
+/// `l ⋈ r` under tolerance `tau` (resolved from `op`), decided by exact
+/// cross-multiplication on the unreduced fractions. On `i128` overflow it
+/// falls back to [`Rat`], whose reduced operands are exactly what the
+/// tree-walking evaluator compares, so both paths always agree.
+fn compare(l: Pair, op: CmpOp, tau: Rat, r: Pair) -> bool {
     // `l − r = diff / den` with `den > 0`, so `|l − r| ≤ τ` is
     // `|diff| · τ.den ≤ τ.num · den`, and likewise without the `| |`.
     let exact = || -> Option<bool> {
@@ -506,8 +560,7 @@ fn compare(l: Pair, op: CmpOp, r: Pair, tol: &Tolerances) -> bool {
         Some(match op {
             CmpOp::Eq => diff == 0,
             CmpOp::Leq => diff <= 0,
-            CmpOp::ApproxEq(t) | CmpOp::ApproxLeq(t) => {
-                let tau = tol.get(t);
+            CmpOp::ApproxEq(_) | CmpOp::ApproxLeq(_) => {
                 let den = l.1.checked_mul(r.1)?;
                 let gap = match op {
                     CmpOp::ApproxEq(_) => diff.checked_abs()?,
@@ -517,7 +570,7 @@ fn compare(l: Pair, op: CmpOp, r: Pair, tol: &Tolerances) -> bool {
             }
         })
     };
-    exact().unwrap_or_else(|| decide(to_rat(l), op, to_rat(r), tol))
+    exact().unwrap_or_else(|| decide_at(to_rat(l), op, to_rat(r), tau))
 }
 
 /// `l ∘ r` on unreduced fractions in checked `i128`, falling back to the
@@ -584,9 +637,9 @@ impl Program {
             CNode::And(children) => children.iter().all(|&ch| self.node_holds(ch, slots)),
             CNode::Or(children) => children.iter().any(|&ch| self.node_holds(ch, slots)),
             CNode::Iff(a, b) => self.node_holds(*a, slots) == self.node_holds(*b, slots),
-            CNode::Cmp { lhs, op, rhs } => {
+            CNode::Cmp { lhs, op, tau, rhs } => {
                 match (self.prop_value(*lhs, slots), self.prop_value(*rhs, slots)) {
-                    (Some(l), Some(r)) => compare(l, *op, r, &self.tol),
+                    (Some(l), Some(r)) => compare(l, *op, *tau, r),
                     // The measure-zero convention: a comparison touching
                     // an undefined conditional proportion holds vacuously.
                     _ => true,
@@ -604,12 +657,19 @@ impl Program {
                 base_cond,
                 conditional,
                 total,
+                bits,
             } => {
                 let (mut body, mut cond) = (*base_body, *base_cond);
-                for inst in insts {
-                    if inst.cond == NO_NODE || self.child_holds(inst.cond, slots) {
-                        cond += 1;
-                        body += self.child_holds(inst.body, slots) as i128;
+                if let Some(bits) = bits {
+                    let (b, c) = bits.counts(slots);
+                    body += b as i128;
+                    cond += c as i128;
+                } else {
+                    for inst in insts {
+                        if inst.cond == NO_NODE || self.child_holds(inst.cond, slots) {
+                            cond += 1;
+                            body += self.child_holds(inst.body, slots) as i128;
+                        }
                     }
                 }
                 match (*conditional, cond) {
@@ -650,9 +710,11 @@ impl Program {
     }
 }
 
-struct Compiler {
+struct Compiler<'t> {
     layout: SlotLayout,
     n: usize,
+    /// Resolves each comparison's tolerance once, at compile time.
+    tol: &'t Tolerances,
     terms: Vec<CTerm>,
     nodes: Vec<CNode>,
     props: Vec<CProp>,
@@ -661,7 +723,7 @@ struct Compiler {
     env: Vec<Option<usize>>,
 }
 
-impl Compiler {
+impl Compiler<'_> {
     fn push_term(&mut self, t: CTerm) -> u32 {
         self.terms.push(t);
         (self.terms.len() - 1) as u32
@@ -707,6 +769,35 @@ impl Compiler {
                 })
             }
         }
+    }
+
+    /// The bit node `id` reads when it is a static atom or its negation.
+    fn static_bit(&self, id: u32) -> Option<StaticBit> {
+        match self.nodes[id as usize] {
+            CNode::Lit { slot } => Some(StaticBit { slot, flip: 0 }),
+            CNode::Not(g) => match self.nodes[g as usize] {
+                CNode::Lit { slot } => Some(StaticBit { slot, flip: 1 }),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// The slot tables of a count whose instances all read static bits.
+    fn bit_count(&self, insts: &[CountInst]) -> Option<BitCount> {
+        let mut table = BitCount {
+            bodies: Vec::new(),
+            pairs: Vec::new(),
+        };
+        for inst in insts {
+            let body = self.static_bit(inst.body)?;
+            if inst.cond == NO_NODE {
+                table.bodies.push(body);
+            } else {
+                table.pairs.push((self.static_bit(inst.cond)?, body));
+            }
+        }
+        Some(table)
     }
 
     fn static_elem(&self, t: u32) -> Option<usize> {
@@ -847,6 +938,7 @@ impl Compiler {
                 self.push_node(CNode::Cmp {
                     lhs: cl,
                     op: *op,
+                    tau: tolerance(*op, self.tol),
                     rhs: cr,
                 })
             }
@@ -933,12 +1025,14 @@ impl Compiler {
                 for (v, s) in vars.iter().zip(saved) {
                     self.env[v.index()] = s;
                 }
+                let bits = self.bit_count(&insts);
                 self.push_prop(CProp::Count {
                     insts,
                     base_body,
                     base_cond,
                     conditional: cond.is_some(),
                     total,
+                    bits,
                 })
             }
         }
@@ -1033,7 +1127,12 @@ mod tests {
 
     /// `compare` must decide exactly what `Rat` decides.
     fn rat_decision(l: Pair, op: CmpOp, r: Pair, tol: &Tolerances) -> bool {
-        decide(to_rat(l), op, to_rat(r), tol)
+        crate::eval::decide(to_rat(l), op, to_rat(r), tol)
+    }
+
+    /// [`compare`] under `op`'s tolerance in `tol`.
+    fn compare_under(l: Pair, op: CmpOp, r: Pair, tol: &Tolerances) -> bool {
+        compare(l, op, tolerance(op, tol), r)
     }
 
     #[test]
@@ -1045,21 +1144,37 @@ mod tests {
         let alpha = (1, 2);
         for (b, within) in [(6, true), (4, true), (7, false), (3, false), (5, true)] {
             // `≈` is symmetric: the count on either side.
-            assert_eq!(compare((b, 10), eq, alpha, &tol), within, "{b}/10 ≈ 1/2");
-            assert_eq!(compare(alpha, eq, (b, 10), &tol), within, "1/2 ≈ {b}/10");
+            assert_eq!(
+                compare_under((b, 10), eq, alpha, &tol),
+                within,
+                "{b}/10 ≈ 1/2"
+            );
+            assert_eq!(
+                compare_under(alpha, eq, (b, 10), &tol),
+                within,
+                "1/2 ≈ {b}/10"
+            );
         }
         // Count on the left: b/d − α ≤ τ.
         for (b, holds) in [(6, true), (7, false), (0, true), (10, false)] {
-            assert_eq!(compare((b, 10), leq, alpha, &tol), holds, "{b}/10 ⪯ 1/2");
+            assert_eq!(
+                compare_under((b, 10), leq, alpha, &tol),
+                holds,
+                "{b}/10 ⪯ 1/2"
+            );
         }
         // Count on the right: α − b/d ≤ τ.
         for (b, holds) in [(4, true), (3, false), (10, true), (0, false)] {
-            assert_eq!(compare(alpha, leq, (b, 10), &tol), holds, "1/2 ⪯ {b}/10");
+            assert_eq!(
+                compare_under(alpha, leq, (b, 10), &tol),
+                holds,
+                "1/2 ⪯ {b}/10"
+            );
         }
         for b in 0..=10 {
             for op in [eq, leq, CmpOp::Eq, CmpOp::Leq] {
                 for (l, r) in [((b, 10), alpha), (alpha, (b, 10))] {
-                    assert_eq!(compare(l, op, r, &tol), rat_decision(l, op, r, &tol));
+                    assert_eq!(compare_under(l, op, r, &tol), rat_decision(l, op, r, &tol));
                 }
             }
         }
@@ -1081,12 +1196,12 @@ mod tests {
             CmpOp::Leq,
         ] {
             for (l, r) in [(big, tiny), (tiny, big), (one_a, one_b)] {
-                assert_eq!(compare(l, op, r, &tol), rat_decision(l, op, r, &tol));
+                assert_eq!(compare_under(l, op, r, &tol), rat_decision(l, op, r, &tol));
             }
         }
-        assert!(compare(one_a, CmpOp::Eq, one_b, &tol));
-        assert!(!compare(big, CmpOp::Leq, tiny, &tol));
-        assert!(compare(tiny, CmpOp::ApproxLeq(TolId(1)), big, &tol));
+        assert!(compare_under(one_a, CmpOp::Eq, one_b, &tol));
+        assert!(!compare_under(big, CmpOp::Leq, tiny, &tol));
+        assert!(compare_under(tiny, CmpOp::ApproxLeq(TolId(1)), big, &tol));
     }
 
     #[test]

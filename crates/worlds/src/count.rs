@@ -32,7 +32,7 @@
 //! any thread count.
 
 use crate::compile::{CNode, CProp, CTerm, CountInst, Program, NO_NODE};
-use crate::eval::decide;
+use crate::eval::decide_at;
 use rw_util::{par, Rat};
 
 /// Default cap on visited search nodes (branch-and-count visits far
@@ -280,7 +280,7 @@ impl<'p> Search<'p> {
                 (Tri::Unknown, _) | (_, Tri::Unknown) => Tri::Unknown,
                 (x, y) => Tri::from(x == y),
             },
-            CNode::Cmp { lhs, op, rhs } => {
+            CNode::Cmp { lhs, op, tau, rhs } => {
                 let l = self.eval_prop(*lhs);
                 let r = self.eval_prop(*rhs);
                 // The measure-zero convention: a comparison touching an
@@ -288,7 +288,7 @@ impl<'p> Search<'p> {
                 // matter what the other side is.
                 match (l, r) {
                     (PropKnow::Undef, _) | (_, PropKnow::Undef) => Tri::True,
-                    (PropKnow::Def(a), PropKnow::Def(b)) => Tri::from(decide(a, *op, b, &prog.tol)),
+                    (PropKnow::Def(a), PropKnow::Def(b)) => Tri::from(decide_at(a, *op, b, *tau)),
                     _ => Tri::Unknown,
                 }
             }
@@ -336,6 +336,7 @@ impl<'p> Search<'p> {
                 base_cond,
                 conditional,
                 total,
+                ..
             } => self.eval_count(insts, *base_body, *base_cond, *conditional, *total),
         };
         if v != PropKnow::Unknown {

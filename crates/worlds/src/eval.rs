@@ -268,9 +268,24 @@ impl<'a> Evaluator<'a> {
 /// `a ⋈ b` for two defined proportion values under `tol`, decided
 /// exactly — the comparison semantics every counting engine shares.
 pub(crate) fn decide(a: Rat, op: CmpOp, b: Rat, tol: &Tolerances) -> bool {
+    decide_at(a, op, b, tolerance(op, tol))
+}
+
+/// The tolerance `op` compares under: `τ_i` for `≈_i` and `⪯_i`, zero
+/// (and unread) for the exact operators.
+pub(crate) fn tolerance(op: CmpOp, tol: &Tolerances) -> Rat {
     match op {
-        CmpOp::ApproxEq(t) => a.approx_eq(b, tol.get(t)),
-        CmpOp::ApproxLeq(t) => a.approx_leq(b, tol.get(t)),
+        CmpOp::ApproxEq(t) | CmpOp::ApproxLeq(t) => tol.get(t),
+        CmpOp::Eq | CmpOp::Leq => Rat::ZERO,
+    }
+}
+
+/// [`decide`] with `op`'s tolerance already resolved to `tau`
+/// ([`tolerance`]), for compiled programs that look it up once.
+pub(crate) fn decide_at(a: Rat, op: CmpOp, b: Rat, tau: Rat) -> bool {
+    match op {
+        CmpOp::ApproxEq(_) => a.approx_eq(b, tau),
+        CmpOp::ApproxLeq(_) => a.approx_leq(b, tau),
         CmpOp::Eq => a == b,
         CmpOp::Leq => a <= b,
     }

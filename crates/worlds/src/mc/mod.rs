@@ -13,10 +13,17 @@
 //! * **KB-aware proposals** ([`plan::SamplePlan`]): asserted ground facts
 //!   are forced, unary statistical constraints are sampled at their
 //!   nominal rates, and importance weights keep the estimator exact.
-//! * **A compiled acceptance kernel**: each draw is a flat slot vector in
-//!   [`crate::SlotLayout`] order, and the KB and query are lowered once
-//!   per sweep point into [`crate::Program`]s checked with
-//!   [`crate::Program::holds`] — integer counts, no per-draw gcds.
+//! * **A compiled, stream-identical kernel**: each draw is a flat slot
+//!   vector in [`crate::SlotLayout`] order, written by the plan bound to
+//!   that layout ([`plan::Proposal`]: integer-threshold coins, fair bits
+//!   read off the word's top bit, no multiply by a neutral weight
+//!   factor). The KB and query are lowered once per sweep point into
+//!   [`crate::Program`]s checked with [`crate::Program::holds`] —
+//!   integer counts summed from slot tables, no per-draw gcds. Every
+//!   draw consumes the same RNG words, makes the same accept decision
+//!   and multiplies the same weight factors in the same order as the
+//!   tree-walking sampler the kernel replaced, so tallies match bit for
+//!   bit (`tests/mc_pinned.rs`).
 //! * **Adaptive stopping** ([`estimate_point`]): draws proceed in fixed
 //!   chunks and stop as soon as the 95% Wilson half-width undercuts the
 //!   configured target, under a hard sample cap.
@@ -32,7 +39,7 @@ pub mod plan;
 pub mod stats;
 mod workers;
 
-pub use plan::SamplePlan;
+pub use plan::{Proposal, SamplePlan};
 pub use stats::{extrapolate, extrapolate_half_width, wilson_half_width, Tally, Z_95};
 
 use crate::compile::Program;
@@ -158,11 +165,12 @@ fn estimate_point_planned(
         Program::compile(kb.vocab(), n, &tol, f).expect("world space overflows usize")
     };
     let (kb_program, query_program) = (compile(&kb.as_formula()), compile(query));
+    let proposal = plan.proposal(kb_program.layout());
     let chunk_size = cfg.chunk.max(1);
     let ctx = ChunkCtx {
         kb: &kb_program,
         query: &query_program,
-        plan,
+        proposal: &proposal,
         seed: cfg.seed,
         chunk_size,
         cap,

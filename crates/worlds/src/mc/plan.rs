@@ -33,8 +33,9 @@
 use crate::compile::SlotLayout;
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
 use rw_logic::{analysis, KnowledgeBase, PredId};
-use rw_util::{Rng, StdRng};
+use rw_util::{Below, Rng, StdRng};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Proposal biases are clamped into `[MIN_BIAS, 1 - MIN_BIAS]` so the
 /// proposal's support covers every world (a hard 0/1 bias would assign
@@ -42,35 +43,65 @@ use std::collections::BTreeMap;
 /// tolerance band, biasing the estimator).
 const MIN_BIAS: f64 = 0.05;
 
-/// A biased coin with its importance-weight factors precomputed: a bit
-/// drawn `false` multiplies the weight by `factor[0] = 0.5 / (1 − p)`, a
-/// `true` bit by `factor[1] = 0.5 / p`. Both are the quotients the
-/// per-bit division used to produce, so weights stay bit-identical; a
-/// fair coin's factors are exactly `1.0`, which leave a weight unchanged.
+/// `2⁵³`: a coin reads the top 53 bits of a word as the integer `k` of
+/// the dyadic uniform `k · 2⁻⁵³` that [`Rng::gen_bool`] compares.
+const TWO_53: f64 = (1u64 << 53) as f64;
+
+/// A biased coin with its decision threshold and importance-weight
+/// factors precomputed.
+///
+/// [`Rng::gen_bool`] returns `k · 2⁻⁵³ < p` for `k = word >> 11`. Both
+/// sides scale exactly by `2⁵³`, and `k` is an integer, so that is
+/// `k < ⌈p · 2⁵³⌉`: an integer compare with no float conversion. A bit
+/// drawn `false` multiplies the weight by `0.5 / (1 − p)`, a `true` bit
+/// by `0.5 / p`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Coin {
     p: f64,
-    factor: [f64; 2],
+    threshold: u64,
+    /// The bits of the `false` factor.
+    tails: u64,
+    /// `tails ^ heads`: the bits that differ in the `true` factor.
+    flip: u64,
 }
 
 impl Coin {
-    const FAIR: Coin = Coin {
-        p: 0.5,
-        factor: [1.0, 1.0],
-    };
-
     fn new(p: f64) -> Coin {
+        let (tails, heads) = ((0.5 / (1.0 - p)).to_bits(), (0.5 / p).to_bits());
         Coin {
             p,
-            factor: [0.5 / (1.0 - p), 0.5 / p],
+            threshold: (p * TWO_53).ceil() as u64,
+            tails,
+            flip: tails ^ heads,
         }
+    }
+
+    /// All ones when the coin shows heads on `word`, zero for tails:
+    /// the sign of `k − threshold`, which cannot wrap since both are
+    /// below `2⁵⁴`. An arithmetic mask rather than a compare keeps the
+    /// bit and its factor branch-free: the bits are random, so a branch
+    /// would mispredict on a large share of them.
+    #[inline]
+    fn heads(&self, word: u64) -> u64 {
+        (((word >> 11) as i64).wrapping_sub(self.threshold as i64) >> 63) as u64
+    }
+
+    /// Draws one bit from `word` into `bit` and multiplies its factor
+    /// into `weight`.
+    #[inline]
+    fn toss(&self, word: u64, bit: &mut usize, weight: &mut f64) {
+        let heads = self.heads(word);
+        *bit = (heads & 1) as usize;
+        *weight *= f64::from_bits(self.tails ^ (self.flip & heads));
     }
 }
 
 /// How one predicate's bits are proposed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum BitRule {
-    /// Fair coin (weight-neutral).
+    /// Fair coin (weight-neutral): the bit is `true` exactly when the
+    /// word's top bit is clear, which is `gen_bool(0.5)`, and its weight
+    /// factor `1.0` is never multiplied in.
     Uniform,
     /// The same coin for every bit.
     Base(Coin),
@@ -258,8 +289,129 @@ impl SamplePlan {
         self.forced.is_empty() && self.biased_preds() == 0
     }
 
+    /// The plan bound to `layout`: bit ranges, coin thresholds and the
+    /// element sampler resolved once, so a draw looks nothing up.
+    pub fn proposal(&self, layout: &SlotLayout) -> Proposal {
+        let preds = self
+            .order
+            .iter()
+            .map(|&pi| {
+                let bits = layout.pred_range(pi);
+                let on = match self.rules[pi] {
+                    BitRule::Cond { on, .. } => layout.pred_range(on.index()).start,
+                    _ => bits.start,
+                };
+                let forced = self
+                    .forced
+                    .iter()
+                    .filter(|lit| lit.pred.index() == pi)
+                    .map(|lit| ForcedBit {
+                        args: lit.args.iter().map(|&c| layout.const_slot(c)).collect(),
+                        value: lit.value,
+                    })
+                    .collect();
+                PredBits {
+                    bits,
+                    rule: self.rules[pi],
+                    on,
+                    forced,
+                }
+            })
+            .collect();
+        Proposal {
+            n: layout.n(),
+            element: Below::new(layout.n()),
+            consts: layout.const_slots(),
+            funcs: layout.func_slots(),
+            preds,
+        }
+    }
+}
+
+/// One forced literal under a layout: the slots of its argument
+/// constants and the value its bit takes.
+#[derive(Clone, Debug)]
+struct ForcedBit {
+    args: Vec<usize>,
+    value: bool,
+}
+
+/// One predicate's bits under a layout and the rule that proposes them.
+#[derive(Clone, Debug)]
+struct PredBits {
+    bits: Range<usize>,
+    rule: BitRule,
+    /// The first bit of a conditional rule's `on` predicate.
+    on: usize,
+    /// The KB's ground literals on this predicate.
+    forced: Vec<ForcedBit>,
+}
+
+impl PredBits {
+    /// Draws the free bits `run` (within [`Self::bits`]), one word each,
+    /// multiplying each biased bit's factor into `weight` in slot order.
+    #[inline]
+    fn draw_run(&self, run: Range<usize>, slots: &mut [usize], weight: &mut f64, rng: &mut StdRng) {
+        // A local generator and weight stay in registers: nothing in the
+        // loops can observe them before they are stored back.
+        let (mut local, mut w) = (rng.clone(), *weight);
+        match self.rule {
+            BitRule::Uniform => {
+                for bit in &mut slots[run] {
+                    *bit = ((local.next_u64() >> 63) ^ 1) as usize;
+                }
+            }
+            BitRule::Base(coin) => {
+                for bit in &mut slots[run] {
+                    coin.toss(local.next_u64(), bit, &mut w);
+                }
+            }
+            BitRule::Cond { then, els, .. } => {
+                let coins = [els, then];
+                // The `on` predicate's bits of the same elements.
+                let start = self.on + (run.start - self.bits.start);
+                let (given, out) = split_read_write(slots, start..start + run.len(), run);
+                for (bit, &on) in out.iter_mut().zip(given) {
+                    coins[on & 1].toss(local.next_u64(), bit, &mut w);
+                }
+            }
+        }
+        *rng = local;
+        *weight = w;
+    }
+}
+
+/// Borrows `read` shared and `write` mutably from one slice; the two
+/// ranges must not overlap (they are bits of different predicates).
+fn split_read_write(
+    slots: &mut [usize],
+    read: Range<usize>,
+    write: Range<usize>,
+) -> (&[usize], &mut [usize]) {
+    if read.end <= write.start {
+        let (lo, hi) = slots.split_at_mut(write.start);
+        (&lo[read], &mut hi[..write.len()])
+    } else {
+        debug_assert!(write.end <= read.start, "overlapping ranges");
+        let (lo, hi) = slots.split_at_mut(read.start);
+        (&hi[..read.len()], &mut lo[write])
+    }
+}
+
+/// A [`SamplePlan`] bound to one [`SlotLayout`] ([`SamplePlan::proposal`]).
+#[derive(Clone, Debug)]
+pub struct Proposal {
+    n: usize,
+    element: Below,
+    consts: Range<usize>,
+    funcs: Range<usize>,
+    /// Predicates in the plan's dependency order.
+    preds: Vec<PredBits>,
+}
+
+impl Proposal {
     /// Draws one world from the proposal into `slots`, a full assignment
-    /// in `layout`'s order (every slot is rewritten). Returns the draw's
+    /// in the layout's order (every slot is rewritten). Returns the draw's
     /// importance weight relative to the uniform distribution, or `None`
     /// when the drawn constant denotations make the forced literals
     /// contradictory (no world with those denotations satisfies the KB —
@@ -267,11 +419,11 @@ impl SamplePlan {
     /// draws.
     ///
     /// The random stream is fixed: constants, then function entries,
-    /// then predicate bits in dependency order, one call each, with
-    /// forced bits taking none.
+    /// then predicate bits in dependency order, one word each (elements
+    /// may reject words, as [`Rng::gen_range`] does), with forced bits
+    /// taking none. Weight factors are multiplied in the same order.
     pub fn draw(
         &self,
-        layout: &SlotLayout,
         slots: &mut [usize],
         forced: &mut Vec<(usize, bool)>,
         stream: &mut StdRng,
@@ -280,57 +432,51 @@ impl SamplePlan {
         // `&mut` would have to be written back before every bounds check
         // that could unwind, which costs more than the bits themselves.
         let mut rng = stream.clone();
-        let n = layout.n();
-        for s in layout.const_slots().chain(layout.func_slots()) {
-            slots[s] = rng.gen_range(0..n);
+        for s in self.consts.clone().chain(self.funcs.clone()) {
+            slots[s] = self.element.sample(&mut rng);
         }
-        // Forced bits under this draw's constant denotations, sorted and
-        // deduplicated by slot; an opposite-valued collision is a
-        // structural rejection.
+        // Forced bits under this draw's constant denotations, one group
+        // per predicate in draw order, each sorted by slot. Equal slots
+        // with opposite values are a structural rejection.
         forced.clear();
-        for lit in &self.forced {
-            let idx = lit
-                .args
-                .iter()
-                .fold(0, |idx, &c| idx * n + slots[layout.const_slot(c)]);
-            forced.push((layout.pred_slot(lit.pred.index(), idx), lit.value));
-        }
-        forced.sort_unstable();
-        forced.dedup();
-        if forced.windows(2).any(|pair| pair[0].0 == pair[1].0) {
-            *stream = rng;
-            return None; // same bit forced both ways
+        for pred in &self.preds {
+            let group = forced.len();
+            for lit in &pred.forced {
+                let idx = lit.args.iter().fold(0, |idx, &c| idx * self.n + slots[c]);
+                forced.push((pred.bits.start + idx, lit.value));
+                // Insertion sort: a group holds a handful of literals.
+                let mut i = forced.len() - 1;
+                while i > group && forced[i - 1] > forced[i] {
+                    forced.swap(i - 1, i);
+                    i -= 1;
+                }
+            }
+            if forced[group..]
+                .windows(2)
+                .any(|pair| pair[0].0 == pair[1].0 && pair[0].1 != pair[1].1)
+            {
+                *stream = rng;
+                return None; // same bit forced both ways
+            }
         }
 
         let mut weight = 1.0f64;
-        for &pi in &self.order {
-            let bits = layout.pred_range(pi);
-            // The coin pair a bit picks from (by its `on` bit for a
-            // conditional rule, always the first otherwise).
-            let (coins, on) = match self.rules[pi] {
-                BitRule::Uniform => ([Coin::FAIR; 2], None),
-                BitRule::Base(coin) => ([coin; 2], None),
-                BitRule::Cond { on, then, els } => {
-                    ([els, then], Some(layout.pred_range(on.index()).start))
+        let mut group = forced.iter();
+        for pred in &self.preds {
+            // Free runs between this predicate's forced bits; a forced bit
+            // takes no word and multiplies in 0.5 once, however many
+            // literals force it.
+            let mut start = pred.bits.start;
+            for &(slot, value) in group.by_ref().take(pred.forced.len()) {
+                if slot < start {
+                    continue; // the bit just forced, asserted again
                 }
-            };
-            // A cursor over this predicate's forced bits (they are
-            // contiguous in the sorted list).
-            let mut next = forced.partition_point(|&(s, _)| s < bits.start);
-            for (i, slot) in bits.enumerate() {
-                if let Some(&(s, value)) = forced.get(next) {
-                    if s == slot {
-                        slots[slot] = value as usize;
-                        weight *= 0.5;
-                        next += 1;
-                        continue;
-                    }
-                }
-                let coin = coins[on.map_or(0, |start| slots[start + i])];
-                let value = rng.gen_bool(coin.p);
+                pred.draw_run(start..slot, slots, &mut weight, &mut rng);
                 slots[slot] = value as usize;
-                weight *= coin.factor[value as usize];
+                weight *= 0.5;
+                start = slot + 1;
             }
+            pred.draw_run(start..pred.bits.end, slots, &mut weight, &mut rng);
         }
         *stream = rng;
         Some(weight)
@@ -363,10 +509,11 @@ mod tests {
         let plan = SamplePlan::build(&kb);
         assert!(plan.is_uniform());
         let layout = SlotLayout::new(kb.vocab(), 4).unwrap();
+        let proposal = plan.proposal(&layout);
         let (mut slots, mut forced) = (vec![0; layout.slot_count()], Vec::new());
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..50 {
-            let weight = plan.draw(&layout, &mut slots, &mut forced, &mut rng);
+            let weight = proposal.draw(&mut slots, &mut forced, &mut rng);
             assert_eq!(weight, Some(1.0));
         }
     }
@@ -381,11 +528,12 @@ mod tests {
         let b = vocab.lookup_const("B").unwrap().index();
         let n = 5usize;
         let layout = SlotLayout::new(vocab, n).unwrap();
+        let proposal = plan.proposal(&layout);
         let (mut slots, mut forced) = (vec![0; layout.slot_count()], Vec::new());
         let mut rng = StdRng::seed_from_u64(9);
         let mut viable = 0;
         for _ in 0..200 {
-            let drawn = plan.draw(&layout, &mut slots, &mut forced, &mut rng);
+            let drawn = proposal.draw(&mut slots, &mut forced, &mut rng);
             let (ea, eb) = (slots[layout.const_slot(a)], slots[layout.const_slot(b)]);
             let Some(weight) = drawn else {
                 // Structural rejection only when A and B collide.
@@ -416,12 +564,11 @@ mod tests {
         let p = vocab.lookup_pred("P").unwrap().index();
         let n = 6usize;
         let layout = SlotLayout::new(vocab, n).unwrap();
+        let proposal = plan.proposal(&layout);
         let (mut slots, mut forced) = (vec![0; layout.slot_count()], Vec::new());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
-            let weight = plan
-                .draw(&layout, &mut slots, &mut forced, &mut rng)
-                .unwrap();
+            let weight = proposal.draw(&mut slots, &mut forced, &mut rng).unwrap();
             let k = layout.pred_range(p).map(|s| slots[s]).sum::<usize>() as i32;
             let expect = (0.5f64 / 0.8).powi(k) * (0.5f64 / (1.0 - 0.8)).powi(n as i32 - k);
             assert!((weight - expect).abs() < 1e-12, "{weight} vs {expect}");
@@ -435,6 +582,50 @@ mod tests {
         match plan.rules[0] {
             BitRule::Base(b) => assert!((b.p - (1.0 - MIN_BIAS)).abs() < 1e-12, "{b:?}"),
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// The word whose 53-bit integer is `k`, with the low bits set so a
+    /// sloppy shift would show.
+    fn word(k: u64) -> u64 {
+        (k << 11) | 0x7ff
+    }
+
+    /// A generator that returns one fixed word.
+    struct Fixed(u64);
+
+    impl Rng for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn integer_thresholds_decide_exactly_as_gen_bool() {
+        // 0.375 · 2⁵³ is an integer: the threshold is that integer itself.
+        for p in [MIN_BIAS, 0.5, 1.0 - MIN_BIAS, 0.375, 0.8, 0.3] {
+            let coin = Coin::new(p);
+            let t = coin.threshold;
+            for k in [t - 1, t, t + 1, 0, (1 << 53) - 1] {
+                let w = word(k);
+                assert_eq!(
+                    coin.heads(w) == u64::MAX,
+                    Fixed(w).gen_bool(p),
+                    "p = {p}, k = {k}, T = {t}"
+                );
+            }
+            assert_eq!(coin.heads(word(t - 1)), u64::MAX, "p = {p}");
+            assert_eq!(coin.heads(word(t)), 0, "p = {p}");
+        }
+        assert_eq!(Coin::new(0.375).threshold, 3 << 50);
+    }
+
+    #[test]
+    fn fair_bits_read_the_top_bit() {
+        // gen_bool(0.5) holds exactly below 2⁵², i.e. with bit 63 clear.
+        for k in [0, (1 << 52) - 1, 1 << 52, (1 << 53) - 1] {
+            let w = word(k);
+            assert_eq!((w >> 63) ^ 1 == 1, Fixed(w).gen_bool(0.5), "k = {k}");
         }
     }
 }

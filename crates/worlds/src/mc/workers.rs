@@ -9,7 +9,7 @@
 //! therefore fixed, making a run bit-reproducible for a given seed at
 //! *any* thread count.
 
-use super::plan::SamplePlan;
+use super::plan::Proposal;
 use super::stats::Tally;
 use crate::compile::Program;
 use rw_util::{par, StdRng};
@@ -21,7 +21,8 @@ pub(crate) struct ChunkCtx<'a> {
     pub kb: &'a Program,
     /// The query compiled over the same slot layout.
     pub query: &'a Program,
-    pub plan: &'a SamplePlan,
+    /// The KB's sampling plan bound to the programs' slot layout.
+    pub proposal: &'a Proposal,
     pub seed: u64,
     /// Draws per full chunk.
     pub chunk_size: u64,
@@ -55,7 +56,7 @@ impl ChunkCtx<'_> {
         let mut tally = Tally::default();
         for _ in 0..self.chunk_draws(chunk) {
             tally.drawn += 1;
-            let Some(weight) = self.plan.draw(layout, &mut slots, &mut forced, &mut rng) else {
+            let Some(weight) = self.proposal.draw(&mut slots, &mut forced, &mut rng) else {
                 continue; // forced-literal conflict: certain rejection
             };
             if !self.kb.holds(&slots) {
@@ -85,29 +86,29 @@ pub(crate) fn run_chunks(ctx: &ChunkCtx<'_>, range: Range<u64>, threads: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mc::SamplePlan;
     use rw_logic::{KnowledgeBase, Tolerances};
     use rw_util::Rat;
 
-    /// The plan and the KB/query programs at `N = 4`, `τ = 1/4`.
-    fn ctx_parts() -> (SamplePlan, Program, Program) {
+    /// The proposal and the KB/query programs at `N = 4`, `τ = 1/4`.
+    fn ctx_parts() -> (Proposal, Program, Program) {
         let mut kb = KnowledgeBase::parse("||P(x)||_x ~=_1 0.5; Q(C)").unwrap();
         let q = kb.parse_query("P(C)").unwrap();
         let tol = Tolerances::uniform(Rat::new(1, 4));
         let compile = |f| Program::compile(kb.vocab(), 4, &tol, f).unwrap();
-        (
-            SamplePlan::build(&kb),
-            compile(&kb.as_formula()),
-            compile(&q),
-        )
+        let kb_formula = kb.as_formula();
+        let kb_program = compile(&kb_formula);
+        let proposal = SamplePlan::build(&kb).proposal(kb_program.layout());
+        (proposal, kb_program, compile(&q))
     }
 
     #[test]
     fn chunk_tallies_are_identical_across_thread_counts() {
-        let (plan, kb, q) = ctx_parts();
+        let (proposal, kb, q) = ctx_parts();
         let ctx = ChunkCtx {
             kb: &kb,
             query: &q,
-            plan: &plan,
+            proposal: &proposal,
             seed: 77,
             chunk_size: 256,
             cap: 2048,
@@ -121,11 +122,11 @@ mod tests {
 
     #[test]
     fn last_chunk_truncates_to_the_cap() {
-        let (plan, kb, q) = ctx_parts();
+        let (proposal, kb, q) = ctx_parts();
         let ctx = ChunkCtx {
             kb: &kb,
             query: &q,
-            plan: &plan,
+            proposal: &proposal,
             seed: 1,
             chunk_size: 100,
             cap: 250,
@@ -139,11 +140,11 @@ mod tests {
 
     #[test]
     fn different_chunks_get_different_streams() {
-        let (plan, kb, q) = ctx_parts();
+        let (proposal, kb, q) = ctx_parts();
         let ctx = ChunkCtx {
             kb: &kb,
             query: &q,
-            plan: &plan,
+            proposal: &proposal,
             seed: 5,
             chunk_size: 512,
             cap: 1024,

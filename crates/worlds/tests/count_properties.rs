@@ -9,20 +9,26 @@
 //!   across 1/2/4 worker threads;
 //! * the full-assignment evaluator [`Program::holds`] (the Monte-Carlo
 //!   acceptance kernel) agrees with the tree-walking `Evaluator` world by
-//!   world on uniformly sampled worlds.
+//!   world on uniformly sampled worlds, on every shape it specialises
+//!   (proportions over static bits, negated or not, summed from slot
+//!   tables) and every shape it walks node by node instead (instances
+//!   reading function or constant-argument atoms, or compound
+//!   conditions).
 
 mod common;
 
 use proptest::prelude::*;
-use rw_logic::ast::Formula;
+use rw_logic::ast::{Formula, TolId};
 use rw_logic::{KnowledgeBase, Tolerances};
 use rw_util::{Rat, StdRng};
 use rw_worlds::eval::Evaluator;
 use rw_worlds::sample::sample_world;
 use rw_worlds::{count_models, for_each_world, CountOptions, Program};
 
+/// `τ = 1/4` for every subscript but `_2`, which gets `1/8`: shapes
+/// that mix subscripts check that each comparison reads its own.
 fn tolerances() -> Tolerances {
-    Tolerances::uniform(Rat::new(1, 4))
+    Tolerances::uniform(Rat::new(1, 4)).with(TolId(2), Rat::new(1, 8))
 }
 
 /// Small KBs spanning every compiled shape: unary and conditional
@@ -73,6 +79,54 @@ fn cases() -> impl Strategy<Value = (String, String, usize)> {
         (2usize..5).prop_map(|n| (
             "||Fly(x) | Bird(x) & Penguin(x)||_x ~=_1 0.1; Bird(T)".to_string(),
             "Fly(T) & C = Next(T)".to_string(),
+            n
+        )),
+    ]
+}
+
+/// Further shapes for the full-assignment kernel alone: each proportion
+/// shape it sums from slot tables and each it evaluates instance by
+/// instance. Only the sampled-world property draws these, so the oracle
+/// counts above walk exactly the worlds they always did.
+fn kernel_cases() -> impl Strategy<Value = (String, String, usize)> {
+    prop_oneof![
+        // A conditional proportion over static bits whose condition is
+        // empty in many worlds: the measure-zero convention on the
+        // slot-table path.
+        (2usize..5).prop_map(|n| (
+            "||P(x) | Q(x)||_x ~=_1 0.5".to_string(),
+            "Q(C) & P(C)".to_string(),
+            n
+        )),
+        // Negated static bits in body and condition, two tolerance
+        // subscripts, and a `⪯` beside the `≈`.
+        (2usize..5).prop_map(|n| (
+            "||!P(x) | !Q(x)||_x ~=_2 0.3; ||Q(x)||_x <~_1 0.6".to_string(),
+            "P(C) or ||P(x)||_x <~_2 0.5".to_string(),
+            n
+        )),
+        // Exact comparisons and proportion arithmetic.
+        (2usize..5).prop_map(|n| (
+            "||P(x)||_x <= ||Q(x)||_x + 1/4".to_string(),
+            "||P(x) | Q(x)||_x = 1/2".to_string(),
+            n
+        )),
+        // A conditional binary proportion: slot-pair tables over tuples.
+        (2usize..5).prop_map(|n| (
+            "||Likes(x, y) | Knows(x, y)||_{x,y} ~=_2 0.5; Knows(A, B)".to_string(),
+            "Likes(A, B)".to_string(),
+            n
+        )),
+        // Instances reading a constant-argument atom and a function atom
+        // have no static bit: they are walked node by node.
+        (2usize..5).prop_map(|n| (
+            "||Likes(x, C)||_x ~=_1 0.5".to_string(),
+            "Likes(C, C)".to_string(),
+            n
+        )),
+        (2usize..5).prop_map(|n| (
+            "||P(Next(x)) | Q(x)||_x ~=_2 0.5; Q(C)".to_string(),
+            "P(C)".to_string(),
             n
         )),
     ]
@@ -141,13 +195,13 @@ proptest! {
 
 proptest! {
     // Evaluation is cheap next to the counts above, so this property
-    // samples the generator more densely: every shape, the rare
-    // measure-zero one included, shows up at least once.
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    // samples both generators more densely: every shape, the rare
+    // measure-zero ones included, shows up several times.
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
     fn full_assignment_evaluation_matches_the_evaluator(
-        (kb_src, q_src, n) in cases(),
+        (kb_src, q_src, n) in prop_oneof![cases(), kernel_cases()],
         seed in 0u64..1_000_000,
     ) {
         let mut kb = KnowledgeBase::parse(&kb_src).unwrap();
