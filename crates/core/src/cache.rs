@@ -24,6 +24,7 @@
 
 use crate::belief::{Belief, Provenance};
 use rw_logic::canon::fnv1a;
+use rw_worlds::mc::Reservoir;
 use rw_worlds::ScaledCount;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -368,6 +369,69 @@ impl DenomCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// The byte budget of a [`DrawCache`] (768 KiB): about ten Monte-Carlo
+/// KB copies of the unary-limits shape at the served diagonal, ~77 KB
+/// each once packed (16,384 draws over `N` = 8, 16, 32).
+pub const DRAW_CACHE_BYTES: usize = 3 << 18;
+
+/// What pins a sweep's stored draws besides the sweep point `(τ, N)`:
+/// the KB, the sampler configuration and the sample cap.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct DrawKey {
+    /// [`crate::PreparedKb::id`] of the KB drawn against. The id, not the
+    /// canonical fingerprint: statements in another order build another
+    /// plan, which reads the random stream in another order.
+    pub kb_id: u64,
+    /// [`rw_worlds::mc::McConfig::result_fingerprint`] of the sampler.
+    pub config: String,
+    /// The sweep's effective sample cap (the stage budget applied).
+    pub cap: u64,
+}
+
+/// A shared, byte-bounded reservoir of Monte-Carlo draws: per sweep
+/// point of a resident KB, the KB-side sums and accepted draws of every
+/// chunk a query has run ([`rw_worlds::mc::reservoir`]), scoped by
+/// [`DrawKey`]. A later query against the same KB replays them and
+/// evaluates only itself, with every tally bit-identical to drawing
+/// afresh — so, like the [`DenomCache`], a hit changes how fast an
+/// answer arrives but never what it is.
+///
+/// Build one with `DrawCache::with_budget(`[`DRAW_CACHE_BYTES`]`)`.
+/// Entries are evicted least recently used first once they pass the
+/// budget, and a sweep point whose records alone would pass it keeps
+/// none. A query fills its entries locally and inserts them when done,
+/// so no lookup ever waits on sampling. Hit, miss and eviction counters
+/// are surfaced by the server's `stats` op; [`purge_draws`] drops a
+/// KB's entries.
+///
+/// ```
+/// use rw_core::{purge_draws, EngineConfig, McConfig, PreparedKb, RandomWorlds};
+/// use rw_logic::KnowledgeBase;
+///
+/// let kb = PreparedKb::new(
+///     KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)").unwrap(),
+/// );
+/// let engine = RandomWorlds::from(EngineConfig {
+///     approx: Some(McConfig { max_samples: 4096, ..McConfig::default() }),
+///     ..EngineConfig::default()
+/// });
+/// let draws = engine.draw_cache();
+/// engine.answer_prepared(&kb, "Hep(Eric) & Hep(Tom)").unwrap();
+/// assert_eq!(draws.hits(), 0);
+/// // The second query replays the first one's accepted draws.
+/// engine.answer_prepared(&kb, "Hep(Eric) & !Hep(Tom)").unwrap();
+/// assert!(draws.hits() > 0);
+/// purge_draws(draws, kb.id());
+/// assert!(draws.is_empty());
+/// ```
+pub type DrawCache = Reservoir<DrawKey>;
+
+/// Drops every entry of `cache` drawn against the KB with id `kb_id`
+/// (an unloaded KB is never asked again).
+pub fn purge_draws(cache: &DrawCache, kb_id: u64) {
+    cache.retain(|key| key.kb_id != kb_id);
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! cache, and full per-query traces.
 
 use crate::belief::{Belief, Provenance};
-use crate::cache::{AnswerCache, CachedAnswer, DenomCache};
+use crate::cache::{AnswerCache, CachedAnswer, DenomCache, DrawCache, DRAW_CACHE_BYTES};
 use crate::prepared::PreparedKb;
 use crate::solver::{Budget, Diagonal, SolverOutcome, Stage, StageStatus, Trace};
 use crate::solvers::{
@@ -104,6 +104,13 @@ pub struct EngineConfig {
     /// which carries the KB, vocabulary, budget, and counting mode. Like
     /// [`Self::enum_threads`], not part of the cache keyspace.
     pub denom_cache: Arc<DenomCache>,
+    /// The Monte-Carlo draw reservoir: the accepted draws of queries
+    /// against a [`PreparedKb`], replayed by its later queries so they
+    /// evaluate only themselves. Pass a shared handle so engines over
+    /// several resident KBs pool one byte budget. Replayed tallies are
+    /// bit-identical to fresh ones, so like [`Self::denom_cache`] it is
+    /// not part of the cache keyspace.
+    pub draw_cache: Arc<DrawCache>,
 }
 
 impl Default for EngineConfig {
@@ -120,6 +127,7 @@ impl Default for EngineConfig {
             diagonal: Diagonal::default(),
             approx: None,
             denom_cache: Arc::new(DenomCache::new()),
+            draw_cache: Arc::new(DrawCache::with_budget(DRAW_CACHE_BYTES)),
         }
     }
 }
@@ -272,6 +280,12 @@ impl RandomWorlds {
         &self.config.denom_cache
     }
 
+    /// The engine's Monte-Carlo draw reservoir (always present; used only
+    /// when [`EngineConfig::approx`] is set).
+    pub fn draw_cache(&self) -> &Arc<DrawCache> {
+        &self.config.draw_cache
+    }
+
     /// The names of the pipeline's stages, in execution order.
     pub fn solvers(&self) -> Vec<String> {
         self.stages
@@ -311,8 +325,13 @@ impl RandomWorlds {
     /// assert_eq!(r.provenance, Provenance::DirectInference);
     /// assert_eq!(r.trace.to_string(), "theorems answered");
     /// ```
+    ///
+    /// The KB is prepared for this one query, so the Monte-Carlo stage
+    /// keeps none of its draws; [`Self::answer_prepared`] against a
+    /// [`PreparedKb`] that outlives the query does.
     pub fn answer(&self, kb: &KnowledgeBase, query: &str) -> Result<Response, EngineError> {
-        self.answer_prepared(&PreparedKb::new(kb.clone()), query)
+        let prepared = PreparedKb::single_use(kb.clone());
+        self.resolve(self.probe(&prepared, query)?)
     }
 
     /// [`Self::answer`] against a [`PreparedKb`] — the serving-loop entry
@@ -336,7 +355,7 @@ impl RandomWorlds {
         kb: &KnowledgeBase,
         query: &Formula,
     ) -> Result<Response, EngineError> {
-        self.resolve(self.probe_parsed(PreparedKb::new(kb.clone()), query.clone()))
+        self.resolve(self.probe_parsed(PreparedKb::single_use(kb.clone()), query.clone()))
     }
 
     /// Answers many queries against one knowledge base, sequentially.
@@ -489,7 +508,7 @@ impl RandomWorlds {
         // Recursion (independence products, nested defaults) re-enters the
         // same stage list, with each sub-KB prepared ad hoc.
         let recurse = |skb: &KnowledgeBase, sq: &Formula| {
-            self.run_pipeline(&PreparedKb::new(skb.clone()), sq)
+            self.run_pipeline(&PreparedKb::single_use(skb.clone()), sq)
                 .ok()
                 .map(|r| (r.belief, r.provenance))
         };
@@ -571,7 +590,10 @@ fn default_stages(config: &EngineConfig) -> Vec<Stage> {
     let mut stages = vec![Stage::new(Box::new(TheoremSolver))];
     if let Some(cfg) = &config.approx {
         stages.push(Stage::budgeted(
-            Box::new(MonteCarloSolver::new(cfg.clone(), config.diagonal.clone())),
+            Box::new(
+                MonteCarloSolver::new(cfg.clone(), config.diagonal.clone())
+                    .with_draw_cache(Arc::clone(&config.draw_cache)),
+            ),
             Budget::counting(cfg.max_samples as u128),
         ));
     }
@@ -1407,5 +1429,61 @@ mod tests {
                 "batch diverged on {q}"
             );
         }
+    }
+
+    #[test]
+    fn a_query_adding_a_constant_bypasses_the_draw_reservoir() {
+        let kb =
+            KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)").unwrap();
+        let e = RandomWorlds::from(EngineConfig {
+            approx: Some(rw_worlds::mc::McConfig {
+                max_samples: 4096,
+                ..rw_worlds::mc::McConfig::default()
+            }),
+            ..EngineConfig::default()
+        });
+        let draws = Arc::clone(e.draw_cache());
+        let prepared = PreparedKb::new(kb.clone());
+        let points = e.config().diagonal.points().len() as u64;
+        let sampled = |r: &Response| matches!(r.provenance, Provenance::MonteCarlo { .. });
+
+        let first = e
+            .answer_prepared(&prepared, "Hep(Eric) & Hep(Tom)")
+            .unwrap();
+        assert!(sampled(&first), "{first}");
+        assert_eq!((draws.hits(), draws.misses()), (0, points));
+        let stored = (draws.len(), draws.bytes());
+        assert!(stored.0 > 0 && stored.1 > 0);
+
+        // `Ann` is a new constant: another slot layout, so the reservoir
+        // is neither read nor written, and the answer is the one-shot
+        // path's.
+        let fresh = e
+            .answer_prepared(&prepared, "Hep(Eric) & Hep(Ann)")
+            .unwrap();
+        assert!(sampled(&fresh), "{fresh}");
+        assert_eq!((draws.hits(), draws.misses()), (0, points));
+        assert_eq!((draws.len(), draws.bytes()), stored);
+        let one_shot = e.answer(&kb, "Hep(Eric) & Hep(Ann)").unwrap();
+        assert_eq!(
+            (&fresh.belief, &fresh.provenance),
+            (&one_shot.belief, &one_shot.provenance)
+        );
+        // One-shot answers keep nothing either.
+        assert_eq!((draws.hits(), draws.misses()), (0, points));
+
+        // A query over the KB's own symbols replays the stored draws,
+        // with the answer it would get drawing afresh.
+        let replayed = e
+            .answer_prepared(&prepared, "Hep(Eric) & !Hep(Tom)")
+            .unwrap();
+        assert_eq!(draws.hits(), points);
+        let again = e.answer(&kb, "Hep(Eric) & !Hep(Tom)").unwrap();
+        assert_eq!(
+            (&replayed.belief, &replayed.provenance),
+            (&again.belief, &again.provenance)
+        );
+        crate::purge_draws(&draws, prepared.id());
+        assert!(draws.is_empty());
     }
 }

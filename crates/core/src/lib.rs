@@ -92,7 +92,10 @@ pub mod theorems;
 
 pub use batch::{BatchReport, BatchRun, StageTotals};
 pub use belief::{Belief, Provenance};
-pub use cache::{AnswerCache, CachedAnswer, DenomCache, DenomKey};
+pub use cache::{
+    purge_draws, AnswerCache, CachedAnswer, DenomCache, DenomKey, DrawCache, DrawKey,
+    DRAW_CACHE_BYTES,
+};
 pub use engine::{
     BeliefResult, EngineConfig, EngineError, PendingQuery, Probe, RandomWorlds, Response,
 };

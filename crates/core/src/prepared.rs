@@ -21,12 +21,23 @@
 //! and atom-set compilation read them), so it is reused only when the
 //! query added neither; a query that adds one is analysed against its
 //! own extended KB, from scratch.
+//!
+//! Each prepared KB also has a process-unique [`PreparedKb::id`], shared
+//! by its extended views. The Monte-Carlo stage keys the draws it keeps
+//! for later queries by it ([`crate::DrawCache`]), so a KB's draws are
+//! reused only by queries against that very KB, and only by those that
+//! add no symbol: a new predicate, function or constant changes the
+//! slot layout and with it the random stream.
 
 use crate::patterns::{classify, Classified};
 use rw_logic::ast::Formula;
 use rw_logic::{canon, KnowledgeBase, Vocabulary};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// The next [`PreparedKb::id`].
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A knowledge base with its fingerprint and theorem-stage analysis,
 /// each computed at most once.
@@ -53,6 +64,12 @@ pub struct PreparedKb {
     /// (every query a cache hit, or no query yet) costs one small
     /// allocation, not a whole empty analysis.
     analysis: Arc<OnceLock<Box<Classified>>>,
+    /// Assigned by [`Self::new`], carried over by [`Self::extended`].
+    id: u64,
+    /// Whether Monte-Carlo draws against this KB may be kept for later
+    /// queries: not for a KB prepared for a single query, nor for a view
+    /// whose vocabulary adds a symbol.
+    keeps_draws: bool,
 }
 
 impl PreparedKb {
@@ -62,7 +79,30 @@ impl PreparedKb {
             kb,
             fingerprint: OnceLock::new(),
             analysis: Arc::default(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            keeps_draws: true,
         }
+    }
+
+    /// [`Self::new`] for a KB that answers one query and is dropped: its
+    /// Monte-Carlo draws are not kept, since nothing could replay them.
+    pub(crate) fn single_use(kb: KnowledgeBase) -> PreparedKb {
+        PreparedKb {
+            keeps_draws: false,
+            ..PreparedKb::new(kb)
+        }
+    }
+
+    /// A process-unique id, shared by every [`Self::extended`] view.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The id under which Monte-Carlo draws against this KB are kept for
+    /// later queries, or `None` when they are not: a single-use KB, or a
+    /// view whose vocabulary adds a predicate, function or constant.
+    pub fn draw_id(&self) -> Option<u64> {
+        self.keeps_draws.then_some(self.id)
     }
 
     /// The knowledge base.
@@ -96,11 +136,14 @@ impl PreparedKb {
     /// This KB over `vocab`, an extension of [`Self::vocab`] that a query
     /// was parsed into. The conjunct list is shared; so is the analysis,
     /// when `vocab` adds no predicate and no function symbol. The
-    /// fingerprint carries over (it ignores vocabulary-only differences).
+    /// fingerprint and the id carry over (the fingerprint ignores
+    /// vocabulary-only differences); draws are kept only when `vocab`
+    /// adds no constant either.
     pub fn extended(&self, vocab: Vocabulary) -> PreparedKb {
         let base = self.vocab();
         let same_signature =
             vocab.pred_count() == base.pred_count() && vocab.func_count() == base.func_count();
+        let same_symbols = same_signature && vocab.const_count() == base.const_count();
         PreparedKb {
             kb: self.kb.with_vocab(vocab),
             fingerprint: self.fingerprint.clone(),
@@ -109,6 +152,8 @@ impl PreparedKb {
             } else {
                 Arc::default()
             },
+            id: self.id,
+            keeps_draws: self.keeps_draws && same_symbols,
         }
     }
 
@@ -125,6 +170,7 @@ impl fmt::Debug for PreparedKb {
             .field("kb", &self.kb)
             .field("fingerprint", &self.fingerprint.get())
             .field("analysed", &self.is_analysed())
+            .field("id", &self.id)
             .finish()
     }
 }
@@ -164,6 +210,26 @@ mod tests {
         local.analysis();
         assert!(kb.is_analysed());
         assert!(std::ptr::eq(local.analysis(), kb.analysis()));
+    }
+
+    #[test]
+    fn views_share_the_id_and_keep_draws_only_without_new_symbols() {
+        let kb = PreparedKb::new(KnowledgeBase::parse("Jaun(Eric)").unwrap());
+        assert_ne!(kb.id(), PreparedKb::new(kb.kb().clone()).id());
+        assert_eq!(kb.draw_id(), Some(kb.id()));
+        // A new variable is no symbol: the stream is unchanged.
+        let (vocab, _) = parsed(&kb, "exists y (Jaun(y))");
+        assert_eq!(kb.extended(vocab).draw_id(), Some(kb.id()));
+        for query in ["Jaun(Tom)", "Hep(Eric)"] {
+            let (vocab, _) = parsed(&kb, query);
+            let local = kb.extended(vocab);
+            assert_eq!(local.id(), kb.id(), "{query}");
+            assert_eq!(local.draw_id(), None, "{query}");
+            // A view of a view that added a symbol still keeps none.
+            let (vocab, _) = parsed(&local, "Jaun(Eric)");
+            assert_eq!(local.extended(vocab).draw_id(), None, "{query}");
+        }
+        assert_eq!(PreparedKb::single_use(kb.kb().clone()).draw_id(), None);
     }
 
     #[test]

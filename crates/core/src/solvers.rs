@@ -9,7 +9,7 @@
 //! [`crate::RandomWorlds::with_solvers`].
 
 use crate::belief::{Belief, Provenance};
-use crate::cache::{DenomCache, DenomKey};
+use crate::cache::{DenomCache, DenomKey, DrawCache, DrawKey};
 use crate::prepared::PreparedKb;
 use crate::solver::{Budget, Diagonal, Recurse, Solver, SolverOutcome};
 use crate::theorems;
@@ -151,35 +151,38 @@ pub struct MonteCarloSolver {
     /// The `(τ, N)` sweep points (2–4 domain sizes; the engine passes its
     /// configured diagonal).
     pub diagonal: Diagonal,
+    /// Where draws against a prepared KB are kept for its later queries
+    /// ([`Self::with_draw_cache`]); without one every query draws afresh.
+    pub draw_cache: Option<Arc<DrawCache>>,
 }
 
 impl MonteCarloSolver {
     /// A sampling stage with the given configuration and sweep diagonal.
     pub fn new(config: McConfig, diagonal: Diagonal) -> MonteCarloSolver {
-        MonteCarloSolver { config, diagonal }
-    }
-}
-
-impl Solver for MonteCarloSolver {
-    fn name(&self) -> &str {
-        "montecarlo"
+        MonteCarloSolver {
+            config,
+            diagonal,
+            draw_cache: None,
+        }
     }
 
-    fn solve(
+    /// Keeps the draws of queries against a prepared KB in `cache`, so
+    /// later queries against it replay them instead of drawing again.
+    /// Answers are identical either way, bit for bit.
+    pub fn with_draw_cache(mut self, cache: Arc<DrawCache>) -> MonteCarloSolver {
+        self.draw_cache = Some(cache);
+        self
+    }
+
+    /// Samples the sweep, through `store` when one is given.
+    fn sample(
         &self,
         kb: &KnowledgeBase,
         query: &Formula,
-        budget: &Budget,
-        _recurse: &Recurse<'_>,
+        cfg: &McConfig,
+        store: Option<&mc::Scoped<'_, DrawKey>>,
     ) -> SolverOutcome {
-        // The stage budget is the hard sample cap; the config's own cap
-        // still applies if tighter.
-        let cap = u64::try_from(budget.max_count.min(u64::MAX as u128)).expect("clamped");
-        let cfg = McConfig {
-            max_samples: self.config.max_samples.min(cap),
-            ..self.config.clone()
-        };
-        let sweep = mc::estimate_sweep(kb, query, self.diagonal.points(), &cfg);
+        let sweep = mc::estimate_sweep_stored(kb, query, self.diagonal.points(), cfg, store);
         match sweep.value {
             Some(value) => SolverOutcome::Answered {
                 belief: Belief::Approximate {
@@ -200,6 +203,54 @@ impl Solver for MonteCarloSolver {
                 ),
             },
         }
+    }
+
+    /// The configuration under `budget`: the stage budget is the hard
+    /// sample cap; the config's own cap still applies if tighter.
+    fn capped(&self, budget: &Budget) -> McConfig {
+        let cap = u64::try_from(budget.max_count.min(u64::MAX as u128)).expect("clamped");
+        McConfig {
+            max_samples: self.config.max_samples.min(cap),
+            ..self.config.clone()
+        }
+    }
+}
+
+impl Solver for MonteCarloSolver {
+    fn name(&self) -> &str {
+        "montecarlo"
+    }
+
+    fn solve(
+        &self,
+        kb: &KnowledgeBase,
+        query: &Formula,
+        budget: &Budget,
+        _recurse: &Recurse<'_>,
+    ) -> SolverOutcome {
+        self.sample(kb, query, &self.capped(budget), None)
+    }
+
+    /// Replays the draws kept for `prepared` and keeps the ones drawn
+    /// fresh, when there is a draw cache and the KB keeps draws
+    /// ([`PreparedKb::draw_id`]); samples like [`Self::solve`] otherwise.
+    fn solve_prepared(
+        &self,
+        prepared: &PreparedKb,
+        query: &Formula,
+        budget: &Budget,
+        recurse: &Recurse<'_>,
+    ) -> SolverOutcome {
+        let (Some(cache), Some(kb_id)) = (self.draw_cache.as_deref(), prepared.draw_id()) else {
+            return self.solve(prepared.kb(), query, budget, recurse);
+        };
+        let cfg = self.capped(budget);
+        let store = cache.scope(DrawKey {
+            kb_id,
+            config: self.config.result_fingerprint(),
+            cap: cfg.max_samples,
+        });
+        self.sample(prepared.kb(), query, &cfg, Some(&store))
     }
 }
 
@@ -997,6 +1048,28 @@ mod tests {
                     panic!();
                 };
                 assert!(drawn > 0 && accepted > 0 && n_points > 0);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn unary_exact_reports_an_overflowing_profile_space_as_budget_exhausted() {
+        // The probe with 16 irrelevant facts: 2^18 atoms, a composition
+        // count far past u128. The estimate saturates instead of
+        // panicking, and the stage reports its budget.
+        let facts: Vec<String> = (0..16).map(|i| format!("Q{i}(K{i})")).collect();
+        let (kb, q) = parsed(
+            &format!(
+                "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom); {}",
+                facts.join("; ")
+            ),
+            "Hep(Eric) & Hep(Tom)",
+        );
+        let stage = UnaryDiagonalSolver::new(Diagonal::default());
+        match stage.solve(&kb, &q, &Budget::counting(20_000_000), &no_recurse()) {
+            SolverOutcome::BudgetExhausted { reason } => {
+                assert!(reason.contains("profile"), "{reason}")
             }
             other => panic!("{other:?}"),
         }

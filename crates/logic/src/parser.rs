@@ -28,6 +28,13 @@ use std::fmt;
 /// the cap keeps even unoptimised builds far inside a 2 MiB thread stack.
 pub const MAX_DEPTH: usize = 128;
 
+/// The largest formula, in nodes, an `exists!` list may desugar to.
+/// Each variable of `exists! x₁, …, x_k (φ)` copies the formula inside
+/// it twice (once renamed, for uniqueness), so the desugared size grows
+/// as `2^k · |φ|`; a longer list is a positioned [`ParseError`] before
+/// anything is built. Every bundled corpus query stays far below it.
+pub const MAX_EXISTS_UNIQUE_NODES: usize = 1 << 12;
+
 /// A parse failure, with a byte offset into the source string.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -441,6 +448,7 @@ impl<'v> Parser<'v> {
     }
 
     fn quantifier(&mut self) -> Result<Formula, ParseError> {
+        let start = self.here();
         let kw = match self.bump() {
             Some(Tok::Ident(s)) => s,
             _ => unreachable!(),
@@ -465,6 +473,28 @@ impl<'v> Parser<'v> {
         self.expect(&Tok::LParen, "`(` after quantifier variables")?;
         let body = self.nested_by(vars.len(), Self::formula)?;
         self.expect(&Tok::RParen, "`)` closing quantifier body")?;
+        if unique {
+            // Per variable: `∃x (φ ∧ ∀y (φ[x↦y] ⇒ y = x))`, two copies of
+            // φ and five new nodes.
+            let mut size = 0usize;
+            crate::analysis::walk_formula(&body, &mut |_| {
+                size += 1;
+                true
+            });
+            for _ in &vars {
+                size = size.saturating_mul(2).saturating_add(5);
+                if size > MAX_EXISTS_UNIQUE_NODES {
+                    return Err(ParseError::new(
+                        start,
+                        format!(
+                            "`exists!` over {} variables desugars to more than \
+                             {MAX_EXISTS_UNIQUE_NODES} formula nodes",
+                            vars.len()
+                        ),
+                    ));
+                }
+            }
+        }
         let mut out = body;
         for &v in vars.iter().rev() {
             out = if kw == "forall" {
@@ -863,6 +893,36 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(free_vars(&f).is_empty());
+    }
+
+    #[test]
+    fn long_exists_unique_lists_are_refused_before_desugaring() {
+        let list = |k: usize| {
+            let vars: Vec<String> = (0..k).map(|i| format!("v{i}")).collect();
+            format!("exists! {} (P(v0))", vars.join(", "))
+        };
+        // 6·2^k − 5 nodes for an atomic body: k = 9 fits, k = 10 does not.
+        assert!(parse_on_small_stack(list(9)).is_ok());
+        // Only the parse is timed, inside the 2 MiB thread: not the
+        // thread's spawn and join.
+        let long = format!("Q(C) & {}", list(18));
+        let (result, elapsed) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let start = std::time::Instant::now();
+                let result = parse_formula(&mut Vocabulary::new(), &long);
+                (result, start.elapsed())
+            })
+            .unwrap()
+            .join()
+            .expect("the parser overflowed a 2 MiB stack");
+        let err = result.unwrap_err();
+        assert!(err.message.contains("exists!"), "{err}");
+        assert_eq!(err.pos, "Q(C) & ".len(), "{err}");
+        assert!(elapsed.as_millis() < 10, "refusal took {elapsed:?}");
+        assert!(parse_on_small_stack(list(10)).is_err());
+        // Plain `exists` lists build one node per variable: no cap.
+        assert!(parse_on_small_stack(list(18).replace("exists!", "exists")).is_ok());
     }
 
     #[test]

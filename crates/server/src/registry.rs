@@ -10,12 +10,19 @@
 //! [`AnswerCache`]. Exact and approximate (Monte-Carlo) sessions can
 //! coexist against the same statements: the engine-config fingerprint
 //! inside every cache key keeps their keyspaces disjoint.
+//!
+//! The registry's KBs also share one [`DenomCache`] and one
+//! [`DrawCache`]: a Monte-Carlo KB's later queries replay the draws its
+//! earlier ones kept there. A KB's draws are purged when the KB itself
+//! is dropped — once it is unloaded or replaced and the last query
+//! still running against it has finished, so no late fill can put them
+//! back.
 
 use crate::format;
 use crate::proto::{ApproxParams, KbSource, ProtoError, ScanParams};
 use rw_core::{
-    AnswerCache, DenomCache, EngineConfig, EngineError, McConfig, PendingQuery, PreparedKb, Probe,
-    RandomWorlds, Response,
+    purge_draws, AnswerCache, DenomCache, DrawCache, EngineConfig, EngineError, McConfig,
+    PendingQuery, PreparedKb, Probe, RandomWorlds, Response, DRAW_CACHE_BYTES,
 };
 use rw_logic::KnowledgeBase;
 use std::collections::HashMap;
@@ -47,10 +54,31 @@ pub struct LoadedKb {
     pub scan: ScanParams,
 }
 
+/// The caches every resident KB of one registry shares.
+#[derive(Clone, Debug)]
+struct SharedCaches {
+    answers: Arc<AnswerCache>,
+    /// One `#worlds` count per `(KB, vocab, N, τ, budget, mode)` across
+    /// every resident KB and reload — safe because entries are pure
+    /// functions of their key.
+    denoms: Arc<DenomCache>,
+    /// The Monte-Carlo draws each resident KB keeps for its later
+    /// queries, under one byte budget.
+    draws: Arc<DrawCache>,
+}
+
+impl Drop for LoadedKb {
+    /// Purges the draws this KB kept: nothing can ask it again.
+    fn drop(&mut self) {
+        purge_draws(self.engine.draw_cache(), self.kb.id());
+    }
+}
+
 impl LoadedKb {
-    /// Builds a resident KB around a shared cache. The sampler runs
-    /// single-threaded — the server's worker pool is the parallelism,
-    /// and worker count never changes sampled answers anyway.
+    /// Builds a resident KB around a shared answer and denominator cache,
+    /// with a draw cache of its own. The sampler runs single-threaded —
+    /// the server's worker pool is the parallelism, and worker count
+    /// never changes sampled answers anyway.
     pub fn new(
         name: String,
         kb: KnowledgeBase,
@@ -59,6 +87,23 @@ impl LoadedKb {
         scan: ScanParams,
         cache: Arc<AnswerCache>,
         denoms: Arc<DenomCache>,
+    ) -> LoadedKb {
+        let caches = SharedCaches {
+            answers: cache,
+            denoms,
+            draws: Arc::new(DrawCache::with_budget(DRAW_CACHE_BYTES)),
+        };
+        LoadedKb::with_caches(name, kb, source, approx, scan, caches)
+    }
+
+    /// [`Self::new`] over a registry's shared caches.
+    fn with_caches(
+        name: String,
+        kb: KnowledgeBase,
+        source: Option<String>,
+        approx: Option<&ApproxParams>,
+        scan: ScanParams,
+        caches: SharedCaches,
     ) -> LoadedKb {
         let defaults = McConfig::default();
         let engine = RandomWorlds::from(EngineConfig {
@@ -72,10 +117,11 @@ impl LoadedKb {
             enum_symmetry: scan.symmetry,
             enum_min_n: scan.min_n,
             enum_max_n: scan.max_n,
-            denom_cache: denoms,
+            denom_cache: caches.denoms,
+            draw_cache: caches.draws,
             ..EngineConfig::default()
         })
-        .with_cache(cache);
+        .with_cache(caches.answers);
         let kb = PreparedKb::new(kb);
         kb.fingerprint();
         LoadedKb {
@@ -135,31 +181,36 @@ impl LoadedKb {
 /// lock for a single `Arc` clone; load/unload take the write lock.
 pub struct KbRegistry {
     kbs: RwLock<HashMap<String, Arc<LoadedKb>>>,
-    cache: Arc<AnswerCache>,
-    /// Shared `#worlds` denominator cache: one count per
-    /// `(KB, vocab, N, τ, budget, mode)` across every resident KB and
-    /// reload — safe because entries are pure functions of their key.
-    denoms: Arc<DenomCache>,
+    caches: SharedCaches,
 }
 
 impl KbRegistry {
-    /// An empty registry whose KBs will share `cache`.
+    /// An empty registry whose KBs will share `cache`, one denominator
+    /// cache and one draw cache.
     pub fn new(cache: Arc<AnswerCache>) -> KbRegistry {
         KbRegistry {
             kbs: RwLock::new(HashMap::new()),
-            cache,
-            denoms: Arc::new(DenomCache::new()),
+            caches: SharedCaches {
+                answers: cache,
+                denoms: Arc::new(DenomCache::new()),
+                draws: Arc::new(DrawCache::with_budget(DRAW_CACHE_BYTES)),
+            },
         }
     }
 
     /// The shared answer cache.
     pub fn cache(&self) -> &Arc<AnswerCache> {
-        &self.cache
+        &self.caches.answers
     }
 
     /// The shared denominator cache (for `stats` reporting).
     pub fn denoms(&self) -> &Arc<DenomCache> {
-        &self.denoms
+        &self.caches.denoms
+    }
+
+    /// The shared draw cache (for `stats` reporting).
+    pub fn draws(&self) -> &Arc<DrawCache> {
+        &self.caches.draws
     }
 
     /// Loads (or replaces) a named KB from a request source. Replacement
@@ -187,14 +238,13 @@ impl KbRegistry {
             KbSource::Text(t) => t.clone(),
         };
         let kb = format::parse_kb(&text).map_err(structured)?;
-        let loaded = Arc::new(LoadedKb::new(
+        let loaded = Arc::new(LoadedKb::with_caches(
             name.to_string(),
             kb,
             Some(text),
             approx,
             scan,
-            Arc::clone(&self.cache),
-            Arc::clone(&self.denoms),
+            self.caches.clone(),
         ));
         self.kbs
             .write()
@@ -223,14 +273,13 @@ impl KbRegistry {
         scan: ScanParams,
         source: Option<String>,
     ) -> Arc<LoadedKb> {
-        let loaded = Arc::new(LoadedKb::new(
+        let loaded = Arc::new(LoadedKb::with_caches(
             name.to_string(),
             kb,
             source,
             None,
             scan,
-            Arc::clone(&self.cache),
-            Arc::clone(&self.denoms),
+            self.caches.clone(),
         ));
         self.kbs
             .write()
@@ -249,7 +298,8 @@ impl KbRegistry {
     }
 
     /// Drops a named KB; `false` if it was not loaded. In-flight queries
-    /// holding the `Arc` finish against the departing KB.
+    /// holding the `Arc` finish against the departing KB, and its kept
+    /// draws go when the last of them does.
     pub fn unload(&self, name: &str) -> bool {
         self.kbs
             .write()
@@ -355,6 +405,62 @@ mod tests {
             .answer_json_line("Hep(Eric) & Jaun(Eric)");
         assert!(ok, "{exact_line}");
         assert!(exact_line.contains(r#""cache_hit":false"#), "{exact_line}");
+    }
+
+    #[test]
+    fn approx_kbs_replay_kept_draws_until_unloaded_or_replaced() {
+        let reg = registry();
+        let src =
+            KbSource::Text("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)".to_string());
+        let params = ApproxParams {
+            samples: Some(4096),
+            ..ApproxParams::default()
+        };
+        let load = |name: &str| {
+            reg.load(name, &src, Some(&params), ScanParams::default())
+                .unwrap()
+        };
+        let (a, b) = (load("a"), load("b"));
+        let draws = reg.draws();
+        let ask = |kb: &LoadedKb, q: &str| {
+            let (line, ok) = kb.answer_json_line(q);
+            assert!(ok && line.contains(r#""type":"approximate""#), "{line}");
+            line
+        };
+        ask(&a, "Hep(Eric) & Hep(Tom)");
+        let points = draws.misses();
+        assert!(points > 0 && draws.hits() == 0);
+        // A second query on the same KB replays its draws; the same
+        // statements under another name are another KB and draw afresh
+        // (asked something new: the answer cache keys both names alike).
+        let replayed = ask(&a, "Hep(Eric) & !Hep(Tom)");
+        assert_eq!(draws.hits(), points);
+        ask(&b, "Hep(Eric) or Hep(Tom)");
+        assert_eq!((draws.hits(), draws.misses()), (points, 2 * points));
+        let per_kb = draws.len();
+        // Replaying changes no byte of the answer but its timings.
+        let fresh = registry();
+        let fresh_kb = fresh
+            .load("a", &src, Some(&params), ScanParams::default())
+            .unwrap();
+        let untimed = |line: &str| {
+            line.split(r#""elapsed_us":"#)
+                .map(|part| part.trim_start_matches(|c: char| c.is_ascii_digit()))
+                .collect::<String>()
+        };
+        let drawn = fresh_kb.answer_json_line("Hep(Eric) & !Hep(Tom)").0;
+        assert_eq!(untimed(&drawn), untimed(&replayed));
+        // An unloaded KB's draws stay while a query still holds it, so
+        // a query finishing after the unload fills nothing back behind a
+        // purge; they go with the last holder.
+        assert!(reg.unload("a"));
+        ask(&a, "Hep(Eric) or !Hep(Tom)");
+        assert_eq!(draws.len(), per_kb);
+        drop(a);
+        assert_eq!(draws.len(), per_kb / 2);
+        load("b");
+        drop(b);
+        assert!(draws.is_empty(), "the replaced KB's draws stay behind");
     }
 
     #[test]

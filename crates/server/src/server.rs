@@ -610,8 +610,9 @@ impl Server {
             StageTotals::merge(&mut merged.stages, &totals.stages);
         }
         let denoms = self.registry.denoms();
+        let draws = self.registry.draws();
         format!(
-            r#"{{"ok":true,"op":"stats","uptime_us":{},"kbs":{},"queries":{{"answered":{},"failed":{},"rejected":{}}},"cache":{{"hits":{},"misses":{},"entries":{},"shards":{}}},"denoms":{{"hits":{},"misses":{},"entries":{}}},"queue":{{"depth":{},"capacity":{},"workers":{}}},"stages":[{}]}}"#,
+            r#"{{"ok":true,"op":"stats","uptime_us":{},"kbs":{},"queries":{{"answered":{},"failed":{},"rejected":{}}},"cache":{{"hits":{},"misses":{},"entries":{},"shards":{}}},"denoms":{{"hits":{},"misses":{},"entries":{}}},"draws":{{"hits":{},"misses":{},"entries":{},"bytes":{},"evictions":{}}},"queue":{{"depth":{},"capacity":{},"workers":{}}},"stages":[{}]}}"#,
             self.front.uptime_us(),
             self.registry.len(),
             merged.answered,
@@ -624,6 +625,11 @@ impl Server {
             denoms.hits(),
             denoms.misses(),
             denoms.len(),
+            draws.hits(),
+            draws.misses(),
+            draws.len(),
+            draws.bytes(),
+            draws.evictions(),
             self.queue.depth(),
             self.queue.capacity(),
             self.threads,

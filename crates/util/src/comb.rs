@@ -72,27 +72,43 @@ impl FactTable {
 /// Exact `C(n, k)` in `u128`; panics on overflow. Useful for tests and for
 /// the small exact counts in the enumeration engine.
 pub fn binomial_exact(n: u64, k: u64) -> u128 {
+    binomial_checked(n, k).expect("binomial_exact overflow")
+}
+
+/// Exact `C(n, k)` in `u128`, or `None` when it does not fit.
+///
+/// Each step `C(n, i+1) = C(n, i) · (n−i) / (i+1)` divides out the
+/// common factor first, so no intermediate exceeds `C(n, i+1)` itself:
+/// the result is `None` exactly when `C(n, k)` overflows.
+pub fn binomial_checked(n: u64, k: u64) -> Option<u128> {
     if k > n {
-        return 0;
+        return Some(0);
     }
     let k = k.min(n - k);
     let mut result: u128 = 1;
     for i in 0..k {
-        result = result
-            .checked_mul((n - i) as u128)
-            .expect("binomial_exact overflow");
-        result /= (i + 1) as u128;
+        let (top, bottom) = ((n - i) as u128, (i + 1) as u128);
+        let g = gcd(result, bottom);
+        result = (result / g).checked_mul(top / (bottom / g))?;
     }
-    result
+    Some(result)
+}
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Exact number of weak compositions of `n` into `parts` parts,
-/// `C(n + parts - 1, parts - 1)`.
+/// `C(n + parts - 1, parts - 1)`, saturating at `u128::MAX` — a count
+/// that large only ever meets a budget it exceeds.
 pub fn weak_compositions_count(n: u64, parts: u64) -> u128 {
     if parts == 0 {
         return if n == 0 { 1 } else { 0 };
     }
-    binomial_exact(n + parts - 1, parts - 1)
+    binomial_checked(n + parts - 1, parts - 1).unwrap_or(u128::MAX)
 }
 
 /// The `n`-th Bell number (number of set partitions), exact for `n ≤ 25`.
@@ -162,6 +178,26 @@ mod tests {
         assert!(close(t.ln_factorial(0), 0.0));
         assert!(close(t.ln_factorial(5), 120f64.ln()));
         assert!(close(t.ln_factorial(10), 3_628_800f64.ln()));
+    }
+
+    #[test]
+    fn checked_binomials_are_exact_up_to_overflow() {
+        for n in 0..60u64 {
+            for k in 0..=n + 1 {
+                let mut naive: u128 = 1;
+                for i in 0..k.min(n + 1) {
+                    naive = naive * (n - i) as u128 / (i + 1) as u128;
+                }
+                assert_eq!(binomial_checked(n, k), Some(naive), "C({n}, {k})");
+            }
+        }
+        // C(130, 65) ≈ 9.5e37 fits though `C(130, 64) · 66` does not.
+        let c = binomial_checked(130, 65).unwrap();
+        assert_eq!(c % 66, 0);
+        assert_eq!(binomial_checked(130, 64), Some(c / 66 * 65));
+        assert_eq!(binomial_checked(140, 70), None);
+        assert_eq!(weak_compositions_count(32, 1 << 18), u128::MAX);
+        assert_eq!(weak_compositions_count(2, 3), 6);
     }
 
     #[test]

@@ -105,6 +105,12 @@ impl SlotLayout {
         self.func_base.first().copied().unwrap_or(self.const_base)
     }
 
+    /// How many slots are predicate bits: they come first, so these are
+    /// the slots `0..bit_slot_count()`.
+    pub(crate) fn bit_slot_count(&self) -> usize {
+        self.func_start()
+    }
+
     pub(crate) fn pred_slot(&self, pred: usize, tuple_index: usize) -> usize {
         self.pred_base[pred] + tuple_index
     }

@@ -30,23 +30,35 @@
 //! * **An `N`-sweep** ([`estimate_sweep`]): 2–4 domain sizes along a
 //!   shrinking-τ schedule, with the same extrapolation shape the exact
 //!   diagonal stages use applied to the estimates.
+//! * **A draw reservoir** ([`reservoir`], [`estimate_sweep_stored`]):
+//!   draws depend on the KB, never on the query, so a fresh chunk also
+//!   records its KB-side sums and packed accepted draws. A later query
+//!   against the same KB replays them through its own compiled program
+//!   only, with every tally bit-identical to drawing afresh. A point
+//!   keeps records only while they fit the reservoir's byte budget, so
+//!   recording never holds more memory than that, whatever the cap.
 //! * **Parallel workers** (the `workers` module): chunks run on the shared
 //!   [`rw_util::par`] pool. Results are **bit-reproducible for a given
 //!   seed at any thread count** — chunks own their RNG streams and are
 //!   merged in index order.
 
 pub mod plan;
+pub mod reservoir;
 pub mod stats;
 mod workers;
 
 pub use plan::{Proposal, SamplePlan};
+pub use reservoir::{Reservoir, Scoped, StoredChunk};
 pub use stats::{extrapolate, extrapolate_half_width, wilson_half_width, Tally, Z_95};
 
 use crate::compile::Program;
 use rw_logic::ast::Formula;
 use rw_logic::{KnowledgeBase, Tolerances};
 use rw_util::Rat;
-use workers::{run_chunks, ChunkCtx};
+use std::hash::Hash;
+use std::sync::atomic::AtomicUsize;
+use std::sync::OnceLock;
+use workers::{run_chunks, ChunkCtx, Sampler};
 
 /// Tuning for a Monte-Carlo run. `Default` is the production
 /// configuration the engine stage uses.
@@ -143,34 +155,62 @@ pub fn estimate_point(
     cap: u64,
     cfg: &McConfig,
 ) -> PointEstimate {
-    let plan = SamplePlan::build(kb);
-    estimate_point_planned(kb, &plan, query, tau, n, cap, cfg)
+    estimate_point_planned::<()>(kb, &OnceLock::new(), query, (tau, n), cap, cfg, None)
 }
 
-/// [`estimate_point`] with a pre-built [`SamplePlan`] (hoisted across a
-/// sweep).
-fn estimate_point_planned(
+/// [`estimate_point`] with the KB's [`SamplePlan`] shared across a sweep
+/// (built on first need) and, with a `store`, chunks replayed from and
+/// saved to it.
+///
+/// One chunk loop serves both: each chunk is replayed when the store
+/// holds it at the length this point's cap gives it and drawn fresh
+/// otherwise, and a replayed chunk's tally equals the fresh one's bit
+/// for bit. So waves and the stopping check see the same tallies either
+/// way. The acceptance check and the proposal are built on the first
+/// fresh chunk: a point whose every chunk is stored compiles only the
+/// query.
+///
+/// Fresh chunks are recorded while their records fit in the store's
+/// budget beside the chunks loaded from it. Once one does not, the point
+/// records nothing more and saves nothing: a point too large for the
+/// store holds at most the budget while it runs, then lets it go.
+fn estimate_point_planned<K: Eq + Hash + Clone>(
     kb: &KnowledgeBase,
-    plan: &SamplePlan,
+    plan: &OnceLock<SamplePlan>,
     query: &Formula,
-    tau: Rat,
-    n: usize,
+    (tau, n): (Rat, usize),
     cap: u64,
     cfg: &McConfig,
+    store: Option<&Scoped<'_, K>>,
 ) -> PointEstimate {
-    // Compiled once per point, shared by every chunk: the acceptance
-    // kernel evaluates both programs on the drawn slot vector.
     let tol = Tolerances::uniform(tau);
     let compile = |f: &Formula| {
         Program::compile(kb.vocab(), n, &tol, f).expect("world space overflows usize")
     };
-    let (kb_program, query_program) = (compile(&kb.as_formula()), compile(query));
-    let proposal = plan.proposal(kb_program.layout());
+    let query_program = compile(query);
+    let build = || {
+        let kb_program = compile(&SamplePlan::acceptance(kb));
+        let proposal = plan
+            .get_or_init(|| SamplePlan::build(kb))
+            .proposal(kb_program.layout());
+        Sampler {
+            kb: kb_program,
+            proposal,
+        }
+    };
+    let sampler = OnceLock::new();
+    let stored = store.map_or_else(Vec::new, |s| s.load(tau, n));
+    let allowance = store.map_or(0, |s| {
+        let held: usize = stored.iter().map(|c| c.bytes()).sum();
+        s.budget().saturating_sub(held)
+    });
     let chunk_size = cfg.chunk.max(1);
     let ctx = ChunkCtx {
-        kb: &kb_program,
         query: &query_program,
-        proposal: &proposal,
+        sampler: &sampler,
+        build: &build,
+        stored: &stored,
+        record_left: AtomicUsize::new(allowance),
         seed: cfg.seed,
         chunk_size,
         cap,
@@ -178,17 +218,36 @@ fn estimate_point_planned(
     let total_chunks = cap.div_ceil(chunk_size);
     let wave = cfg.wave.max(1);
     let mut tally = Tally::default();
+    let mut fresh = Vec::new();
     let mut done = 0u64;
     while done < total_chunks {
         let end = (done + wave).min(total_chunks);
-        for t in run_chunks(&ctx, done..end, cfg.threads) {
+        for (chunk, (t, record)) in (done..end).zip(run_chunks(&ctx, done..end, cfg.threads)) {
             tally.absorb(&t);
+            fresh.extend(record.map(|r| (chunk as usize, r)));
         }
         done = end;
         if let Some(hw) = tally.ci_half_width() {
             if hw <= cfg.target_ci {
                 break;
             }
+        }
+    }
+    // The sampler is built exactly when some chunk was drawn fresh.
+    if let Some(store) = store.filter(|_| sampler.get().is_some()) {
+        if ctx.recording_stopped() {
+            store.refuse();
+        } else {
+            // Chunks run from 0 without gaps, so a fresh chunk either
+            // replaces a stored one of another length or comes next.
+            let mut chunks = stored;
+            for (i, record) in fresh {
+                match chunks.get_mut(i) {
+                    Some(slot) => *slot = record,
+                    None => chunks.push(record),
+                }
+            }
+            store.save(tau, n, chunks);
         }
     }
     PointEstimate {
@@ -224,13 +283,31 @@ pub fn estimate_sweep(
     points: &[(Rat, usize)],
     cfg: &McConfig,
 ) -> SweepEstimate {
-    let plan = SamplePlan::build(kb);
+    estimate_sweep_stored::<()>(kb, query, points, cfg, None)
+}
+
+/// [`estimate_sweep`] drawing through a reservoir: each point replays
+/// the chunks `store` holds for it and saves the chunks it had to draw
+/// fresh. The result equals [`estimate_sweep`]'s, every [`Tally`] bit
+/// for bit, whatever the store holds — provided the store holds only
+/// chunks drawn for this KB (the same statements in the same order,
+/// over the same symbols) under this `cfg`'s seed and chunk size:
+/// those pin a chunk's stream, and its length is checked per chunk
+/// ([`reservoir`]).
+pub fn estimate_sweep_stored<K: Eq + Hash + Clone>(
+    kb: &KnowledgeBase,
+    query: &Formula,
+    points: &[(Rat, usize)],
+    cfg: &McConfig,
+    store: Option<&Scoped<'_, K>>,
+) -> SweepEstimate {
+    let plan = OnceLock::new();
     let mut out = Vec::with_capacity(points.len());
     let mut remaining = cfg.max_samples;
-    for (i, &(tau, n)) in points.iter().enumerate() {
+    for (i, &point) in points.iter().enumerate() {
         let left = (points.len() - i) as u64;
         let cap = (remaining / left.max(1)).min(remaining);
-        let p = estimate_point_planned(kb, &plan, query, tau, n, cap, cfg);
+        let p = estimate_point_planned(kb, &plan, query, point, cap, cfg, store);
         remaining = remaining.saturating_sub(p.tally.drawn);
         out.push(p);
     }

@@ -270,6 +270,22 @@ impl SamplePlan {
         }
     }
 
+    /// The formula a draw from the KB's plan must satisfy to be
+    /// accepted: the KB's flattened conjuncts minus the ground literals
+    /// the plan forces. A draw whose forced literals conflict is rejected
+    /// before any check, and every other draw has each forced bit set to
+    /// its literal's value, so checking those literals again could only
+    /// ever succeed. Every accept decision is the whole KB's.
+    pub fn acceptance(kb: &KnowledgeBase) -> Formula {
+        Formula::conjoin(
+            kb.conjuncts()
+                .iter()
+                .flat_map(Formula::conjuncts)
+                .filter(|f| as_ground_literal(f).is_none())
+                .cloned(),
+        )
+    }
+
     /// Predicates whose bits are proposed non-uniformly.
     pub fn biased_preds(&self) -> usize {
         self.rules
