@@ -92,8 +92,9 @@ pub enum PartShape {
 pub struct Classified {
     /// The KB's conjunct list (shared, not copied).
     source: Arc<Vec<Formula>>,
-    /// Flattened conjuncts in order: (top-level index, leaf within it).
-    positions: Vec<(u32, u32)>,
+    /// The flattened index of each top-level conjunct's first part, then
+    /// the number of flattened conjuncts.
+    starts: Vec<u32>,
     shapes: Vec<PartShape>,
     /// Each flattened conjunct's symbols (`syms[sym_starts[i]..sym_starts[i + 1]]`,
     /// sorted).
@@ -125,22 +126,22 @@ pub struct Classified {
 impl Classified {
     /// The number of flattened conjuncts.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        *self.starts.last().expect("the total count") as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.len() == 0
     }
 
     /// The flattened conjunct at `idx`.
     pub fn part(&self, idx: usize) -> &Formula {
-        let (top, leaf) = self.positions[idx];
-        nth_conjunct(&self.source[top as usize], leaf as usize)
+        let top = self.starts.partition_point(|&s| s as usize <= idx) - 1;
+        &self.source[top].conjuncts()[idx - self.starts[top] as usize]
     }
 
     /// The flattened conjuncts, in order.
     pub fn parts(&self) -> impl Iterator<Item = &Formula> + '_ {
-        (0..self.len()).map(|i| self.part(i))
+        self.source.iter().flat_map(Formula::conjuncts)
     }
 
     pub fn shape(&self, idx: usize) -> PartShape {
@@ -173,22 +174,6 @@ impl Classified {
     }
 }
 
-/// The `k`-th leaf of `f`'s `∧`-tree, in [`Formula::conjuncts`] order.
-fn nth_conjunct(f: &Formula, k: usize) -> &Formula {
-    fn walk<'a>(f: &'a Formula, k: &mut usize) -> Option<&'a Formula> {
-        match f {
-            Formula::And(a, b) => walk(a, k).or_else(|| walk(b, k)),
-            leaf if *k == 0 => Some(leaf),
-            _ => {
-                *k -= 1;
-                None
-            }
-        }
-    }
-    let mut k = k;
-    walk(f, &mut k).expect("conjunct position within its conjunction")
-}
-
 /// The symbols of one conjunct in [`Classified`]'s sorted order.
 pub(crate) fn sorted_symbols(f: &Formula) -> Vec<Sym> {
     let s = analysis::symbols(f);
@@ -213,15 +198,16 @@ fn part_shape(f: &Formula) -> PartShape {
 /// Extracts `(x, φ)` from the desugared `∃x (φ ∧ ∀y (φ[y/x] ⇒ y = x))`.
 pub fn match_exists_unique(f: &Formula) -> Option<(VarId, Formula)> {
     if let Formula::Exists(x, body) = f {
-        if let Formula::And(phi, guard) = body.as_ref() {
-            if let Formula::Forall(y, imp) = guard.as_ref() {
-                if let Formula::Implies(phi_y, eq) = imp.as_ref() {
-                    if let Formula::TermEq(l, r) = eq.as_ref() {
-                        let ok_eq = (*l == Term::Var(*y) && *r == Term::Var(*x))
-                            || (*l == Term::Var(*x) && *r == Term::Var(*y));
-                        if ok_eq && analysis::alpha_eq(&analysis::rename_var(phi, *x, *y), phi_y) {
-                            return Some((*x, phi.as_ref().clone()));
-                        }
+        // `Formula::and` splices a conjunction `φ` in: the guard is the
+        // last conjunct and `φ` the rest.
+        if let Some((Formula::Forall(y, imp), phi)) = body.conjuncts().split_last() {
+            if let Formula::Implies(phi_y, eq) = imp.as_ref() {
+                if let Formula::TermEq(l, r) = eq.as_ref() {
+                    let ok_eq = (*l == Term::Var(*y) && *r == Term::Var(*x))
+                        || (*l == Term::Var(*x) && *r == Term::Var(*y));
+                    let phi = Formula::conjoin(phi.iter().cloned());
+                    if ok_eq && analysis::alpha_eq(&analysis::rename_var(&phi, *x, *y), phi_y) {
+                        return Some((*x, phi));
                     }
                 }
             }
@@ -299,12 +285,25 @@ fn canon_formula(
             canon_formula(g, free_map, bound, out);
             out.push(')');
         }
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            out.push_str(match f {
-                Formula::And(..) => "and(",
-                Formula::Or(..) => "or(",
-                Formula::Implies(..) => "imp(",
-                _ => "iff(",
+        Formula::And(parts) | Formula::Or(parts) => {
+            out.push_str(if matches!(f, Formula::And(..)) {
+                "and("
+            } else {
+                "or("
+            });
+            for (i, g) in parts.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                canon_formula(g, free_map, bound, out);
+            }
+            out.push(')');
+        }
+        Formula::Implies(a, b) | Formula::Iff(a, b) => {
+            out.push_str(if matches!(f, Formula::Implies(..)) {
+                "imp("
+            } else {
+                "iff("
             });
             canon_formula(a, free_map, bound, out);
             out.push(',');
@@ -379,14 +378,13 @@ pub fn canon_conjunction(f: &Formula, free_map: &BTreeMap<VarId, usize>) -> Vec<
 pub fn classify(kb: &KnowledgeBase) -> Classified {
     let vocab = kb.vocab();
     let source = Arc::clone(kb.shared_conjuncts());
-    let mut positions = Vec::new();
+    let mut starts = Vec::with_capacity(source.len() + 1);
     let mut conjuncts = Vec::new();
-    for (top, c) in source.iter().enumerate() {
-        for (leaf, part) in c.conjuncts().into_iter().enumerate() {
-            positions.push((top as u32, leaf as u32));
-            conjuncts.push(part);
-        }
+    for c in source.iter() {
+        starts.push(conjuncts.len() as u32);
+        conjuncts.extend(c.conjuncts());
     }
+    starts.push(conjuncts.len() as u32);
     let mut stats_map: BTreeMap<String, StatStatement> = BTreeMap::new();
     let mut stat_sources = vec![false; conjuncts.len()];
     let mut universals = Vec::new();
@@ -523,7 +521,7 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
     }
 
     Classified {
-        positions,
+        starts,
         source,
         shapes,
         sym_starts,

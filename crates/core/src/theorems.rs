@@ -605,14 +605,14 @@ pub fn try_independence(
     cls: &Classified,
     solver: &Solver<'_>,
 ) -> Option<(Belief, Provenance)> {
-    let query_parts: Vec<&Formula> = query.conjuncts();
+    let query_parts = query.conjuncts();
     let n_kb = cls.len();
     let n_all = n_kb + query_parts.len();
     if n_all < 2 {
         return None;
     }
     let q_consts = analysis::constants(query);
-    let q_syms: Vec<Vec<Sym>> = query_parts.iter().map(|f| sorted_symbols(f)).collect();
+    let q_syms: Vec<Vec<Sym>> = query_parts.iter().map(sorted_symbols).collect();
     let symbols_of = |i: usize| -> &[Sym] {
         if i < n_kb {
             cls.symbols_of(i)

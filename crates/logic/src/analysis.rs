@@ -49,7 +49,12 @@ fn collect_free(f: &Formula, bound: &mut Vec<VarId>, out: &mut BTreeSet<VarId>) 
             collect_free_term(b, bound, out);
         }
         Formula::Not(g) => collect_free(g, bound, out),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
+        Formula::And(parts) | Formula::Or(parts) => {
+            for g in parts {
+                collect_free(g, bound, out);
+            }
+        }
+        Formula::Implies(a, b) | Formula::Iff(a, b) => {
             collect_free(a, bound, out);
             collect_free(b, bound, out);
         }
@@ -193,7 +198,12 @@ pub fn walk_formula(f: &Formula, visit: &mut impl FnMut(&Formula) -> bool) {
     match f {
         Formula::True | Formula::False | Formula::Pred(..) | Formula::TermEq(..) => {}
         Formula::Not(g) => walk_formula(g, visit),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
+        Formula::And(parts) | Formula::Or(parts) => {
+            for g in parts {
+                walk_formula(g, visit);
+            }
+        }
+        Formula::Implies(a, b) | Formula::Iff(a, b) => {
             walk_formula(a, visit);
             walk_formula(b, visit);
         }
@@ -299,8 +309,8 @@ fn map_terms(f: &Formula, m: &mut impl FnMut(&Term, &[VarId]) -> Option<Term>) -
             }
             Formula::TermEq(a, b) => Formula::TermEq(go_term(a, bound, m), go_term(b, bound, m)),
             Formula::Not(g) => Formula::not(go(g, bound, m)),
-            Formula::And(a, b) => Formula::and(go(a, bound, m), go(b, bound, m)),
-            Formula::Or(a, b) => Formula::or(go(a, bound, m), go(b, bound, m)),
+            Formula::And(parts) => Formula::conjoin(parts.iter().map(|g| go(g, bound, m))),
+            Formula::Or(parts) => Formula::disjoin(parts.iter().map(|g| go(g, bound, m))),
             Formula::Implies(a, b) => Formula::implies(go(a, bound, m), go(b, bound, m)),
             Formula::Iff(a, b) => Formula::iff(go(a, bound, m), go(b, bound, m)),
             Formula::Forall(v, g) => {
@@ -371,9 +381,10 @@ fn alpha_eq_with(a: &Formula, b: &Formula, map: &mut Vec<(VarId, VarId)>) -> boo
             term_alpha_eq(x1, y1, map) && term_alpha_eq(x2, y2, map)
         }
         (Formula::Not(x), Formula::Not(y)) => alpha_eq_with(x, y, map),
-        (Formula::And(x1, x2), Formula::And(y1, y2))
-        | (Formula::Or(x1, x2), Formula::Or(y1, y2))
-        | (Formula::Implies(x1, x2), Formula::Implies(y1, y2))
+        (Formula::And(xs), Formula::And(ys)) | (Formula::Or(xs), Formula::Or(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| alpha_eq_with(x, y, map))
+        }
+        (Formula::Implies(x1, x2), Formula::Implies(y1, y2))
         | (Formula::Iff(x1, x2), Formula::Iff(y1, y2)) => {
             alpha_eq_with(x1, y1, map) && alpha_eq_with(x2, y2, map)
         }
@@ -472,26 +483,23 @@ pub fn tolerance_indices(f: &Formula) -> BTreeSet<crate::ast::TolId> {
 /// fragment over variable `v`: boolean combinations of `P(v)` atoms. This is
 /// the fragment the maximum-entropy compiler consumes directly.
 pub fn is_qf_unary_over(f: &Formula, v: VarId) -> bool {
-    match f {
-        Formula::True | Formula::False => true,
-        Formula::Pred(_, args) => args.len() == 1 && args[0] == Term::Var(v),
-        Formula::Not(g) => is_qf_unary_over(g, v),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            is_qf_unary_over(a, v) && is_qf_unary_over(b, v)
-        }
-        _ => false,
-    }
+    is_qf_unary_about(f, &Term::Var(v))
 }
 
 /// True when the formula is a boolean combination of unary-predicate atoms
 /// applied to the single constant `c`.
 pub fn is_qf_unary_over_const(f: &Formula, c: ConstId) -> bool {
+    is_qf_unary_about(f, &Term::Const(c))
+}
+
+fn is_qf_unary_about(f: &Formula, t: &Term) -> bool {
     match f {
         Formula::True | Formula::False => true,
-        Formula::Pred(_, args) => args.len() == 1 && args[0] == Term::Const(c),
-        Formula::Not(g) => is_qf_unary_over_const(g, c),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            is_qf_unary_over_const(a, c) && is_qf_unary_over_const(b, c)
+        Formula::Pred(_, args) => args.len() == 1 && args[0] == *t,
+        Formula::Not(g) => is_qf_unary_about(g, t),
+        Formula::And(parts) | Formula::Or(parts) => parts.iter().all(|g| is_qf_unary_about(g, t)),
+        Formula::Implies(a, b) | Formula::Iff(a, b) => {
+            is_qf_unary_about(a, t) && is_qf_unary_about(b, t)
         }
         _ => false,
     }

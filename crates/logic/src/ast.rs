@@ -110,8 +110,13 @@ pub enum Formula {
     /// `t₁ = t₂`.
     TermEq(Term, Term),
     Not(Box<Formula>),
-    And(Box<Formula>, Box<Formula>),
-    Or(Box<Formula>, Box<Formula>),
+    /// An n-ary conjunction: at least two children, none of them an
+    /// `And` (build it through [`Formula::and`] / [`Formula::conjoin`],
+    /// which keep that shape, so a chain of any length is one level).
+    And(Vec<Formula>),
+    /// An n-ary disjunction, shaped like `And` ([`Formula::or`] /
+    /// [`Formula::disjoin`]).
+    Or(Vec<Formula>),
     Implies(Box<Formula>, Box<Formula>),
     Iff(Box<Formula>, Box<Formula>),
     Forall(VarId, Box<Formula>),
@@ -129,11 +134,11 @@ impl Formula {
     }
 
     pub fn and(a: Formula, b: Formula) -> Formula {
-        Formula::And(Box::new(a), Box::new(b))
+        Formula::conjoin([a, b])
     }
 
     pub fn or(a: Formula, b: Formula) -> Formula {
-        Formula::Or(Box::new(a), Box::new(b))
+        Formula::disjoin([a, b])
     }
 
     pub fn implies(a: Formula, b: Formula) -> Formula {
@@ -156,24 +161,39 @@ impl Formula {
         Formula::Cmp(lhs, op, rhs)
     }
 
-    /// Conjunction of an iterator of formulas (`True` when empty).
+    /// Conjunction of an iterator of formulas (`True` when empty, the
+    /// formula itself when single). Conjunctions among them are spliced
+    /// in, so no child of the result is an `And`.
     pub fn conjoin(fs: impl IntoIterator<Item = Formula>) -> Formula {
-        let mut iter = fs.into_iter();
-        let first = match iter.next() {
-            Some(f) => f,
-            None => return Formula::True,
-        };
-        iter.fold(first, Formula::and)
+        Formula::junction(true, fs)
     }
 
-    /// Disjunction of an iterator of formulas (`False` when empty).
+    /// Disjunction of an iterator of formulas (`False` when empty), with
+    /// disjunctions among them spliced in like [`Formula::conjoin`].
     pub fn disjoin(fs: impl IntoIterator<Item = Formula>) -> Formula {
-        let mut iter = fs.into_iter();
-        let first = match iter.next() {
-            Some(f) => f,
-            None => return Formula::False,
-        };
-        iter.fold(first, Formula::or)
+        Formula::junction(false, fs)
+    }
+
+    fn junction(and: bool, fs: impl IntoIterator<Item = Formula>) -> Formula {
+        let mut parts = Vec::new();
+        for f in fs {
+            match (f, and) {
+                // Taking over the first chain keeps a left fold of
+                // `Formula::and` linear.
+                (Formula::And(inner), true) | (Formula::Or(inner), false) if parts.is_empty() => {
+                    parts = inner
+                }
+                (Formula::And(inner), true) | (Formula::Or(inner), false) => parts.extend(inner),
+                (f, _) => parts.push(f),
+            }
+        }
+        match parts.len() {
+            0 if and => Formula::True,
+            0 => Formula::False,
+            1 => parts.pop().expect("one part"),
+            _ if and => Formula::And(parts),
+            _ => Formula::Or(parts),
+        }
     }
 
     /// The statistical reading of a default rule `prem ->_i concl` over the
@@ -203,20 +223,13 @@ impl Formula {
         )
     }
 
-    /// Splits top-level conjunctions into a flat list.
-    pub fn conjuncts(&self) -> Vec<&Formula> {
-        let mut out = Vec::new();
-        fn walk<'a>(f: &'a Formula, out: &mut Vec<&'a Formula>) {
-            match f {
-                Formula::And(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                other => out.push(other),
-            }
+    /// The top-level conjuncts, left to right (the formula itself when
+    /// it is not a conjunction).
+    pub fn conjuncts(&self) -> &[Formula] {
+        match self {
+            Formula::And(parts) => parts,
+            other => std::slice::from_ref(other),
         }
-        walk(self, &mut out);
-        out
     }
 }
 
@@ -244,9 +257,20 @@ mod tests {
         let fp = Formula::Pred(p, vec![]);
         let fq = Formula::Pred(q, vec![]);
         let fr = Formula::Pred(r, vec![]);
-        let conj = Formula::and(Formula::and(fp.clone(), fq.clone()), fr.clone());
-        let parts = conj.conjuncts();
-        assert_eq!(parts, vec![&fp, &fq, &fr]);
+        let left = Formula::and(Formula::and(fp.clone(), fq.clone()), fr.clone());
+        let right = Formula::and(fp.clone(), Formula::and(fq.clone(), fr.clone()));
+        let want = [fp.clone(), fq.clone(), fr.clone()];
+        assert_eq!(left.conjuncts(), &want);
+        assert_eq!(left, right);
+        assert_eq!(Formula::And(want.to_vec()), left);
+        assert_eq!(fp.conjuncts(), std::slice::from_ref(&fp));
+        // A disjunction stays one child of a conjunction, and vice versa.
+        let mixed = Formula::and(Formula::or(fp.clone(), fq.clone()), fr.clone());
+        assert_eq!(mixed.conjuncts().len(), 2);
+        assert!(matches!(&mixed.conjuncts()[0], Formula::Or(ds) if ds.len() == 2));
+        let mixed = Formula::or(Formula::and(fp.clone(), fq.clone()), fr.clone());
+        assert!(matches!(&mixed, Formula::Or(ds) if ds.len() == 2));
+        assert_eq!(mixed.conjuncts(), std::slice::from_ref(&mixed));
     }
 
     #[test]

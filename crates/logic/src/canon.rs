@@ -13,7 +13,9 @@
 //!   - alpha-renaming of bound variables (binders print positionally),
 //!   - reordering, reassociation and duplication of the commutative
 //!     connectives (`&`, `or`, `<=>`, `+`, `*`, and both symmetric
-//!     comparison shapes), and
+//!     comparison shapes) — `&` and `or` are n-ary in the AST, so their
+//!     children are only sorted and deduped here, while the binary `+`
+//!     and `*` chains are flattened first — and
 //!   - double negation;
 //! * [`kb_fingerprint`] hashes a whole [`KnowledgeBase`] — canonical
 //!   conjuncts in assertion order — to a 64-bit FNV-1a value.
@@ -115,28 +117,18 @@ fn canon_term(t: &Term, vocab: &Vocabulary, env: &[VarId]) -> String {
     }
 }
 
-/// Flattens a run of one commutative connective, canonicalizes the
-/// operands, then sorts and dedupes them (idempotence).
-fn commutative_operands(
-    f: &Formula,
-    pick: fn(&Formula) -> Option<(&Formula, &Formula)>,
-    vocab: &Vocabulary,
-    env: &mut Vec<VarId>,
-) -> Vec<String> {
-    let mut stack = vec![f];
-    let mut out = Vec::new();
-    while let Some(g) = stack.pop() {
-        match pick(g) {
-            Some((a, b)) => {
-                stack.push(a);
-                stack.push(b);
-            }
-            None => out.push(canon_formula(g, vocab, env)),
-        }
-    }
+/// Canonicalizes the children of an n-ary `&`/`or`, then sorts and
+/// dedupes them (idempotence). A single survivor stands for the whole
+/// junction, so `φ & φ` and `φ` agree.
+fn junction(parts: &[Formula], op: &str, vocab: &Vocabulary, env: &mut Vec<VarId>) -> String {
+    let mut out: Vec<String> = parts.iter().map(|g| canon_formula(g, vocab, env)).collect();
     out.sort();
     out.dedup();
-    out
+    if out.len() == 1 {
+        out.pop().expect("one operand")
+    } else {
+        format!("{op}({})", out.join(","))
+    }
 }
 
 fn canon_formula(f: &Formula, vocab: &Vocabulary, env: &mut Vec<VarId>) -> String {
@@ -158,38 +150,8 @@ fn canon_formula(f: &Formula, vocab: &Vocabulary, env: &mut Vec<VarId>) -> Strin
             Formula::Not(h) => canon_formula(h, vocab, env),
             _ => format!("!({})", canon_formula(g, vocab, env)),
         },
-        Formula::And(..) => {
-            let parts = commutative_operands(
-                f,
-                |g| match g {
-                    Formula::And(a, b) => Some((a, b)),
-                    _ => None,
-                },
-                vocab,
-                env,
-            );
-            if parts.len() == 1 {
-                parts.into_iter().next().expect("non-empty operand list")
-            } else {
-                format!("&({})", parts.join(","))
-            }
-        }
-        Formula::Or(..) => {
-            let parts = commutative_operands(
-                f,
-                |g| match g {
-                    Formula::Or(a, b) => Some((a, b)),
-                    _ => None,
-                },
-                vocab,
-                env,
-            );
-            if parts.len() == 1 {
-                parts.into_iter().next().expect("non-empty operand list")
-            } else {
-                format!("|({})", parts.join(","))
-            }
-        }
+        Formula::And(parts) => junction(parts, "&", vocab, env),
+        Formula::Or(parts) => junction(parts, "|", vocab, env),
         Formula::Implies(a, b) => format!(
             "=>({},{})",
             canon_formula(a, vocab, env),

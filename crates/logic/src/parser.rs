@@ -11,11 +11,12 @@
 //!
 //! Nesting is capped at [`MAX_DEPTH`] levels: parentheses, negations,
 //! each quantified variable, proportion bodies and conditions, function
-//! arguments and right-nested `=>`. Deeper input is a positioned
-//! [`ParseError`] instead of a stack overflow in the parser. The cap
-//! does not cover flat `&`/`or` chains: the parser builds those with
-//! loops, but they come out left-deep, and a later pass that recurses
-//! over a very long chain can still exhaust a small stack.
+//! arguments, right-nested `=>`, and each link of the chains that stay
+//! binary in the syntax tree (`<=>`, and `+`/`-`/`*` in proportion
+//! expressions). Deeper input is a positioned [`ParseError`] instead of
+//! a stack overflow in the parser or in a later pass that recurses over
+//! the tree. `&`/`or` chains are not capped: they build one n-ary node
+//! whatever their length, so they add a single level.
 
 use crate::ast::{CmpOp, Formula, PropExpr, Term, TolId};
 use crate::vocab::{VarId, VocabError, Vocabulary};
@@ -356,13 +357,21 @@ impl<'v> Parser<'v> {
         levels: usize,
         production: fn(&mut Self) -> Result<T, ParseError>,
     ) -> Result<T, ParseError> {
+        self.deeper(levels)?;
+        let out = production(self);
+        self.depth -= levels;
+        out
+    }
+
+    /// Enters `levels` more levels, refusing past [`MAX_DEPTH`]. A link
+    /// of a left-deep binary chain (`<=>`, `+`, `-`, `*`) is one level
+    /// for the rest of its chain, whose production restores the depth.
+    fn deeper(&mut self, levels: usize) -> Result<(), ParseError> {
         if self.depth + levels > MAX_DEPTH {
             return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
         }
         self.depth += levels;
-        let out = production(self);
-        self.depth -= levels;
-        out
+        Ok(())
     }
 
     // formula := iff ( '->_i' iff )?
@@ -385,11 +394,14 @@ impl<'v> Parser<'v> {
     }
 
     fn iff(&mut self) -> Result<Formula, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.implies()?;
         while self.eat(&Tok::Iff) {
+            self.deeper(1)?;
             let rhs = self.implies()?;
             lhs = Formula::iff(lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -402,6 +414,7 @@ impl<'v> Parser<'v> {
         Ok(lhs)
     }
 
+    // `Formula::or`/`and` grow the chain in place: one n-ary node.
     fn or(&mut self) -> Result<Formula, ParseError> {
         let mut lhs = self.and()?;
         while matches!(self.peek(), Some(Tok::Ident(s)) if s == "or") {
@@ -654,26 +667,33 @@ impl<'v> Parser<'v> {
 
     // propexpr := mulexpr (('+'|'-') mulexpr)*
     fn propexpr(&mut self) -> Result<PropExpr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.mulexpr()?;
         loop {
-            if self.eat(&Tok::Plus) {
-                let rhs = self.mulexpr()?;
-                lhs = PropExpr::Add(Box::new(lhs), Box::new(rhs));
+            let join = if self.eat(&Tok::Plus) {
+                PropExpr::Add
             } else if self.eat(&Tok::Minus) {
-                let rhs = self.mulexpr()?;
-                lhs = PropExpr::Sub(Box::new(lhs), Box::new(rhs));
+                PropExpr::Sub
             } else {
-                return Ok(lhs);
-            }
+                break;
+            };
+            self.deeper(1)?;
+            let rhs = self.mulexpr()?;
+            lhs = join(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn mulexpr(&mut self) -> Result<PropExpr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.prop_atom()?;
         while self.eat(&Tok::Star) {
+            self.deeper(1)?;
             let rhs = self.prop_atom()?;
             lhs = PropExpr::Mul(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -1059,6 +1079,54 @@ mod tests {
         assert!(parse_on_small_stack(format!("forall {} (P(C))", vars(MAX_DEPTH))).is_ok());
         assert!(parse_on_small_stack(format!("forall {} (P(C))", vars(MAX_DEPTH + 1))).is_err());
         assert!(parse_on_small_stack(format!("!forall {} (P(C))", vars(MAX_DEPTH))).is_err());
+    }
+
+    #[test]
+    fn binary_chain_links_count_toward_the_cap() {
+        let iffs = vec!["Hep(Eric)"; 6000].join(" <=> ");
+        let sums = format!("{} ~=_1 0.5", vec!["||Hep(x)||_x"; 6000].join(" + "));
+        let diffs = format!("{} <= 1", vec!["||Hep(x)||_x"; 6000].join(" - "));
+        let products = format!("{} <= 1", vec!["||Hep(x)||_x"; 6000].join(" * "));
+        for src in [iffs, sums, diffs, products] {
+            let head: String = src.chars().take(16).collect();
+            let err = parse_on_small_stack(src).unwrap_err();
+            assert!(
+                err.message.contains("nesting deeper than"),
+                "{head}…: {err}"
+            );
+            assert!(err.pos > 0, "{head}…: {err}");
+        }
+        // Each link is one level: MAX_DEPTH links parse, one more does not.
+        let chain = |op: &str, links: usize| vec!["P(C)"; links + 1].join(op);
+        assert!(parse_on_small_stack(chain(" <=> ", MAX_DEPTH)).is_ok());
+        assert!(parse_on_small_stack(chain(" <=> ", MAX_DEPTH + 1)).is_err());
+        let sum = |links: usize| format!("{} <= 1", vec!["0.5"; links + 1].join(" + "));
+        assert!(parse_on_small_stack(sum(MAX_DEPTH)).is_ok());
+        assert!(parse_on_small_stack(sum(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn long_and_or_chains_are_one_flat_node() {
+        for (op, and) in [(" & ", true), (" and ", true), (" or ", false)] {
+            let f = parse_on_small_stack(vec!["Hep(Eric)"; 6000].join(op)).unwrap();
+            match (&f, and) {
+                (Formula::And(parts), true) | (Formula::Or(parts), false) => {
+                    assert_eq!(parts.len(), 6000, "{op}")
+                }
+                _ => panic!("`{op}` chain parsed as {f:?}"),
+            }
+        }
+        // Parentheses regroup nothing: both nestings give the same node.
+        let (_, left) = parse("(P(A) & Q(A)) & (R(A) or (S(A) or P(B)))");
+        let (_, right) = parse("P(A) & (Q(A) & (R(A) or S(A) or P(B)))");
+        assert_eq!(left, right);
+        match &left {
+            Formula::And(parts) => {
+                assert_eq!(parts.len(), 3);
+                assert!(matches!(&parts[2], Formula::Or(ds) if ds.len() == 3));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

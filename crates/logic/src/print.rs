@@ -65,15 +65,14 @@ fn fmt_formula(f: &Formula, v: &Vocabulary, prec: u8, out: &mut fmt::Formatter<'
             write!(out, "!")?;
             fmt_formula(g, v, PREC_UNARY + 1, out)?;
         }
-        Formula::And(a, b) => {
-            fmt_formula(a, v, PREC_AND, out)?;
-            write!(out, " & ")?;
-            fmt_formula(b, v, PREC_AND + 1, out)?;
-        }
-        Formula::Or(a, b) => {
-            fmt_formula(a, v, PREC_OR, out)?;
-            write!(out, " or ")?;
-            fmt_formula(b, v, PREC_OR + 1, out)?;
+        Formula::And(parts) | Formula::Or(parts) => {
+            let sep = if mine == PREC_AND { " & " } else { " or " };
+            for (i, g) in parts.iter().enumerate() {
+                if i > 0 {
+                    write!(out, "{sep}")?;
+                }
+                fmt_formula(g, v, mine + 1, out)?;
+            }
         }
         Formula::Implies(a, b) => {
             fmt_formula(a, v, PREC_IMPLIES + 1, out)?;

@@ -15,7 +15,7 @@
 //! relative strength have no robust degree of belief (the Nixon diamond),
 //! while *equal* strengths (a shared `≈_i`) give 1/2.
 
-use crate::constraints::{compile, CompileError, UnaryConstraintSystem};
+use crate::constraints::{atom_space, compile, CompileError, UnaryConstraintSystem};
 use crate::entropy::EntropyError;
 use rw_logic::analysis;
 use rw_logic::ast::{Formula, TolId};
@@ -266,6 +266,9 @@ pub fn degree_of_belief_limit(
     query: &Formula,
     config: &SweepConfig,
 ) -> Result<LimitOutcome, MaxentError> {
+    // The query's atom sets span the KB's whole atom space, so its size
+    // is checked before they are built.
+    atom_space(kb.vocab())?;
     let q = compile_query(query, kb)?;
     let base = match sweep(kb, &q, config, None) {
         Ok(Some(v)) => v,
@@ -483,5 +486,42 @@ mod tests {
             degree_of_belief_limit(&kb, &q, &SweepConfig::default()),
             Err(MaxentError::Compile(CompileError::Unsupported(_)))
         ));
+    }
+
+    /// The probe KB with `k` irrelevant facts `Q{i}(K{i})`, each about a
+    /// fresh predicate: `k + 2` unary predicates in all.
+    fn probe(k: usize) -> KnowledgeBase {
+        let mut src = String::from("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)");
+        for i in 0..k {
+            src.push_str(&format!("; Q{i}(K{i})"));
+        }
+        KnowledgeBase::parse(&src).unwrap()
+    }
+
+    #[test]
+    fn an_oversized_atom_space_declines_before_any_atom_set_is_built() {
+        // 2^72 atoms: the query's atom sets alone would not fit in memory,
+        // and the count itself overflows a word.
+        let mut kb = probe(70);
+        let q = kb.parse_query("Hep(Eric) & Hep(Tom)").unwrap();
+        let err = degree_of_belief_limit(&kb, &q, &SweepConfig::default()).unwrap_err();
+        assert_eq!(
+            err,
+            MaxentError::Compile(CompileError::TooManyAtoms { preds: 72 })
+        );
+        assert_eq!(err.to_string(), "atom space too large (2^72 atoms)");
+        // Just past the cap, and with a query the engine could not
+        // compile anyway: the size check still answers first.
+        let mut kb = probe(11);
+        let q = kb.parse_query("Hep(Eric) & C = D").unwrap();
+        let err = degree_of_belief_limit(&kb, &q, &SweepConfig::default()).unwrap_err();
+        assert_eq!(err.to_string(), "atom space too large (8192 atoms)");
+        // At the cap the probe still answers 0.64 (Theorem 5.27).
+        let mut kb = probe(10);
+        let q = kb.parse_query("Hep(Eric) & Hep(Tom)").unwrap();
+        match degree_of_belief_limit(&kb, &q, &SweepConfig::default()).unwrap() {
+            LimitOutcome::Converged(v) => assert!((v - 0.64).abs() < 1e-3, "{v}"),
+            other => panic!("{other:?}"),
+        }
     }
 }

@@ -21,7 +21,7 @@
 
 use rw_logic::ast::{CmpOp, Formula, PropExpr};
 use rw_logic::{ConstId, KnowledgeBase, Pretty, Tolerances, Vocabulary};
-use rw_unary::atoms::{atom_count, compile_atom_set, compile_atom_set_const};
+use rw_unary::atoms::{compile_atom_set, compile_atom_set_const};
 use rw_unary::AtomSet;
 use std::collections::BTreeMap;
 
@@ -29,7 +29,10 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompileError {
     NotUnary,
-    TooManyAtoms(usize),
+    /// More than [`MAX_ATOMS`]: `preds` unary predicates span `2^preds`.
+    TooManyAtoms {
+        preds: usize,
+    },
     Unsupported(String),
 }
 
@@ -37,7 +40,10 @@ impl std::fmt::Display for CompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CompileError::NotUnary => write!(f, "maxent engine requires a unary vocabulary"),
-            CompileError::TooManyAtoms(n) => write!(f, "atom space too large ({n} atoms)"),
+            CompileError::TooManyAtoms { preds } => match 1usize.checked_shl(*preds as u32) {
+                Some(n) => write!(f, "atom space too large ({n} atoms)"),
+                None => write!(f, "atom space too large (2^{preds} atoms)"),
+            },
             CompileError::Unsupported(s) => write!(f, "outside the maxent fragment: {s}"),
         }
     }
@@ -200,19 +206,30 @@ fn cond_prop_of(e: &PropExpr, vocab: &Vocabulary) -> Option<CondProp> {
     None
 }
 
+/// The most atoms the engine works over (twelve unary predicates).
+pub const MAX_ATOMS: usize = 4096;
+
+/// The number of atoms [`compile`] works over, checked before any atom
+/// set is built: the vocabulary must be unary and span at most
+/// [`MAX_ATOMS`] atoms.
+pub fn atom_space(vocab: &Vocabulary) -> Result<usize, CompileError> {
+    if !vocab.is_unary() {
+        return Err(CompileError::NotUnary);
+    }
+    let preds = vocab.pred_count();
+    match 1usize.checked_shl(preds as u32) {
+        Some(n) if n <= MAX_ATOMS => Ok(n),
+        _ => Err(CompileError::TooManyAtoms { preds }),
+    }
+}
+
 /// Compiles the KB at a concrete tolerance vector.
 pub fn compile(
     kb: &KnowledgeBase,
     tol: &Tolerances,
 ) -> Result<UnaryConstraintSystem, CompileError> {
     let vocab = kb.vocab();
-    if !vocab.is_unary() {
-        return Err(CompileError::NotUnary);
-    }
-    let n = atom_count(vocab);
-    if n > 4096 {
-        return Err(CompileError::TooManyAtoms(n));
-    }
+    let n = atom_space(vocab)?;
     let mut sys = UnaryConstraintSystem {
         atoms: n,
         zero: vec![false; n],

@@ -12,7 +12,7 @@
 use crate::prior::Prior;
 use rw_logic::ast::Formula;
 use rw_logic::{KnowledgeBase, Tolerances};
-use rw_unary::{atom_count, UnaryEngine, UnaryError};
+use rw_unary::{UnaryEngine, UnaryError};
 use rw_util::FactTable;
 
 /// Exact finite-`N` degrees of belief under an exchangeable prior.
@@ -42,12 +42,12 @@ impl PropensityEngine {
         n: usize,
         tol: &Tolerances,
     ) -> Result<Option<f64>, UnaryError> {
-        let atoms = atom_count(kb.vocab());
-        let preds = kb.vocab().pred_count();
-        let fact = FactTable::new(n + atoms + 1);
         let engine = UnaryEngine {
             max_profiles: self.max_profiles,
         };
+        let atoms = engine.atom_space(kb.vocab())?;
+        let preds = kb.vocab().pred_count();
+        let fact = FactTable::new(n + atoms + 1);
         let totals = engine.sweep_weighted(kb, query, n, tol, |counts| {
             self.prior.log_weight(counts, preds, &fact)
         })?;

@@ -64,7 +64,7 @@ fn is_disjunctive(f: &rw_logic::Formula) -> bool {
     match f {
         Or(..) | Implies(..) | Iff(..) => true,
         Not(g) | Forall(_, g) | Exists(_, g) => is_disjunctive(g),
-        And(a, b) => is_disjunctive(a) || is_disjunctive(b),
+        And(parts) => parts.iter().any(is_disjunctive),
         True | False | Pred(..) | TermEq(..) | Cmp(..) => false,
     }
 }

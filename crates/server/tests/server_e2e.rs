@@ -451,6 +451,49 @@ fn a_deeply_nested_query_is_a_parse_error_and_the_connection_lives_on() {
     });
 }
 
+/// `links` copies of `item` joined by `op`.
+fn chain(item: &str, op: &str, links: usize) -> String {
+    vec![item; links].join(op)
+}
+
+#[test]
+fn hostile_chains_and_vocabularies_each_get_one_reply_and_the_connection_lives_on() {
+    with_server(config(), |addr| {
+        let mut c = Client::connect(addr).unwrap();
+        c.request_line(&load_line("med")).unwrap();
+        // Flat `&`/`or` chains are one n-ary node at any length: answered.
+        for op in [" & ", " or "] {
+            let query = chain("Hep(Eric)", op, 6000);
+            let line = c.request_line(&query_line("med", &query)).unwrap();
+            assert!(line.contains(r#""ok":true"#), "{op}: {line}");
+        }
+        // The chains that stay binary count toward the nesting cap.
+        let iffs = chain("Hep(Eric)", " <=> ", 6000);
+        let sums = format!("{} ~=_1 0.5", chain("||Hep(x)||_x", " + ", 6000));
+        for query in [iffs, sums] {
+            let line = c.request_line(&query_line("med", &query)).unwrap();
+            assert!(line.contains(r#""ok":false"#), "{line}");
+            assert!(line.contains("nesting deeper than"), "{line}");
+        }
+        // 72 unary predicates: every atom-set engine must decline before
+        // allocating 2^72 atoms. One reply, whatever it says: the next
+        // request's reply is its own.
+        let facts: Vec<String> = (0..70).map(|i| format!("Q{i}(K{i})")).collect();
+        let load = format!(
+            r#"{{"op":"load","kb":"wide","text":"{MED_KB}; {}"}}"#,
+            facts.join("; ")
+        );
+        let loaded = c.request_line(&load).unwrap();
+        assert!(loaded.contains(r#""ok":true"#), "{loaded}");
+        let wide = c
+            .request_line(&query_line("wide", "Hep(Eric) & Hep(Tom)"))
+            .unwrap();
+        assert!(wide.contains(r#""query":"Hep(Eric) & Hep(Tom)""#), "{wide}");
+        let fine = c.request_line(&query_line("med", "Hep(Eric)")).unwrap();
+        assert!(fine.contains(r#""value":0.8"#), "{fine}");
+    });
+}
+
 #[test]
 fn oversized_lines_are_answered_and_resynced_not_buffered() {
     with_server(config(), |addr| {

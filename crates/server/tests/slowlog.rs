@@ -20,6 +20,12 @@ const PAPER_KB: &str = "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)";
 /// functions on domain pairs, so sampling is the historical slow path.
 const MC_TRAP_KB: &str = "||Likes(x, y)||_{x,y} ~=_1 0.25; Likes(A, B)";
 
+/// The trap's sampler settings. Its interval never narrows to the
+/// half-width `ci`, so it draws all `samples`: 2^20 draws take well over
+/// a second in release, several times the 500 ms threshold, where the
+/// default 2^18 took 450–720 ms and crossed it only some of the time.
+const MC_TRAP_APPROX: &str = r#"{"seed":7,"samples":1048576,"ci":0.001}"#;
+
 /// Deterministic-causal one-step projection (the shoot scenario):
 /// compiled to a unary L-approx KB that the maximum-entropy stage answers
 /// with a τ-sweep of small dual solves, so it must stay fast too.
@@ -52,7 +58,7 @@ fn trap_lands_in_the_slow_log_and_fast_paths_do_not() {
     let mut c = Client::connect(addr).unwrap();
     for load in [
         format!(r#"{{"op":"load","kb":"paper","text":"{PAPER_KB}"}}"#),
-        format!(r#"{{"op":"load","kb":"mc","text":"{MC_TRAP_KB}","approx":{{"seed":7}}}}"#),
+        format!(r#"{{"op":"load","kb":"mc","text":"{MC_TRAP_KB}","approx":{MC_TRAP_APPROX}}}"#),
         format!(r#"{{"op":"load","kb":"shoot","text":"{SHOOT_KB}"}}"#),
     ] {
         let loaded = c.request_line(&load).unwrap();

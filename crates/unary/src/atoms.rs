@@ -154,12 +154,12 @@ pub fn compile_atom_set(f: &Formula, v: VarId, vocab: &Vocabulary) -> Option<Ato
             Some(s)
         }
         Formula::Not(g) => Some(compile_atom_set(g, v, vocab)?.complement()),
-        Formula::And(a, b) => {
-            Some(compile_atom_set(a, v, vocab)?.intersect(&compile_atom_set(b, v, vocab)?))
-        }
-        Formula::Or(a, b) => {
-            Some(compile_atom_set(a, v, vocab)?.union(&compile_atom_set(b, v, vocab)?))
-        }
+        Formula::And(parts) => parts.iter().try_fold(AtomSet::full(len), |acc, g| {
+            Some(acc.intersect(&compile_atom_set(g, v, vocab)?))
+        }),
+        Formula::Or(parts) => parts.iter().try_fold(AtomSet::empty(len), |acc, g| {
+            Some(acc.union(&compile_atom_set(g, v, vocab)?))
+        }),
         Formula::Implies(a, b) => Some(
             compile_atom_set(a, v, vocab)?
                 .complement()

@@ -9,7 +9,7 @@
 //! wholesale (this is what makes the lottery examples with `∀x Ticket(x)`
 //! tractable at `N` in the thousands).
 
-use crate::atoms::{atom_count, compile_atom_set, AtomSet};
+use crate::atoms::{compile_atom_set, AtomSet};
 use crate::profile::{Profile, ProfileEvaluator};
 use rw_logic::ast::Formula;
 use rw_logic::{KnowledgeBase, Tolerances, Vocabulary};
@@ -68,9 +68,9 @@ pub struct SweepTotals {
 
 impl UnaryEngine {
     /// Atoms allowed to be nonempty, from universal conjuncts.
-    fn allowed_atoms(kb: &KnowledgeBase) -> AtomSet {
+    fn allowed_atoms(kb: &KnowledgeBase, atoms: usize) -> AtomSet {
         let vocab = kb.vocab();
-        let mut allowed = AtomSet::full(atom_count(vocab));
+        let mut allowed = AtomSet::full(atoms);
         for c in kb.conjuncts() {
             if let Formula::Forall(v, body) = c {
                 if let Some(s) = compile_atom_set(body, *v, vocab) {
@@ -81,12 +81,26 @@ impl UnaryEngine {
         allowed
     }
 
-    fn check_unary(vocab: &Vocabulary) -> Result<(), UnaryError> {
-        if vocab.is_unary() {
-            Ok(())
-        } else {
-            Err(UnaryError::NotUnary)
+    /// The number of atoms, checked before any atom set is built. The
+    /// vocabulary must be unary, and an atom space past the profile
+    /// budget is refused: when the KB or query names a constant, each
+    /// block of constants may take any atom, so the sweep would pass the
+    /// budget anyway, and without one the allowed-atom set alone would
+    /// be that large.
+    pub fn atom_space(&self, vocab: &Vocabulary) -> Result<usize, UnaryError> {
+        if !vocab.is_unary() {
+            return Err(UnaryError::NotUnary);
         }
+        let estimated = 1u128
+            .checked_shl(vocab.pred_count() as u32)
+            .unwrap_or(u128::MAX);
+        if estimated > self.max_profiles {
+            return Err(UnaryError::TooManyProfiles {
+                estimated,
+                budget: self.max_profiles,
+            });
+        }
+        Ok(estimated as usize)
     }
 
     fn estimate_profiles(n: usize, free_atoms: usize, consts: usize, atoms: usize) -> u128 {
@@ -128,9 +142,8 @@ impl UnaryEngine {
         extra_weight: impl Fn(&[usize]) -> LogWeight,
     ) -> Result<SweepTotals, UnaryError> {
         let vocab = kb.vocab();
-        Self::check_unary(vocab)?;
-        let atoms = atom_count(vocab);
-        let allowed = Self::allowed_atoms(kb);
+        let atoms = self.atom_space(vocab)?;
+        let allowed = Self::allowed_atoms(kb, atoms);
         let free: Vec<usize> = allowed.iter().collect();
         let m = vocab.const_count();
 
@@ -253,9 +266,8 @@ impl UnaryEngine {
         tol: &Tolerances,
     ) -> Result<Option<Vec<f64>>, UnaryError> {
         let vocab = kb.vocab();
-        Self::check_unary(vocab)?;
-        let atoms = atom_count(vocab);
-        let allowed = Self::allowed_atoms(kb);
+        let atoms = self.atom_space(vocab)?;
+        let allowed = Self::allowed_atoms(kb, atoms);
         let free: Vec<usize> = allowed.iter().collect();
         let m = vocab.const_count();
         let estimated = Self::estimate_profiles(n, free.len().max(1), m, atoms);
@@ -484,6 +496,28 @@ mod tests {
             .degree_of_belief_at(&kb, &q, 100, &tol(1, 10))
             .unwrap_err();
         assert!(matches!(err, UnaryError::TooManyProfiles { .. }));
+    }
+
+    #[test]
+    fn an_atom_space_past_the_budget_is_refused_before_it_is_built() {
+        // 70 fact predicates and the query's `Hep`: 2^71 atoms, more than
+        // any atom set could hold.
+        let facts: Vec<String> = (0..70).map(|i| format!("Q{i}(K{i})")).collect();
+        let mut kb = KnowledgeBase::parse(&facts.join("; ")).unwrap();
+        let q = kb.parse_query("Hep(Eric) & Hep(Tom)").unwrap();
+        let err = degree_of_belief_at(&kb, &q, 3, &tol(1, 10)).unwrap_err();
+        assert_eq!(
+            err,
+            UnaryError::TooManyProfiles {
+                estimated: 1 << 71,
+                budget: UnaryEngine::default().max_profiles,
+            }
+        );
+        let engine = UnaryEngine { max_profiles: 3 };
+        let kb = KnowledgeBase::parse("P(A); Q(A)").unwrap();
+        assert!(engine.atom_space(kb.vocab()).is_err());
+        let engine = UnaryEngine { max_profiles: 4 };
+        assert_eq!(engine.atom_space(kb.vocab()), Ok(4));
     }
 
     #[test]

@@ -164,8 +164,8 @@ impl<'a> ProfileEvaluator<'a> {
             }
             Formula::TermEq(a, b) => self.resolve_term(a) == self.resolve_term(b),
             Formula::Not(g) => !self.eval(g),
-            Formula::And(a, b) => self.eval(a) && self.eval(b),
-            Formula::Or(a, b) => self.eval(a) || self.eval(b),
+            Formula::And(parts) => parts.iter().all(|g| self.eval(g)),
+            Formula::Or(parts) => parts.iter().any(|g| self.eval(g)),
             Formula::Implies(a, b) => !self.eval(a) || self.eval(b),
             Formula::Iff(a, b) => self.eval(a) == self.eval(b),
             Formula::Forall(v, g) => self.eval_quant(*v, g, false),

@@ -823,37 +823,23 @@ impl Compiler<'_> {
         self.push_node(CNode::Not(g))
     }
 
-    /// N-ary conjunction with constant folding and flattening.
-    fn and_of(&mut self, children: Vec<u32>) -> u32 {
+    /// N-ary conjunction (`and`) or disjunction with constant folding,
+    /// splicing in children of the same connective (a grounded quantifier).
+    fn junction(&mut self, and: bool, children: Vec<u32>) -> u32 {
         let mut flat = Vec::with_capacity(children.len());
         for ch in children {
             match &self.nodes[ch as usize] {
-                CNode::Bool(false) => return self.boolean(false),
-                CNode::Bool(true) => {}
-                CNode::And(inner) => flat.extend(inner.iter().copied()),
+                CNode::Bool(b) if *b != and => return self.boolean(!and),
+                CNode::Bool(_) => {}
+                CNode::And(inner) if and => flat.extend(inner.iter().copied()),
+                CNode::Or(inner) if !and => flat.extend(inner.iter().copied()),
                 _ => flat.push(ch),
             }
         }
         match flat.len() {
-            0 => self.boolean(true),
+            0 => self.boolean(and),
             1 => flat[0],
-            _ => self.push_node(CNode::And(flat)),
-        }
-    }
-
-    fn or_of(&mut self, children: Vec<u32>) -> u32 {
-        let mut flat = Vec::with_capacity(children.len());
-        for ch in children {
-            match &self.nodes[ch as usize] {
-                CNode::Bool(true) => return self.boolean(true),
-                CNode::Bool(false) => {}
-                CNode::Or(inner) => flat.extend(inner.iter().copied()),
-                _ => flat.push(ch),
-            }
-        }
-        match flat.len() {
-            0 => self.boolean(false),
-            1 => flat[0],
+            _ if and => self.push_node(CNode::And(flat)),
             _ => self.push_node(CNode::Or(flat)),
         }
     }
@@ -890,21 +876,15 @@ impl Compiler<'_> {
                 let cg = self.formula(g);
                 self.not_of(cg)
             }
-            Formula::And(a, b) => {
-                let ca = self.formula(a);
-                let cb = self.formula(b);
-                self.and_of(vec![ca, cb])
-            }
-            Formula::Or(a, b) => {
-                let ca = self.formula(a);
-                let cb = self.formula(b);
-                self.or_of(vec![ca, cb])
+            Formula::And(parts) | Formula::Or(parts) => {
+                let children = parts.iter().map(|g| self.formula(g)).collect();
+                self.junction(matches!(f, Formula::And(..)), children)
             }
             Formula::Implies(a, b) => {
                 let ca = self.formula(a);
                 let na = self.not_of(ca);
                 let cb = self.formula(b);
-                self.or_of(vec![na, cb])
+                self.junction(false, vec![na, cb])
             }
             Formula::Iff(a, b) => {
                 let ca = self.formula(a);
@@ -918,7 +898,8 @@ impl Compiler<'_> {
                     (None, None) => self.push_node(CNode::Iff(ca, cb)),
                 }
             }
-            Formula::Forall(v, g) => {
+            Formula::Forall(v, g) | Formula::Exists(v, g) => {
+                // Grounded over the domain: a conjunction or a disjunction.
                 let prev = self.env[v.index()];
                 let mut children = Vec::with_capacity(self.n);
                 for e in 0..self.n {
@@ -926,17 +907,7 @@ impl Compiler<'_> {
                     children.push(self.formula(g));
                 }
                 self.env[v.index()] = prev;
-                self.and_of(children)
-            }
-            Formula::Exists(v, g) => {
-                let prev = self.env[v.index()];
-                let mut children = Vec::with_capacity(self.n);
-                for e in 0..self.n {
-                    self.env[v.index()] = Some(e);
-                    children.push(self.formula(g));
-                }
-                self.env[v.index()] = prev;
-                self.or_of(children)
+                self.junction(matches!(f, Formula::Forall(..)), children)
             }
             Formula::Cmp(lhs, op, rhs) => {
                 let cl = self.prop(lhs);
@@ -1092,6 +1063,33 @@ mod tests {
         // ...and they are all unit literals.
         assert_eq!(p.units.len(), 3);
         assert!(p.units.iter().all(|u| u.value));
+    }
+
+    #[test]
+    fn a_large_kb_is_one_flat_conjunction_on_a_small_stack() {
+        // A server worker's 2 MiB stack: every pass below must loop over
+        // the statements, not recurse once per statement.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let src: Vec<String> = (0..6000).map(|i| format!("Q{}(K{i})", i % 50)).collect();
+                let kb = KnowledgeBase::parse(&src.join("; ")).unwrap();
+                let f = kb.as_formula();
+                assert_eq!(f.conjuncts().len(), 6000);
+                let canon = rw_logic::canon::canonical_formula(kb.vocab(), &f);
+                assert_eq!(canon.matches("P:Q").count(), 6000);
+                let printed = rw_logic::Pretty::new(kb.vocab(), &f).to_string();
+                let mut vocab = kb.vocab().clone();
+                assert_eq!(rw_logic::parse_formula(&mut vocab, &printed).unwrap(), f);
+                let p = Program::compile(kb.vocab(), 2, &tol(), &f).unwrap();
+                // One node per statement plus the root: no intermediate
+                // conjunction per statement.
+                assert_eq!(p.nodes.len(), 6001);
+                assert!(matches!(&p.nodes[p.root as usize], CNode::And(ch) if ch.len() == 6000));
+            })
+            .unwrap()
+            .join()
+            .expect("a pass overflowed a 2 MiB stack");
     }
 
     #[test]

@@ -124,37 +124,24 @@ impl<'a> Evaluator<'a> {
             }
             Formula::TermEq(a, b) => self.eval_term(a) == self.eval_term(b),
             Formula::Not(g) => !self.eval(g),
-            Formula::And(a, b) => self.eval(a) && self.eval(b),
-            Formula::Or(a, b) => self.eval(a) || self.eval(b),
+            Formula::And(parts) => parts.iter().all(|g| self.eval(g)),
+            Formula::Or(parts) => parts.iter().any(|g| self.eval(g)),
             Formula::Implies(a, b) => !self.eval(a) || self.eval(b),
             Formula::Iff(a, b) => self.eval(a) == self.eval(b),
-            Formula::Forall(v, g) => {
-                let n = self.world.domain_size();
-                let mut ok = true;
+            Formula::Forall(v, g) | Formula::Exists(v, g) => {
+                // `∀` stops at a counterexample, `∃` at a witness.
+                let witness = matches!(f, Formula::Exists(..));
                 let prev = self.valuation[v.index()];
-                for e in 0..n {
+                let mut found = false;
+                for e in 0..self.world.domain_size() {
                     self.valuation[v.index()] = Some(e);
-                    if !self.eval(g) {
-                        ok = false;
+                    if self.eval(g) == witness {
+                        found = true;
                         break;
                     }
                 }
                 self.restore(*v, prev);
-                ok
-            }
-            Formula::Exists(v, g) => {
-                let n = self.world.domain_size();
-                let mut ok = false;
-                let prev = self.valuation[v.index()];
-                for e in 0..n {
-                    self.valuation[v.index()] = Some(e);
-                    if self.eval(g) {
-                        ok = true;
-                        break;
-                    }
-                }
-                self.restore(*v, prev);
-                ok
+                found == witness
             }
             Formula::Cmp(lhs, op, rhs) => {
                 let l = self.eval_prop(lhs);

@@ -189,8 +189,8 @@ enum Ground {
     /// `c = d`: the constants share a block.
     ConstEq(usize, usize),
     Not(Box<Ground>),
-    And(Box<Ground>, Box<Ground>),
-    Or(Box<Ground>, Box<Ground>),
+    And(Vec<Ground>),
+    Or(Vec<Ground>),
     Implies(Box<Ground>, Box<Ground>),
     Iff(Box<Ground>, Box<Ground>),
 }
@@ -633,12 +633,8 @@ fn eval_ground(g: &Ground, part: &Partition, assign: &[usize], sigma: u64) -> bo
         Ground::Wide { atom } => (sigma >> part.atom_bit[*atom]) & 1 == 1,
         Ground::ConstEq(a, b) => part.block_of[*a] == part.block_of[*b],
         Ground::Not(g) => !eval_ground(g, part, assign, sigma),
-        Ground::And(a, b) => {
-            eval_ground(a, part, assign, sigma) && eval_ground(b, part, assign, sigma)
-        }
-        Ground::Or(a, b) => {
-            eval_ground(a, part, assign, sigma) || eval_ground(b, part, assign, sigma)
-        }
+        Ground::And(gs) => gs.iter().all(|g| eval_ground(g, part, assign, sigma)),
+        Ground::Or(gs) => gs.iter().any(|g| eval_ground(g, part, assign, sigma)),
         Ground::Implies(a, b) => {
             !eval_ground(a, part, assign, sigma) || eval_ground(b, part, assign, sigma)
         }
@@ -739,7 +735,10 @@ fn scan_ground(
         }
         Formula::TermEq(a, b) => matches!((a, b), (Term::Const(_), Term::Const(_))),
         Formula::Not(g) => scan_ground(vocab, g, unary, atoms),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
+        Formula::And(parts) | Formula::Or(parts) => {
+            parts.iter().all(|g| scan_ground(vocab, g, unary, atoms))
+        }
+        Formula::Implies(a, b) | Formula::Iff(a, b) => {
             scan_ground(vocab, a, unary, atoms) && scan_ground(vocab, b, unary, atoms)
         }
         _ => false,
@@ -776,7 +775,10 @@ fn scan_unary_body(vocab: &Vocabulary, f: &Formula, v: VarId, unary: &mut BTreeS
             _ => false,
         },
         Formula::Not(g) => scan_unary_body(vocab, g, v, unary),
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Iff(a, b) => {
+        Formula::And(parts) | Formula::Or(parts) => {
+            parts.iter().all(|g| scan_unary_body(vocab, g, v, unary))
+        }
+        Formula::Implies(a, b) | Formula::Iff(a, b) => {
             scan_unary_body(vocab, a, v, unary) && scan_unary_body(vocab, b, v, unary)
         }
         _ => false,
@@ -814,14 +816,13 @@ fn build_ground(f: &Formula, tracked: &[usize], atoms: &[(usize, Vec<usize>)]) -
             _ => unreachable!("scan admitted a non-constant equality"),
         },
         Formula::Not(g) => Ground::Not(Box::new(build_ground(g, tracked, atoms))),
-        Formula::And(a, b) => Ground::And(
-            Box::new(build_ground(a, tracked, atoms)),
-            Box::new(build_ground(b, tracked, atoms)),
-        ),
-        Formula::Or(a, b) => Ground::Or(
-            Box::new(build_ground(a, tracked, atoms)),
-            Box::new(build_ground(b, tracked, atoms)),
-        ),
+        Formula::And(parts) | Formula::Or(parts) => {
+            let gs = parts.iter().map(|g| build_ground(g, tracked, atoms));
+            match f {
+                Formula::And(..) => Ground::And(gs.collect()),
+                _ => Ground::Or(gs.collect()),
+            }
+        }
         Formula::Implies(a, b) => Ground::Implies(
             Box::new(build_ground(a, tracked, atoms)),
             Box::new(build_ground(b, tracked, atoms)),
@@ -879,8 +880,8 @@ fn eval_cell(f: &Formula, tracked: &[usize], cell: u64) -> bool {
             (cell >> bit) & 1 == 1
         }
         Formula::Not(g) => !eval_cell(g, tracked, cell),
-        Formula::And(a, b) => eval_cell(a, tracked, cell) && eval_cell(b, tracked, cell),
-        Formula::Or(a, b) => eval_cell(a, tracked, cell) || eval_cell(b, tracked, cell),
+        Formula::And(parts) => parts.iter().all(|g| eval_cell(g, tracked, cell)),
+        Formula::Or(parts) => parts.iter().any(|g| eval_cell(g, tracked, cell)),
         Formula::Implies(a, b) => !eval_cell(a, tracked, cell) || eval_cell(b, tracked, cell),
         Formula::Iff(a, b) => eval_cell(a, tracked, cell) == eval_cell(b, tracked, cell),
         _ => unreachable!("scan admitted an unsupported proportion body"),
