@@ -17,7 +17,7 @@ use rw_logic::{analysis, ConstId, KnowledgeBase, PredId, VarId};
 use rw_unary::atoms::compile_atom_set_const;
 use rw_unary::AtomSet;
 use rw_util::Rat;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A callback into the full engine, used by theorems that decompose the
 /// problem (Thm 5.27 independence).
@@ -607,91 +607,33 @@ pub fn try_independence(
 ) -> Option<(Belief, Provenance)> {
     let query_parts = query.conjuncts();
     let n_kb = cls.len();
-    let n_all = n_kb + query_parts.len();
-    if n_all < 2 {
+    if n_kb + query_parts.len() < 2 {
         return None;
     }
     let q_consts = analysis::constants(query);
     let q_syms: Vec<Vec<Sym>> = query_parts.iter().map(sorted_symbols).collect();
-    let symbols_of = |i: usize| -> &[Sym] {
-        if i < n_kb {
-            cls.symbols_of(i)
-        } else {
-            &q_syms[i - n_kb]
-        }
-    };
-
-    // Union-find over conjuncts + query parts; edges share a predicate, a
-    // function, or a constant outside the query's constants. Each part's
-    // neighbours come from the symbol index, and unions run in the same
-    // (i, j) order as a scan over all pairs would, so the component
-    // roots — and with them the order of the product below — are those
-    // of that scan.
-    let mut parent: Vec<usize> = (0..n_all).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let r = find(parent, parent[i]);
-            parent[i] = r;
-        }
-        parent[i]
-    }
-    let mut neighbours = Vec::new();
-    for i in 0..n_all {
-        neighbours.clear();
-        for &sym in symbols_of(i) {
-            if matches!(sym, Sym::Const(c) if q_consts.contains(&c)) {
-                continue;
-            }
-            let in_query = (0..q_syms.len())
-                .filter(|&k| q_syms[k].contains(&sym))
-                .map(|k| n_kb + k);
-            let sharing = cls.mentioning(sym).iter().copied().chain(in_query);
-            neighbours.extend(sharing.filter(|&j| j > i));
-        }
-        neighbours.sort_unstable();
-        neighbours.dedup();
-        for &j in &neighbours {
-            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-            if ri != rj {
-                parent[ri] = rj;
-            }
-        }
-    }
-    let mut components: BTreeMap<usize, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
-    for i in 0..n_all {
-        let r = find(&mut parent, i);
-        let entry = components.entry(r).or_default();
-        if i < n_kb {
-            entry.0.push(i);
-        } else {
-            entry.1.push(i - n_kb);
-        }
-    }
-    let with_query: Vec<_> = components.values().filter(|(_, q)| !q.is_empty()).collect();
-    if with_query.len() < 2 {
+    let components = independence_components(cls, &q_syms, &q_consts);
+    if components.iter().filter(|(_, q)| !q.is_empty()).count() < 2 {
         return None;
     }
-    // At most one constant may be shared between any two components.
-    let comp_consts: Vec<std::collections::BTreeSet<ConstId>> = components
-        .values()
-        .map(|(ks, qs)| {
-            let members = ks.iter().copied().chain(qs.iter().map(|q| n_kb + q));
-            members
-                .flat_map(|i| symbols_of(i).iter())
-                .filter_map(|sym| match sym {
-                    Sym::Const(c) => Some(*c),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect();
-    let mut shared_total: std::collections::BTreeSet<ConstId> = Default::default();
-    for i in 0..comp_consts.len() {
-        for j in i + 1..comp_consts.len() {
-            shared_total.extend(comp_consts[i].intersection(&comp_consts[j]).copied());
+    // At most one constant may be shared between components: count the
+    // constants found in two or more.
+    let mut home: BTreeMap<ConstId, usize> = BTreeMap::new();
+    let mut shared = BTreeSet::new();
+    for (ci, (ks, qs)) in components.iter().enumerate() {
+        let members = ks.iter().map(|&i| cls.symbols_of(i));
+        for sym in members
+            .chain(qs.iter().map(|&q| q_syms[q].as_slice()))
+            .flatten()
+        {
+            if let Sym::Const(c) = *sym {
+                if *home.entry(c).or_insert(ci) != ci {
+                    shared.insert(c);
+                }
+            }
         }
     }
-    if shared_total.len() > 1 {
+    if shared.len() > 1 {
         return None;
     }
 
@@ -699,7 +641,7 @@ pub fn try_independence(
     let mut lo = 1.0f64;
     let mut hi = 1.0f64;
     let mut parts = Vec::new();
-    for (kidxs, qidxs) in components.values() {
+    for (kidxs, qidxs) in &components {
         if qidxs.is_empty() {
             continue;
         }
@@ -720,6 +662,93 @@ pub fn try_independence(
         Belief::Interval(lo, hi)
     };
     Some((belief, Provenance::Independence(parts)))
+}
+
+/// The symbol-sharing components of `KB ∧ query`, as `(KB conjuncts,
+/// query parts)` index lists in the order of their union-find roots.
+/// Parts are numbered KB conjuncts first, then query parts; two parts
+/// share a component when they mention a common predicate, function, or
+/// constant outside `q_consts`.
+///
+/// The unions are those of a scan over every sharing pair `(i, j)`,
+/// `i < j`, in lexicographic order, with the same roots, so the component
+/// order (and with it the order of the independence product) is that
+/// scan's. The scan's unions along a symbol are effective only at the
+/// symbol's first mentioner: that part's step joins every other
+/// mentioner, so each later step along the symbol joins parts already
+/// joined. Each symbol's mentioners are therefore read once, at its first
+/// mentioner, and the cost is linear in the symbol occurrences instead
+/// of quadratic in the parts.
+fn independence_components(
+    cls: &Classified,
+    q_syms: &[Vec<Sym>],
+    q_consts: &BTreeSet<ConstId>,
+) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let n_kb = cls.len();
+    let n_all = n_kb + q_syms.len();
+    let symbols_of = |i: usize| -> &[Sym] {
+        if i < n_kb {
+            cls.symbols_of(i)
+        } else {
+            &q_syms[i - n_kb]
+        }
+    };
+    // `(symbol, part)` for every query part, sorted: each symbol's query
+    // mentioners, ascending, follow its KB mentioners.
+    let mut q_index: Vec<(Sym, usize)> = q_syms
+        .iter()
+        .enumerate()
+        .flat_map(|(k, syms)| syms.iter().map(move |&sym| (sym, n_kb + k)))
+        .collect();
+    q_index.sort_unstable();
+    let mentioners = |sym: Sym| {
+        let from = q_index.partition_point(|&(s, _)| s < sym);
+        let in_query = q_index[from..].iter().take_while(move |&&(s, _)| s == sym);
+        let in_kb = cls.mentioning(sym).iter().copied();
+        in_kb.chain(in_query.map(|&(_, j)| j))
+    };
+    let mut parent: Vec<usize> = (0..n_all).collect();
+    fn find(parent: &mut [usize], mut i: usize) -> usize {
+        let mut root = i;
+        while parent[root] != root {
+            root = parent[root];
+        }
+        while parent[i] != root {
+            i = std::mem::replace(&mut parent[i], root);
+        }
+        root
+    }
+    let mut neighbours = Vec::new();
+    for i in 0..n_all {
+        neighbours.clear();
+        for &sym in symbols_of(i) {
+            if matches!(sym, Sym::Const(c) if q_consts.contains(&c)) {
+                continue;
+            }
+            let mut sharing = mentioners(sym);
+            if sharing.next() == Some(i) {
+                neighbours.extend(sharing);
+            }
+        }
+        neighbours.sort_unstable();
+        neighbours.dedup();
+        for &j in &neighbours {
+            let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+            if ri != rj {
+                parent[ri] = rj;
+            }
+        }
+    }
+    let mut components: BTreeMap<usize, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
+    for i in 0..n_all {
+        let entry = components.entry(find(&mut parent, i)).or_default();
+        if i < n_kb {
+            entry.0.push(i);
+        } else {
+            entry.1.push(i - n_kb);
+        }
+    }
+    components.into_values().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -885,4 +914,126 @@ pub fn try_nested_default(
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rw_util::rng::{Rng, StdRng};
+
+    /// The pairwise scan [`independence_components`] replaces: every part
+    /// unions with every later part sharing a symbol, in `(i, j)` order.
+    fn pairwise_components(
+        cls: &Classified,
+        q_syms: &[Vec<Sym>],
+        q_consts: &BTreeSet<ConstId>,
+    ) -> Vec<(Vec<usize>, Vec<usize>)> {
+        let n_kb = cls.len();
+        let n_all = n_kb + q_syms.len();
+        let symbols_of = |i: usize| -> &[Sym] {
+            if i < n_kb {
+                cls.symbols_of(i)
+            } else {
+                &q_syms[i - n_kb]
+            }
+        };
+        let mut parent: Vec<usize> = (0..n_all).collect();
+        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
+            if parent[i] != i {
+                let r = find(parent, parent[i]);
+                parent[i] = r;
+            }
+            parent[i]
+        }
+        for i in 0..n_all {
+            for j in i + 1..n_all {
+                let shares = symbols_of(i).iter().any(|sym| {
+                    !matches!(sym, Sym::Const(c) if q_consts.contains(c))
+                        && symbols_of(j).contains(sym)
+                });
+                if shares {
+                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                    if ri != rj {
+                        parent[ri] = rj;
+                    }
+                }
+            }
+        }
+        let mut components: BTreeMap<usize, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
+        for i in 0..n_all {
+            let entry = components.entry(find(&mut parent, i)).or_default();
+            if i < n_kb {
+                entry.0.push(i);
+            } else {
+                entry.1.push(i - n_kb);
+            }
+        }
+        components.into_values().collect()
+    }
+
+    /// A random disjunction of one or two atoms over a small vocabulary.
+    fn random_part(rng: &mut StdRng) -> String {
+        let atom = |rng: &mut StdRng| match rng.gen_range(0..3) {
+            0 => format!(
+                "R{}(C{}, C{})",
+                rng.gen_range(0..2),
+                rng.gen_range(0..6),
+                rng.gen_range(0..6)
+            ),
+            _ => format!("P{}(C{})", rng.gen_range(0..4), rng.gen_range(0..6)),
+        };
+        match rng.gen_range(0..3) {
+            0 => format!("{} or {}", atom(rng), atom(rng)),
+            _ => atom(rng),
+        }
+    }
+
+    #[test]
+    fn components_match_the_pairwise_scan_in_order() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut out_of_min_order = 0;
+        for _ in 0..3000 {
+            let kb_parts: Vec<String> = (0..rng.gen_range(1..8))
+                .map(|_| random_part(&mut rng))
+                .collect();
+            let q_parts: Vec<String> = (0..rng.gen_range(1..6))
+                .map(|_| random_part(&mut rng))
+                .collect();
+            let mut kb = KnowledgeBase::parse(&kb_parts.join("; ")).unwrap();
+            let query = kb.parse_query(&q_parts.join(" & ")).unwrap();
+            let cls = classify(&kb);
+            let q_syms: Vec<Vec<Sym>> = query.conjuncts().iter().map(sorted_symbols).collect();
+            let q_consts = analysis::constants(&query);
+            let fast = independence_components(&cls, &q_syms, &q_consts);
+            assert_eq!(
+                fast,
+                pairwise_components(&cls, &q_syms, &q_consts),
+                "KB `{}` ⊢ `{}`",
+                kb_parts.join("; "),
+                q_parts.join(" & ")
+            );
+            // The order is the roots', not the smallest members': make
+            // sure the cases reach orders the two disagree on.
+            let first = |(ks, qs): &(Vec<usize>, Vec<usize>)| {
+                ks.first().copied().unwrap_or_else(|| cls.len() + qs[0])
+            };
+            out_of_min_order += fast.windows(2).any(|w| first(&w[0]) > first(&w[1])) as usize;
+        }
+        assert!(out_of_min_order > 0);
+    }
+
+    #[test]
+    fn a_long_query_chain_declines_quickly() {
+        // 6,000 copies of one conjunct share `Hep`: a single component
+        // with the query, so independence declines.
+        let mut kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();
+        let query = kb
+            .parse_query(&vec!["Hep(Eric)"; 6000].join(" & "))
+            .unwrap();
+        let cls = classify(&kb);
+        let solver = |_: &KnowledgeBase, _: &Formula| -> Option<(Belief, Provenance)> {
+            panic!("one component: nothing to solve")
+        };
+        assert!(try_independence(&kb, &query, &cls, &solver).is_none());
+    }
 }

@@ -301,9 +301,15 @@ pub(crate) enum CProp {
         /// only; `None` sends [`Program::holds`] through the instances.
         bits: Option<BitCount>,
     },
-    Add(u32, u32),
-    Sub(u32, u32),
-    Mul(u32, u32),
+    Arith(Arith, u32, u32),
+}
+
+/// A proportion-arithmetic operator.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Arith {
+    Add,
+    Sub,
+    Mul,
 }
 
 /// A forced ground literal extracted from the program's top-level
@@ -510,7 +516,7 @@ impl Program {
                     }
                 }
             }
-            CProp::Add(a, b) | CProp::Sub(a, b) | CProp::Mul(a, b) => {
+            CProp::Arith(_, a, b) => {
                 self.mark_prop(*a, class, occ, seen_nodes, seen_props);
                 self.mark_prop(*b, class, occ, seen_nodes, seen_props);
             }
@@ -544,11 +550,11 @@ impl Program {
 }
 
 /// An unreduced fraction `(num, den)` with `den > 0`.
-type Pair = (i128, i128);
+pub(crate) type Pair = (i128, i128);
 
 /// A proportion's value under a full assignment, or `None` when a
 /// conditional proportion's condition is empty (undefined).
-type Frac = Option<Pair>;
+pub(crate) type Frac = Option<Pair>;
 
 fn to_rat((num, den): Pair) -> Rat {
     Rat::new(num, den)
@@ -558,7 +564,12 @@ fn to_rat((num, den): Pair) -> Rat {
 /// cross-multiplication on the unreduced fractions. On `i128` overflow it
 /// falls back to [`Rat`], whose reduced operands are exactly what the
 /// tree-walking evaluator compares, so both paths always agree.
-fn compare(l: Pair, op: CmpOp, tau: Rat, r: Pair) -> bool {
+///
+/// Always inlined: it is the inner step of the Monte-Carlo acceptance
+/// check, branch-and-count and orbit counting alike, and a call per
+/// comparison slows the sampler's per-draw kernel.
+#[inline(always)]
+pub(crate) fn compare(l: Pair, op: CmpOp, tau: Rat, r: Pair) -> bool {
     // `l − r = diff / den` with `den > 0`, so `|l − r| ≤ τ` is
     // `|diff| · τ.den ≤ τ.num · den`, and likewise without the `| |`.
     let exact = || -> Option<bool> {
@@ -579,15 +590,33 @@ fn compare(l: Pair, op: CmpOp, tau: Rat, r: Pair) -> bool {
     exact().unwrap_or_else(|| decide_at(to_rat(l), op, to_rat(r), tau))
 }
 
-/// `l ∘ r` on unreduced fractions in checked `i128`, falling back to the
+/// `l op r` on unreduced fractions in checked `i128`, falling back to the
 /// reduced [`Rat`] operation (which panics on overflow exactly where the
 /// tree-walking evaluator does).
-fn arith(l: Frac, r: Frac, op: fn(Rat, Rat) -> Rat, exact: fn(Pair, Pair) -> Option<Pair>) -> Frac {
-    let (l, r) = (l?, r?);
-    Some(exact(l, r).unwrap_or_else(|| {
-        let v = op(to_rat(l), to_rat(r));
+pub(crate) fn arith(l: Pair, op: Arith, r: Pair) -> Pair {
+    let ((a, b), (c, d)) = (l, r);
+    let exact = || -> Option<Pair> {
+        Some(match op {
+            Arith::Add => (
+                a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?,
+                b.checked_mul(d)?,
+            ),
+            Arith::Sub => (
+                a.checked_mul(d)?.checked_sub(c.checked_mul(b)?)?,
+                b.checked_mul(d)?,
+            ),
+            Arith::Mul => (a.checked_mul(c)?, b.checked_mul(d)?),
+        })
+    };
+    exact().unwrap_or_else(|| {
+        let (x, y) = (to_rat(l), to_rat(r));
+        let v = match op {
+            Arith::Add => x + y,
+            Arith::Sub => x - y,
+            Arith::Mul => x * y,
+        };
         (v.num(), v.den())
-    }))
+    })
 }
 
 /// Full-assignment evaluation: the Monte-Carlo acceptance kernel.
@@ -684,34 +713,10 @@ impl Program {
                     (false, _) => Some((body, *total)),
                 }
             }
-            CProp::Add(a, b) => arith(
-                self.prop_value(*a, slots),
-                self.prop_value(*b, slots),
-                |x, y| x + y,
-                |(a, b), (c, d)| {
-                    Some((
-                        a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?,
-                        b.checked_mul(d)?,
-                    ))
-                },
-            ),
-            CProp::Sub(a, b) => arith(
-                self.prop_value(*a, slots),
-                self.prop_value(*b, slots),
-                |x, y| x - y,
-                |(a, b), (c, d)| {
-                    Some((
-                        a.checked_mul(d)?.checked_sub(c.checked_mul(b)?)?,
-                        b.checked_mul(d)?,
-                    ))
-                },
-            ),
-            CProp::Mul(a, b) => arith(
-                self.prop_value(*a, slots),
-                self.prop_value(*b, slots),
-                |x, y| x * y,
-                |(a, b), (c, d)| Some((a.checked_mul(c)?, b.checked_mul(d)?)),
-            ),
+            CProp::Arith(op, a, b) => {
+                let (l, r) = (self.prop_value(*a, slots), self.prop_value(*b, slots));
+                Some(arith(l?, *op, r?))
+            }
         }
     }
 }
@@ -743,6 +748,12 @@ impl Compiler<'_> {
     fn push_prop(&mut self, p: CProp) -> u32 {
         self.props.push(p);
         (self.props.len() - 1) as u32
+    }
+
+    fn arith_prop(&mut self, op: Arith, a: &PropExpr, b: &PropExpr) -> u32 {
+        let ca = self.prop(a);
+        let cb = self.prop(b);
+        self.push_prop(CProp::Arith(op, ca, cb))
     }
 
     fn boolean(&mut self, b: bool) -> u32 {
@@ -925,21 +936,9 @@ impl Compiler<'_> {
     fn prop(&mut self, e: &PropExpr) -> u32 {
         match e {
             PropExpr::Rat(r) => self.push_prop(CProp::Rat(*r)),
-            PropExpr::Add(a, b) => {
-                let ca = self.prop(a);
-                let cb = self.prop(b);
-                self.push_prop(CProp::Add(ca, cb))
-            }
-            PropExpr::Sub(a, b) => {
-                let ca = self.prop(a);
-                let cb = self.prop(b);
-                self.push_prop(CProp::Sub(ca, cb))
-            }
-            PropExpr::Mul(a, b) => {
-                let ca = self.prop(a);
-                let cb = self.prop(b);
-                self.push_prop(CProp::Mul(ca, cb))
-            }
+            PropExpr::Add(a, b) => self.arith_prop(Arith::Add, a, b),
+            PropExpr::Sub(a, b) => self.arith_prop(Arith::Sub, a, b),
+            PropExpr::Mul(a, b) => self.arith_prop(Arith::Mul, a, b),
             PropExpr::Prop { body, cond, vars } => {
                 let k = vars.len();
                 let total = (self.n as i128)
@@ -1019,6 +1018,7 @@ impl Compiler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rw_logic::ast::TolId;
     use rw_logic::KnowledgeBase;
 
@@ -1206,6 +1206,60 @@ mod tests {
         assert!(compare_under(one_a, CmpOp::Eq, one_b, &tol));
         assert!(!compare_under(big, CmpOp::Leq, tiny, &tol));
         assert!(compare_under(tiny, CmpOp::ApproxLeq(TolId(1)), big, &tol));
+    }
+
+    /// An unreduced fraction: a base `a/b` (not necessarily reduced)
+    /// scaled by `k`. Half the cases take `k` just below `i128::MAX / 64`,
+    /// so every cross product with a non-zero operand overflows and the
+    /// `Rat` fallback decides.
+    fn unreduced() -> impl Strategy<Value = Pair> {
+        prop_oneof![
+            (-64i128..65, 1i128..65, 1i128..9).prop_map(|(a, b, k)| (a * k, b * k)),
+            (-64i128..65, 1i128..65, 0i128..1024)
+                .prop_map(|(a, b, s)| (a * (i128::MAX / 64 - s), b * (i128::MAX / 64 - s))),
+        ]
+    }
+
+    const OPS: [CmpOp; 4] = [
+        CmpOp::ApproxEq(TolId(1)),
+        CmpOp::ApproxLeq(TolId(1)),
+        CmpOp::Eq,
+        CmpOp::Leq,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn compare_and_arith_agree_with_reduced_rats(
+            l in unreduced(),
+            r in unreduced(),
+            op in 0usize..4,
+            (t, d) in (0i128..20, 1i128..100),
+        ) {
+            let (op, tau) = (OPS[op], Rat::new(t, d));
+            let (lr, rr) = (to_rat(l), to_rat(r));
+            // `r` itself, and `l − τ`, `l`, `l + τ` (unreduced by 3), which sit on
+            // the tolerance boundary.
+            let mut rights = vec![r];
+            for sign in [-1, 0, 1] {
+                rights.push(arith(l, Arith::Add, (3 * sign * t, 3 * d)));
+            }
+            for r in rights {
+                for (a, b) in [(l, r), (r, l)] {
+                    prop_assert_eq!(
+                        compare(a, op, tau, b),
+                        crate::eval::decide_at(to_rat(a), op, to_rat(b), tau),
+                        "{:?} {:?} {:?} under τ = {}", a, op, b, tau
+                    );
+                }
+            }
+            for (arith_op, reduced) in [(Arith::Add, lr + rr), (Arith::Sub, lr - rr), (Arith::Mul, lr * rr)] {
+                let v = arith(l, arith_op, r);
+                prop_assert!(v.1 > 0, "{:?} {:?} {:?} gave denominator {}", l, arith_op, r, v.1);
+                prop_assert_eq!(to_rat(v), reduced, "{:?} {:?} {:?}", l, arith_op, r);
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! [`CountOptions::max_visited`] bounds — orders of magnitude fewer than
 //! interpretations on structured formulas.
 //!
+//! A decided proportion is kept as its **unreduced integer counts**
+//! `(body, condition)` (or `(body, N^k)`), and every comparison is
+//! decided by cross-multiplying them in checked `i128`, as
+//! [`Program::holds`] does: no search node pays for a gcd. On overflow
+//! the comparison falls back to reduced [`rw_util::Rat`] values, so each
+//! decision is exactly the tree-walking evaluator's.
+//!
 //! # Parallelism and determinism
 //!
 //! Counting shards the top of the branch tree into **chunks** — fixed
@@ -31,9 +38,8 @@
 //! visited/branched totals, and even its failure mode are identical at
 //! any thread count.
 
-use crate::compile::{CNode, CProp, CTerm, CountInst, Program, NO_NODE};
-use crate::eval::decide_at;
-use rw_util::{par, Rat};
+use crate::compile::{arith, compare, CNode, CProp, CTerm, CountInst, Pair, Program, NO_NODE};
+use rw_util::par;
 
 /// Default cap on visited search nodes (branch-and-count visits far
 /// fewer nodes than there are interpretations, so this reaches much
@@ -99,12 +105,13 @@ enum Tri {
     Unknown,
 }
 
-/// A memoized proportion value: `Known` persists down the subtree
-/// (decided values never change under extension).
+/// A memoized proportion value: `Def` and `Undef` persist down the
+/// subtree (decided values never change under extension). A `Def` value
+/// is an unreduced fraction, compared by cross-multiplication.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum PropKnow {
     Unknown,
-    Def(Rat),
+    Def(Pair),
     Undef,
 }
 
@@ -288,7 +295,7 @@ impl<'p> Search<'p> {
                 // matter what the other side is.
                 match (l, r) {
                     (PropKnow::Undef, _) | (_, PropKnow::Undef) => Tri::True,
-                    (PropKnow::Def(a), PropKnow::Def(b)) => Tri::from(decide_at(a, *op, b, *tau)),
+                    (PropKnow::Def(a), PropKnow::Def(b)) => Tri::from(compare(a, *op, *tau, b)),
                     _ => Tri::Unknown,
                 }
             }
@@ -306,29 +313,18 @@ impl<'p> Search<'p> {
             known => return known,
         }
         let prog = self.prog;
-        // `PropValue::map2`: any Undef operand makes the result Undef
-        // regardless of the other side.
-        let arith = |l: PropKnow, r: PropKnow, f: fn(Rat, Rat) -> Rat| match (l, r) {
-            (PropKnow::Undef, _) | (_, PropKnow::Undef) => PropKnow::Undef,
-            (PropKnow::Def(x), PropKnow::Def(y)) => PropKnow::Def(f(x, y)),
-            _ => PropKnow::Unknown,
-        };
         let v = match &prog.props[id as usize] {
-            CProp::Rat(r) => PropKnow::Def(*r),
-            CProp::Add(a, b) => {
+            CProp::Rat(r) => PropKnow::Def((r.num(), r.den())),
+            CProp::Arith(op, a, b) => {
                 let l = self.eval_prop(*a);
                 let r = self.eval_prop(*b);
-                arith(l, r, |x, y| x + y)
-            }
-            CProp::Sub(a, b) => {
-                let l = self.eval_prop(*a);
-                let r = self.eval_prop(*b);
-                arith(l, r, |x, y| x - y)
-            }
-            CProp::Mul(a, b) => {
-                let l = self.eval_prop(*a);
-                let r = self.eval_prop(*b);
-                arith(l, r, |x, y| x * y)
+                // `PropValue::map2`: any Undef operand makes the result
+                // Undef regardless of the other side.
+                match (l, r) {
+                    (PropKnow::Undef, _) | (_, PropKnow::Undef) => PropKnow::Undef,
+                    (PropKnow::Def(x), PropKnow::Def(y)) => PropKnow::Def(arith(x, *op, y)),
+                    _ => PropKnow::Unknown,
+                }
             }
             CProp::Count {
                 insts,
@@ -381,14 +377,10 @@ impl<'p> Search<'p> {
         if unknown {
             return PropKnow::Unknown;
         }
-        if conditional {
-            if cond_count == 0 {
-                PropKnow::Undef
-            } else {
-                PropKnow::Def(Rat::new(body_count, cond_count))
-            }
-        } else {
-            PropKnow::Def(Rat::new(body_count, total))
+        match (conditional, cond_count) {
+            (true, 0) => PropKnow::Undef,
+            (true, _) => PropKnow::Def((body_count, cond_count)),
+            (false, _) => PropKnow::Def((body_count, total)),
         }
     }
 
@@ -568,6 +560,7 @@ mod tests {
     use crate::eval::Evaluator;
     use rw_logic::ast::Formula;
     use rw_logic::{KnowledgeBase, Tolerances};
+    use rw_util::Rat;
 
     fn tol() -> Tolerances {
         Tolerances::uniform(Rat::new(1, 4))

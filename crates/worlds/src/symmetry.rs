@@ -28,7 +28,8 @@
 //! placing each cell's constant blocks on distinct elements, times the
 //! unconstrained predicate bits multiplied out in one step. Counts reach
 //! `2^(N²)` and beyond, far past `u128`, so they are carried as
-//! [`ScaledCount`] values `coeff · 2^exp2`.
+//! [`ScaledCount`] values `coeff · 2^exp2`. A profile's proportions are
+//! unreduced cell-count fractions, compared by cross-multiplication.
 //!
 //! # The supported fragment
 //!
@@ -47,8 +48,9 @@
 //! so the count, its representative totals and its failure mode are
 //! bit-identical at any thread count.
 
+use crate::compile::{arith, compare, Arith, Frac};
 use crate::count::{CountError, CountOptions};
-use crate::eval::decide;
+use crate::eval::tolerance;
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
 use rw_logic::{Tolerances, VarId, Vocabulary};
 use rw_util::{par, Rat};
@@ -202,9 +204,7 @@ enum Ground {
 enum PropNode {
     Rat(Rat),
     Prop { body: u64, cond: Option<u64> },
-    Add(Box<PropNode>, Box<PropNode>),
-    Sub(Box<PropNode>, Box<PropNode>),
-    Mul(Box<PropNode>, Box<PropNode>),
+    Arith(Arith, Box<PropNode>, Box<PropNode>),
 }
 
 /// One statistical conjunct `lhs op rhs`.
@@ -351,11 +351,12 @@ impl SymmetrySpec {
     ) -> Result<SymmetryOutcome, CountError> {
         assert!(n >= 1, "domain size must be positive");
         let partitions = self.partitions(n)?;
+        let taus: Vec<Rat> = self.stats.iter().map(|s| tolerance(s.op, tol)).collect();
         let chunks = n + 1;
         let chunk_budget = (opts.max_visited / chunks as u64).max(1);
 
         let results = par::try_map(chunks, opts.threads, |c0| {
-            self.run_chunk(&partitions, n, c0, tol, chunk_budget)
+            self.run_chunk(&partitions, n, c0, &taus, chunk_budget)
         })?;
 
         let mut count = ScaledCount::ZERO;
@@ -444,7 +445,7 @@ impl SymmetrySpec {
         partitions: &[Partition],
         n: usize,
         c0: usize,
-        tol: &Tolerances,
+        taus: &[Rat],
         budget: u64,
     ) -> Result<(ScaledCount, u64), CountError> {
         let cells = self.cells();
@@ -480,7 +481,7 @@ impl SymmetrySpec {
                     }
                     if sat > 0 {
                         let profiles =
-                            self.profile_sum(n, c0, &occ, &mut counts, tol, &mut reps, budget)?;
+                            self.profile_sum(n, c0, &occ, &mut counts, taus, &mut reps, budget)?;
                         if profiles > 0 {
                             let coeff = sat.checked_mul(profiles).ok_or(CountError::Overflow)?;
                             sum.accumulate(coeff, part.exp2)?;
@@ -521,7 +522,7 @@ impl SymmetrySpec {
         c0: usize,
         occ: &[u64],
         counts: &mut [u64],
-        tol: &Tolerances,
+        taus: &[Rat],
         reps: &mut u64,
         budget: u64,
     ) -> Result<u128, CountError> {
@@ -543,7 +544,7 @@ impl SymmetrySpec {
             return Ok(0);
         }
         let mut acc = 0u128;
-        self.profile_rec(n, occ, counts, 1, n - c0, w0, tol, reps, budget, &mut acc)?;
+        self.profile_rec(n, occ, counts, 1, n - c0, w0, taus, reps, budget, &mut acc)?;
         Ok(acc)
     }
 
@@ -556,7 +557,7 @@ impl SymmetrySpec {
         idx: usize,
         remaining: u64,
         weight: u128,
-        tol: &Tolerances,
+        taus: &[Rat],
         reps: &mut u64,
         budget: u64,
         acc: &mut u128,
@@ -568,7 +569,7 @@ impl SymmetrySpec {
             if *reps > budget {
                 return Err(CountError::BudgetExhausted);
             }
-            if weight > 0 && self.stats_hold(counts, n, tol) {
+            if weight > 0 && self.stats_hold(counts, n, taus) {
                 *acc = acc.checked_add(weight).ok_or(CountError::Overflow)?;
             }
             return Ok(());
@@ -582,7 +583,7 @@ impl SymmetrySpec {
             let w = weight
                 .checked_mul(falling(remaining, occ[idx]))
                 .ok_or(CountError::Overflow)?;
-            return self.profile_rec(n, occ, counts, idx + 1, 0, w, tol, reps, budget, acc);
+            return self.profile_rec(n, occ, counts, idx + 1, 0, w, taus, reps, budget, acc);
         }
         // Sizes below the block occupancy have weight zero: skip them.
         for c in occ[idx]..=remaining {
@@ -598,7 +599,7 @@ impl SymmetrySpec {
                 idx + 1,
                 remaining - c,
                 w,
-                tol,
+                taus,
                 reps,
                 budget,
                 acc,
@@ -610,12 +611,15 @@ impl SymmetrySpec {
     /// Evaluates every statistical conjunct on a profile, with the
     /// measure-zero convention (an undefined conditional proportion makes
     /// its comparison vacuously true), exactly as `count`/`eval` do.
-    fn stats_hold(&self, counts: &[u64], n: u64, tol: &Tolerances) -> bool {
-        for stat in &self.stats {
+    /// Proportions stay unreduced cell-count fractions and each
+    /// comparison is cross-multiplied under its conjunct's τ (`taus`,
+    /// resolved once per count), so no profile pays for a gcd.
+    fn stats_hold(&self, counts: &[u64], n: u64, taus: &[Rat]) -> bool {
+        for (stat, &tau) in self.stats.iter().zip(taus) {
             let l = eval_prop_node(&stat.lhs, counts, n);
             let r = eval_prop_node(&stat.rhs, counts, n);
             let ok = match (l, r) {
-                (Some(a), Some(b)) => decide(a, stat.op, b, tol),
+                (Some(a), Some(b)) => compare(a, stat.op, tau, b),
                 _ => true,
             };
             if !ok {
@@ -647,26 +651,21 @@ fn eval_ground(g: &Ground, part: &Partition, assign: &[usize], sigma: u64) -> bo
 /// The value of a proportion expression on a profile: `None` is the
 /// undefined (measure-zero conditional) case, which `map2`-propagates
 /// through arithmetic.
-fn eval_prop_node(node: &PropNode, counts: &[u64], n: u64) -> Option<Rat> {
+fn eval_prop_node(node: &PropNode, counts: &[u64], n: u64) -> Frac {
     match node {
-        PropNode::Rat(r) => Some(*r),
+        PropNode::Rat(r) => Some((r.num(), r.den())),
         PropNode::Prop { body, cond } => match cond {
-            None => Some(Rat::new(masked_sum(counts, *body) as i128, n as i128)),
-            Some(cm) => {
-                let cond_count = masked_sum(counts, *cm);
-                if cond_count == 0 {
-                    None
-                } else {
-                    Some(Rat::new(
-                        masked_sum(counts, body & cm) as i128,
-                        cond_count as i128,
-                    ))
-                }
-            }
+            None => Some((masked_sum(counts, *body) as i128, n as i128)),
+            Some(cm) => match masked_sum(counts, *cm) {
+                0 => None,
+                cond_count => Some((masked_sum(counts, body & cm) as i128, cond_count as i128)),
+            },
         },
-        PropNode::Add(a, b) => Some(eval_prop_node(a, counts, n)? + eval_prop_node(b, counts, n)?),
-        PropNode::Sub(a, b) => Some(eval_prop_node(a, counts, n)? - eval_prop_node(b, counts, n)?),
-        PropNode::Mul(a, b) => Some(eval_prop_node(a, counts, n)? * eval_prop_node(b, counts, n)?),
+        PropNode::Arith(op, a, b) => Some(arith(
+            eval_prop_node(a, counts, n)?,
+            *op,
+            eval_prop_node(b, counts, n)?,
+        )),
     }
 }
 
@@ -842,19 +841,18 @@ fn build_prop(e: &PropExpr, tracked: &[usize]) -> PropNode {
             body: body_mask(body, tracked),
             cond: cond.as_deref().map(|c| body_mask(c, tracked)),
         },
-        PropExpr::Add(a, b) => PropNode::Add(
-            Box::new(build_prop(a, tracked)),
-            Box::new(build_prop(b, tracked)),
-        ),
-        PropExpr::Sub(a, b) => PropNode::Sub(
-            Box::new(build_prop(a, tracked)),
-            Box::new(build_prop(b, tracked)),
-        ),
-        PropExpr::Mul(a, b) => PropNode::Mul(
-            Box::new(build_prop(a, tracked)),
-            Box::new(build_prop(b, tracked)),
-        ),
+        PropExpr::Add(a, b) => arith_node(Arith::Add, a, b, tracked),
+        PropExpr::Sub(a, b) => arith_node(Arith::Sub, a, b, tracked),
+        PropExpr::Mul(a, b) => arith_node(Arith::Mul, a, b, tracked),
     }
+}
+
+fn arith_node(op: Arith, a: &PropExpr, b: &PropExpr, tracked: &[usize]) -> PropNode {
+    PropNode::Arith(
+        op,
+        Box::new(build_prop(a, tracked)),
+        Box::new(build_prop(b, tracked)),
+    )
 }
 
 /// The set of cells (bitmask) whose atom assignment satisfies `body`.
