@@ -1,5 +1,5 @@
-//! Serving-path benchmarks (experiment index B9): `answer_batch` against
-//! per-query `answer` loops, and the per-stage cost of a trace-carrying
+//! Serving-path benchmarks (experiment index B9): one-thread
+//! `answer_batch_report` batches against per-query `answer` loops, and the per-stage cost of a trace-carrying
 //! pipeline walk versus the work the stages themselves do.
 //!
 //! Shapes to observe:
@@ -10,7 +10,7 @@
 //!   worlds or sweeps τ.
 
 use rw_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rw_core::RandomWorlds;
+use rw_core::{PreparedKb, RandomWorlds};
 use rw_logic::KnowledgeBase;
 use std::hint::black_box;
 
@@ -38,8 +38,11 @@ fn bench_batch_vs_loop(c: &mut Criterion) {
     let kb = medical_kb();
     for n in [1usize, 8, 64] {
         let qs = queries(n);
-        group.bench_with_input(BenchmarkId::new("answer_batch", n), &qs, |b, qs| {
-            b.iter(|| black_box(engine.answer_batch(&kb, qs)))
+        group.bench_with_input(BenchmarkId::new("answer_batch_report", n), &qs, |b, qs| {
+            b.iter(|| {
+                let prepared = PreparedKb::new(kb.clone());
+                black_box(engine.answer_batch_report(&prepared, qs, 1))
+            })
         });
         group.bench_with_input(BenchmarkId::new("answer_loop", n), &qs, |b, qs| {
             b.iter(|| {

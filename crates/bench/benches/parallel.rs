@@ -22,7 +22,7 @@
 //! baseline's beliefs (`beliefs identical: true`), so the speedups are
 //! for equivalent answers.
 
-use rw_core::{AnswerCache, BatchRun, RandomWorlds};
+use rw_core::{AnswerCache, BatchRun, PreparedKb, RandomWorlds};
 use rw_logic::KnowledgeBase;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -92,7 +92,7 @@ fn row(label: &str, elapsed: Duration, baseline: Duration, detail: &str) {
 }
 
 fn main() {
-    let kb = kb();
+    let kb = PreparedKb::new(kb());
     let queries = workload();
     let engine = RandomWorlds::new();
     let cores = std::thread::available_parallelism()
@@ -171,7 +171,7 @@ fn main() {
 /// counters, lookup-latency histograms) is the largest relative cost.
 /// Medians already damp noise; a few retries ride out scheduler spikes
 /// so the gate fails only on a real regression.
-fn overhead_gate(engine: &RandomWorlds, kb: &KnowledgeBase, queries: &[String]) {
+fn overhead_gate(engine: &RandomWorlds, kb: &PreparedKb, queries: &[String]) {
     const ATTEMPTS: usize = 7;
     let engine = engine.clone().with_cache(Arc::new(AnswerCache::new()));
     let _ = engine.answer_batch_report(kb, queries, 1); // warm the cache

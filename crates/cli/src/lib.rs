@@ -9,11 +9,13 @@
 //! to the random-propensities families of `rw-propensity`. The `batch`
 //! subcommand is the serving path: one loaded KB, queries streamed on
 //! stdin one per line, one JSON result object per line on stdout, and a
-//! closing `{"summary":{...}}` line with `{answered, failed}` counts.
-//! `--threads N` shards the batch across the parallel executor
+//! closing `{"summary":{...}}` line with `{answered, failed}` counts and
+//! per-stage totals. `--threads N` shards the batch across the executor
 //! (`rw_core::RandomWorlds::answer_batch_report`; `0` = one worker per
-//! core) and `--cache` shares a canonical-query answer cache across the
-//! session, with per-line `cache_hit` / `elapsed_us` fields in the JSON.
+//! core) on the same engine and the same fold as the streamed
+//! `--threads 1` path, so both report the same summary; `--cache` shares
+//! a canonical-query answer cache across the session, with per-line
+//! `cache_hit` / `elapsed_us` fields in the JSON.
 //! `--approx` (with `--samples`, `--mc-seed`, `--ci`) enables the
 //! Monte-Carlo approximate-inference stage on `query`, `repl` and
 //! `batch`: queries missing every theorem pattern are answered by
@@ -185,52 +187,29 @@ pub fn run(
                 }
             };
             let threads = options.threads;
-            let session = Session::new(kb, options);
+            let session = Session::for_batch(kb, options);
             let report = if threads == 1 {
                 // Streamed: each line is answered (and flushed) as it
                 // arrives, so long-lived producers see results without
-                // waiting for EOF. Time only the answering, not the
-                // stdin waits — a slow producer must not inflate the
-                // summary's wall_us/cpu_us (which the parallel path
-                // measures inside the executor, after collection).
-                let mut answered = 0usize;
-                let mut failed = 0usize;
-                let mut busy = std::time::Duration::ZERO;
+                // waiting for EOF. Only the answering is timed, not the
+                // stdin waits: a slow producer must not inflate the
+                // summary's wall_us.
+                let mut batch = session.batch();
                 for line in stdin.lines() {
                     let line = line?;
                     let q = line.trim();
                     if q.is_empty() || q.starts_with('#') {
                         continue;
                     }
-                    let t = std::time::Instant::now();
-                    let (json, ok) = session.answer_json_line(q);
-                    busy += t.elapsed();
-                    writeln!(out, "{json}")?;
+                    let result = batch.answer(q);
+                    writeln!(out, "{}", json::result_line(q, &result))?;
                     out.flush()?;
-                    if ok {
-                        answered += 1;
-                    } else {
-                        failed += 1;
-                    }
                 }
-                let (denom_hits, denom_misses) = session.denom_counts();
-                rw_core::BatchReport {
-                    queries: answered + failed,
-                    answered,
-                    failed,
-                    cache_hits: session.cache_hits() as usize,
-                    cache_misses: session.cache_misses() as usize,
-                    denom_hits,
-                    denom_misses,
-                    threads: 1,
-                    wall: busy,
-                    cpu: busy,
-                    stages: Vec::new(),
-                }
+                let busy = batch.cpu();
+                batch.finish(1, busy)
             } else {
-                // Parallel: the workload must be collected up front so the
-                // worker pool can shard it; output order stays the input
-                // order (the executor is deterministic).
+                // Collected: the worker pool shards the whole workload;
+                // output order stays the input order.
                 let mut queries = Vec::new();
                 for line in stdin.lines() {
                     let line = line?;
@@ -707,8 +686,8 @@ mod tests {
             input,
         );
         assert_eq!(streamed.0, parallel.0);
-        // Identical result lines (in input order) once wall times are
-        // stripped; the summaries differ (threads, stage totals).
+        // Identical result lines (in input order) and summaries once
+        // wall times are stripped, up to the reported thread count.
         let strip = |s: &str| {
             let mut out = String::new();
             let mut rest = s;
@@ -731,6 +710,13 @@ mod tests {
             parallel.1
         );
         assert!(p_lines[4].contains(r#""threads":4"#), "{}", parallel.1);
+        assert_eq!(
+            s_lines[4].replace(r#""threads":1"#, r#""threads":4"#),
+            p_lines[4],
+            "\n{}\n{}",
+            streamed.1,
+            parallel.1
+        );
         assert!(
             p_lines[4].contains(r#""stages":[{"stage":"theorems""#),
             "{}",

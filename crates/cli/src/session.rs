@@ -4,13 +4,14 @@
 //! [`rw_propensity::PropensityEngine`] when a non-uniform prior is chosen)
 //! and renders results as the stable, line-oriented text the `rwq` binary
 //! prints — kept in the library so integration tests can assert on it.
-//! [`Session::answer_json_line`] is the serving path behind `rwq batch`:
-//! one loaded KB, one solver pipeline, one JSON object per query
-//! ([`Session::answer_batch_jsonl`] is the collected convenience form).
+//! Each session holds one engine. `rwq batch` answers through
+//! [`Session::batch`] (streamed, a query at a time) or
+//! [`Session::answer_batch_report`] (collected, on `--threads` workers):
+//! one loaded KB, one solver pipeline, one JSON object per query, and
+//! one fold of the answers into the closing summary.
 
 use rw_core::{
-    AnswerCache, BatchReport, DenomCache, EngineConfig, EngineError, McConfig, PreparedKb,
-    RandomWorlds,
+    AnswerCache, Batch, BatchReport, EngineConfig, EngineError, McConfig, PreparedKb, RandomWorlds,
 };
 use rw_logic::{KnowledgeBase, Pretty, Tolerances};
 use rw_propensity::{Prior, PropensityEngine};
@@ -32,8 +33,8 @@ pub struct SessionOptions {
     /// Include provenance detail in answers.
     pub explain: bool,
     /// Worker threads for `batch` (`0` = one per core, `1` = stream
-    /// sequentially); with `--approx` the same count also drives the
-    /// sampler's worker pool (never the answers — sampling is
+    /// sequentially); with `--approx` on `query`/`repl` the same count
+    /// drives the sampler's worker pool (never the answers — sampling is
     /// thread-count deterministic).
     pub threads: usize,
     /// Install a canonical-query [`AnswerCache`] shared by every query in
@@ -139,58 +140,45 @@ pub struct Session {
     kb: PreparedKb,
     options: SessionOptions,
     engine: RandomWorlds,
-    /// The engine the parallel batch executor uses: identical to
-    /// `engine` except the sampler and the exact counting stage run
-    /// single-threaded per query (the batch pool provides the
-    /// parallelism). `None` when the distinction cannot matter
-    /// (`--threads 1`, where both engines would be identical).
-    batch_engine: Option<RandomWorlds>,
 }
 
 impl Session {
-    /// A session over a loaded knowledge base.
+    /// A session over a loaded knowledge base whose sampler (with
+    /// `--approx`) and exact counting workers run on `--threads` threads.
     pub fn new(kb: KnowledgeBase, options: SessionOptions) -> Session {
-        // Both engines share one denominator cache (a `#worlds` count is
-        // a pure function of its key), so interactive and batch paths
-        // warm each other and the session reports one hit/miss tally.
-        let denoms = Arc::new(DenomCache::new());
-        let build = |approx: Option<McConfig>, enum_threads: usize| {
-            RandomWorlds::from(EngineConfig {
-                approx,
-                enum_threads,
-                enum_symmetry: options.symmetry,
-                enum_min_n: options.min_n,
-                enum_max_n: options.max_n,
-                denom_cache: Arc::clone(&denoms),
-                ..EngineConfig::default()
-            })
-        };
-        let mc = options.mc_config();
-        // `--threads` drives every intra-query worker pool on the
-        // interactive path: the sampler (with `--approx`) and the exact
-        // counting stage's branch-and-count workers alike.
-        let mut engine = build(mc.clone(), options.threads);
-        // The parallel batch executor already spreads queries across
-        // `threads` workers; nesting a `threads`-wide sampler or
-        // counting pool inside each would oversubscribe the cores
-        // (threads² with both knobs up). Batches therefore run both
-        // single-threaded per query — which changes nothing about the
-        // answers (both pools are thread-count deterministic), only the
-        // per-query wall time.
-        let mut batch_engine =
-            (options.threads != 1).then(|| build(mc.map(|c| McConfig { threads: 1, ..c }), 1));
+        let threads = options.threads;
+        Session::build(kb, options, threads)
+    }
+
+    /// A session for `rwq batch`. Its `--threads` workers answer queries
+    /// side by side, so each query's sampler and counting pools run on
+    /// one thread: nesting `threads`-wide pools inside them would
+    /// oversubscribe the cores. Both pools are thread-count
+    /// deterministic, so this changes per-query wall time, never an
+    /// answer.
+    pub fn for_batch(kb: KnowledgeBase, options: SessionOptions) -> Session {
+        Session::build(kb, options, 1)
+    }
+
+    fn build(kb: KnowledgeBase, options: SessionOptions, pool_threads: usize) -> Session {
+        let mut engine = RandomWorlds::from(EngineConfig {
+            approx: options.mc_config().map(|c| McConfig {
+                threads: pool_threads,
+                ..c
+            }),
+            enum_threads: pool_threads,
+            enum_symmetry: options.symmetry,
+            enum_min_n: options.min_n,
+            enum_max_n: options.max_n,
+            ..EngineConfig::default()
+        });
         if options.cache {
-            let cache = Arc::new(AnswerCache::new());
-            engine = engine.with_cache(Arc::clone(&cache));
-            // Worker count is excluded from the engine-config
-            // fingerprint, so both engines share one keyspace.
-            batch_engine = batch_engine.map(|e| e.with_cache(cache));
+            engine = engine.with_cache(Arc::new(AnswerCache::new()));
         }
         Session {
             kb: PreparedKb::new(kb),
             options,
             engine,
-            batch_engine,
         }
     }
 
@@ -208,72 +196,36 @@ impl Session {
     }
 
     /// Answers one query as a self-contained JSON object plus a success
-    /// flag — the per-line unit of `rwq batch`, which streams an answer
-    /// as each stdin line arrives. Always uses the random-worlds
-    /// pipeline; a bad query yields an `"ok":false` object, never an
-    /// `Err`.
+    /// flag — the per-line unit of `rwq batch`. Always uses the
+    /// random-worlds pipeline; a bad query yields an `"ok":false`
+    /// object, never an `Err`.
     pub fn answer_json_line(&self, query: &str) -> (String, bool) {
-        match self.engine.answer_prepared(&self.kb, query) {
-            Ok(response) => (crate::json::response_line(query, &response), true),
-            Err(e) => (crate::json::error_line(query, &e.to_string()), false),
-        }
+        let result = self.engine.answer_prepared(&self.kb, query);
+        (crate::json::result_line(query, &result), result.is_ok())
     }
 
-    /// Answers a batch of queries against the loaded KB, one JSON object
-    /// per query (in input order), plus the number of failed queries.
-    ///
-    /// The collected form of [`Self::answer_json_line`] (same KB, same
-    /// pipeline, same JSON shape): a bad query produces an
-    /// `"ok":false` line without voiding the rest.
-    pub fn answer_batch_jsonl(&self, queries: &[String]) -> (Vec<String>, usize) {
-        let mut failures = 0usize;
-        let lines = queries
-            .iter()
-            .map(|q| {
-                let (line, ok) = self.answer_json_line(q);
-                if !ok {
-                    failures += 1;
-                }
-                line
-            })
-            .collect();
-        (lines, failures)
+    /// Begins a streamed batch on the session's engine and KB: each
+    /// [`Batch::answer`] is folded into the report [`Batch::finish`]
+    /// returns, the same report [`Self::answer_batch_report`] builds.
+    pub fn batch(&self) -> Batch<'_> {
+        Batch::new(&self.engine, &self.kb)
     }
 
-    /// Answers a batch through the engine's parallel executor
-    /// ([`rw_core::RandomWorlds::answer_batch_report`]), honoring the
-    /// session's `threads` setting and shared cache. Returns one JSON
-    /// line per query (input order — the executor's ordering is
-    /// deterministic regardless of thread count) plus the aggregate
-    /// [`BatchReport`] behind `rwq batch`'s closing summary line.
+    /// Answers a batch through the engine's executor
+    /// ([`rw_core::RandomWorlds::answer_batch_report`]) on the session's
+    /// `threads` workers. Returns one JSON line per query, in input
+    /// order, plus the aggregate [`BatchReport`] behind `rwq batch`'s
+    /// closing summary line.
     pub fn answer_batch_report(&self, queries: &[String]) -> (Vec<String>, BatchReport) {
-        let engine = self.batch_engine.as_ref().unwrap_or(&self.engine);
-        let run = engine.answer_batch_report(self.kb.kb(), queries, self.options.threads);
+        let run = self
+            .engine
+            .answer_batch_report(&self.kb, queries, self.options.threads);
         let lines = queries
             .iter()
             .zip(&run.results)
             .map(|(q, r)| crate::json::result_line(q, r))
             .collect();
         (lines, run.report)
-    }
-
-    /// Cache hits accumulated by this session's engine cache (0 when the
-    /// session runs uncached).
-    pub fn cache_hits(&self) -> u64 {
-        self.engine.cache().map(|c| c.hits()).unwrap_or(0)
-    }
-
-    /// Cache misses accumulated by this session's engine cache (0 when
-    /// the session runs uncached).
-    pub fn cache_misses(&self) -> u64 {
-        self.engine.cache().map(|c| c.misses()).unwrap_or(0)
-    }
-
-    /// Lifetime `(hits, misses)` of the session's shared denominator
-    /// cache (both engines feed the same one).
-    pub fn denom_counts(&self) -> (u64, u64) {
-        let denoms = self.engine.denom_cache();
-        (denoms.hits(), denoms.misses())
     }
 
     fn answer_random_worlds(&self, query: &str) -> Result<String, SessionError> {
@@ -520,8 +472,8 @@ mod tests {
     fn batch_jsonl_answers_each_query_once() {
         let s = Session::new(hepatitis(), SessionOptions::default());
         let queries = vec!["Hep(Eric)".to_string(), "!Hep(Eric)".to_string()];
-        let (lines, failures) = s.answer_batch_jsonl(&queries);
-        assert_eq!(failures, 0);
+        let (lines, report) = s.answer_batch_report(&queries);
+        assert_eq!(report.failed, 0);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains(r#""query":"Hep(Eric)""#), "{}", lines[0]);
         assert!(lines[0].contains(r#""ok":true"#), "{}", lines[0]);
@@ -608,8 +560,8 @@ mod tests {
     fn batch_jsonl_isolates_bad_lines() {
         let s = Session::new(hepatitis(), SessionOptions::default());
         let queries = vec!["Hep(".to_string(), "Hep(Eric)".to_string()];
-        let (lines, failures) = s.answer_batch_jsonl(&queries);
-        assert_eq!(failures, 1);
+        let (lines, report) = s.answer_batch_report(&queries);
+        assert_eq!(report.failed, 1);
         assert!(lines[0].contains(r#""ok":false"#), "{}", lines[0]);
         assert!(lines[0].contains(r#""error""#), "{}", lines[0]);
         assert!(lines[1].contains(r#""ok":true"#), "{}", lines[1]);

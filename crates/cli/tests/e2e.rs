@@ -146,6 +146,98 @@ fn batch_parallel_cached_round_trip() {
     let _ = std::fs::remove_file(kb);
 }
 
+/// Replaces the digits after each `"key":` in `line` with `#`.
+fn mask_keys(line: &str, keys: &[&str]) -> String {
+    let mut out = line.to_string();
+    for key in keys {
+        let tag = format!("\"{key}\":");
+        let mut masked = String::new();
+        let mut rest = out.as_str();
+        while let Some(i) = rest.find(&tag) {
+            masked.push_str(&rest[..i + tag.len()]);
+            masked.push('#');
+            rest = rest[i + tag.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        masked.push_str(rest);
+        out = masked;
+    }
+    out
+}
+
+/// The JSON keys of `line`, in order.
+fn json_keys(line: &str) -> Vec<&str> {
+    line.split('"')
+        .collect::<Vec<_>>()
+        .windows(2)
+        .filter(|w| w[1].starts_with(':'))
+        .map(|w| w[0])
+        .collect()
+}
+
+#[test]
+fn batch_summary_is_the_same_at_every_thread_count() {
+    // No duplicate queries, so no answer depends on which worker reached
+    // the cache first; one parse error, and one query that falls through
+    // to enumeration (the only one that counts worlds, so the
+    // denominator-cache counters cannot race either).
+    let kb = kb_file(
+        "batch-same",
+        "||Hep(x) | Jaun(x)||_x ~=_1 0.8\nJaun(Eric)\nJaun(Tom)\n",
+    );
+    let input = "Hep(Eric)\nHep(Eric) & Hep(Tom)\nHep(\n!Hep(Tom)\n\
+                 Likes(Eric, Tom) or Likes(Tom, Eric)\n";
+    let run = |extra: &[&str]| {
+        let mut child = rwq()
+            .args(["batch", kb.to_str().unwrap()])
+            .args(extra)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        child
+            .stdin
+            .as_mut()
+            .unwrap()
+            .write_all(input.as_bytes())
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "the parse error fails the run");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let mut lines: Vec<String> = stdout.lines().map(str::to_string).collect();
+        assert_eq!(lines.len(), 6, "{stdout}");
+        let summary = lines.pop().unwrap();
+        (lines, summary)
+    };
+    let (one, one_summary) = run(&["--threads", "1"]);
+    let (two, two_summary) = run(&["--threads", "2"]);
+    assert!(
+        one[4].contains(r#""provenance":"world enumeration"#),
+        "{}",
+        one[4]
+    );
+    for (a, b) in one.iter().zip(&two) {
+        assert_eq!(mask_keys(a, &["elapsed_us"]), mask_keys(b, &["elapsed_us"]));
+    }
+    let summary_mask = ["threads", "wall_us", "cpu_us", "elapsed_us"];
+    assert!(
+        one_summary.contains(r#""stages":[{"stage":"theorems""#),
+        "{one_summary}"
+    );
+    assert_eq!(
+        mask_keys(&one_summary, &summary_mask),
+        mask_keys(&two_summary, &summary_mask)
+    );
+
+    let (_, one_cached) = run(&["--threads", "1", "--cache"]);
+    let (_, two_cached) = run(&["--threads", "2", "--cache"]);
+    assert!(
+        one_cached.contains(r#""stages":[{"stage":"cache""#),
+        "{one_cached}"
+    );
+    assert_eq!(json_keys(&one_cached), json_keys(&two_cached));
+    let _ = std::fs::remove_file(kb);
+}
+
 #[test]
 fn serve_preloads_default_kb_and_answers_clients() {
     use std::io::{BufRead, BufReader};

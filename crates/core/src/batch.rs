@@ -1,32 +1,31 @@
-//! Parallel sharded batch answering with an aggregate [`BatchReport`].
+//! Batch answering: one answer tally, one batch fold, one executor.
+//!
+//! [`AnswerTally`] is the one fold of answered queries: counts of
+//! answered and failed queries, cache hits and misses, and per-stage
+//! totals from each answer's [`Trace`](crate::Trace). [`Batch`] folds one batch's
+//! answers on one engine and one [`PreparedKb`] into a [`BatchReport`],
+//! either a query at a time (the streamed `rwq batch` loop) or after
+//! [`RandomWorlds::answer_batch_report`] has answered them all on the
+//! shared [`rw_util::par`] pool. A resident server keeps one tally per
+//! worker and merges them for its `stats` op.
 //!
 //! The direct-inference pipeline is embarrassingly parallel across
 //! queries: each query walks the stage cascade independently against one
-//! shared, immutable [`KnowledgeBase`]. This module spreads a batch over
-//! the shared [`rw_util::par`] pool while keeping the output
-//! **deterministic**: results land in input order regardless of which
-//! worker answered which query, and a worker picking up query *i* always
-//! computes exactly what the sequential path would.
-//!
-//! Workers share the engine's installed [`AnswerCache`](crate::AnswerCache)
-//! ([`RandomWorlds::with_cache`]): the cache's sharded interior
-//! mutability means a hit produced by one worker is immediately
-//! visible to the rest, so duplicate and syntactically-variant queries
-//! are answered once per batch instead of once per occurrence.
-//!
-//! Once every query is answered, their [`Trace`]s are folded in input
-//! order into per-stage totals in the returned [`BatchReport`], along
-//! with wall/CPU time and cache-hit counts.
+//! shared, immutable KB. The executor's output is **deterministic**:
+//! results land in input order regardless of which worker answered which
+//! query, and a worker picking up query *i* computes exactly what the
+//! streamed loop would. Workers share the engine's installed
+//! [`AnswerCache`](crate::AnswerCache) ([`RandomWorlds::with_cache`]), so
+//! a hit produced by one worker is immediately visible to the rest.
 
 use crate::engine::{EngineError, RandomWorlds, Response};
 use crate::prepared::PreparedKb;
-use crate::solver::{StageStatus, Trace};
-use rw_logic::KnowledgeBase;
+use crate::solver::StageStatus;
 use rw_util::par;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Aggregate per-stage totals across a whole batch.
+/// Aggregate per-stage totals across many answers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StageTotals {
     /// The stage name (a [`crate::Solver::name`], or `cache`).
@@ -37,27 +36,77 @@ pub struct StageTotals {
     pub declined: usize,
     /// Queries on which this stage exhausted its budget.
     pub budget_exhausted: usize,
-    /// Total wall-clock time spent in this stage across the batch.
+    /// Total wall-clock time spent in this stage.
     pub elapsed: Duration,
 }
 
-impl StageTotals {
-    /// Folds one query's [`Trace`] into a running totals list, appending
-    /// slots for stages not seen before. Shared by the batch executor and
-    /// long-lived serving loops (`rw-server`) that aggregate per-stage
-    /// totals across their whole lifetime.
-    pub fn absorb(totals: &mut Vec<StageTotals>, trace: &Trace) {
+/// The one fold of answered queries, shared by the batch executor, the
+/// streamed `rwq batch` loop and `rw-server`'s `stats` slots.
+#[derive(Clone, Debug, Default)]
+pub struct AnswerTally {
+    /// Queries answered successfully.
+    pub answered: usize,
+    /// Queries that failed (parse error or out of reach).
+    pub failed: usize,
+    /// Answered queries served from the cache.
+    pub cache_hits: usize,
+    /// Queries that consulted a cache and missed: computed answers and
+    /// out-of-reach walks, but not parse errors, which fail before the
+    /// lookup. Zero unless the tally was shaped for a caching engine.
+    pub cache_misses: usize,
+    /// Per-stage totals in first-seen order, after any slots the tally
+    /// was shaped with ([`Self::for_engine`]).
+    pub stages: Vec<StageTotals>,
+    /// Whether a pipeline run counts as a cache miss.
+    cached: bool,
+}
+
+impl AnswerTally {
+    /// An empty tally shaped for `engine`: one zeroed slot per pipeline
+    /// stage, `cache` first when the engine caches, so a report lists
+    /// every stage in the order a query meets them, even stages no query
+    /// reached.
+    pub fn for_engine(engine: &RandomWorlds) -> AnswerTally {
+        let cached = engine.cache().is_some();
+        let stages = cached
+            .then(|| "cache".to_string())
+            .into_iter()
+            .chain(engine.solvers())
+            .map(|stage| StageTotals {
+                stage,
+                ..StageTotals::default()
+            })
+            .collect();
+        AnswerTally {
+            stages,
+            cached,
+            ..AnswerTally::default()
+        }
+    }
+
+    /// Folds in one query's result. Success traces and out-of-reach
+    /// traces both feed the stage totals; parse errors never entered the
+    /// pipeline, so they count only as failures.
+    pub fn absorb(&mut self, result: &Result<Response, EngineError>) {
+        let trace = match result {
+            Ok(r) => {
+                self.answered += 1;
+                self.cache_hits += usize::from(r.cached);
+                self.cache_misses += usize::from(self.cached && !r.cached);
+                &r.trace
+            }
+            Err(EngineError::OutOfReach { trace, .. }) => {
+                self.failed += 1;
+                self.cache_misses += usize::from(self.cached);
+                trace
+            }
+            Err(EngineError::Parse(_)) => {
+                self.failed += 1;
+                return;
+            }
+        };
         for step in trace.steps() {
-            let slot = match totals.iter_mut().find(|t| t.stage == step.stage) {
-                Some(slot) => slot,
-                None => {
-                    totals.push(StageTotals {
-                        stage: step.stage.clone(),
-                        ..StageTotals::default()
-                    });
-                    totals.last_mut().expect("just pushed")
-                }
-            };
+            let slot = self.slot(&step.stage);
             match step.status {
                 StageStatus::Answered => slot.answered += 1,
                 StageStatus::Declined(_) => slot.declined += 1,
@@ -67,31 +116,36 @@ impl StageTotals {
         }
     }
 
-    /// Sums `from` into `into` stage by stage, appending stages `into`
-    /// has not seen. Merges `rw-server`'s per-worker `stats` slots.
-    pub fn merge(into: &mut Vec<StageTotals>, from: &[StageTotals]) {
-        for st in from {
-            match into.iter_mut().find(|t| t.stage == st.stage) {
-                Some(t) => {
-                    t.answered += st.answered;
-                    t.declined += st.declined;
-                    t.budget_exhausted += st.budget_exhausted;
-                    t.elapsed += st.elapsed;
-                }
-                None => into.push(st.clone()),
-            }
+    /// Sums `other` into this tally, stage by stage, appending stages
+    /// this one has not seen.
+    pub fn merge(&mut self, other: &AnswerTally) {
+        self.answered += other.answered;
+        self.failed += other.failed;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.cached |= other.cached;
+        for st in &other.stages {
+            let slot = self.slot(&st.stage);
+            slot.answered += st.answered;
+            slot.declined += st.declined;
+            slot.budget_exhausted += st.budget_exhausted;
+            slot.elapsed += st.elapsed;
         }
     }
 
-    /// Folds the trace carried by a query result — success traces and
-    /// out-of-reach traces both feed the totals; parse errors never
-    /// entered the pipeline, so they contribute nothing.
-    pub fn absorb_result(totals: &mut Vec<StageTotals>, result: &Result<Response, EngineError>) {
-        match result {
-            Ok(r) => StageTotals::absorb(totals, &r.trace),
-            Err(EngineError::OutOfReach { trace, .. }) => StageTotals::absorb(totals, trace),
-            Err(EngineError::Parse(_)) => {}
-        }
+    /// The totals slot for `stage`, appended zeroed on first sight.
+    fn slot(&mut self, stage: &str) -> &mut StageTotals {
+        let i = match self.stages.iter().position(|t| t.stage == stage) {
+            Some(i) => i,
+            None => {
+                self.stages.push(StageTotals {
+                    stage: stage.to_string(),
+                    ..StageTotals::default()
+                });
+                self.stages.len() - 1
+            }
+        };
+        &mut self.stages[i]
     }
 }
 
@@ -123,6 +177,8 @@ pub struct BatchReport {
     /// `threads` workers saturated, `cpu / wall ≈ threads`).
     pub cpu: Duration,
     /// Per-stage totals, in pipeline order (`cache` first when present).
+    /// Stages no query reached are listed zeroed, so the shape of a
+    /// report depends only on the engine.
     pub stages: Vec<StageTotals>,
 }
 
@@ -145,26 +201,104 @@ pub struct BatchRun {
     pub report: BatchReport,
 }
 
+/// A batch in progress on one engine and one prepared KB: the tally of
+/// its answers, the summed time spent answering them, and the engine's
+/// denominator-cache counters as they stood when it began.
+pub struct Batch<'a> {
+    engine: &'a RandomWorlds,
+    kb: &'a PreparedKb,
+    tally: AnswerTally,
+    cpu: Duration,
+    denoms: (u64, u64),
+}
+
+impl<'a> Batch<'a> {
+    /// Begins a batch of queries against `kb` on `engine`.
+    pub fn new(engine: &'a RandomWorlds, kb: &'a PreparedKb) -> Batch<'a> {
+        let denoms = engine.denom_cache();
+        Batch {
+            engine,
+            kb,
+            tally: AnswerTally::for_engine(engine),
+            cpu: Duration::ZERO,
+            denoms: (denoms.hits(), denoms.misses()),
+        }
+    }
+
+    /// Answers one query and folds its result into the batch.
+    pub fn answer(&mut self, query: &str) -> Result<Response, EngineError> {
+        let (result, elapsed) = self.timed(query);
+        self.record(&result, elapsed);
+        result
+    }
+
+    /// Answers one query without folding it in (the executor's workers
+    /// answer side by side, then fold in input order).
+    fn timed(&self, query: &str) -> (Result<Response, EngineError>, Duration) {
+        let start = Instant::now();
+        let result = self.engine.answer_prepared(self.kb, query);
+        (result, start.elapsed())
+    }
+
+    fn record(&mut self, result: &Result<Response, EngineError>, elapsed: Duration) {
+        self.cpu += elapsed;
+        self.tally.absorb(result);
+    }
+
+    /// Time spent answering so far, summed over queries.
+    pub fn cpu(&self) -> Duration {
+        self.cpu
+    }
+
+    /// The report of a batch answered on `threads` workers in `wall`.
+    pub fn finish(self, threads: usize, wall: Duration) -> BatchReport {
+        let denoms = self.engine.denom_cache();
+        let AnswerTally {
+            answered,
+            failed,
+            cache_hits,
+            cache_misses,
+            stages,
+            ..
+        } = self.tally;
+        BatchReport {
+            queries: answered + failed,
+            answered,
+            failed,
+            cache_hits,
+            cache_misses,
+            denom_hits: denoms.hits().saturating_sub(self.denoms.0),
+            denom_misses: denoms.misses().saturating_sub(self.denoms.1),
+            threads,
+            wall,
+            cpu: self.cpu,
+            stages,
+        }
+    }
+}
+
 impl RandomWorlds {
-    /// Answers a batch of queries on `threads` workers (0 = one per core,
-    /// 1 = inline on the calling thread) and through the engine's
-    /// installed answer cache, returning per-query results in input order
-    /// plus a [`BatchReport`].
+    /// Answers a batch of queries against `kb` on `threads` workers (0 =
+    /// one per core, 1 = inline on the calling thread) and through the
+    /// engine's installed answer cache, returning per-query results in
+    /// input order plus a [`BatchReport`].
     ///
-    /// Determinism: every result is byte-for-byte what the sequential
-    /// [`Self::answer_batch`] path would produce (up to recorded wall
-    /// times), regardless of thread count — workers only race on *who*
-    /// answers a query, never on what the answer is. With a cache the
-    /// set of `cached` flags may vary between runs (whichever occurrence
-    /// of a duplicate lands first computes it), but the beliefs are the
-    /// same either way because only semantic answers are cached.
+    /// Determinism: every result is byte-for-byte what answering the
+    /// queries one at a time would produce (up to recorded wall times),
+    /// regardless of thread count — workers only race on *who* answers a
+    /// query, never on what the answer is. With a cache the set of
+    /// `cached` flags may vary between runs (whichever occurrence of a
+    /// duplicate lands first computes it), but the beliefs are the same
+    /// either way because only semantic answers are cached.
     ///
     /// ```
-    /// use rw_core::{cache::AnswerCache, RandomWorlds};
+    /// use rw_core::{cache::AnswerCache, PreparedKb, RandomWorlds};
     /// use rw_logic::KnowledgeBase;
     /// use std::sync::Arc;
     ///
-    /// let kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();
+    /// let kb = PreparedKb::new(
+    ///     KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap(),
+    /// );
     /// let queries = ["Hep(Eric)", "Jaun(Eric) & Hep(Eric)", "Hep(Eric) & Jaun(Eric)"];
     /// let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
     ///
@@ -181,83 +315,25 @@ impl RandomWorlds {
     /// ```
     pub fn answer_batch_report<S: AsRef<str> + Sync>(
         &self,
-        kb: &KnowledgeBase,
+        kb: &PreparedKb,
         queries: &[S],
         threads: usize,
     ) -> BatchRun {
         let start = Instant::now();
-        let denoms_before = (self.denom_cache().hits(), self.denom_cache().misses());
-        // One preparation for the whole batch: workers share its
-        // fingerprint and theorem-stage analysis.
-        let prepared = PreparedKb::new(kb.clone());
+        let mut batch = Batch::new(self, kb);
         let threads = par::threads(threads).min(queries.len()).max(1);
-
-        let timed = par::map(queries.len(), threads, |i| {
-            let t = Instant::now();
-            let r = self.answer_prepared(&prepared, queries[i].as_ref());
-            (r, t.elapsed())
-        });
-
-        // Stage totals in pipeline order, `cache` slot first so the
-        // report reads front-to-back like a query does. A custom solver
-        // outside this template (e.g. a name introduced by a recursing
-        // stage) gets a slot appended on demand.
-        let stages = self.solvers();
-        let mut totals: Vec<StageTotals> = Vec::with_capacity(stages.len() + 1);
-        let cached = self.cache().is_some();
-        if cached {
-            totals.push(StageTotals {
-                stage: "cache".to_string(),
-                ..StageTotals::default()
-            });
+        let timed = par::map(queries.len(), threads, |i| batch.timed(queries[i].as_ref()));
+        let results = timed
+            .into_iter()
+            .map(|(result, elapsed)| {
+                batch.record(&result, elapsed);
+                result
+            })
+            .collect();
+        BatchRun {
+            results,
+            report: batch.finish(threads, start.elapsed()),
         }
-        totals.extend(stages.into_iter().map(|stage| StageTotals {
-            stage,
-            ..StageTotals::default()
-        }));
-        let mut cpu = Duration::ZERO;
-        let mut results = Vec::with_capacity(timed.len());
-        for (r, elapsed) in timed {
-            cpu += elapsed;
-            StageTotals::absorb_result(&mut totals, &r);
-            results.push(r);
-        }
-
-        let answered = results.iter().filter(|r| r.is_ok()).count();
-        let cache_hits = results
-            .iter()
-            .filter(|r| matches!(r, Ok(resp) if resp.cached))
-            .count();
-        // A miss is a query that consulted the cache and then ran the
-        // pipeline: computed answers and out-of-reach walks, but not
-        // parse errors (those fail before the lookup).
-        let cache_misses = if cached {
-            results
-                .iter()
-                .filter(|r| {
-                    matches!(r, Ok(resp) if !resp.cached)
-                        || matches!(r, Err(EngineError::OutOfReach { .. }))
-                })
-                .count()
-        } else {
-            0
-        };
-        // Stages that never ran (e.g. everything answered by theorems)
-        // still appear, zeroed — the report shape is stable per pipeline.
-        let report = BatchReport {
-            queries: queries.len(),
-            answered,
-            failed: queries.len() - answered,
-            cache_hits,
-            cache_misses,
-            denom_hits: self.denom_cache().hits().saturating_sub(denoms_before.0),
-            denom_misses: self.denom_cache().misses().saturating_sub(denoms_before.1),
-            threads,
-            wall: start.elapsed(),
-            cpu,
-            stages: totals,
-        };
-        BatchRun { results, report }
     }
 }
 
@@ -265,14 +341,17 @@ impl RandomWorlds {
 mod tests {
     use super::*;
     use crate::{AnswerCache, Belief, EngineConfig};
+    use rw_logic::KnowledgeBase;
     use std::sync::Arc;
 
-    fn kb() -> KnowledgeBase {
-        KnowledgeBase::parse(
-            "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); \
-             ||Over60(x) | Patient(x)||_x ~=_2 0.4; Patient(Eric)",
+    fn kb() -> PreparedKb {
+        PreparedKb::new(
+            KnowledgeBase::parse(
+                "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); \
+                 ||Over60(x) | Patient(x)||_x ~=_2 0.4; Patient(Eric)",
+            )
+            .unwrap(),
         )
-        .unwrap()
     }
 
     fn workload() -> Vec<String> {
@@ -309,7 +388,7 @@ mod tests {
         let kb = kb();
         let queries = workload();
         let engine = RandomWorlds::new();
-        let sequential = engine.answer_batch(&kb, &queries);
+        let sequential = engine.answer_batch_report(&kb, &queries, 1).results;
         for threads in [2usize, 4, 0] {
             let run = engine.answer_batch_report(&kb, &queries, threads);
             assert_eq!(run.results.len(), sequential.len());
@@ -421,7 +500,7 @@ mod tests {
         // A binary-predicate query lands on the enumeration stage, which
         // consults the engine's denominator cache; the tiny budget keeps
         // the scan debug-fast (N ≤ 3).
-        let kb = KnowledgeBase::parse("Likes(A, B)").unwrap();
+        let kb = PreparedKb::new(KnowledgeBase::parse("Likes(A, B)").unwrap());
         let engine = RandomWorlds::from(EngineConfig {
             enum_max_worlds: 1 << 13,
             ..EngineConfig::default()
@@ -477,5 +556,37 @@ mod tests {
         assert_eq!(run.report.queries, 0);
         assert_eq!(run.report.threads, 1);
         assert!(run.results.is_empty());
+    }
+
+    #[test]
+    fn merged_tallies_equal_one_tally_over_all_results() {
+        let kb = kb();
+        let queries = [
+            "Hep(Eric)",
+            "Hep(",
+            "!Hep(Eric)",
+            "Hep(Eric) & Over60(Eric)",
+        ];
+        let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
+        let run = engine.answer_batch_report(&kb, &queries, 1);
+        let mut whole = AnswerTally::for_engine(&engine);
+        let mut halves = [
+            AnswerTally::for_engine(&engine),
+            AnswerTally::for_engine(&engine),
+        ];
+        for (i, r) in run.results.iter().enumerate() {
+            whole.absorb(r);
+            halves[i % 2].absorb(r);
+        }
+        // Merging into an empty tally, as the server's `stats` does,
+        // takes the stage order from the first tally merged in.
+        let mut merged = AnswerTally::default();
+        merged.merge(&halves[0]);
+        merged.merge(&halves[1]);
+        let counts = |t: &AnswerTally| (t.answered, t.failed, t.cache_hits, t.cache_misses);
+        assert_eq!(counts(&merged), counts(&whole));
+        assert_eq!(merged.stages, whole.stages);
+        assert_eq!(whole.stages, run.report.stages);
+        assert_eq!(counts(&whole), (3, 1, 0, 3));
     }
 }

@@ -358,40 +358,6 @@ impl RandomWorlds {
         self.resolve(self.probe_parsed(PreparedKb::single_use(kb.clone()), query.clone()))
     }
 
-    /// Answers many queries against one knowledge base, sequentially.
-    ///
-    /// This is the serving-path primitive: the knowledge base is prepared
-    /// ([`PreparedKb`]) once and reused across all queries. Per-query
-    /// failures (parse errors, out-of-reach) are returned in place so one
-    /// bad query never voids the rest. For the threaded version with an
-    /// aggregate report, see
-    /// [`Self::answer_batch_report`](RandomWorlds::answer_batch_report).
-    ///
-    /// ```
-    /// use rw_core::RandomWorlds;
-    /// use rw_logic::KnowledgeBase;
-    ///
-    /// let kb = KnowledgeBase::parse(
-    ///     "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)",
-    /// ).unwrap();
-    /// let results = RandomWorlds::new()
-    ///     .answer_batch(&kb, &["Hep(Eric)", "Hep(", "!Hep(Eric)"]);
-    /// assert_eq!(results[0].as_ref().unwrap().belief.as_point(), Some(0.8));
-    /// assert!(results[1].is_err()); // parse error, isolated to its slot
-    /// assert!((results[2].as_ref().unwrap().belief.as_point().unwrap() - 0.2).abs() < 1e-9);
-    /// ```
-    pub fn answer_batch<S: AsRef<str>>(
-        &self,
-        kb: &KnowledgeBase,
-        queries: &[S],
-    ) -> Vec<Result<Response, EngineError>> {
-        let prepared = PreparedKb::new(kb.clone());
-        queries
-            .iter()
-            .map(|q| self.answer_prepared(&prepared, q.as_ref()))
-            .collect()
-    }
-
     /// The cheap first half of answering: parses `query`, and — when a
     /// cache is installed — canonicalises it and looks it up, running no
     /// pipeline stage. A hit comes back as a finished [`Response`]
@@ -1195,8 +1161,12 @@ mod tests {
 
     #[test]
     fn answer_batch_reuses_the_kb_and_isolates_failures() {
-        let kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();
-        let results = engine().answer_batch(&kb, &["Hep(Eric)", "Hep(", "!Hep(Eric)"]);
+        let kb = PreparedKb::new(
+            KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap(),
+        );
+        let results = engine()
+            .answer_batch_report(&kb, &["Hep(Eric)", "Hep(", "!Hep(Eric)"], 1)
+            .results;
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].as_ref().unwrap().belief.as_point(), Some(0.8));
         assert!(matches!(results[1], Err(EngineError::Parse(_))));
@@ -1204,7 +1174,7 @@ mod tests {
         assert!((v - 0.2).abs() < 1e-9);
         // Vocabulary extensions from one query must not leak into others:
         // the shared KB still parses fresh constants the same way.
-        let again = engine().answer_batch(&kb, &["Hep(Eric)"]);
+        let again = engine().answer_batch_report(&kb, &["Hep(Eric)"], 1).results;
         assert_eq!(again[0].as_ref().unwrap().belief.as_point(), Some(0.8));
     }
 
@@ -1420,7 +1390,8 @@ mod tests {
         let kb = KnowledgeBase::parse("||Black(x) | Bird(x)||_x ~=_1 0.2; ||Bird(x)||_x ~=_2 0.1")
             .unwrap();
         let queries = ["Black(Clyde)", "Bird(Clyde)"];
-        let batch = engine().answer_batch(&kb, &queries);
+        let prepared = PreparedKb::new(kb.clone());
+        let batch = engine().answer_batch_report(&prepared, &queries, 1).results;
         for (q, b) in queries.iter().zip(&batch) {
             let single = engine().answer(&kb, q).unwrap();
             assert_eq!(

@@ -50,10 +50,9 @@
 //! [`cache::AnswerCache`].
 //!
 //! The pipeline is open: [`RandomWorlds::with_solvers`] installs any stage
-//! list (custom [`Solver`] implementations included), and
-//! [`RandomWorlds::answer_batch`] answers many queries against one loaded
-//! KB — the serving-path primitive. Serving loops hold the KB as a
-//! [`PreparedKb`] and answer through [`RandomWorlds::answer_prepared`]:
+//! list (custom [`Solver`] implementations included). Serving loops hold
+//! the KB as a [`PreparedKb`] and answer through
+//! [`RandomWorlds::answer_prepared`]:
 //! the KB's fingerprint and the theorem stage's indexed analysis are
 //! computed once per KB, not once per query. Answering has two halves,
 //! and every entry point is the one followed by the other:
@@ -70,11 +69,13 @@
 //!   canonical query key (`rw_logic::canon`), so repeats *and* syntactic
 //!   variants — commuted conjunctions, double negations, alpha-renamed
 //!   binders — are answered once. Cache hits set [`Response::cached`].
-//! * **Parallel batches** ([`RandomWorlds::answer_batch_report`]): a
-//!   std-only worker pool shards a batch across threads with
-//!   deterministic, input-ordered results, sharing the cache between
+//! * **Batches** ([`RandomWorlds::answer_batch_report`]): a std-only
+//!   worker pool shards a batch over one [`PreparedKb`] across threads
+//!   with deterministic, input-ordered results, sharing the cache between
 //!   workers, and returns a [`batch::BatchReport`] aggregating per-stage
-//!   totals, cache hits and wall/CPU time.
+//!   totals, cache hits and wall/CPU time. A streamed batch folds its
+//!   answers one at a time through a [`batch::Batch`] into the same
+//!   report; both fold through one [`batch::AnswerTally`].
 //!
 //! Every answer carries a [`Provenance`] naming the method (and theorem)
 //! that produced it, plus the full [`Trace`].
@@ -90,7 +91,7 @@ pub mod solver;
 pub mod solvers;
 pub mod theorems;
 
-pub use batch::{BatchReport, BatchRun, StageTotals};
+pub use batch::{AnswerTally, Batch, BatchReport, BatchRun, StageTotals};
 pub use belief::{Belief, Provenance};
 pub use cache::{
     purge_draws, AnswerCache, CachedAnswer, DenomCache, DenomKey, DrawCache, DrawKey,

@@ -486,12 +486,6 @@ pub fn is_qf_unary_over(f: &Formula, v: VarId) -> bool {
     is_qf_unary_about(f, &Term::Var(v))
 }
 
-/// True when the formula is a boolean combination of unary-predicate atoms
-/// applied to the single constant `c`.
-pub fn is_qf_unary_over_const(f: &Formula, c: ConstId) -> bool {
-    is_qf_unary_about(f, &Term::Const(c))
-}
-
 fn is_qf_unary_about(f: &Formula, t: &Term) -> bool {
     match f {
         Formula::True | Formula::False => true,

@@ -39,10 +39,6 @@ impl Tolerances {
         self.overrides.get(&idx.0).copied().unwrap_or(self.default)
     }
 
-    pub fn default_value(&self) -> Rat {
-        self.default
-    }
-
     /// Scales every component by `factor` (used by τ-sweep limit detection).
     pub fn scaled(&self, factor: Rat) -> Tolerances {
         assert!(factor > Rat::ZERO);

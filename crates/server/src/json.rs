@@ -147,11 +147,11 @@ pub fn result_line(query: &str, result: &Result<Response, EngineError>) -> Strin
 
 /// The closing summary line of a `rwq batch` run: aggregate counts so a
 /// consumer (or an operator reading the tail) sees `{answered, failed}`
-/// without counting lines, plus cache/threading/timing detail and — when
-/// the parallel executor ran — per-stage totals.
+/// without counting lines, plus cache/threading/timing detail and the
+/// per-stage totals, at every thread count.
 pub fn summary_line(report: &BatchReport) -> String {
-    let mut out = format!(
-        r#"{{"summary":{{"queries":{},"answered":{},"failed":{},"cache_hits":{},"cache_misses":{},"denoms":{{"hits":{},"misses":{}}},"threads":{},"wall_us":{},"cpu_us":{}"#,
+    format!(
+        r#"{{"summary":{{"queries":{},"answered":{},"failed":{},"cache_hits":{},"cache_misses":{},"denoms":{{"hits":{},"misses":{}}},"threads":{},"wall_us":{},"cpu_us":{},"stages":[{}]}}}}"#,
         report.queries,
         report.answered,
         report.failed,
@@ -161,15 +161,9 @@ pub fn summary_line(report: &BatchReport) -> String {
         report.denom_misses,
         report.threads,
         report.wall.as_micros(),
-        report.cpu.as_micros()
-    );
-    if !report.stages.is_empty() {
-        out.push_str(r#","stages":["#);
-        out.push_str(&stage_totals_json(&report.stages));
-        out.push(']');
-    }
-    out.push_str("}}");
-    out
+        report.cpu.as_micros(),
+        stage_totals_json(&report.stages)
+    )
 }
 
 /// The body of a `"stages":[...]` array: one object per
@@ -382,7 +376,7 @@ mod tests {
             line.contains(r#""cache_hits":1,"cache_misses":2,"denoms":{"hits":5,"misses":3}"#),
             "{line}"
         );
-        assert!(!line.contains(r#""stages""#), "{line}");
+        assert!(line.ends_with(r#","stages":[]}}"#), "{line}");
         report.stages.push(StageTotals {
             stage: "theorems".to_string(),
             answered: 2,

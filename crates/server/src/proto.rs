@@ -481,11 +481,6 @@ impl ApproxParams {
 }
 
 impl ScanParams {
-    /// True when every knob is at its default (nothing to serialize).
-    pub fn is_default(&self) -> bool {
-        *self == ScanParams::default()
-    }
-
     /// The range checks every `load` path applies (the wire op and a
     /// snapshot restore alike): window values in `[2, MAX_SCAN_N]`,
     /// `min_n ≤ max_n`.

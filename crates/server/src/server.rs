@@ -73,7 +73,7 @@ use crate::front::{self, Front, Handled, Handler};
 use crate::proto::{self, ErrorCode, ProtoError, Request};
 use crate::queue::JobQueue;
 use crate::registry::{KbRegistry, LoadedKb};
-use rw_core::{AnswerCache, EngineError, PendingQuery, Probe, Response, StageTotals};
+use rw_core::{AnswerCache, AnswerTally, EngineError, PendingQuery, Probe, Response};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -147,14 +147,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Lifetime counters the `stats` op reports.
-#[derive(Default)]
-struct Totals {
-    answered: u64,
-    failed: u64,
-    stages: Vec<StageTotals>,
-}
-
 // `Sleep` is test-only, so every real job is a `Query` and boxing it
 // would add an allocation per miss for nothing.
 #[allow(clippy::large_enum_variant)]
@@ -198,11 +190,10 @@ pub struct Server {
     front: Front,
     registry: KbRegistry,
     queue: JobQueue<Job>,
-    /// One slot per worker plus one, last, for the event loop's inline
-    /// answers (the `batch.rs` per-worker-shard pattern): each thread
-    /// locks only its own uncontended slot; `stats` merges them on
-    /// demand.
-    totals: Vec<Mutex<Totals>>,
+    /// Lifetime answer tallies for `stats`: one slot per worker plus
+    /// one, last, for the event loop's inline answers. Each thread locks
+    /// only its own uncontended slot; `stats` merges them on demand.
+    totals: Vec<Mutex<AnswerTally>>,
     rejected: AtomicU64,
     threads: usize,
     test_ops: bool,
@@ -247,7 +238,7 @@ impl Server {
             registry: KbRegistry::new(Arc::new(AnswerCache::with_shards(config.cache_shards))),
             queue: JobQueue::new(config.max_queue),
             totals: (0..=threads)
-                .map(|_| Mutex::new(Totals::default()))
+                .map(|_| Mutex::new(AnswerTally::default()))
                 .collect(),
             rejected: AtomicU64::new(0),
             threads,
@@ -468,7 +459,7 @@ impl Server {
 
     /// Answers a probed query on the event loop, keeping the worker
     /// path's books (stats, stage totals, both logs) in the loop's own
-    /// `Totals` slot. The span tree, request ⊃ answer ⊃ stage:cache, is
+    /// tally slot. The span tree, request ⊃ answer ⊃ stage:cache, is
     /// measured by the probe itself, so it is only built when the slow
     /// log writes it.
     fn inline(
@@ -513,7 +504,7 @@ impl Server {
         front::admit(&self.queue, job, &self.rejected)
     }
 
-    /// Books one answered query in `Totals` slot `slot` (`stats` and the
+    /// Books one answered query in tally slot `slot` (`stats` and the
     /// stage totals), then writes the per-request access-log line and —
     /// at or over the slow threshold — the slow-query line with the span
     /// tree `spans` builds. `trace_id` ties the two log lines together.
@@ -531,14 +522,10 @@ impl Server {
         trace_id: u64,
         spans: impl FnOnce() -> Vec<rw_obs::SpanRecord>,
     ) {
-        {
-            let mut totals = self.totals[slot].lock().expect("totals lock poisoned");
-            StageTotals::absorb_result(&mut totals.stages, result);
-            match result {
-                Ok(_) => totals.answered += 1,
-                Err(_) => totals.failed += 1,
-            }
-        }
+        self.totals[slot]
+            .lock()
+            .expect("totals lock poisoned")
+            .absorb(result);
         if self.access_log.is_none() && self.slow_log.is_none() {
             return;
         }
@@ -602,12 +589,9 @@ impl Server {
     fn stats_json(&self) -> String {
         let cache = self.registry.cache();
         // Merge the per-worker shards (cold path: only `stats` pays).
-        let mut merged = Totals::default();
+        let mut merged = AnswerTally::default();
         for slot in &self.totals {
-            let totals = slot.lock().expect("totals lock poisoned");
-            merged.answered += totals.answered;
-            merged.failed += totals.failed;
-            StageTotals::merge(&mut merged.stages, &totals.stages);
+            merged.merge(&slot.lock().expect("totals lock poisoned"));
         }
         let denoms = self.registry.denoms();
         let draws = self.registry.draws();

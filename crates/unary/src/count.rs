@@ -141,6 +141,34 @@ impl UnaryEngine {
         tol: &Tolerances,
         extra_weight: impl Fn(&[usize]) -> LogWeight,
     ) -> Result<SweepTotals, UnaryError> {
+        let mut totals = SweepTotals {
+            kb_weight: LogWeight::ZERO,
+            query_weight: LogWeight::ZERO,
+        };
+        self.walk_profiles(kb, n, tol, |counts, mut w, ev| {
+            w *= extra_weight(counts);
+            totals.kb_weight += w;
+            if ev.eval(query) {
+                totals.query_weight += w;
+            }
+        })?;
+        Ok(totals)
+    }
+
+    /// Walks every profile that satisfies the KB, in one fixed order: the
+    /// constants' set partitions, then the block → allowed-atom odometer,
+    /// then the atom-count compositions of `n`. `visit` receives each
+    /// profile's atom counts, its world-counting weight (multinomial times
+    /// the falling factorials that seat the blocks) and the evaluator
+    /// positioned on it. When universal conjuncts forbid every atom there
+    /// is nowhere to put `N ≥ 1` elements, and nothing is visited.
+    fn walk_profiles(
+        &self,
+        kb: &KnowledgeBase,
+        n: usize,
+        tol: &Tolerances,
+        mut visit: impl FnMut(&[usize], LogWeight, &mut ProfileEvaluator),
+    ) -> Result<(), UnaryError> {
         let vocab = kb.vocab();
         let atoms = self.atom_space(vocab)?;
         let allowed = Self::allowed_atoms(kb, atoms);
@@ -154,19 +182,12 @@ impl UnaryEngine {
                 budget: self.max_profiles,
             });
         }
+        if free.is_empty() {
+            return Ok(());
+        }
 
         let kb_formula = kb.as_formula();
         let fact = FactTable::new(n);
-        let mut totals = SweepTotals {
-            kb_weight: LogWeight::ZERO,
-            query_weight: LogWeight::ZERO,
-        };
-        if free.is_empty() {
-            // Universal conjuncts forbid every atom: nowhere to put N ≥ 1
-            // elements, so no world satisfies the KB.
-            return Ok(totals);
-        }
-
         let mut counts = vec![0usize; atoms];
         let mut partitions = SetPartitions::new(m);
         while let Some(rgs) = partitions.next() {
@@ -176,7 +197,6 @@ impl UnaryEngine {
             let mut assign_idx = vec![0usize; blocks];
             loop {
                 let block_atoms: Vec<usize> = assign_idx.iter().map(|&i| free[i]).collect();
-                // Fast feasibility precheck is done per-composition below.
                 let mut ev = ProfileEvaluator::new(
                     vocab,
                     tol,
@@ -211,11 +231,7 @@ impl UnaryEngine {
                             w *= fact.falling(counts[a], k);
                         }
                     }
-                    w *= extra_weight(&counts);
-                    totals.kb_weight += w;
-                    if ev.eval(query) {
-                        totals.query_weight += w;
-                    }
+                    visit(&counts, w, &mut ev);
                 }
 
                 // Advance block-atom odometer.
@@ -223,10 +239,7 @@ impl UnaryEngine {
                     break;
                 }
                 let mut i = 0;
-                loop {
-                    if i == blocks {
-                        break;
-                    }
+                while i < blocks {
                     assign_idx[i] += 1;
                     if assign_idx[i] < free.len() {
                         break;
@@ -234,12 +247,12 @@ impl UnaryEngine {
                     assign_idx[i] = 0;
                     i += 1;
                 }
-                if blocks == 0 || assign_idx.iter().all(|&x| x == 0) {
+                if assign_idx.iter().all(|&x| x == 0) {
                     break;
                 }
             }
         }
-        Ok(totals)
+        Ok(())
     }
 
     /// Exact `Pr_N^τ(query | KB)`; `None` when no world satisfies the KB.
@@ -265,94 +278,16 @@ impl UnaryEngine {
         n: usize,
         tol: &Tolerances,
     ) -> Result<Option<Vec<f64>>, UnaryError> {
-        let vocab = kb.vocab();
-        let atoms = self.atom_space(vocab)?;
-        let allowed = Self::allowed_atoms(kb, atoms);
-        let free: Vec<usize> = allowed.iter().collect();
-        let m = vocab.const_count();
-        let estimated = Self::estimate_profiles(n, free.len().max(1), m, atoms);
-        if estimated > self.max_profiles {
-            return Err(UnaryError::TooManyProfiles {
-                estimated,
-                budget: self.max_profiles,
-            });
-        }
-
-        let kb_formula = kb.as_formula();
-        let fact = FactTable::new(n);
         let mut total = LogWeight::ZERO;
-        let mut per_atom = vec![LogWeight::ZERO; atoms];
-        if free.is_empty() {
-            return Ok(None);
-        }
-
-        let mut counts = vec![0usize; atoms];
-        let mut partitions = SetPartitions::new(m);
-        while let Some(rgs) = partitions.next() {
-            let const_block = rgs.to_vec();
-            let blocks = SetPartitions::block_count(&const_block);
-            let mut assign_idx = vec![0usize; blocks];
-            loop {
-                let block_atoms: Vec<usize> = assign_idx.iter().map(|&i| free[i]).collect();
-                let mut ev = ProfileEvaluator::new(
-                    vocab,
-                    tol,
-                    Profile {
-                        counts: counts.clone(),
-                        block_atoms: block_atoms.clone(),
-                        const_block: const_block.clone(),
-                    },
-                );
-                let mut blocks_in_atom = vec![0usize; atoms];
-                for &a in &block_atoms {
-                    blocks_in_atom[a] += 1;
-                }
-                let mut comps = Compositions::new(n, free.len());
-                while let Some(comp) = comps.next() {
-                    counts.fill(0);
-                    for (i, &a) in free.iter().enumerate() {
-                        counts[a] = comp[i];
-                    }
-                    if blocks_in_atom.iter().zip(&counts).any(|(&k, &c)| k > c) {
-                        continue;
-                    }
-                    ev.set_counts(&counts);
-                    if !ev.eval(&kb_formula) {
-                        continue;
-                    }
-                    let mut w = fact.multinomial(n, &counts);
-                    for (a, &k) in blocks_in_atom.iter().enumerate() {
-                        if k > 0 {
-                            w *= fact.falling(counts[a], k);
-                        }
-                    }
-                    total += w;
-                    for (a, &c) in counts.iter().enumerate() {
-                        if c > 0 {
-                            per_atom[a] += w * LogWeight::from_value(c as f64 / n as f64);
-                        }
-                    }
-                }
-                if blocks == 0 {
-                    break;
-                }
-                let mut i = 0;
-                loop {
-                    if i == blocks {
-                        break;
-                    }
-                    assign_idx[i] += 1;
-                    if assign_idx[i] < free.len() {
-                        break;
-                    }
-                    assign_idx[i] = 0;
-                    i += 1;
-                }
-                if assign_idx.iter().all(|&x| x == 0) {
-                    break;
+        let mut per_atom = vec![LogWeight::ZERO; self.atom_space(kb.vocab())?];
+        self.walk_profiles(kb, n, tol, |counts, w, _| {
+            total += w;
+            for (a, &c) in counts.iter().enumerate() {
+                if c > 0 {
+                    per_atom[a] += w * LogWeight::from_value(c as f64 / n as f64);
                 }
             }
-        }
+        })?;
         if total.is_zero() {
             return Ok(None);
         }
@@ -485,6 +420,62 @@ mod tests {
         let props = expected_atom_proportions(&kb, 120, &t).unwrap().unwrap();
         // Atoms without P1 must carry no mass.
         assert!(props[0] < 1e-12 && props[2] < 1e-12, "{props:?}");
+    }
+
+    /// `f64::to_bits` of both sweeps on three KBs: two named individuals
+    /// under one statistic, a lottery with two ticket holders, and a
+    /// disjunctive equality KB under a universal. Together they walk
+    /// several set partitions, multi-block odometers and a pruned atom
+    /// set, so the pinned bits fix the profile walk's visit order and its
+    /// `LogWeight` accumulation order.
+    #[test]
+    fn sweeps_are_pinned_bit_for_bit() {
+        let cases = [
+            (
+                "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)",
+                "Hep(Eric) & Hep(Tom)",
+                9usize,
+                10i128,
+                0x3fe37b8aa13942cc_u64,
+                [
+                    0x3fc91bbaddd889ac_u64,
+                    0x3fc91bbaddd889ac,
+                    0x3fc1205ba1029786,
+                    0x3fde541751a62a5e,
+                ],
+            ),
+            (
+                "exists! x (Winner(x)); forall x (Winner(x) => Ticket(x)); Ticket(C); Ticket(D)",
+                "Winner(C) or Winner(D)",
+                12,
+                10,
+                0x3fd1111111111121,
+                [
+                    0x3fd918a6dfc35183,
+                    0,
+                    0x3fe0c901e573ac93,
+                    0x3fb5555555555558,
+                ],
+            ),
+            (
+                "forall x (P1(x)); ||P1(x) & P2(x)||_x <~_1 0.3; C1 = C2 or C2 = C3 or C1 = C3",
+                "P2(C1) & C1 = C2",
+                14,
+                20,
+                0x3fb7063af6382d5b,
+                [0, 0x3fe7c6eaf1351432, 0, 0x3fd0722a1d95d736],
+            ),
+        ];
+        for (kb_src, q_src, n, den, belief, proportions) in cases {
+            let mut kb = KnowledgeBase::parse(kb_src).unwrap();
+            let q = kb.parse_query(q_src).unwrap();
+            let t = tol(1, den);
+            let d = degree_of_belief_at(&kb, &q, n, &t).unwrap().unwrap();
+            assert_eq!(d.to_bits(), belief, "{kb_src} ⊢ {q_src}: {d}");
+            let p = expected_atom_proportions(&kb, n, &t).unwrap().unwrap();
+            let bits: Vec<u64> = p.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(bits, proportions, "{kb_src}: {p:?}");
+        }
     }
 
     #[test]

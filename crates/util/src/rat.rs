@@ -70,10 +70,6 @@ impl Rat {
         self.num == 0
     }
 
-    pub fn is_negative(&self) -> bool {
-        self.num < 0
-    }
-
     pub fn abs(&self) -> Rat {
         Rat {
             num: self.num.abs(),

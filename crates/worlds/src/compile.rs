@@ -386,11 +386,6 @@ impl Program {
         &self.layout
     }
 
-    /// Number of slots the search may have to branch over (the support).
-    pub fn support_len(&self) -> usize {
-        self.branch_order.len()
-    }
-
     /// `Π domain(slot)` over the support slots, saturating: the
     /// worst-case size of the branch tree, used to predict whether the
     /// next domain size is worth attempting.

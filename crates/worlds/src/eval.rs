@@ -35,13 +35,6 @@ impl PropValue {
             _ => PropValue::Undef,
         }
     }
-
-    pub fn as_rat(self) -> Option<Rat> {
-        match self {
-            PropValue::Def(r) => Some(r),
-            PropValue::Undef => None,
-        }
-    }
 }
 
 /// A reusable evaluation context over one world.

@@ -41,7 +41,8 @@ pub use rw_worlds as worlds;
 /// Convenience prelude: the types most applications need.
 pub mod prelude {
     pub use rw_core::{
-        AnswerCache, BatchReport, Belief, EngineConfig, Provenance, RandomWorlds, Response, Trace,
+        AnswerCache, BatchReport, Belief, EngineConfig, PreparedKb, Provenance, RandomWorlds,
+        Response, Trace,
     };
     pub use rw_logic::{Formula, KnowledgeBase, PropExpr, Term, Vocabulary};
     pub use rw_util::Rat;

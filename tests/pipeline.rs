@@ -99,7 +99,9 @@ fn batch_answers_match_singles_and_isolate_failures() {
     let kb = hepatitis();
     let engine = RandomWorlds::new();
     let queries = ["Hep(Eric)", "broken(", "!Hep(Eric)"];
-    let results = engine.answer_batch(&kb, &queries);
+    let results = engine
+        .answer_batch_report(&PreparedKb::new(kb.clone()), &queries, 1)
+        .results;
     assert_eq!(results.len(), 3);
     assert_eq!(results[0].as_ref().unwrap().belief.as_point(), Some(0.8));
     assert!(results[1].is_err());
@@ -113,6 +115,7 @@ fn parallel_cached_batches_through_the_facade() {
     let kb = hepatitis();
     let engine = RandomWorlds::new().with_cache(Arc::new(AnswerCache::new()));
     let queries = ["Hep(Eric)", "!Hep(Eric)", "(Hep(Eric))", "!(Hep(Eric))"];
+    let kb = PreparedKb::new(kb);
     let cold = engine.answer_batch_report(&kb, &queries, 2);
     assert_eq!(cold.report.answered, 4);
     assert_eq!(cold.report.failed, 0);
