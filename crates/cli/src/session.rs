@@ -307,7 +307,7 @@ impl Session {
             vocab.const_count(),
             vocab.func_count(),
             if vocab.is_unary() {
-                " [unary: maxent + exact unary engines apply]"
+                " [unary: the maxent engine applies]"
             } else {
                 ""
             }

@@ -148,14 +148,16 @@ pub enum Provenance {
     Dempster,
     /// Theorem 5.27 (vocabulary independence product).
     Independence(Vec<Box<Provenance>>),
+    /// Theorem 5.3's Or rule: every disjunct of the KB's one disjunction,
+    /// conjoined with the rest of the KB, gave the same 0 or 1; the
+    /// parts are the disjuncts' provenances, in order.
+    OrRule(Vec<Box<Provenance>>),
     /// §5.5 unique-names bias.
     UniqueNames,
     /// Nested-default chaining (Example 5.14's derivation).
     NestedDefault,
     /// Maximum entropy τ-sweep (§6).
     MaxEnt,
-    /// Exact unary counting along a `(τ, N)` diagonal with extrapolation.
-    UnaryExact { max_n: usize },
     /// Exact world counting along a `(τ, N)` diagonal — compiled
     /// branch-and-count by default, brute-force odometer enumeration in
     /// oracle mode.
@@ -201,19 +203,12 @@ impl fmt::Display for Provenance {
             Provenance::StrengthRule => write!(f, "strength rule (Thm 5.23)"),
             Provenance::Dempster => write!(f, "Dempster combination (Thm 5.26)"),
             Provenance::Independence(parts) => {
-                write!(f, "independence product (Thm 5.27) of [")?;
-                for (i, p) in parts.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, "]")
+                write!(f, "independence product (Thm 5.27) of [{}]", joined(parts))
             }
+            Provenance::OrRule(parts) => write!(f, "Or rule (Thm 5.3) of [{}]", joined(parts)),
             Provenance::UniqueNames => write!(f, "unique-names bias (§5.5)"),
             Provenance::NestedDefault => write!(f, "nested-default chain (Ex 5.14)"),
             Provenance::MaxEnt => write!(f, "maximum entropy (§6)"),
-            Provenance::UnaryExact { max_n } => write!(f, "exact unary counting (N ≤ {max_n})"),
             // The rendered form deliberately omits the effort counters:
             // provenance strings are stable serving output, and the
             // counters are surfaced structurally (the JSON `enum`
@@ -230,6 +225,12 @@ impl fmt::Display for Provenance {
             ),
         }
     }
+}
+
+/// A compound provenance's parts, as `a; b; …`.
+fn joined(parts: &[Box<Provenance>]) -> String {
+    let parts: Vec<String> = parts.iter().map(|p| p.to_string()).collect();
+    parts.join("; ")
 }
 
 #[cfg(test)]

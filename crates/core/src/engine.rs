@@ -6,9 +6,7 @@ use crate::belief::{Belief, Provenance};
 use crate::cache::{AnswerCache, CachedAnswer, DenomCache, DrawCache, DRAW_CACHE_BYTES};
 use crate::prepared::PreparedKb;
 use crate::solver::{Budget, Diagonal, SolverOutcome, Stage, StageStatus, Trace};
-use crate::solvers::{
-    EnumerationDiagonalSolver, MaxEntSolver, MonteCarloSolver, TheoremSolver, UnaryDiagonalSolver,
-};
+use crate::solvers::{EnumerationDiagonalSolver, MaxEntSolver, MonteCarloSolver, TheoremSolver};
 use rw_logic::ast::Formula;
 use rw_logic::canon;
 use rw_logic::{KnowledgeBase, ParseError};
@@ -19,8 +17,8 @@ use std::time::Instant;
 
 /// The inference settings of a [`RandomWorlds`] engine: everything
 /// besides the KB and the query that `Pr∞(φ | KB)` as computed here
-/// depends on. `Default` is the paper's four-stage cascade with the
-/// standard diagonal and counting budgets.
+/// depends on. `Default` is the paper's three-stage cascade with the
+/// standard diagonal and counting budget.
 ///
 /// An engine is built from its settings once ([`RandomWorlds::from`]);
 /// they never change afterwards, so the stage cascade and the cache-key
@@ -30,8 +28,6 @@ pub struct EngineConfig {
     /// Maximum-entropy τ-sweep configuration (used by the default
     /// pipeline's maxent stage).
     pub sweep: SweepConfig,
-    /// Budget for exact unary profile counting.
-    pub unary_max_profiles: u128,
     /// Budget for the exact counting stage. With [`Self::enum_compiled`]
     /// set (the default) this bounds *visited search nodes* of the
     /// branch-and-count engine — which prunes and multiplies out free
@@ -67,8 +63,8 @@ pub struct EngineConfig {
     /// Ceiling of the exact stage's rising-`N` scan (`None` = the mode
     /// default). Folded into the cache keyspace.
     pub enum_max_n: Option<usize>,
-    /// The `(τ, N)` diagonal used by the exact finite-`N` stages (and, as
-    /// the `N`-sweep, by the Monte-Carlo stage when one is enabled).
+    /// The `(τ, N)` diagonal: the counting stage evaluates at its finest
+    /// `τ`, and the Monte-Carlo stage, when enabled, sweeps its `N`s.
     pub diagonal: Diagonal,
     /// Approximate inference: `Some` inserts a [`MonteCarloSolver`] stage
     /// (sampling along the diagonal with the given configuration) right
@@ -117,7 +113,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             sweep: SweepConfig::default(),
-            unary_max_profiles: 20_000_000,
             enum_max_worlds: 1 << 24,
             enum_compiled: true,
             enum_threads: 1,
@@ -151,9 +146,8 @@ impl EngineConfig {
             src.push_str(&format!("#{};", s.budget.max_count));
         }
         src.push_str(&format!(
-            "|{:?}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            "|{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
             self.sweep,
-            self.unary_max_profiles,
             self.enum_max_worlds,
             // The counting mode selects diagonal points and so answers;
             // `enum_threads` is excluded like the sampler's worker count
@@ -181,8 +175,8 @@ impl EngineConfig {
 /// [`Solver`](crate::Solver) plus the [`Budget`] it may spend. A query walks the stages
 /// in order until one answers; the walk is recorded in the returned
 /// [`Response::trace`]. By default the pipeline is the paper's cascade —
-/// theorems, maximum entropy, exact unary counting, enumeration — built
-/// once from an [`EngineConfig`] when the engine is constructed
+/// theorems, maximum entropy, enumeration — built once from an
+/// [`EngineConfig`] when the engine is constructed
 /// ([`RandomWorlds::from`]); [`Self::with_solvers`] replaces it
 /// wholesale. The settings never change after construction, so the
 /// pipeline and the cache-key fingerprint are fixed with them.
@@ -212,8 +206,8 @@ impl From<EngineConfig> for RandomWorlds {
 }
 
 impl RandomWorlds {
-    /// The default engine: the paper's four-stage cascade with the
-    /// standard diagonal and counting budgets.
+    /// The default engine: the paper's three-stage cascade with the
+    /// standard diagonal and counting budget.
     pub fn new() -> RandomWorlds {
         RandomWorlds::from(EngineConfig::default())
     }
@@ -471,8 +465,8 @@ impl RandomWorlds {
     }
 
     fn run_pipeline(&self, kb: &PreparedKb, query: &Formula) -> Result<Response, EngineError> {
-        // Recursion (independence products, nested defaults) re-enters the
-        // same stage list, with each sub-KB prepared ad hoc.
+        // Recursion (independence products, Or-rule disjuncts) re-enters
+        // the same stage list, with each sub-KB prepared ad hoc.
         let recurse = |skb: &KnowledgeBase, sq: &Formula| {
             self.run_pipeline(&PreparedKb::single_use(skb.clone()), sq)
                 .ok()
@@ -550,8 +544,7 @@ impl Default for RandomWorlds {
 }
 
 /// The paper's cascade under `config`: theorems, the sampler when
-/// [`EngineConfig::approx`] is set, maximum entropy, exact unary
-/// counting, enumeration.
+/// [`EngineConfig::approx`] is set, maximum entropy, enumeration.
 fn default_stages(config: &EngineConfig) -> Vec<Stage> {
     let mut stages = vec![Stage::new(Box::new(TheoremSolver))];
     if let Some(cfg) = &config.approx {
@@ -566,10 +559,6 @@ fn default_stages(config: &EngineConfig) -> Vec<Stage> {
     stages.push(Stage::new(Box::new(MaxEntSolver::new(
         config.sweep.clone(),
     ))));
-    stages.push(Stage::budgeted(
-        Box::new(UnaryDiagonalSolver::new(config.diagonal.clone())),
-        Budget::counting(config.unary_max_profiles),
-    ));
     stages.push(Stage::budgeted(
         Box::new(EnumerationDiagonalSolver {
             diagonal: config.diagonal.clone(),
@@ -588,7 +577,7 @@ fn default_stages(config: &EngineConfig) -> Vec<Stage> {
 /// Records one pipeline stage run into the global metrics registry: a
 /// per-stage latency histogram (`stage.<name>.wall_us`) plus an outcome
 /// counter (`stage.<name>.<outcome>`). Recursive sub-query stage runs
-/// (independence products, nested defaults) are recorded like top-level
+/// (independence products, Or-rule disjuncts) are recorded like top-level
 /// ones — the histograms measure solver work, not request counts.
 ///
 /// Purely additive: metrics never feed back into an answer, so beliefs,
@@ -623,7 +612,8 @@ fn observe_cache_lookup(start: Instant, hit: bool) {
 
 /// Harvests the effort counters an answering stage reported through its
 /// [`Provenance`]: branch-and-count / symmetry search node counts (total
-/// and per reached `N`) and Monte-Carlo draw/accept/effective-N tallies.
+/// and per reached `N`) and Monte-Carlo draw/accept/effective-N tallies,
+/// including those of the sub-answers a theorem combined.
 fn observe_provenance(provenance: &Provenance) {
     if !rw_obs::enabled() {
         return;
@@ -657,7 +647,7 @@ fn observe_provenance(provenance: &Provenance) {
             reg.counter("mc.accepted").add(*accepted);
             reg.counter("mc.points").add(*n_points as u64);
         }
-        Provenance::Independence(parts) => {
+        Provenance::Independence(parts) | Provenance::OrRule(parts) => {
             for p in parts {
                 observe_provenance(p);
             }
@@ -1066,7 +1056,7 @@ mod tests {
     fn default_pipeline_exposes_stage_names() {
         assert_eq!(
             engine().solvers(),
-            vec!["theorems", "maxent", "unary-exact", "enumeration"]
+            vec!["theorems", "maxent", "enumeration"]
         );
     }
 
@@ -1101,8 +1091,8 @@ mod tests {
     #[test]
     fn trace_records_declined_stages_before_the_answer() {
         // Binary predicate: theorems and maxent must both decline (maxent
-        // cannot compile a non-unary KB), unary-exact declines, and the
-        // enumeration stage answers — all of it visible in the trace.
+        // cannot compile a non-unary KB), and the enumeration stage
+        // answers — all of it visible in the trace.
         let r = belief("Likes(A, B)", "Likes(B, A)");
         let stages: Vec<(&str, &str)> = r
             .trace
@@ -1115,7 +1105,6 @@ mod tests {
             vec![
                 ("theorems", "declined"),
                 ("maxent", "declined"),
-                ("unary-exact", "declined"),
                 ("enumeration", "answered"),
             ],
             "{:?}",
@@ -1212,10 +1201,11 @@ mod tests {
     fn cache_key_prefixes_are_stable() {
         // Snapshots store raw cache keys, and golden corpora pin answers
         // served through them: the config fingerprint's source string
-        // must not drift. These values predate build-once engines.
+        // must not drift. These values date from the three-stage cascade
+        // (snapshot format 2).
         let theorems_only = engine().with_solvers(vec![Stage::new(Box::new(TheoremSolver))]);
         for (name, e, expect) in [
-            ("default", engine(), 0xfa12f43d03f4624c_u64),
+            ("default", engine(), 0xbeca223afebfad9d_u64),
             (
                 "symmetry",
                 configured(|c| {
@@ -1223,14 +1213,14 @@ mod tests {
                     c.enum_min_n = Some(3);
                     c.enum_max_n = Some(12);
                 }),
-                0x8425dfff9f9ae3a8,
+                0x250f3107fdb411d4,
             ),
             (
                 "approx",
                 configured(|c| c.approx = Some(rw_worlds::mc::McConfig::default())),
-                0x66a427c556e5b1a0,
+                0x507cb17eb824d576,
             ),
-            ("theorems-only", theorems_only, 0xb7be729769df09e9),
+            ("theorems-only", theorems_only, 0x804f446793e5a390),
         ] {
             let got = e.key_prefix(0x1234);
             assert_eq!(got, expect, "{name}: {got:#018x}");
@@ -1276,13 +1266,7 @@ mod tests {
         let e = configured(|c| c.approx = Some(rw_worlds::mc::McConfig::default()));
         assert_eq!(
             e.solvers(),
-            vec![
-                "theorems",
-                "montecarlo",
-                "maxent",
-                "unary-exact",
-                "enumeration"
-            ]
+            vec!["theorems", "montecarlo", "maxent", "enumeration"]
         );
         // Theorem-answerable queries still bypass the sampler entirely.
         let kb = KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric)").unwrap();

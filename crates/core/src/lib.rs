@@ -16,14 +16,12 @@
 //!    inference (Thm 5.6 / Cor 5.7), minimal reference classes with
 //!    irrelevant information (Thm 5.16 / Cor 5.17), Kyburg-style strength
 //!    (Thm 5.23), Dempster combination (Thm 5.26), vocabulary independence
-//!    (Thm 5.27) and the unique-names bias (§5.5). Handles non-unary KBs
-//!    and produces exact rationals.
+//!    (Thm 5.27), the unique-names bias (§5.5) and the Or rule (Thm 5.3),
+//!    which splits a KB with one disjunction into its disjuncts. Handles
+//!    non-unary KBs and produces exact rationals.
 //! 2. [`solvers::MaxEntSolver`] — the §6 maximum-entropy asymptotics for
 //!    unary KBs, with τ-sweeps and robustness probing.
-//! 3. [`solvers::UnaryDiagonalSolver`] — exact unary profile counting
-//!    along a [`Diagonal`] of `(τ_k ↓ 0, N_k ↑ ∞)` points with Richardson
-//!    extrapolation.
-//! 4. [`solvers::EnumerationDiagonalSolver`] — exact world counting at
+//! 3. [`solvers::EnumerationDiagonalSolver`] — exact world counting at
 //!    small `N`, the completeness backstop. By default it runs the
 //!    compiled branch-and-count engine (`rw_worlds::count`): formulas
 //!    are lowered into slot programs and counted by pruned search with

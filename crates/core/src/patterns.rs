@@ -118,6 +118,8 @@ pub struct Classified {
     pub universals: Vec<(usize, AtomSet)>,
     /// Conjuncts recognized as `∃!x φ(x)` (desugared), with the inner body.
     pub exists_unique: Vec<(usize, Formula, VarId)>,
+    /// Flattened-conjunct indices that are disjunctions, ascending.
+    pub disjunctions: Vec<usize>,
     /// Class subsumption under the universals (`None` above 16
     /// predicates).
     pub taxonomy: Option<Taxonomy>,
@@ -389,6 +391,7 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
     let mut stat_sources = vec![false; conjuncts.len()];
     let mut universals = Vec::new();
     let mut exists_unique = Vec::new();
+    let mut disjunctions = Vec::new();
     let mut shapes = Vec::with_capacity(conjuncts.len());
     let mut sym_starts = Vec::with_capacity(conjuncts.len() + 1);
     let mut syms = Vec::new();
@@ -420,6 +423,9 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
             }
         }
 
+        if matches!(f, Formula::Or(_)) {
+            disjunctions.push(idx);
+        }
         if let Some((v, inner)) = match_exists_unique(f) {
             exists_unique.push((idx, inner, v));
             continue;
@@ -534,6 +540,7 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
         stat_sources,
         universals,
         exists_unique,
+        disjunctions,
         taxonomy,
     }
 }

@@ -21,9 +21,9 @@ use std::time::Duration;
 /// Resource limits for one pipeline stage.
 ///
 /// The single knob is a count cap, interpreted by the stage that spends
-/// it: atom *profiles* for exact unary counting, *worlds* for brute-force
-/// enumeration. Theorem and maxent stages do no open-ended counting and
-/// ignore it.
+/// it: visited search nodes for compiled world counting (interpretations
+/// in its odometer oracle mode), draws for Monte-Carlo sampling. Theorem
+/// and maxent stages do no open-ended counting and ignore it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Budget {
     /// Cap on the stage's dominant enumeration count.
@@ -51,8 +51,8 @@ impl Default for Budget {
 /// A recursion handle into the full pipeline.
 ///
 /// Some theorems decompose a query and solve the pieces with the *whole*
-/// engine again (vocabulary independence, Thm 5.27; nested defaults,
-/// Ex 5.14). The pipeline passes this callback to every stage so custom
+/// engine again (vocabulary independence, Thm 5.27; the Or rule, which
+/// splits the KB, Thm 5.3). The pipeline passes this callback to every stage so custom
 /// solvers can do the same.
 pub type Recurse<'a> = dyn Fn(&KnowledgeBase, &Formula) -> Option<(Belief, Provenance)> + 'a;
 
@@ -303,8 +303,8 @@ impl Diagonal {
 }
 
 impl Default for Diagonal {
-    /// `(1/4, 8), (1/8, 16), (1/16, 32)`: three points keep the exact
-    /// unary sweep under tens of millions of profiles for small KBs.
+    /// `(1/4, 8), (1/8, 16), (1/16, 32)`: a three-point `N`-sweep for the
+    /// sampler, and a finest tolerance of 1/16 for world counting.
     fn default() -> Diagonal {
         Diagonal::geometric(Rat::new(1, 4), 8, 3)
     }

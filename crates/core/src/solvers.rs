@@ -1,5 +1,5 @@
 //! The built-in pipeline stages: theorem engine, Monte-Carlo sampling,
-//! maximum entropy, exact unary counting, and brute-force enumeration.
+//! maximum entropy, and exact world counting.
 //!
 //! Each implements [`Solver`] and is sound on its own; the default
 //! [`crate::RandomWorlds`] pipeline runs them in the order above (cheapest
@@ -19,16 +19,13 @@ use rw_maxent::{LimitOutcome, MaxentError, SweepConfig};
 use rw_worlds::mc::{self, McConfig};
 use rw_worlds::{ScaledCount, SymmetrySpec};
 use std::sync::Arc;
-// The diagonal-extrapolation shape is shared with the Monte-Carlo sweep;
-// the single implementation lives in `rw_worlds::mc::stats`.
-use rw_worlds::mc::stats::extrapolate;
 
 /// Stage 1: the syntactic theorem engine (§5 of the paper).
 ///
 /// Pattern matchers with fully checked side conditions for direct
 /// inference, minimal reference classes, the strength rule, Dempster
-/// combination, independence products, unique names, and nested defaults.
-/// Exact, effectively instant, and the only stage that handles non-unary
+/// combination, independence products, unique names, nested defaults,
+/// and the Or rule. Exact, effectively instant, and the only stage that handles non-unary
 /// KBs symbolically — but incomplete: it declines whenever no pattern
 /// (soundly) matches.
 #[derive(Clone, Copy, Debug, Default)]
@@ -72,8 +69,8 @@ impl Solver for TheoremSolver {
 /// Computes the entropy-maximizing atom distribution over a shrinking
 /// τ-sweep and classifies the limit (converged / non-robust / infeasible).
 /// Declines on KBs outside the essentially-propositional fragment it can
-/// compile, or on numeric failure — both of which the exact finite-`N`
-/// stages can still handle.
+/// compile, or on numeric failure — both of which the exact counting
+/// stage can still handle.
 #[derive(Clone, Debug, Default)]
 pub struct MaxEntSolver {
     /// The τ-sweep schedule and robustness probing configuration.
@@ -130,7 +127,7 @@ impl Solver for MaxEntSolver {
 ///
 /// A bounded-cost, anytime stage for queries that miss every theorem
 /// pattern and would otherwise fall into the (much slower) counting
-/// stages; the maxent stage answers unary KBs exactly in under a
+/// stage; the maxent stage answers unary KBs exactly in under a
 /// millisecond, but declines everything else. Sampling is KB-aware (asserted facts forced, unary
 /// statistics proposed at their nominal rates — see
 /// [`rw_worlds::mc::SamplePlan`]), stops adaptively once the 95% CI
@@ -254,88 +251,7 @@ impl Solver for MonteCarloSolver {
     }
 }
 
-/// Stage 3: exact unary profile counting along a `(τ, N)` diagonal.
-///
-/// Counts atom profiles exactly at each diagonal point and Richardson-
-/// extrapolates the geometric τ-schedule. Declines on non-unary
-/// vocabularies; reports budget exhaustion when the profile space
-/// outgrows the stage budget before any point is computed.
-#[derive(Clone, Debug, Default)]
-pub struct UnaryDiagonalSolver {
-    /// The `(τ, N)` evaluation points.
-    pub diagonal: Diagonal,
-}
-
-impl UnaryDiagonalSolver {
-    /// A unary counting stage over the given diagonal.
-    pub fn new(diagonal: Diagonal) -> UnaryDiagonalSolver {
-        UnaryDiagonalSolver { diagonal }
-    }
-}
-
-impl Solver for UnaryDiagonalSolver {
-    fn name(&self) -> &str {
-        "unary-exact"
-    }
-
-    fn solve(
-        &self,
-        kb: &KnowledgeBase,
-        query: &Formula,
-        budget: &Budget,
-        _recurse: &Recurse<'_>,
-    ) -> SolverOutcome {
-        if !kb.vocab().is_unary() {
-            return SolverOutcome::Declined {
-                reason: "vocabulary has functions or non-unary predicates".to_string(),
-            };
-        }
-        let engine = rw_unary::UnaryEngine {
-            max_profiles: budget.max_count,
-        };
-        let mut values = Vec::new();
-        let mut max_n = 0usize;
-        let mut undefined_steps = 0usize;
-        let mut budget_hit = None;
-        for &(tau, n) in self.diagonal.points() {
-            let tol = Tolerances::uniform(tau);
-            match engine.degree_of_belief_at(kb, query, n, &tol) {
-                Ok(Some(v)) => {
-                    values.push(v);
-                    max_n = n.max(max_n);
-                }
-                Ok(None) => undefined_steps += 1,
-                Err(e) => {
-                    // Budget: extrapolate from the points already computed.
-                    budget_hit = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(v) = extrapolate(&values) {
-            return SolverOutcome::Answered {
-                belief: Belief::Point(v),
-                provenance: Provenance::UnaryExact { max_n },
-            };
-        }
-        if undefined_steps > 0 {
-            return SolverOutcome::Answered {
-                belief: Belief::Undefined,
-                provenance: Provenance::UnaryExact { max_n },
-            };
-        }
-        match budget_hit {
-            Some(e) => SolverOutcome::BudgetExhausted {
-                reason: e.to_string(),
-            },
-            None => SolverOutcome::Declined {
-                reason: "no diagonal point produced a value".to_string(),
-            },
-        }
-    }
-}
-
-/// Stage 4: exact world counting along the diagonal (small `N`).
+/// Stage 3: exact world counting along the diagonal (small `N`).
 ///
 /// The last resort for non-unary KBs: compute the Definition 4.2 ratio
 /// `#(KB ∧ query) / #KB` exactly at the two largest reachable domain
@@ -674,14 +590,18 @@ impl EnumerationDiagonalSolver {
             branched,
             orbits,
         };
-        if points.is_empty() {
-            return SolverOutcome::BudgetExhausted {
+        // A scan cut short by a failure right after an unsatisfiable size
+        // has not shown the KB unsatisfiable: the next size might have
+        // had worlds. Only a scan that reaches its ceiling says `undefined`.
+        match (points.last(), failure) {
+            (None, failure) => SolverOutcome::BudgetExhausted {
                 reason: failure.unwrap_or_else(|| {
                     format!("even N={min_n} exceeded the {max_visited}-node visit budget")
                 }),
-            };
+            },
+            (Some((_, None)), Some(reason)) => SolverOutcome::BudgetExhausted { reason },
+            _ => diagonal_outcome(&points, provenance),
         }
-        diagonal_outcome(&points, provenance)
     }
 
     /// The historical odometer path: enumerate every interpretation at
@@ -825,28 +745,6 @@ mod tests {
     #[test]
     fn maxent_solver_declines_non_unary() {
         let s = MaxEntSolver::default();
-        let (kb, q) = parsed("Likes(A, B)", "Likes(B, A)");
-        assert!(matches!(
-            s.solve(&kb, &q, &Budget::UNLIMITED, &no_recurse()),
-            SolverOutcome::Declined { .. }
-        ));
-    }
-
-    #[test]
-    fn unary_solver_reports_budget_exhaustion() {
-        let s = UnaryDiagonalSolver::default();
-        let (kb, q) = parsed("||P(x)||_x ~=_1 0.5", "P(C)");
-        match s.solve(&kb, &q, &Budget::counting(1), &no_recurse()) {
-            SolverOutcome::BudgetExhausted { reason } => {
-                assert!(reason.contains("budget"), "{reason}")
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn unary_solver_declines_binary_vocabulary() {
-        let s = UnaryDiagonalSolver::default();
         let (kb, q) = parsed("Likes(A, B)", "Likes(B, A)");
         assert!(matches!(
             s.solve(&kb, &q, &Budget::UNLIMITED, &no_recurse()),
@@ -1054,28 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn unary_exact_reports_an_overflowing_profile_space_as_budget_exhausted() {
-        // The probe with 16 irrelevant facts: 2^18 atoms, a composition
-        // count far past u128. The estimate saturates instead of
-        // panicking, and the stage reports its budget.
-        let facts: Vec<String> = (0..16).map(|i| format!("Q{i}(K{i})")).collect();
-        let (kb, q) = parsed(
-            &format!(
-                "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom); {}",
-                facts.join("; ")
-            ),
-            "Hep(Eric) & Hep(Tom)",
-        );
-        let stage = UnaryDiagonalSolver::new(Diagonal::default());
-        match stage.solve(&kb, &q, &Budget::counting(20_000_000), &no_recurse()) {
-            SolverOutcome::BudgetExhausted { reason } => {
-                assert!(reason.contains("profile"), "{reason}")
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn montecarlo_budget_caps_the_draws() {
         let (kb, q) = parsed("||P(x)||_x ~=_1 0.6", "P(C)");
         let s = MonteCarloSolver::default();
@@ -1224,6 +1100,44 @@ mod tests {
                     panic!("{provenance:?}");
                 };
                 assert_eq!(max_n, 4);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_scan_cut_short_after_an_empty_size_is_not_undefined() {
+        // The statistic has no world at N ≤ 3, and each of these queries
+        // blows its N = 4 allowance: the scan stops without having seen
+        // the KB's worlds, so it must not report the KB unsatisfiable.
+        let budget = Budget::counting(1 << 24);
+        for q_src in [
+            "Likes(Eric, Tom) or Likes(Tom, Eric)",
+            "Likes(Eric, Tom) => Hep(Tom)",
+            "exists x (Likes(x, Eric))",
+        ] {
+            let (kb, q) = parsed(
+                "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)",
+                q_src,
+            );
+            let out = EnumerationDiagonalSolver::default().solve(&kb, &q, &budget, &no_recurse());
+            match out {
+                SolverOutcome::BudgetExhausted { reason } => {
+                    assert!(reason.contains("N=4"), "{q_src}: {reason}")
+                }
+                other => panic!("{q_src}: {other:?}"),
+            }
+        }
+        // A KB with no world at any size still scans to its ceiling and
+        // answers `undefined`.
+        let (kb, q) = parsed("Likes(A, B); !Likes(A, B)", "Likes(B, A)");
+        match EnumerationDiagonalSolver::default().solve(&kb, &q, &budget, &no_recurse()) {
+            SolverOutcome::Answered { belief, provenance } => {
+                assert_eq!(belief, Belief::Undefined);
+                let Provenance::Enumeration { max_n, .. } = provenance else {
+                    panic!("{provenance:?}");
+                };
+                assert_eq!(max_n, MAX_COMPILED_N);
             }
             other => panic!("{other:?}"),
         }

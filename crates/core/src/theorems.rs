@@ -5,7 +5,7 @@
 //! over completeness: a returned belief is always justified by the cited
 //! theorem, and unverifiable side conditions reject the match (the engine
 //! then falls back to the semantic computations in `rw-maxent` /
-//! `rw-unary` / `rw-worlds`).
+//! `rw-worlds`).
 
 use crate::belief::{Belief, Provenance};
 use crate::patterns::{
@@ -20,7 +20,7 @@ use rw_util::Rat;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A callback into the full engine, used by theorems that decompose the
-/// problem (Thm 5.27 independence).
+/// problem (Thm 5.27 independence, Thm 5.3's Or rule).
 pub type Solver<'a> = dyn Fn(&KnowledgeBase, &Formula) -> Option<(Belief, Provenance)> + 'a;
 
 /// Dempster's rule of combination (paper Thm 5.26):
@@ -60,6 +60,7 @@ pub fn try_classified(
         .or_else(|| try_minimal_class(kb, query, cls))
         .or_else(|| try_nested_default(kb, query, cls))
         .or_else(|| try_independence(kb, query, cls, solver))
+        .or_else(|| try_or_rule(kb, query, cls, solver))
 }
 
 fn interval_belief(lo: Rat, hi: Rat) -> Option<Belief> {
@@ -752,6 +753,83 @@ fn independence_components(
 }
 
 // ---------------------------------------------------------------------------
+// Theorem 5.3: the KLM Or rule.
+// ---------------------------------------------------------------------------
+
+/// The most disjuncts [`try_or_rule`] splits a KB into: each one costs a
+/// full pipeline run.
+const MAX_OR_ARMS: usize = 8;
+
+/// Theorem 5.3 (Or): for `KB = Γ ∧ (A₁ ∨ … ∨ A_k)`, if every `Γ ∧ Aᵢ`
+/// gives the query belief 1, so does the KB; likewise for 0. Sound by the
+/// union bound `#(¬φ ∧ KB) ≤ Σᵢ #(¬φ ∧ Γ ∧ Aᵢ)` (`#(φ ∧ KB)` for 0), with
+/// `#KB ≥ #(Γ ∧ Aᵢ)` for every `i` — which proves 1 only when every
+/// disjunct's limit is exactly 1, not merely close to it.
+///
+/// Side conditions: exactly one KB conjunct is a disjunction, with at most
+/// 8 disjuncts, none of which has a disjunctive conjunct of its own — so
+/// the recursion is one level deep. Every disjunct must be answered with
+/// an exact point belief that is 1 for all of them or 0 for all of them,
+/// to within [`or_rule_slack`]; anything else (an interval, a sampled
+/// estimate, an undefined or failed disjunct, a mix, a 0.999) declines.
+/// A disjunct that the theorem and maxent stages leave to a counting
+/// stage (enumeration, or the sampler on an `approx` engine) declines the
+/// rule whatever it answers, before any further disjunct runs: at most
+/// one disjunct's counting work is spent, and the KB's own stages answer
+/// it from there.
+pub fn try_or_rule(
+    kb: &KnowledgeBase,
+    query: &Formula,
+    cls: &Classified,
+    solver: &Solver<'_>,
+) -> Option<(Belief, Provenance)> {
+    let &[at] = cls.disjunctions.as_slice() else {
+        return None;
+    };
+    let Formula::Or(arms) = cls.part(at) else {
+        return None;
+    };
+    let nested = |arm: &Formula| arm.conjuncts().iter().any(|c| matches!(c, Formula::Or(_)));
+    if arms.len() > MAX_OR_ARMS || arms.iter().any(nested) {
+        return None;
+    }
+    let (mut ones, mut zeros) = (true, true);
+    let mut parts = Vec::with_capacity(arms.len());
+    for arm in arms {
+        let conjuncts = cls.parts().enumerate().filter(|&(i, _)| i != at);
+        let conjuncts = conjuncts.map(|(_, f)| f).chain(arm.conjuncts());
+        let sub_kb = KnowledgeBase::from_parts(kb.vocab().clone(), conjuncts.cloned().collect());
+        let (belief, prov) = solver(&sub_kb, query)?;
+        let (Belief::Point(v), Some(slack)) = (belief, or_rule_slack(&prov)) else {
+            return None;
+        };
+        ones &= (v - 1.0).abs() <= slack;
+        zeros &= v.abs() <= slack;
+        if !ones && !zeros {
+            return None;
+        }
+        parts.push(Box::new(prov));
+    }
+    let v = if ones { 1.0 } else { 0.0 };
+    Some((Belief::Point(v), Provenance::OrRule(parts)))
+}
+
+/// How far from an exact 0 or 1 a disjunct's point may lie and still be
+/// that limit: float round-off for the theorem stage's exact rationals,
+/// 1e-6 for maxent's extrapolated τ-sweep (Example 5.4's disjuncts read
+/// 1 − 1.06e-7), a product's sum over its factors, and `None` for
+/// enumeration's extrapolated point, which the rule never uses (the
+/// sampler's answers are never points).
+fn or_rule_slack(p: &Provenance) -> Option<f64> {
+    match p {
+        Provenance::Enumeration { .. } => None,
+        Provenance::MaxEnt => Some(1e-6),
+        Provenance::Independence(parts) => parts.iter().map(|p| or_rule_slack(p)).sum(),
+        _ => Some(1e-9),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // §5.5: unique names.
 // ---------------------------------------------------------------------------
 
@@ -919,6 +997,7 @@ pub fn try_nested_default(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RandomWorlds;
     use rw_util::rng::{Rng, StdRng};
 
     /// The pairwise scan [`independence_components`] replaces: every part
@@ -1035,5 +1114,218 @@ mod tests {
             panic!("one component: nothing to solve")
         };
         assert!(try_independence(&kb, &query, &cls, &solver).is_none());
+    }
+
+    /// `engine`'s answer to `q_src` against `kb_src`.
+    fn answer(engine: &RandomWorlds, kb_src: &str, q_src: &str) -> crate::Response {
+        let kb = KnowledgeBase::parse(kb_src).unwrap();
+        engine.answer(&kb, q_src).unwrap()
+    }
+
+    /// [`try_or_rule`] on `kb_src ⊢ P(C)` with every disjunct answered
+    /// `(belief, provenance)`, and the number of disjuncts it asked about.
+    fn or_rule_stubbed(
+        kb_src: &str,
+        belief: Belief,
+        provenance: Provenance,
+    ) -> (Option<(Belief, Provenance)>, usize) {
+        let mut kb = KnowledgeBase::parse(kb_src).unwrap();
+        let query = kb.parse_query("P(C)").unwrap();
+        let calls = std::cell::Cell::new(0);
+        let solver = |_: &KnowledgeBase, _: &Formula| {
+            calls.set(calls.get() + 1);
+            Some((belief.clone(), provenance.clone()))
+        };
+        let out = try_or_rule(&kb, &query, &classify(&kb), &solver);
+        (out, calls.get())
+    }
+
+    /// [`or_rule_stubbed`] with every disjunct entailed.
+    fn or_rule_counting(kb_src: &str) -> (Option<(Belief, Provenance)>, usize) {
+        or_rule_stubbed(kb_src, Belief::Point(1.0), Provenance::Entailed)
+    }
+
+    fn arms(k: usize) -> String {
+        let arms: Vec<String> = (0..k).map(|i| format!("P(C{i})")).collect();
+        arms.join(" or ")
+    }
+
+    #[test]
+    fn or_rule_answers_one_when_every_disjunct_does() {
+        let kb_src = "||Q(x) | P(x)||_x ~=_1 1; ||Q(x) | R(x)||_x ~=_2 1; P(C) or R(C)";
+        let r = answer(&RandomWorlds::new(), kb_src, "Q(C)");
+        assert_eq!(r.belief, Belief::Point(1.0));
+        let arm = Box::new(Provenance::DirectInference);
+        assert_eq!(r.provenance, Provenance::OrRule(vec![arm.clone(), arm]));
+        // The theorem stage answers it without leaving the stage.
+        assert_eq!(r.trace.to_string(), "theorems answered");
+        assert_eq!(
+            r.provenance.to_string(),
+            "Or rule (Thm 5.3) of [direct inference (Thm 5.6); direct inference (Thm 5.6)]"
+        );
+    }
+
+    #[test]
+    fn or_rule_answers_zero_when_every_disjunct_does() {
+        let kb_src = "||Q(x) | P(x)||_x ~=_1 0; ||Q(x) | R(x)||_x ~=_2 0; P(C) or R(C)";
+        let r = answer(&RandomWorlds::new(), kb_src, "Q(C)");
+        assert_eq!(r.belief, Belief::Point(0.0));
+        assert!(matches!(r.provenance, Provenance::OrRule(parts) if parts.len() == 2));
+    }
+
+    #[test]
+    fn or_rule_declines_disjuncts_merely_close_to_one() {
+        // Each disjunct's direct inference is 0.999 — a default conclusion
+        // under `|~rw`'s 2e-3, but no limit of 1 — so the union bound
+        // proves nothing and maxent answers the KB with about 0.999.
+        let kb_src = "||Q(x) | P(x)||_x ~=_1 0.999; ||Q(x) | R(x)||_x ~=_2 0.999; P(C) or R(C)";
+        let engine = RandomWorlds::new();
+        let r = answer(&engine, kb_src, "Q(C)");
+        assert_eq!(r.provenance, Provenance::MaxEnt, "{r}");
+        let v = r.belief.as_point().unwrap();
+        assert!(v < 1.0 && (v - 0.999).abs() < 2e-3, "{r}");
+        // Likewise at 0.001 for the 0 side.
+        let kb_src = "||Q(x) | P(x)||_x ~=_1 0.001; ||Q(x) | R(x)||_x ~=_2 0.001; P(C) or R(C)";
+        let r = answer(&engine, kb_src, "Q(C)");
+        assert_eq!(r.provenance, Provenance::MaxEnt, "{r}");
+        assert!(r.belief.as_point().unwrap() > 0.0, "{r}");
+    }
+
+    #[test]
+    fn or_rule_accepts_maxent_disjuncts_at_its_resolution() {
+        // Example 5.4's disjuncts: maxent reads 1 − 1.06e-7 for each.
+        let kb_src = "||LeftUsable(x)||_x ~=_1 1; ||LeftUsable(x) | LeftBroken(x)||_x ~=_2 0; \
+                      ||RightUsable(x)||_x ~=_3 1; ||RightUsable(x) | RightBroken(x)||_x ~=_4 0; \
+                      LeftBroken(Eric) or RightBroken(Eric)";
+        let r = answer(
+            &RandomWorlds::new(),
+            kb_src,
+            "!LeftUsable(Eric) or !RightUsable(Eric)",
+        );
+        assert_eq!(r.belief, Belief::Point(1.0));
+        let arm = Box::new(Provenance::MaxEnt);
+        assert_eq!(r.provenance, Provenance::OrRule(vec![arm.clone(), arm]));
+    }
+
+    #[test]
+    fn or_rule_declines_inexact_disjuncts() {
+        // A counting stage's extrapolation and a sampled estimate never
+        // count as an exact 1, even when they read 1: the rule stops at
+        // the first disjunct.
+        let counted = Provenance::Enumeration {
+            max_n: 4,
+            visited: 1,
+            branched: 0,
+            orbits: 0,
+        };
+        assert_eq!(
+            or_rule_stubbed(&arms(8), Belief::Point(1.0), counted),
+            (None, 1)
+        );
+        let sampled = Belief::Approximate {
+            value: 1.0,
+            ci_half_width: 0.0,
+        };
+        let mc = Provenance::MonteCarlo {
+            drawn: 1,
+            accepted: 1,
+            n_points: 1,
+        };
+        assert_eq!(or_rule_stubbed(&arms(8), sampled, mc), (None, 1));
+    }
+
+    /// A stage that declines and tallies its runs.
+    struct CountingProbe(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl crate::Solver for CountingProbe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+
+        fn solve(
+            &self,
+            _: &KnowledgeBase,
+            _: &Formula,
+            _: &crate::Budget,
+            _: &Solver<'_>,
+        ) -> crate::SolverOutcome {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            crate::SolverOutcome::Declined {
+                reason: "probe".to_string(),
+            }
+        }
+    }
+
+    #[test]
+    fn or_rule_stops_at_the_first_disjunct_past_the_theorem_stage() {
+        // The theorem stage answers the first disjunct 1 and no other.
+        // The second runs the stage after it and fails, so the third never
+        // runs: the probe sees that disjunct and the KB's own query only.
+        let runs = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let engine = RandomWorlds::new().with_solvers(vec![
+            crate::Stage::new(Box::new(crate::solvers::TheoremSolver)),
+            crate::Stage::new(Box::new(CountingProbe(runs.clone()))),
+        ]);
+        let kb = KnowledgeBase::parse("(Likes(A, B) & Likes(B, B)) or Likes(B, A) or Likes(A, A)")
+            .unwrap();
+        let err = engine.answer(&kb, "Likes(A, B)").unwrap_err();
+        assert!(err.to_string().contains("probe declined"), "{err}");
+        assert_eq!(runs.load(std::sync::atomic::Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn or_rule_declines_mixed_disjuncts() {
+        // E22: `C1 = C2` is 1 under the first disjunct and 0 under the
+        // others, so the rule says nothing and enumeration answers ≈ 1/3.
+        let r = answer(
+            &RandomWorlds::new(),
+            "C1 = C2 or C2 = C3 or C1 = C3",
+            "C1 = C2",
+        );
+        assert!(
+            matches!(r.provenance, Provenance::Enumeration { .. }),
+            "{r}"
+        );
+        let v = r.belief.as_point().unwrap();
+        assert!((v - 1.0 / 3.0).abs() < 0.05, "{r}");
+    }
+
+    #[test]
+    fn or_rule_splits_at_most_eight_disjuncts() {
+        let (out, calls) = or_rule_counting(&arms(8));
+        assert_eq!(out.map(|(b, _)| b), Some(Belief::Point(1.0)));
+        assert_eq!(calls, 8);
+        assert_eq!(or_rule_counting(&arms(9)), (None, 0));
+        // Two disjunctive conjuncts: no single split, so no call either.
+        assert_eq!(or_rule_counting("P(A) or P(B); P(D) or P(E)"), (None, 0));
+    }
+
+    #[test]
+    fn or_rule_declines_a_disjunct_with_a_disjunction_of_its_own() {
+        let (out, calls) = or_rule_counting("(P(A) & P(B)) or P(D)");
+        assert!(out.is_some() && calls == 2);
+        assert_eq!(
+            or_rule_counting("(P(A) & (P(B) or P(E))) or P(D)"),
+            (None, 0)
+        );
+    }
+
+    #[test]
+    fn or_rule_declines_sampled_disjuncts() {
+        // Maxent answers each disjunct 1 on the exact engine.
+        let kb_src = "||Hep(x) | Jaun(x)||_x ~=_1 1; \
+                      (Jaun(Eric) & Jaun(Tom)) or (Jaun(Eric) & Jaun(Tom) & Fever(Eric))";
+        let q = "Hep(Eric) & Hep(Tom)";
+        let r = answer(&RandomWorlds::new(), kb_src, q);
+        assert_eq!(r.belief, Belief::Point(1.0));
+        assert!(matches!(r.provenance, Provenance::OrRule(_)), "{r}");
+        // An approx engine samples the first disjunct: an estimate is
+        // never promoted to an exact 1, and the sampler answers the KB.
+        let approx = RandomWorlds::from(crate::EngineConfig {
+            approx: Some(crate::McConfig::default()),
+            ..crate::EngineConfig::default()
+        });
+        let r = answer(&approx, kb_src, q);
+        assert!(matches!(r.belief, Belief::Approximate { .. }), "{r}");
     }
 }

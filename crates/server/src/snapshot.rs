@@ -11,7 +11,7 @@
 //!   and every [`DenomCache`](rw_core::DenomCache) world count.
 //!
 //! Each file is framed the same way: a header line
-//! `{"rwsnap":1,"kind":...}` pinning the format version, one JSON
+//! `{"rwsnap":2,"kind":...}` pinning the format version, one JSON
 //! object per entry, and a trailing `{"checksum":...}` line carrying
 //! the FNV-1a hash of every preceding byte. Writes go to a temp file
 //! first and `rename(2)` into place, so a crash mid-checkpoint leaves
@@ -39,16 +39,16 @@ use std::path::Path;
 use std::time::Instant;
 
 /// The on-disk format version this build writes and accepts.
-pub const SNAPSHOT_VERSION: i128 = 1;
+pub const SNAPSHOT_VERSION: i128 = 2;
 /// The KB-registry snapshot file name inside the snapshot directory.
 pub const REGISTRY_FILE: &str = "registry.rwsnap";
 /// The cache-contents snapshot file name inside the snapshot directory.
 pub const CACHE_FILE: &str = "cache.rwsnap";
 
-/// Deepest [`Provenance::Independence`] nesting an answer entry may
-/// carry. A deeper answer is *skipped* on save (a snapshot is a cache —
-/// dropping an entry is always safe) so reload can never hit the JSON
-/// parser's own depth cap.
+/// Deepest [`Provenance::Independence`] / [`Provenance::OrRule`] nesting
+/// an answer entry may carry. A deeper answer is *skipped* on save (a
+/// snapshot is a cache — dropping an entry is always safe) so reload can
+/// never hit the JSON parser's own depth cap.
 const MAX_PROVENANCE_DEPTH: usize = 24;
 
 /// Why a snapshot could not be saved or restored. Every variant is a
@@ -585,19 +585,11 @@ fn provenance_json(p: &Provenance, depth: usize) -> Option<String> {
         Provenance::MinimalReferenceClass => r#"{"p":"minref"}"#.to_string(),
         Provenance::StrengthRule => r#"{"p":"strength"}"#.to_string(),
         Provenance::Dempster => r#"{"p":"dempster"}"#.to_string(),
-        Provenance::Independence(parts) => {
-            let encoded: Option<Vec<String>> = parts
-                .iter()
-                .map(|part| provenance_json(part, depth + 1))
-                .collect();
-            format!(r#"{{"p":"independence","parts":[{}]}}"#, encoded?.join(","))
-        }
+        Provenance::Independence(parts) => parts_json("independence", parts, depth)?,
+        Provenance::OrRule(parts) => parts_json("or", parts, depth)?,
         Provenance::UniqueNames => r#"{"p":"uniquenames"}"#.to_string(),
         Provenance::NestedDefault => r#"{"p":"nesteddefault"}"#.to_string(),
         Provenance::MaxEnt => r#"{"p":"maxent"}"#.to_string(),
-        Provenance::UnaryExact { max_n } => {
-            format!(r#"{{"p":"unary","max_n":{max_n}}}"#)
-        }
         Provenance::Enumeration {
             max_n,
             visited,
@@ -615,6 +607,18 @@ fn provenance_json(p: &Provenance, depth: usize) -> Option<String> {
     })
 }
 
+/// A compound provenance: `tag` with its parts one level deeper.
+fn parts_json(tag: &str, parts: &[Box<Provenance>], depth: usize) -> Option<String> {
+    let encoded: Option<Vec<_>> = parts
+        .iter()
+        .map(|p| provenance_json(p, depth + 1))
+        .collect();
+    Some(format!(
+        r#"{{"p":"{tag}","parts":[{}]}}"#,
+        encoded?.join(",")
+    ))
+}
+
 fn parse_provenance(v: &Value, depth: usize) -> Result<Provenance, String> {
     if depth > MAX_PROVENANCE_DEPTH {
         return Err("provenance nests beyond the snapshot depth cap".to_string());
@@ -624,22 +628,11 @@ fn parse_provenance(v: &Value, depth: usize) -> Result<Provenance, String> {
         "minref" => Ok(Provenance::MinimalReferenceClass),
         "strength" => Ok(Provenance::StrengthRule),
         "dempster" => Ok(Provenance::Dempster),
-        "independence" => {
-            let Some(Value::Arr(items)) = v.get("parts") else {
-                return Err("independence provenance missing parts".to_string());
-            };
-            let parts: Result<Vec<Box<Provenance>>, String> = items
-                .iter()
-                .map(|item| parse_provenance(item, depth + 1).map(Box::new))
-                .collect();
-            Ok(Provenance::Independence(parts?))
-        }
+        "independence" => parse_parts(v, depth, Provenance::Independence),
+        "or" => parse_parts(v, depth, Provenance::OrRule),
         "uniquenames" => Ok(Provenance::UniqueNames),
         "nesteddefault" => Ok(Provenance::NestedDefault),
         "maxent" => Ok(Provenance::MaxEnt),
-        "unary" => Ok(Provenance::UnaryExact {
-            max_n: get_usize(v, "max_n")?,
-        }),
         "enum" => Ok(Provenance::Enumeration {
             max_n: get_usize(v, "max_n")?,
             visited: get_u64(v, "visited")?,
@@ -654,6 +647,22 @@ fn parse_provenance(v: &Value, depth: usize) -> Result<Provenance, String> {
         }),
         other => Err(format!("unknown provenance `{other}`")),
     }
+}
+
+/// A compound provenance built by `make` from its parts, parsed one
+/// level deeper.
+fn parse_parts(
+    v: &Value,
+    depth: usize,
+    make: fn(Vec<Box<Provenance>>) -> Provenance,
+) -> Result<Provenance, String> {
+    let Some(Value::Arr(items)) = v.get("parts") else {
+        return Err("compound provenance missing parts".to_string());
+    };
+    let parts = items
+        .iter()
+        .map(|p| parse_provenance(p, depth + 1).map(Box::new));
+    Ok(make(parts.collect::<Result<_, _>>()?))
 }
 
 fn denom_entry_json(key: &DenomKey, count: ScaledCount) -> String {
@@ -789,6 +798,31 @@ mod tests {
     }
 
     #[test]
+    fn or_rule_answers_survive_a_roundtrip() {
+        let dir = temp_dir("or-rule");
+        let reg = KbRegistry::new(Arc::new(AnswerCache::new()));
+        let kb = "||Q(x) | P(x)||_x ~=_1 1; ||Q(x) | R(x)||_x ~=_2 1; P(C) or R(C)";
+        reg.load(
+            "or",
+            &KbSource::Text(kb.to_string()),
+            None,
+            ScanParams::default(),
+        )
+        .unwrap();
+        let provenance = r#""provenance":"Or rule (Thm 5.3) of [direct inference"#;
+        let (line, ok) = reg.get("or").unwrap().answer_json_line("Q(C)");
+        assert!(ok && line.contains(provenance), "{line}");
+        save(&dir, &reg).unwrap();
+
+        let fresh = KbRegistry::new(Arc::new(AnswerCache::new()));
+        load(&dir, &fresh).unwrap().expect("snapshot present");
+        let (warm, ok) = fresh.get("or").unwrap().answer_json_line("Q(C)");
+        assert!(ok && warm.contains(r#""cache_hit":true"#), "{warm}");
+        assert!(warm.contains(provenance), "{warm}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn missing_dir_is_a_clean_cold_start() {
         let dir = temp_dir("missing");
         let reg = KbRegistry::new(Arc::new(AnswerCache::new()));
@@ -803,7 +837,10 @@ mod tests {
         save(&dir, &reg).unwrap();
         let path = dir.join(REGISTRY_FILE);
         let content = fs::read_to_string(&path).unwrap();
-        fs::write(&path, content.replace("{\"rwsnap\":1,", "{\"rwsnap\":99,")).unwrap();
+        let header = |v: i128| format!("{{\"rwsnap\":{v},");
+        let skewed = content.replace(&header(SNAPSHOT_VERSION), &header(99));
+        assert_ne!(skewed, content, "the header carries the version");
+        fs::write(&path, skewed).unwrap();
         let fresh = KbRegistry::new(Arc::new(AnswerCache::new()));
         let err = load(&dir, &fresh).unwrap_err();
         assert_eq!(err.code(), "wrong-version");

@@ -235,7 +235,12 @@ fn version_skew_and_fingerprint_tamper_have_distinct_codes() {
 
     // Wrong version: the header is validated before the checksum, so no
     // re-seal is needed for the code to be `wrong-version`.
-    std::fs::write(&path, pristine.replace("{\"rwsnap\":1,", "{\"rwsnap\":2,")).unwrap();
+    let header = |v: i128| format!("{{\"rwsnap\":{v},");
+    let skewed = pristine.replace(
+        &header(snapshot::SNAPSHOT_VERSION),
+        &header(snapshot::SNAPSHOT_VERSION + 1),
+    );
+    std::fs::write(&path, skewed).unwrap();
     let fresh = KbRegistry::new(Arc::new(AnswerCache::new()));
     let err = snapshot::load(&dir, &fresh).expect_err("version skew rejects");
     assert_eq!(err.code(), "wrong-version");

@@ -512,6 +512,28 @@ mod tests {
     }
 
     #[test]
+    fn a_profile_space_past_u128_is_a_budget_error() {
+        // The probe with 16 irrelevant facts: 2^18 atoms, a composition
+        // count far past u128. The estimate saturates instead of
+        // panicking, and the engine reports its budget.
+        let facts: Vec<String> = (0..16).map(|i| format!("Q{i}(K{i})")).collect();
+        let mut kb = KnowledgeBase::parse(&format!(
+            "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom); {}",
+            facts.join("; ")
+        ))
+        .unwrap();
+        let q = kb.parse_query("Hep(Eric) & Hep(Tom)").unwrap();
+        let err = degree_of_belief_at(&kb, &q, 8, &tol(1, 4)).unwrap_err();
+        assert_eq!(
+            err,
+            UnaryError::TooManyProfiles {
+                estimated: u128::MAX,
+                budget: UnaryEngine::default().max_profiles,
+            }
+        );
+    }
+
+    #[test]
     fn non_unary_is_rejected() {
         let mut kb = KnowledgeBase::parse("Likes(A, B)").unwrap();
         let q = kb.parse_query("Likes(B, A)").unwrap();

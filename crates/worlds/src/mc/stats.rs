@@ -113,10 +113,7 @@ pub fn wilson_half_width(p_hat: f64, n: f64) -> Option<f64> {
 
 /// Richardson-style extrapolation for a geometric (τ ∝ 2^-k) diagonal
 /// with an `O(τ)` error model; one sample passes through, none is `None`.
-///
-/// This is the same shape the exact finite-`N` stages apply to their
-/// diagonal values; the Monte-Carlo sweep applies it to its per-`N`
-/// estimates.
+/// The Monte-Carlo sweep applies it to its per-`N` estimates.
 pub fn extrapolate(values: &[f64]) -> Option<f64> {
     match values {
         [] => None,

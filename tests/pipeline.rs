@@ -36,10 +36,7 @@ impl Solver for AlwaysDecline {
 #[test]
 fn default_pipeline_names_are_stable() {
     let engine = RandomWorlds::new();
-    assert_eq!(
-        engine.solvers(),
-        vec!["theorems", "maxent", "unary-exact", "enumeration"]
-    );
+    assert_eq!(engine.solvers(), vec!["theorems", "maxent", "enumeration"]);
 }
 
 #[test]
@@ -82,15 +79,12 @@ fn removing_the_answering_stage_is_out_of_reach_with_full_trace() {
 
 #[test]
 fn traces_expose_declined_stages_on_the_enumeration_path() {
-    // A binary predicate defeats theorems, maxent and unary counting; the
-    // trace must show all three declining before enumeration answers.
+    // A binary predicate defeats theorems and maxent; the trace must show
+    // both declining before enumeration answers.
     let kb = KnowledgeBase::parse("Likes(A, B)").unwrap();
     let r: Response = RandomWorlds::new().answer(&kb, "Likes(B, A)").unwrap();
     let keywords: Vec<&str> = r.trace.steps().iter().map(|s| s.status.keyword()).collect();
-    assert_eq!(
-        keywords,
-        vec!["declined", "declined", "declined", "answered"]
-    );
+    assert_eq!(keywords, vec!["declined", "declined", "answered"]);
     assert!(matches!(r.provenance, Provenance::Enumeration { .. }));
 }
 
@@ -143,17 +137,15 @@ fn parallel_cached_batches_through_the_facade() {
 
 #[test]
 fn stage_budgets_degrade_gracefully_into_the_next_stage() {
-    // Starve the unary stage: the pipeline reports budget exhaustion in
-    // the trace and enumeration still answers.
+    // Starve a first counting stage: the pipeline reports budget
+    // exhaustion in the trace and the fully budgeted one still answers.
     let kb =
         KnowledgeBase::parse("||Black(x) | Bird(x)||_x ~=_1 0.2; ||Bird(x)||_x ~=_2 0.1").unwrap();
     let base = RandomWorlds::new();
     let config = base.config();
     let stages = vec![
         Stage::budgeted(
-            Box::new(random_worlds::core::solvers::UnaryDiagonalSolver::new(
-                config.diagonal.clone(),
-            )),
+            Box::new(EnumerationDiagonalSolver::new(config.diagonal.clone())),
             Budget::counting(1),
         ),
         Stage::budgeted(
