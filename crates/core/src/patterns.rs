@@ -3,12 +3,14 @@
 //!
 //! The paper's theorems are stated over KBs of particular *shapes*
 //! (statistical statements, universal taxonomy facts, facts about
-//! constants). This module classifies conjuncts into those shapes, provides
-//! a canonical-form matcher for formulas up to bound-variable renaming and
-//! conjunct reordering, and decides class subsumption/disjointness under
-//! the KB's universal statements by atom-set reasoning.
+//! constants). This module classifies conjuncts into those shapes, keys
+//! each statistic by [`canonical_formula_over`] (the answer cache's
+//! canonical form, with the statistic's variables as its free positions),
+//! and decides class subsumption/disjointness under the KB's universal
+//! statements by atom-set reasoning.
 
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term, TolId};
+use rw_logic::canon::canonical_formula_over;
 use rw_logic::{analysis, ConstId, FuncId, KnowledgeBase, PredId, VarId, Vocabulary};
 use rw_unary::atoms::{atom_count, compile_atom_set, compile_atom_set_const};
 use rw_unary::AtomSet;
@@ -17,7 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Synthetic variables used for generalization during matching; never
-/// interned, never printed.
+/// interned, so a key may print them only as free positions of
+/// [`canonical_formula_over`] (they have no name).
 pub fn synthetic_var(i: usize) -> VarId {
     VarId(u32::MAX - 1 - i as u32)
 }
@@ -37,11 +40,11 @@ pub struct StatStatement {
     pub hi: Rat,
     /// Tolerance indices used by the contributing comparisons.
     pub tols: Vec<TolId>,
-    /// [`canon`] of `body` with `vars[j]` numbered `j`: the key a
+    /// [`canonical_formula_over`] `body` and `vars`: the key a
     /// generalized query must equal to be this statement's subject.
     pub body_key: String,
-    /// [`canon_conjunction`] of `cond` under the same numbering.
-    pub cond_key: Vec<String>,
+    /// The same key of `cond`.
+    pub cond_key: String,
     /// The class `cond` as an atom set, for single-variable statements
     /// whose condition is quantifier-free unary — compiled only when the
     /// KB has a [`Taxonomy`] (at most 16 predicates).
@@ -105,9 +108,14 @@ pub struct Classified {
     by_pred: Vec<Vec<usize>>,
     by_func: Vec<Vec<usize>>,
     by_const: Vec<Vec<usize>>,
-    /// Some ground literal is asserted both ways, or some conjunct other
-    /// than `true` mentions no symbol at all (`false`, `!true`): either
-    /// can void the KB without touching a query's symbols.
+    /// The KB is visibly void: some ground literal is asserted both ways,
+    /// or some conjunct other than `true` is built from `true` and
+    /// `false` alone (`false`, `!true`).
+    pub void: bool,
+    /// `void`, or some conjunct mentions no symbol but quantifies over
+    /// the domain (`exists x, y (x != y)`): a statement about the domain
+    /// size alone, which may void the KB without touching a query's
+    /// symbols.
     pub voids_ground_facts: bool,
     /// Statistical statements (merged bounds).
     pub stats: Vec<StatStatement>,
@@ -198,181 +206,26 @@ fn part_shape(f: &Formula) -> PartShape {
 }
 
 /// Extracts `(x, φ)` from the desugared `∃x (φ ∧ ∀y (φ[y/x] ⇒ y = x))`.
-pub fn match_exists_unique(f: &Formula) -> Option<(VarId, Formula)> {
-    if let Formula::Exists(x, body) = f {
-        // `Formula::and` splices a conjunction `φ` in: the guard is the
-        // last conjunct and `φ` the rest.
-        if let Some((Formula::Forall(y, imp), phi)) = body.conjuncts().split_last() {
-            if let Formula::Implies(phi_y, eq) = imp.as_ref() {
-                if let Formula::TermEq(l, r) = eq.as_ref() {
-                    let ok_eq = (*l == Term::Var(*y) && *r == Term::Var(*x))
-                        || (*l == Term::Var(*x) && *r == Term::Var(*y));
-                    let phi = Formula::conjoin(phi.iter().cloned());
-                    if ok_eq && analysis::alpha_eq(&analysis::rename_var(&phi, *x, *y), phi_y) {
-                        return Some((*x, phi));
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Canonical string form of a formula: bound variables de-Bruijn-numbered,
-/// free variables looked up in `free_map`, symbols printed by id. Two
-/// formulas have equal canonical forms iff they are alpha-equivalent with
-/// corresponding free variables.
-pub fn canon(f: &Formula, free_map: &BTreeMap<VarId, usize>) -> String {
-    let mut out = String::new();
-    let mut bound = Vec::new();
-    canon_formula(f, free_map, &mut bound, &mut out);
-    out
-}
-
-fn canon_var(v: VarId, free_map: &BTreeMap<VarId, usize>, bound: &[VarId], out: &mut String) {
-    for (depth, bv) in bound.iter().rev().enumerate() {
-        if *bv == v {
-            out.push_str(&format!("b{depth}"));
-            return;
-        }
-    }
-    if let Some(i) = free_map.get(&v) {
-        out.push_str(&format!("f{i}"));
-    } else {
-        out.push_str(&format!("v{}", v.0));
-    }
-}
-
-fn canon_term(t: &Term, free_map: &BTreeMap<VarId, usize>, bound: &[VarId], out: &mut String) {
-    match t {
-        Term::Var(v) => canon_var(*v, free_map, bound, out),
-        Term::Const(c) => out.push_str(&format!("c{}", c.0)),
-        Term::App(f, args) => {
-            out.push_str(&format!("g{}(", f.0));
-            for a in args {
-                canon_term(a, free_map, bound, out);
-                out.push(',');
-            }
-            out.push(')');
-        }
-    }
-}
-
-fn canon_formula(
-    f: &Formula,
-    free_map: &BTreeMap<VarId, usize>,
-    bound: &mut Vec<VarId>,
-    out: &mut String,
-) {
-    match f {
-        Formula::True => out.push('T'),
-        Formula::False => out.push('F'),
-        Formula::Pred(p, args) => {
-            out.push_str(&format!("P{}(", p.0));
-            for a in args {
-                canon_term(a, free_map, bound, out);
-                out.push(',');
-            }
-            out.push(')');
-        }
-        Formula::TermEq(a, b) => {
-            out.push_str("eq(");
-            canon_term(a, free_map, bound, out);
-            out.push(',');
-            canon_term(b, free_map, bound, out);
-            out.push(')');
-        }
-        Formula::Not(g) => {
-            out.push_str("!(");
-            canon_formula(g, free_map, bound, out);
-            out.push(')');
-        }
-        Formula::And(parts) | Formula::Or(parts) => {
-            out.push_str(if matches!(f, Formula::And(..)) {
-                "and("
-            } else {
-                "or("
-            });
-            for (i, g) in parts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                canon_formula(g, free_map, bound, out);
-            }
-            out.push(')');
-        }
-        Formula::Implies(a, b) | Formula::Iff(a, b) => {
-            out.push_str(if matches!(f, Formula::Implies(..)) {
-                "imp("
-            } else {
-                "iff("
-            });
-            canon_formula(a, free_map, bound, out);
-            out.push(',');
-            canon_formula(b, free_map, bound, out);
-            out.push(')');
-        }
-        Formula::Forall(v, g) | Formula::Exists(v, g) => {
-            out.push_str(if matches!(f, Formula::Forall(..)) {
-                "all("
-            } else {
-                "ex("
-            });
-            bound.push(*v);
-            canon_formula(g, free_map, bound, out);
-            bound.pop();
-            out.push(')');
-        }
-        Formula::Cmp(l, op, r) => {
-            out.push_str("cmp(");
-            canon_prop(l, free_map, bound, out);
-            out.push_str(&format!(",{op:?},"));
-            canon_prop(r, free_map, bound, out);
-            out.push(')');
-        }
-    }
-}
-
-fn canon_prop(
-    e: &PropExpr,
-    free_map: &BTreeMap<VarId, usize>,
-    bound: &mut Vec<VarId>,
-    out: &mut String,
-) {
-    match e {
-        PropExpr::Rat(r) => out.push_str(&format!("r{r:?}")),
-        PropExpr::Prop { body, cond, vars } => {
-            out.push_str("prop(");
-            let depth = bound.len();
-            bound.extend(vars.iter().copied());
-            canon_formula(body, free_map, bound, out);
-            if let Some(c) = cond {
-                out.push('|');
-                canon_formula(c, free_map, bound, out);
-            }
-            bound.truncate(depth);
-            out.push_str(&format!(";{})", vars.len()));
-        }
-        PropExpr::Add(a, b) | PropExpr::Sub(a, b) | PropExpr::Mul(a, b) => {
-            out.push_str(match e {
-                PropExpr::Add(..) => "add(",
-                PropExpr::Sub(..) => "sub(",
-                _ => "mul(",
-            });
-            canon_prop(a, free_map, bound, out);
-            out.push(',');
-            canon_prop(b, free_map, bound, out);
-            out.push(')');
-        }
-    }
-}
-
-/// Canonical multiset form of a conjunction (order-insensitive).
-pub fn canon_conjunction(f: &Formula, free_map: &BTreeMap<VarId, usize>) -> Vec<String> {
-    let mut parts: Vec<String> = f.conjuncts().iter().map(|c| canon(c, free_map)).collect();
-    parts.retain(|s| s != "T");
-    parts.sort();
-    parts
+pub fn match_exists_unique(f: &Formula, vocab: &Vocabulary) -> Option<(VarId, Formula)> {
+    let Formula::Exists(x, body) = f else {
+        return None;
+    };
+    // `Formula::and` splices a conjunction `φ` in: the guard is the last
+    // conjunct and `φ` the rest.
+    let (Formula::Forall(y, imp), phi) = body.conjuncts().split_last()? else {
+        return None;
+    };
+    let Formula::Implies(phi_y, eq) = imp.as_ref() else {
+        return None;
+    };
+    let (vx, vy) = (Term::Var(*x), Term::Var(*y));
+    let ok_eq = matches!(eq.as_ref(), Formula::TermEq(l, r)
+        if (*l == vy && *r == vx) || (*l == vx && *r == vy));
+    let phi = Formula::conjoin(phi.iter().cloned());
+    let same = || {
+        canonical_formula_over(vocab, &phi, &[*x]) == canonical_formula_over(vocab, phi_y, &[*y])
+    };
+    (ok_eq && same()).then_some((*x, phi))
 }
 
 /// Classifies a knowledge base's flattened conjuncts and indexes them by
@@ -399,6 +252,7 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
     let mut by_func = vec![Vec::new(); vocab.func_count()];
     let mut by_const = vec![Vec::new(); vocab.const_count()];
     let mut literals: BTreeMap<(PredId, Vec<ConstId>), bool> = BTreeMap::new();
+    let mut void = false;
     let mut voids_ground_facts = false;
 
     for (idx, &f) in conjuncts.iter().enumerate() {
@@ -415,18 +269,20 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
         }
         if own.is_empty() && shape != PartShape::True {
             voids_ground_facts = true;
+            void |= is_truth_constant(f);
         }
         syms.extend(own);
         if let Some((p, args, value)) = analysis::as_ground_literal(f) {
             if literals.insert((p, args), value) == Some(!value) {
                 voids_ground_facts = true;
+                void = true;
             }
         }
 
         if matches!(f, Formula::Or(_)) {
             disjunctions.push(idx);
         }
-        if let Some((v, inner)) = match_exists_unique(f) {
+        if let Some((v, inner)) = match_exists_unique(f, vocab) {
             exists_unique.push((idx, inner, v));
             continue;
         }
@@ -440,17 +296,13 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
                 if let Some((PropExpr::Prop { body, cond, vars }, bound, prop_on_left)) =
                     split_comparison(lhs, rhs)
                 {
-                    let free_map = numbering(vars);
                     let cond_f = cond
                         .as_ref()
                         .map(|c| c.as_ref().clone())
                         .unwrap_or(Formula::True);
-                    let key = format!(
-                        "{}|{}#{}",
-                        canon(body, &free_map),
-                        canon_conjunction(&cond_f, &free_map).join("&"),
-                        vars.len()
-                    );
+                    let body_key = canonical_formula_over(vocab, body, vars);
+                    let cond_key = canonical_formula_over(vocab, &cond_f, vars);
+                    let key = format!("{body_key}|{cond_key}#{}", vars.len());
                     let entry = stats_map.entry(key).or_insert_with(|| StatStatement {
                         sources: Vec::new(),
                         body: body.as_ref().clone(),
@@ -459,8 +311,8 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
                         lo: Rat::ZERO,
                         hi: Rat::ONE,
                         tols: Vec::new(),
-                        body_key: String::new(),
-                        cond_key: Vec::new(),
+                        body_key,
+                        cond_key,
                         class: None,
                     });
                     entry.sources.push(idx);
@@ -502,14 +354,14 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
             };
             StatStatement {
                 sources: s.sources.clone(),
+                body_key: canonical_formula_over(vocab, &body, &s.vars),
                 body,
                 cond: s.cond.clone(),
                 vars: s.vars.clone(),
                 lo: Rat::ONE - s.hi,
                 hi: Rat::ONE - s.lo,
                 tols: s.tols.clone(),
-                body_key: String::new(),
-                cond_key: Vec::new(),
+                cond_key: s.cond_key.clone(),
                 class: None,
             }
         })
@@ -517,11 +369,8 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
     stats.extend(derived);
 
     let taxonomy = Taxonomy::from_universals(&universals, vocab);
-    for s in &mut stats {
-        let map = numbering(&s.vars);
-        s.body_key = canon(&s.body, &map);
-        s.cond_key = canon_conjunction(&s.cond, &map);
-        if taxonomy.is_some() && s.vars.len() == 1 {
+    if taxonomy.is_some() {
+        for s in stats.iter_mut().filter(|s| s.vars.len() == 1) {
             s.class = compile_atom_set(&s.cond, s.vars[0], vocab);
         }
     }
@@ -535,6 +384,7 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
         by_pred,
         by_func,
         by_const,
+        void,
         voids_ground_facts,
         stats,
         stat_sources,
@@ -545,9 +395,23 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
     }
 }
 
-/// `vars[j] ↦ j`: the free-variable numbering statement keys use.
-fn numbering(vars: &[VarId]) -> BTreeMap<VarId, usize> {
-    vars.iter().enumerate().map(|(i, &v)| (v, i)).collect()
+/// Is `f` built from `true` and `false` by connectives alone?
+fn is_truth_constant(f: &Formula) -> bool {
+    let mut constant = true;
+    analysis::walk_formula(f, &mut |g| {
+        constant &= matches!(
+            g,
+            Formula::True
+                | Formula::False
+                | Formula::Not(_)
+                | Formula::And(_)
+                | Formula::Or(_)
+                | Formula::Implies(..)
+                | Formula::Iff(..)
+        );
+        constant
+    });
+    constant
 }
 
 /// Splits a comparison into (proportion expression, rational bound,
@@ -709,17 +573,35 @@ mod tests {
         let a = kb.parse_query("forall x (P(x) => Q(x))").unwrap();
         let b = kb.parse_query("forall y (P(y) => Q(y))").unwrap();
         let c = kb.parse_query("forall y (Q(y) => P(y))").unwrap();
-        let empty = BTreeMap::new();
-        assert_eq!(canon(&a, &empty), canon(&b, &empty));
-        assert_ne!(canon(&a, &empty), canon(&c, &empty));
+        let key = |f: &Formula| canonical_formula_over(kb.vocab(), f, &[]);
+        assert_eq!(key(&a), key(&b));
+        assert_ne!(key(&a), key(&c));
+        // Statistics are keyed the same way: alpha-variants merge into one
+        // statement, and swapping body and condition gives another.
+        let kb = KnowledgeBase::parse(
+            "||Q(x) | P(x)||_x ~=_1 0.5; ||Q(y) | P(y)||_y ~=_2 0.5; ||P(y) | Q(y)||_y ~=_3 0.5",
+        )
+        .unwrap();
+        let c = classify(&kb);
+        let sourced: Vec<_> = c.stats.iter().filter(|s| s.sources.len() == 2).collect();
+        assert_eq!(sourced.len(), 2, "the merged statement and its complement");
+        assert!(sourced.iter().all(|s| s.sources == [0, 1]));
+        assert!(c.stats.iter().any(|s| s.sources == [2]));
     }
 
     #[test]
     fn conjunction_multisets_ignore_order() {
-        let mut kb = KnowledgeBase::parse("true").unwrap();
-        let a = kb.parse_query("P(C) & Q(C) & R(C)").unwrap();
-        let b = kb.parse_query("R(C) & P(C) & Q(C)").unwrap();
-        let empty = BTreeMap::new();
-        assert_eq!(canon_conjunction(&a, &empty), canon_conjunction(&b, &empty));
+        let kb = KnowledgeBase::parse(
+            "||Hep(x) | P(x) & Q(x) & R(x)||_x ~=_1 0.5; ||Hep(y) | R(y) & P(y) & Q(y)||_y ~=_2 0.5",
+        )
+        .unwrap();
+        let c = classify(&kb);
+        let merged = c
+            .stats
+            .iter()
+            .find(|s| s.sources == [0, 1])
+            .expect("conjunct order does not split the statistic");
+        assert_eq!(merged.tols.len(), 2);
+        assert!(c.stats.iter().all(|s| s.sources == [0, 1]));
     }
 }

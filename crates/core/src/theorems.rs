@@ -9,19 +9,17 @@
 
 use crate::belief::{Belief, Provenance};
 use crate::patterns::{
-    canon, canon_conjunction, classify, conjuncts_mentioning, const_atom_set, sorted_symbols,
-    synthetic_var, Classified, PartShape, StatStatement, Sym,
+    classify, conjuncts_mentioning, const_atom_set, sorted_symbols, synthetic_var, Classified,
+    PartShape, StatStatement, Sym,
 };
+use crate::solver::Recurse;
 use rw_logic::ast::{Formula, PropExpr, Term};
-use rw_logic::{analysis, ConstId, KnowledgeBase, PredId, VarId};
+use rw_logic::canon::canonical_formula_over;
+use rw_logic::{analysis, ConstId, KnowledgeBase, PredId, VarId, Vocabulary};
 use rw_unary::atoms::compile_atom_set_const;
 use rw_unary::AtomSet;
 use rw_util::Rat;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A callback into the full engine, used by theorems that decompose the
-/// problem (Thm 5.27 independence, Thm 5.3's Or rule).
-pub type Solver<'a> = dyn Fn(&KnowledgeBase, &Formula) -> Option<(Belief, Provenance)> + 'a;
 
 /// Dempster's rule of combination (paper Thm 5.26):
 /// `δ(ᾱ) = Π αᵢ / (Π αᵢ + Π (1-αᵢ))`.
@@ -36,9 +34,9 @@ pub fn dempster_rule(alphas: &[f64]) -> f64 {
 pub fn try_all(
     kb: &KnowledgeBase,
     query: &Formula,
-    solver: &Solver<'_>,
+    recurse: &Recurse<'_>,
 ) -> Option<(Belief, Provenance)> {
-    try_classified(kb, &classify(kb), query, solver)
+    try_classified(kb, &classify(kb), query, recurse)
 }
 
 /// [`try_all`] against an existing classification of `kb`'s conjuncts:
@@ -46,12 +44,19 @@ pub fn try_all(
 /// conjuncts whose vocabulary has the same predicates and functions (a
 /// [`crate::PreparedKb`]'s analysis, reused across queries that add only
 /// constants or variables).
+///
+/// A KB that is visibly void ([`Classified::void`]) matches nothing: the
+/// theorems presuppose a KB that is eventually consistent, and the
+/// semantic stages report its belief as undefined.
 pub fn try_classified(
     kb: &KnowledgeBase,
     cls: &Classified,
     query: &Formula,
-    solver: &Solver<'_>,
+    recurse: &Recurse<'_>,
 ) -> Option<(Belief, Provenance)> {
+    if cls.void {
+        return None;
+    }
     try_ground_facts(query, cls)
         .or_else(|| try_unique_names(kb, query, cls))
         .or_else(|| try_dempster(kb, query, cls))
@@ -59,8 +64,8 @@ pub fn try_classified(
         .or_else(|| try_direct_inference(kb, query, cls))
         .or_else(|| try_minimal_class(kb, query, cls))
         .or_else(|| try_nested_default(kb, query, cls))
-        .or_else(|| try_independence(kb, query, cls, solver))
-        .or_else(|| try_or_rule(kb, query, cls, solver))
+        .or_else(|| try_independence(kb, query, cls, recurse))
+        .or_else(|| try_or_rule(kb, query, cls, recurse))
 }
 
 fn interval_belief(lo: Rat, hi: Rat) -> Option<Belief> {
@@ -198,7 +203,6 @@ pub fn try_direct_inference(
     if q_consts.is_empty() || q_consts.len() > 3 {
         return None;
     }
-    let _ = kb;
     // Subsets of the query constants, larger first (most information used).
     let mut masks: Vec<u32> = (1..(1u32 << q_consts.len())).collect();
     masks.sort_by_key(|m| std::cmp::Reverse(m.count_ones()));
@@ -224,14 +228,13 @@ pub fn try_direct_inference(
         };
         let phi = generalize(query);
         let psi = Formula::conjoin(f_idx.iter().map(|&i| generalize(cls.part(i))));
-        // (φ, ψ) keyed under every numbering of the synthetic variables.
-        let keys: Vec<(String, Vec<String>)> = permutations(cbar.len())
+        // (φ, ψ) keyed under every order of the synthetic variables.
+        let keys: Vec<(String, String)> = permutations(cbar.len())
             .into_iter()
             .map(|perm| {
-                let our_map: BTreeMap<VarId, usize> = (0..cbar.len())
-                    .map(|i| (synthetic_var(i), perm[i]))
-                    .collect();
-                (canon(&phi, &our_map), canon_conjunction(&psi, &our_map))
+                let free: Vec<VarId> = perm.into_iter().map(synthetic_var).collect();
+                let key = |f: &Formula| canonical_formula_over(kb.vocab(), f, &free);
+                (key(&phi), key(&psi))
             })
             .collect();
 
@@ -275,9 +278,12 @@ struct Candidate<'a> {
 ///
 /// Only called once the KB has a taxonomy, so every single-variable
 /// statement's class was compiled if it could be.
-fn phi_candidates<'a>(cls: &'a Classified, phi: &Formula) -> Option<Vec<Candidate<'a>>> {
-    let our_map: BTreeMap<VarId, usize> = [(synthetic_var(0), 0)].into_iter().collect();
-    let phi_canon = canon(phi, &our_map);
+fn phi_candidates<'a>(
+    cls: &'a Classified,
+    phi: &Formula,
+    vocab: &Vocabulary,
+) -> Option<Vec<Candidate<'a>>> {
+    let phi_canon = canonical_formula_over(vocab, phi, &[synthetic_var(0)]);
     let mut out = Vec::new();
     for s in &cls.stats {
         if s.vars.len() != 1 || s.body_key != phi_canon {
@@ -348,7 +354,7 @@ pub fn try_minimal_class(
     let vocab = kb.vocab();
     let taxonomy = cls.taxonomy.as_ref()?;
     let phi = analysis::generalize_const(query, c, synthetic_var(0));
-    let candidates = phi_candidates(cls, &phi)?;
+    let candidates = phi_candidates(cls, &phi, vocab)?;
     if candidates.is_empty() || !phi_symbols_isolated(cls, &phi, &candidates) {
         return None;
     }
@@ -403,7 +409,7 @@ pub fn try_strength(
     let vocab = kb.vocab();
     let taxonomy = cls.taxonomy.as_ref()?;
     let phi = analysis::generalize_const(query, c, synthetic_var(0));
-    let candidates = phi_candidates(cls, &phi)?;
+    let candidates = phi_candidates(cls, &phi, vocab)?;
     if candidates.len() < 2 || !phi_symbols_isolated(cls, &phi, &candidates) {
         return None;
     }
@@ -479,7 +485,7 @@ pub fn try_dempster(
     } else {
         phi.clone()
     };
-    let candidates = phi_candidates(cls, &phi_pos)?;
+    let candidates = phi_candidates(cls, &phi_pos, vocab)?;
     if candidates.len() < 2 {
         return None;
     }
@@ -504,33 +510,19 @@ pub fn try_dempster(
         alphas.push(cand.stat.lo);
     }
     // Pairwise ∃!x(ψᵢ ∧ ψⱼ) conjuncts must be present.
-    for i in 0..candidates.len() {
-        'next_pair: for j in i + 1..candidates.len() {
-            let want: Vec<String> = {
-                let mut parts = canon_conjunction(
-                    &Formula::and(
-                        candidates[i].stat.cond.clone(),
-                        candidates[j].stat.cond.clone(),
-                    ),
-                    &[
-                        (candidates[i].stat.vars[0], 0),
-                        (candidates[j].stat.vars[0], 0),
-                    ]
-                    .into_iter()
-                    .collect(),
-                );
-                parts.sort();
-                parts
-            };
-            for (_, inner, v) in &cls.exists_unique {
-                let map: BTreeMap<VarId, usize> = [(*v, 0)].into_iter().collect();
-                let mut got = canon_conjunction(inner, &map);
-                got.sort();
-                if got == want {
-                    continue 'next_pair;
-                }
+    let pairs: Vec<String> = cls
+        .exists_unique
+        .iter()
+        .map(|(_, inner, v)| canonical_formula_over(vocab, inner, &[*v]))
+        .collect();
+    for (i, a) in candidates.iter().enumerate() {
+        for b in &candidates[i + 1..] {
+            let (va, vb) = (a.stat.vars[0], b.stat.vars[0]);
+            let cond_b = analysis::rename_var(&b.stat.cond, vb, va);
+            let both = Formula::and(a.stat.cond.clone(), cond_b);
+            if !pairs.contains(&canonical_formula_over(vocab, &both, &[va])) {
+                return None;
             }
-            return None;
         }
     }
     // Strictness: every conjunct must belong to the pattern — a source
@@ -604,7 +596,7 @@ pub fn try_independence(
     kb: &KnowledgeBase,
     query: &Formula,
     cls: &Classified,
-    solver: &Solver<'_>,
+    recurse: &Recurse<'_>,
 ) -> Option<(Belief, Provenance)> {
     let query_parts = query.conjuncts();
     let n_kb = cls.len();
@@ -651,7 +643,7 @@ pub fn try_independence(
             kidxs.iter().map(|&i| cls.part(i).clone()).collect(),
         );
         let sub_q = Formula::conjoin(qidxs.iter().map(|&i| query_parts[i].clone()));
-        let (belief, prov) = solver(&sub_kb, &sub_q)?;
+        let (belief, prov) = recurse(&sub_kb, &sub_q)?;
         let (blo, bhi) = belief.as_interval()?;
         lo *= blo;
         hi *= bhi;
@@ -781,7 +773,7 @@ pub fn try_or_rule(
     kb: &KnowledgeBase,
     query: &Formula,
     cls: &Classified,
-    solver: &Solver<'_>,
+    recurse: &Recurse<'_>,
 ) -> Option<(Belief, Provenance)> {
     let &[at] = cls.disjunctions.as_slice() else {
         return None;
@@ -799,7 +791,7 @@ pub fn try_or_rule(
         let conjuncts = cls.parts().enumerate().filter(|&(i, _)| i != at);
         let conjuncts = conjuncts.map(|(_, f)| f).chain(arm.conjuncts());
         let sub_kb = KnowledgeBase::from_parts(kb.vocab().clone(), conjuncts.cloned().collect());
-        let (belief, prov) = solver(&sub_kb, query)?;
+        let (belief, prov) = recurse(&sub_kb, query)?;
         let (Belief::Point(v), Some(slack)) = (belief, or_rule_slack(&prov)) else {
             return None;
         };
@@ -945,9 +937,6 @@ pub fn try_nested_default(
             continue;
         }
         // A fact entailing C(c1): some conjunct alpha-matching cond at c1.
-        let cond_map: BTreeMap<VarId, usize> = [(x, 0)].into_iter().collect();
-        let cond_canon = canon_conjunction(&s.cond, &cond_map);
-        let syn_map: BTreeMap<VarId, usize> = [(synthetic_var(0), 0)].into_iter().collect();
         let mut c1_ok = false;
         let mut d_c2_ok = false;
         for (idx, f) in cls.parts().enumerate() {
@@ -955,7 +944,7 @@ pub fn try_nested_default(
                 continue;
             }
             let gen1 = analysis::generalize_const(f, c1, synthetic_var(0));
-            if canon_conjunction(&gen1, &syn_map) == cond_canon {
+            if canonical_formula_over(vocab, &gen1, &[synthetic_var(0)]) == s.cond_key {
                 c1_ok = true;
             }
             if let Formula::Pred(p, args) = f {
@@ -986,7 +975,6 @@ pub fn try_nested_default(
                 ok = false;
             }
         }
-        let _ = vocab;
         if ok {
             return Some((Belief::Point(1.0), Provenance::NestedDefault));
         }
@@ -1110,16 +1098,86 @@ mod tests {
             .parse_query(&vec!["Hep(Eric)"; 6000].join(" & "))
             .unwrap();
         let cls = classify(&kb);
-        let solver = |_: &KnowledgeBase, _: &Formula| -> Option<(Belief, Provenance)> {
+        let recurse = |_: &KnowledgeBase, _: &Formula| -> Option<(Belief, Provenance)> {
             panic!("one component: nothing to solve")
         };
-        assert!(try_independence(&kb, &query, &cls, &solver).is_none());
+        assert!(try_independence(&kb, &query, &cls, &recurse).is_none());
     }
 
     /// `engine`'s answer to `q_src` against `kb_src`.
     fn answer(engine: &RandomWorlds, kb_src: &str, q_src: &str) -> crate::Response {
         let kb = KnowledgeBase::parse(kb_src).unwrap();
         engine.answer(&kb, q_src).unwrap()
+    }
+
+    #[test]
+    fn variants_of_a_formula_get_its_provenance() {
+        let engine = RandomWorlds::new();
+        let stat = "||Hep(x) | Jaun(x)||_x ~=_1 0.8";
+        let plain = answer(&engine, &format!("{stat}; Jaun(Eric)"), "Hep(Eric)");
+        assert_eq!(plain.belief, Belief::Point(0.8));
+        assert_eq!(plain.provenance, Provenance::DirectInference);
+        let arm = format!("({stat} & Jaun(Eric))");
+        let copies = vec![arm.as_str(); 200].join(" or ");
+        for (kb_src, q) in [
+            (format!("{stat}; Jaun(Eric)"), "!!Hep(Eric)"),
+            (format!("{stat}; Jaun(Eric)"), "Hep(Eric) & Hep(Eric)"),
+            (format!("{stat}; Jaun(Eric)"), "Hep(Eric) or !!Hep(Eric)"),
+            (format!("{stat}; Jaun(Eric); Jaun(Eric)"), "Hep(Eric)"),
+            (format!("{stat}; Jaun(Eric) or Jaun(Eric)"), "Hep(Eric)"),
+            (
+                "||Hep(x) | Child(x) & Jaun(x)||_x ~=_1 0.8; Jaun(Eric) & Child(Eric)".to_string(),
+                "Hep(Eric)",
+            ),
+            (copies, "Hep(Eric)"),
+        ] {
+            let r = answer(&engine, &kb_src, q);
+            assert_eq!(
+                (&r.belief, &r.provenance),
+                (&plain.belief, &plain.provenance),
+                "{q} given {}",
+                &kb_src[..kb_src.len().min(80)]
+            );
+        }
+    }
+
+    /// Every query gets `undefined` against a KB that voids itself.
+    fn assert_undefined(kb_src: &str, queries: &[&str]) {
+        let engine = RandomWorlds::new();
+        for q in queries {
+            let r = answer(&engine, kb_src, q);
+            assert_eq!(r.belief, Belief::Undefined, "{q} given {kb_src}: {r}");
+        }
+    }
+
+    #[test]
+    fn a_false_conjunct_voids_the_kb() {
+        assert_undefined(
+            "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); false",
+            &["Hep(Eric)", "Jaun(Eric)"],
+        );
+    }
+
+    #[test]
+    fn a_statement_about_the_domain_size_alone_is_not_void() {
+        let kb_src = "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); exists x, y (x != y)";
+        let r = answer(&RandomWorlds::new(), kb_src, "Hep(Eric)");
+        assert_eq!(r.belief, Belief::Point(0.8));
+        assert_eq!(r.provenance, Provenance::DirectInference);
+    }
+
+    #[test]
+    fn a_literal_asserted_both_ways_voids_the_kb() {
+        assert_undefined(
+            "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Q(K) & !Q(K)",
+            &["Hep(Eric)", "Hep(Eric) & Hep(Tom)", "Hep(Eric) & R(D)"],
+        );
+    }
+
+    #[test]
+    fn a_fact_a_universal_forbids_voids_the_kb() {
+        let kb_src = "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); forall x (!P(x)); P(K)";
+        assert_undefined(kb_src, &["Hep(Eric) & Hep(Tom)"]);
     }
 
     /// [`try_or_rule`] on `kb_src ⊢ P(C)` with every disjunct answered
@@ -1132,11 +1190,11 @@ mod tests {
         let mut kb = KnowledgeBase::parse(kb_src).unwrap();
         let query = kb.parse_query("P(C)").unwrap();
         let calls = std::cell::Cell::new(0);
-        let solver = |_: &KnowledgeBase, _: &Formula| {
+        let recurse = |_: &KnowledgeBase, _: &Formula| {
             calls.set(calls.get() + 1);
             Some((belief.clone(), provenance.clone()))
         };
-        let out = try_or_rule(&kb, &query, &classify(&kb), &solver);
+        let out = try_or_rule(&kb, &query, &classify(&kb), &recurse);
         (out, calls.get())
     }
 
@@ -1247,7 +1305,7 @@ mod tests {
             _: &KnowledgeBase,
             _: &Formula,
             _: &crate::Budget,
-            _: &Solver<'_>,
+            _: &Recurse<'_>,
         ) -> crate::SolverOutcome {
             self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             crate::SolverOutcome::Declined {

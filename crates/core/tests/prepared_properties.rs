@@ -257,6 +257,47 @@ proptest! {
     }
 }
 
+/// `(s) & (s)` or `(s) or (s)` for `op` 1 or 2, `s` itself for 0.
+fn doubled(s: &str, op: u8) -> String {
+    match op {
+        1 => format!("({s}) & ({s})"),
+        2 => format!("({s}) or ({s})"),
+        _ => s.to_string(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `φ ∧ φ` and `φ ∨ φ` are `φ`: doubling KB statements or queries
+    /// changes no answer on the default cascade. The whole response is
+    /// compared — belief, provenance with its counters, each stage's
+    /// outcome and reason — which is everything the serving JSON prints
+    /// but the times.
+    #[test]
+    fn doubled_statements_and_queries_answer_like_the_plain_ones(
+        statements in prop::collection::vec(statement(), 1..7),
+        kb_ops in prop::collection::vec(0u8..3, 7..8),
+        queries in prop::collection::vec((query(), 1u8..3), 1..4),
+    ) {
+        let src = statements.join("; ");
+        let twice: Vec<String> = statements.iter().zip(&kb_ops).map(|(s, &op)| doubled(s, op)).collect();
+        let twice = twice.join("; ");
+        let kb = KnowledgeBase::parse(&src).unwrap();
+        let kb2 = KnowledgeBase::parse(&twice).unwrap();
+        let engine = RandomWorlds::from(rw_core::EngineConfig {
+            enum_max_worlds: 1 << 13,
+            ..rw_core::EngineConfig::default()
+        });
+        for (q, op) in &queries {
+            let want = seen(engine.answer(&kb, q));
+            prop_assert_eq!(&seen(engine.answer(&kb2, q)), &want, "KB `{}` ⊢ `{}`", twice, q);
+            let q2 = doubled(q, *op);
+            prop_assert_eq!(&seen(engine.answer(&kb, &q2)), &want, "KB `{}` ⊢ `{}`", src, q2);
+        }
+    }
+}
+
 #[test]
 fn a_seventeenth_predicate_re_prepares_the_analysis() {
     // Exactly 16 predicates: the taxonomy (and with it the minimal

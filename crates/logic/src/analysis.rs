@@ -1,5 +1,6 @@
 //! Syntactic analysis over `L≈` formulas: free variables, mentioned symbols,
-//! substitution, generalization and alpha-equivalence.
+//! substitution and generalization (alpha-equivalence is a comparison of
+//! [`crate::canon::canonical_formula_over`] keys).
 //!
 //! The theorem engine in `rw-core` leans on these utilities to check the
 //! *side conditions* of the paper's theorems — e.g. Theorem 5.6 requires
@@ -364,107 +365,6 @@ fn map_terms(f: &Formula, m: &mut impl FnMut(&Term, &[VarId]) -> Option<Term>) -
     go(f, &mut Vec::new(), m)
 }
 
-/// Alpha-equivalence: equality up to consistent renaming of bound variables.
-pub fn alpha_eq(a: &Formula, b: &Formula) -> bool {
-    alpha_eq_with(a, b, &mut Vec::new())
-}
-
-fn alpha_eq_with(a: &Formula, b: &Formula, map: &mut Vec<(VarId, VarId)>) -> bool {
-    match (a, b) {
-        (Formula::True, Formula::True) | (Formula::False, Formula::False) => true,
-        (Formula::Pred(p, xs), Formula::Pred(q, ys)) => {
-            p == q
-                && xs.len() == ys.len()
-                && xs.iter().zip(ys).all(|(x, y)| term_alpha_eq(x, y, map))
-        }
-        (Formula::TermEq(x1, x2), Formula::TermEq(y1, y2)) => {
-            term_alpha_eq(x1, y1, map) && term_alpha_eq(x2, y2, map)
-        }
-        (Formula::Not(x), Formula::Not(y)) => alpha_eq_with(x, y, map),
-        (Formula::And(xs), Formula::And(ys)) | (Formula::Or(xs), Formula::Or(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| alpha_eq_with(x, y, map))
-        }
-        (Formula::Implies(x1, x2), Formula::Implies(y1, y2))
-        | (Formula::Iff(x1, x2), Formula::Iff(y1, y2)) => {
-            alpha_eq_with(x1, y1, map) && alpha_eq_with(x2, y2, map)
-        }
-        (Formula::Forall(v, x), Formula::Forall(w, y))
-        | (Formula::Exists(v, x), Formula::Exists(w, y)) => {
-            map.push((*v, *w));
-            let r = alpha_eq_with(x, y, map);
-            map.pop();
-            r
-        }
-        (Formula::Cmp(l1, o1, r1), Formula::Cmp(l2, o2, r2)) => {
-            o1 == o2 && prop_alpha_eq(l1, l2, map) && prop_alpha_eq(r1, r2, map)
-        }
-        _ => false,
-    }
-}
-
-fn term_alpha_eq(a: &Term, b: &Term, map: &[(VarId, VarId)]) -> bool {
-    match (a, b) {
-        (Term::Var(v), Term::Var(w)) => {
-            // The innermost binding wins; free variables must match exactly.
-            for &(bv, bw) in map.iter().rev() {
-                let lv = bv == *v;
-                let lw = bw == *w;
-                if lv || lw {
-                    return lv && lw;
-                }
-            }
-            v == w
-        }
-        (Term::Const(c), Term::Const(d)) => c == d,
-        (Term::App(f, xs), Term::App(g, ys)) => {
-            f == g
-                && xs.len() == ys.len()
-                && xs.iter().zip(ys).all(|(x, y)| term_alpha_eq(x, y, map))
-        }
-        _ => false,
-    }
-}
-
-fn prop_alpha_eq(a: &PropExpr, b: &PropExpr, map: &mut Vec<(VarId, VarId)>) -> bool {
-    match (a, b) {
-        (PropExpr::Rat(x), PropExpr::Rat(y)) => x == y,
-        (
-            PropExpr::Prop {
-                body: b1,
-                cond: c1,
-                vars: v1,
-            },
-            PropExpr::Prop {
-                body: b2,
-                cond: c2,
-                vars: v2,
-            },
-        ) => {
-            if v1.len() != v2.len() {
-                return false;
-            }
-            let n = map.len();
-            for (x, y) in v1.iter().zip(v2) {
-                map.push((*x, *y));
-            }
-            let ok = alpha_eq_with(b1, b2, map)
-                && match (c1, c2) {
-                    (None, None) => true,
-                    (Some(x), Some(y)) => alpha_eq_with(x, y, map),
-                    _ => false,
-                };
-            map.truncate(n);
-            ok
-        }
-        (PropExpr::Add(x1, x2), PropExpr::Add(y1, y2))
-        | (PropExpr::Sub(x1, x2), PropExpr::Sub(y1, y2))
-        | (PropExpr::Mul(x1, x2), PropExpr::Mul(y1, y2)) => {
-            prop_alpha_eq(x1, y1, map) && prop_alpha_eq(x2, y2, map)
-        }
-        _ => false,
-    }
-}
-
 /// Tolerance indices mentioned anywhere in a formula.
 pub fn tolerance_indices(f: &Formula) -> BTreeSet<crate::ast::TolId> {
     let mut out = BTreeSet::new();
@@ -556,20 +456,26 @@ mod tests {
         assert!(constants(&gen).is_empty());
     }
 
+    /// Whether `a` and `b` are the same formula up to renaming bound
+    /// variables: [`crate::canon`] is the one place that decides it.
+    fn alpha_eq(v: &Vocabulary, a: &Formula, b: &Formula) -> bool {
+        crate::canon::canonical_formula(v, a) == crate::canon::canonical_formula(v, b)
+    }
+
     #[test]
     fn alpha_equivalence() {
         let mut v = Vocabulary::new();
         let a = parse(&mut v, "forall x (P(x) => Q(x))");
         let b = parse(&mut v, "forall y (P(y) => Q(y))");
-        assert!(alpha_eq(&a, &b));
+        assert!(alpha_eq(&v, &a, &b));
         let c = parse(&mut v, "forall y (Q(y) => P(y))");
-        assert!(!alpha_eq(&a, &c));
+        assert!(!alpha_eq(&v, &a, &c));
 
         let d = parse(&mut v, "||P(x)||_x ~=_1 1");
         let e = parse(&mut v, "||P(w)||_w ~=_1 1");
-        assert!(alpha_eq(&d, &e));
+        assert!(alpha_eq(&v, &d, &e));
         let f2 = parse(&mut v, "||P(w)||_w ~=_2 1");
-        assert!(!alpha_eq(&d, &f2));
+        assert!(!alpha_eq(&v, &d, &f2));
     }
 
     #[test]
@@ -577,7 +483,7 @@ mod tests {
         let mut v = Vocabulary::new();
         let a = parse(&mut v, "P(x)");
         let b = parse(&mut v, "P(y)");
-        assert!(!alpha_eq(&a, &b));
+        assert!(!alpha_eq(&v, &a, &b));
     }
 
     #[test]

@@ -111,8 +111,9 @@ pub enum Formula {
     TermEq(Term, Term),
     Not(Box<Formula>),
     /// An n-ary conjunction: at least two children, none of them an
-    /// `And` (build it through [`Formula::and`] / [`Formula::conjoin`],
-    /// which keep that shape, so a chain of any length is one level).
+    /// `And` and no two equal (build it through [`Formula::and`] /
+    /// [`Formula::conjoin`], which keep that shape, so a chain of any
+    /// length is one level and `φ & φ` is `φ`).
     And(Vec<Formula>),
     /// An n-ary disjunction, shaped like `And` ([`Formula::or`] /
     /// [`Formula::disjoin`]).
@@ -163,30 +164,35 @@ impl Formula {
 
     /// Conjunction of an iterator of formulas (`True` when empty, the
     /// formula itself when single). Conjunctions among them are spliced
-    /// in, so no child of the result is an `And`.
+    /// in, so no child of the result is an `And`, and only the first
+    /// occurrence of each child is kept (`φ ∧ φ ≡ φ`).
     pub fn conjoin(fs: impl IntoIterator<Item = Formula>) -> Formula {
-        Formula::junction(true, fs)
+        Formula::junction(true, fs.into_iter().collect())
     }
 
     /// Disjunction of an iterator of formulas (`False` when empty), with
-    /// disjunctions among them spliced in like [`Formula::conjoin`].
+    /// disjunctions among them spliced in and repeats dropped like
+    /// [`Formula::conjoin`].
     pub fn disjoin(fs: impl IntoIterator<Item = Formula>) -> Formula {
-        Formula::junction(false, fs)
+        Formula::junction(false, fs.into_iter().collect())
     }
 
-    fn junction(and: bool, fs: impl IntoIterator<Item = Formula>) -> Formula {
-        let mut parts = Vec::new();
-        for f in fs {
-            match (f, and) {
-                // Taking over the first chain keeps a left fold of
-                // `Formula::and` linear.
-                (Formula::And(inner), true) | (Formula::Or(inner), false) if parts.is_empty() => {
-                    parts = inner
+    /// The one constructor of `And`/`Or`. Each call dedupes all of its
+    /// children, so build a long chain with one call, not a fold.
+    fn junction(and: bool, mut parts: Vec<Formula>) -> Formula {
+        let same =
+            |f: &Formula| matches!((f, and), (Formula::And(_), true) | (Formula::Or(_), false));
+        if parts.iter().any(same) {
+            let mut flat = Vec::with_capacity(parts.len());
+            for f in parts {
+                match (f, and) {
+                    (Formula::And(inner), true) | (Formula::Or(inner), false) => flat.extend(inner),
+                    (f, _) => flat.push(f),
                 }
-                (Formula::And(inner), true) | (Formula::Or(inner), false) => parts.extend(inner),
-                (f, _) => parts.push(f),
             }
+            parts = flat;
         }
+        keep_first_occurrences(&mut parts);
         match parts.len() {
             0 if and => Formula::True,
             0 => Formula::False,
@@ -233,10 +239,68 @@ impl Formula {
     }
 }
 
+/// Up to this many children [`keep_first_occurrences`] scans the kept
+/// prefix, allocating nothing; past it one hash set is built.
+const SCAN_LIMIT: usize = 16;
+
+/// Drops every child equal to an earlier one, keeping the order of first
+/// occurrences, in time linear in the number of children.
+fn keep_first_occurrences(parts: &mut Vec<Formula>) {
+    if parts.len() <= SCAN_LIMIT {
+        let mut kept = 0;
+        for i in 0..parts.len() {
+            if !parts[..kept].contains(&parts[i]) {
+                parts.swap(kept, i);
+                kept += 1;
+            }
+        }
+        parts.truncate(kept);
+    } else {
+        let mut seen = std::collections::HashSet::with_capacity(parts.len());
+        let keep: Vec<bool> = parts.iter().map(|f| seen.insert(f)).collect();
+        let mut keep = keep.into_iter();
+        parts.retain(|_| keep.next().unwrap_or(false));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vocab::Vocabulary;
+
+    #[test]
+    fn junctions_keep_first_occurrences_in_order() {
+        let mut v = Vocabulary::new();
+        let atoms: Vec<Formula> = (0..40)
+            .map(|i| Formula::Pred(v.pred(&format!("P{i}"), 0).unwrap(), vec![]))
+            .collect();
+        let (p, q, r) = (&atoms[0], &atoms[1], &atoms[2]);
+        let got = Formula::conjoin([q.clone(), p.clone(), q.clone(), r.clone(), p.clone()]);
+        assert_eq!(got, Formula::And(vec![q.clone(), p.clone(), r.clone()]));
+        assert_eq!(Formula::disjoin([p.clone(), p.clone()]), p.clone());
+        // Nested chains are spliced, then deduped across the splice.
+        let left = Formula::and(p.clone(), q.clone());
+        let right = Formula::and(q.clone(), r.clone());
+        assert_eq!(
+            Formula::and(left.clone(), right.clone()),
+            Formula::And(vec![p.clone(), q.clone(), r.clone()])
+        );
+        assert_eq!(Formula::and(left.clone(), left.clone()), left);
+        // A conjunction is one child of a disjunction, kept once.
+        let or = Formula::disjoin([left.clone(), r.clone(), left.clone()]);
+        assert_eq!(or, Formula::Or(vec![left, r.clone()]));
+        // The same node below and above the scan limit: every atom twice,
+        // interleaved, leaves each once in first-seen order.
+        for n in [3, SCAN_LIMIT / 2, SCAN_LIMIT / 2 + 1, SCAN_LIMIT, 40] {
+            let twice = atoms[..n].iter().chain(atoms[..n].iter().rev()).cloned();
+            let want = if n == 1 {
+                atoms[0].clone()
+            } else {
+                Formula::And(atoms[..n].to_vec())
+            };
+            assert_eq!(Formula::conjoin(twice), want, "{n} atoms");
+        }
+    }
 
     #[test]
     fn conjoin_disjoin_edge_cases() {

@@ -17,6 +17,12 @@
 //!     children are only sorted and deduped here, while the binary `+`
 //!     and `*` chains are flattened first — and
 //!   - double negation;
+//! * [`canonical_formula_over`] is the same string with chosen free
+//!   variables printed as binder positions, so formulas over
+//!   corresponding free variables agree whatever those variables are
+//!   called. The theorem stage decides every "same formula" question
+//!   through it: statistic keys, direct inference, reference classes,
+//!   Dempster's `∃!` pairs, nested defaults and the `∃!` desugaring;
 //! * [`kb_fingerprint`] hashes a whole [`KnowledgeBase`] — canonical
 //!   conjuncts in assertion order — to a 64-bit FNV-1a value.
 //!
@@ -57,22 +63,30 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// );
 /// ```
 pub fn canonical_formula(vocab: &Vocabulary, f: &Formula) -> String {
-    canon_formula(f, vocab, &mut Vec::new())
+    canonical_formula_over(vocab, f, &[])
+}
+
+/// [`canonical_formula`] with `free[i]` printed as binder position `i`
+/// (bound variables then number from `free.len()`), so `φ(x)` over `[x]`
+/// and `φ(y)` over `[y]` agree. Other free variables print by name.
+pub fn canonical_formula_over(vocab: &Vocabulary, f: &Formula, free: &[VarId]) -> String {
+    canon_formula(f, vocab, &mut free.to_vec())
 }
 
 /// A stable 64-bit fingerprint of a knowledge base: FNV-1a over the
 /// canonical forms of its conjuncts, in assertion order.
 ///
-/// Conjunct order is deliberately *kept significant*: it cannot change
-/// the semantics, but downstream engines classify conjuncts
-/// positionally, so two KBs only share a fingerprint when they would be
-/// processed identically. Vocabulary-only differences (extra interned
-/// symbols from earlier queries) do not affect the fingerprint — degrees
-/// of belief are invariant under vocabulary expansion (paper footnote 8).
+/// Conjunct order and multiplicity are deliberately *kept significant*:
+/// they cannot change the semantics, but downstream engines classify
+/// conjuncts positionally, so two KBs share a fingerprint only when their
+/// conjuncts are canonically equal one for one, in the same order.
+/// Vocabulary-only differences (extra interned symbols from earlier
+/// queries) do not affect the fingerprint — degrees of belief are
+/// invariant under vocabulary expansion (paper footnote 8).
 pub fn kb_fingerprint(kb: &KnowledgeBase) -> u64 {
     let mut src = String::new();
     for c in kb.conjuncts() {
-        src.push_str(&canon_formula(c, kb.vocab(), &mut Vec::new()));
+        src.push_str(&canonical_formula(kb.vocab(), c));
         src.push(';');
     }
     fnv1a(src.as_bytes())
@@ -362,6 +376,43 @@ mod tests {
         let open = kb.parse_query("P(z)").unwrap();
         let s = canonical_formula(kb.vocab(), &open);
         assert!(s.contains("?z"), "{s}");
+    }
+
+    /// [`canonical_formula_over`] of `src`, parsed against `kb`, with the
+    /// named variables free in that order.
+    fn over(kb: &mut KnowledgeBase, src: &str, free: &[&str]) -> String {
+        let f = kb.parse_query(src).unwrap();
+        let free: Vec<VarId> = free.iter().map(|v| kb.vocab_mut().var(v)).collect();
+        canonical_formula_over(kb.vocab(), &f, &free)
+    }
+
+    #[test]
+    fn keys_over_free_variables() {
+        let mut kb = KnowledgeBase::parse("true").unwrap();
+        // Alpha-variants agree; `P ⇒ Q` is not `Q ⇒ P`.
+        let a = over(&mut kb, "forall x (P(x) => Q(x))", &[]);
+        assert_eq!(a, over(&mut kb, "forall y (P(y) => Q(y))", &[]));
+        assert_ne!(a, over(&mut kb, "forall y (Q(y) => P(y))", &[]));
+        let d = over(&mut kb, "||P(x)||_x ~=_1 1", &[]);
+        assert_eq!(d, over(&mut kb, "||P(w)||_w ~=_1 1", &[]));
+        assert_ne!(d, over(&mut kb, "||P(w)||_w ~=_2 1", &[]));
+        // Conjunct order does not matter.
+        assert_eq!(
+            over(&mut kb, "P(C) & Q(C) & S(C)", &[]),
+            over(&mut kb, "S(C) & P(C) & Q(C)", &[])
+        );
+        // Free variables at corresponding positions agree whatever their
+        // names, and their positions matter.
+        let r = over(&mut kb, "R(x, y) & P(x)", &["x", "y"]);
+        assert_eq!(r, over(&mut kb, "P(u) & R(u, v)", &["u", "v"]));
+        assert_ne!(r, over(&mut kb, "R(x, y) & P(x)", &["y", "x"]));
+        // Unlisted free variables print by name.
+        assert_ne!(over(&mut kb, "P(x)", &[]), over(&mut kb, "P(y)", &[]));
+        // A listed variable rebound inside is the binder's.
+        assert_eq!(
+            over(&mut kb, "P(x) & exists x (Q(x))", &["x"]),
+            over(&mut kb, "P(y) & exists z (Q(z))", &["y"])
+        );
     }
 
     #[test]

@@ -44,11 +44,12 @@
 //! * [`ast`] / [`parser`] / [`mod@print`] — the syntax tree, the text syntax
 //!   above, and round-trippable pretty-printing;
 //! * [`kb`] — [`KnowledgeBase`]: a vocabulary plus asserted conjuncts;
-//! * [`analysis`] — free variables, symbols, substitution,
-//!   alpha-equivalence: the side-condition toolkit for the theorem engine;
-//! * [`canon`] — canonical query strings and KB fingerprints, the cache
+//! * [`analysis`] — free variables, symbols, substitution: the
+//!   side-condition toolkit for the theorem engine;
+//! * [`canon`] — canonical formula strings and KB fingerprints: the cache
 //!   keys behind `rw-core`'s answer cache ([`canon::canonical_formula`],
-//!   [`canon::kb_fingerprint`]);
+//!   [`canon::kb_fingerprint`]) and the one test of formula identity the
+//!   theorem engine matches by ([`canon::canonical_formula_over`]);
 //! * [`tolerances`] / [`vocab`] — the tolerance vector `τ⃗` and interned
 //!   signatures.
 

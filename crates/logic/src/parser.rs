@@ -414,35 +414,42 @@ impl<'v> Parser<'v> {
         Ok(lhs)
     }
 
-    // `Formula::or`/`and` grow the chain in place: one n-ary node.
+    // A whole `or`/`&` chain is collected and built with one `disjoin` /
+    // `conjoin` call: one n-ary node, deduped once.
     fn or(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.and()?;
-        while matches!(self.peek(), Some(Tok::Ident(s)) if s == "or") {
-            self.bump();
-            let rhs = self.and()?;
-            lhs = Formula::or(lhs, rhs);
+        let first = self.and()?;
+        if !self.eat_keyword("or") {
+            return Ok(first);
         }
-        Ok(lhs)
+        let mut parts = vec![first, self.and()?];
+        while self.eat_keyword("or") {
+            parts.push(self.and()?);
+        }
+        Ok(Formula::disjoin(parts))
     }
 
     fn and(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let is_and = if self.eat(&Tok::Amp) {
-                true
-            } else if matches!(self.peek(), Some(Tok::Ident(s)) if s == "and") {
-                self.bump();
-                true
-            } else {
-                false
-            };
-            if !is_and {
-                break;
-            }
-            let rhs = self.unary()?;
-            lhs = Formula::and(lhs, rhs);
+        let first = self.unary()?;
+        if !self.eat_and() {
+            return Ok(first);
         }
-        Ok(lhs)
+        let mut parts = vec![first, self.unary()?];
+        while self.eat_and() {
+            parts.push(self.unary()?);
+        }
+        Ok(Formula::conjoin(parts))
+    }
+
+    fn eat_and(&mut self) -> bool {
+        self.eat(&Tok::Amp) || self.eat_keyword("and")
+    }
+
+    fn eat_keyword(&mut self, word: &str) -> bool {
+        let found = matches!(self.peek(), Some(Tok::Ident(s)) if s == word);
+        if found {
+            self.bump();
+        }
+        found
     }
 
     fn unary(&mut self) -> Result<Formula, ParseError> {
@@ -513,8 +520,13 @@ impl<'v> Parser<'v> {
             out = if kw == "forall" {
                 Formula::forall(v, out)
             } else if unique {
-                let fresh = self.vocab.fresh_var("uniq");
-                Formula::exists_unique(v, fresh, out)
+                // No source text can name `x#uniq`, and an inner
+                // `exists! x` rebinds `x`, so it is never captured. A
+                // name, not a fresh variable: the same text desugars to
+                // the same formula, so `S & S` is `S`.
+                let name = format!("{}#uniq", self.vocab.var_name(v));
+                let y = self.vocab.var(&name);
+                Formula::exists_unique(v, y, out)
             } else {
                 Formula::exists(v, out)
             };
@@ -1107,8 +1119,9 @@ mod tests {
 
     #[test]
     fn long_and_or_chains_are_one_flat_node() {
+        let atoms: Vec<String> = (0..6000).map(|i| format!("P{i}(C)")).collect();
         for (op, and) in [(" & ", true), (" and ", true), (" or ", false)] {
-            let f = parse_on_small_stack(vec!["Hep(Eric)"; 6000].join(op)).unwrap();
+            let f = parse_on_small_stack(atoms.join(op)).unwrap();
             match (&f, and) {
                 (Formula::And(parts), true) | (Formula::Or(parts), false) => {
                     assert_eq!(parts.len(), 6000, "{op}")

@@ -93,10 +93,13 @@ impl UnaryConstraintSystem {
         (a, b)
     }
 
-    /// True when some existential conjunct can never be witnessed.
+    /// True when some existential conjunct, or some constant's facts, can
+    /// never be witnessed: a fact `ψ(c)` implies `∃x ψ(x)`, so a constant
+    /// whose atom set is all pinned to zero voids the KB just the same.
     pub fn exists_violated(&self) -> bool {
         self.exists_sets
             .iter()
+            .chain(self.const_atoms.values())
             .any(|s| s.iter().all(|atom| self.zero[atom]))
     }
 }
@@ -468,6 +471,14 @@ mod tests {
         assert!(sys.exists_violated());
         let kb2 = KnowledgeBase::parse("exists x (P(x))").unwrap();
         assert!(!compile(&kb2, &tol()).unwrap().exists_violated());
+        // A constant's facts are witnesses too: contradictory facts leave
+        // it no atom, and a universal can pin every atom it has.
+        for void in ["Q(K) & !Q(K)", "forall x (!P(x)); P(K)"] {
+            let kb = KnowledgeBase::parse(void).unwrap();
+            assert!(compile(&kb, &tol()).unwrap().exists_violated(), "{void}");
+        }
+        let kb3 = KnowledgeBase::parse("forall x (!P(x)); Q(K)").unwrap();
+        assert!(!compile(&kb3, &tol()).unwrap().exists_violated());
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! random-worlds engine can be handed to the baseline unchanged.
 
 use rw_core::patterns::{classify, const_atom_set, synthetic_var};
-use rw_logic::{analysis, KnowledgeBase, ParseError};
+use rw_logic::{analysis, canon, KnowledgeBase, ParseError};
 use rw_unary::AtomSet;
 use rw_util::Rat;
-use std::collections::BTreeMap;
 
 /// Which classical selection discipline to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,18 +137,13 @@ pub fn reference_class_belief_policy(
         });
     };
     let phi = analysis::generalize_const(&q, c, synthetic_var(0));
-    let phi_map: BTreeMap<_, _> = [(synthetic_var(0), 0usize)].into_iter().collect();
-    let phi_canon = rw_core::patterns::canon(&phi, &phi_map);
+    let phi_canon = canon::canonical_formula_over(vocab, &phi, &[synthetic_var(0)]);
 
     // Candidate classes: statistics about φ whose class contains c.
     let facts = const_atom_set(&cls, c, vocab);
     let mut classes: Vec<Class> = Vec::new();
     for s in &cls.stats {
-        if s.vars.len() != 1 {
-            continue;
-        }
-        let their: BTreeMap<_, _> = [(s.vars[0], 0usize)].into_iter().collect();
-        if rw_core::patterns::canon(&s.body, &their) != phi_canon {
+        if s.vars.len() != 1 || s.body_key != phi_canon {
             continue;
         }
         let Some(atoms) = s.class.clone() else {
