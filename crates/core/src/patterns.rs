@@ -11,10 +11,11 @@
 
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term, TolId};
 use rw_logic::canon::canonical_formula_over;
-use rw_logic::{analysis, ConstId, FuncId, KnowledgeBase, PredId, VarId, Vocabulary};
+use rw_logic::{analysis, ConstId, FuncId, KnowledgeBase, PredId, Tolerances, VarId, Vocabulary};
 use rw_unary::atoms::{atom_count, compile_atom_set, compile_atom_set_const};
 use rw_unary::AtomSet;
 use rw_util::Rat;
+use rw_worlds::{evaluate_closed, World};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -109,8 +110,9 @@ pub struct Classified {
     by_func: Vec<Vec<usize>>,
     by_const: Vec<Vec<usize>>,
     /// The KB is visibly void: some ground literal is asserted both ways,
-    /// or some conjunct other than `true` is built from `true` and
-    /// `false` alone (`false`, `!true`).
+    /// some constant's facts contradict the universals (`∀x ¬P(x)` and
+    /// `P(K)`), or some conjunct that mentions no symbol is false on
+    /// every large enough domain (`false`, `∀x, y (x = y)`).
     pub void: bool,
     /// `void`, or some conjunct mentions no symbol but quantifies over
     /// the domain (`exists x, y (x != y)`): a statement about the domain
@@ -269,7 +271,7 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
         }
         if own.is_empty() && shape != PartShape::True {
             voids_ground_facts = true;
-            void |= is_truth_constant(f);
+            void |= fails_on_every_large_domain(vocab, f);
         }
         syms.extend(own);
         if let Some((p, args, value)) = analysis::as_ground_literal(f) {
@@ -375,7 +377,7 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
         }
     }
 
-    Classified {
+    let mut cls = Classified {
         starts,
         source,
         shapes,
@@ -392,26 +394,77 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
         exists_unique,
         disjunctions,
         taxonomy,
+    };
+    // Facts about one constant that no atom the universals allow
+    // satisfies (`∀x ¬P(x)` and `P(K)`) leave the KB without models.
+    if !cls.void && !cls.universals.is_empty() {
+        if let Some(tax) = &cls.taxonomy {
+            let forbidden = vocab.consts().any(|c| !facts_fit(&cls, tax, c, vocab));
+            cls.void = forbidden;
+            cls.voids_ground_facts |= forbidden;
+        }
+    }
+    cls
+}
+
+/// `tax.satisfiable(&const_atom_set(cls, c, vocab))`, without building
+/// atom sets when every unary fact about `c` is a literal: those facts
+/// only require or forbid predicate bits (atom bit `i` is predicate `i`;
+/// a taxonomy has at most 16 predicates).
+fn facts_fit(cls: &Classified, tax: &Taxonomy, c: ConstId, vocab: &Vocabulary) -> bool {
+    let (mut on, mut off) = (0usize, 0usize);
+    for &i in cls.mentioning(Sym::Const(c)) {
+        if cls.const_count(i) != 1 {
+            continue;
+        }
+        match analysis::as_ground_literal(cls.part(i)) {
+            // A non-unary fact constrains no atom.
+            Some((_, args, _)) if args.len() != 1 => {}
+            Some((p, _, true)) => on |= 1 << p.index(),
+            Some((p, _, false)) => off |= 1 << p.index(),
+            None => return tax.satisfiable(&const_atom_set(cls, c, vocab)),
+        }
+    }
+    tax.allowed.iter().any(|a| a & on == on && a & off == 0)
+}
+
+/// Deepest quantifier nesting [`fails_on_every_large_domain`] evaluates:
+/// the evaluation walks `d^d` valuations.
+const MAX_EQUALITY_DEPTH: usize = 6;
+
+/// Is `f`, a conjunct that mentions no symbol, false on every domain
+/// from some size on? Without proportions its only vocabulary is `=`,
+/// and such a sentence of quantifier depth `d` has one truth value on
+/// every domain of size at least `d` (no `d`-round game tells two such
+/// sets apart), so one evaluation at size `max(d, 1)` decides it.
+/// Sentences with proportions, or deeper than [`MAX_EQUALITY_DEPTH`],
+/// are left to the semantic stages.
+fn fails_on_every_large_domain(vocab: &Vocabulary, f: &Formula) -> bool {
+    match equality_depth(f) {
+        Some(d) if d <= MAX_EQUALITY_DEPTH => {
+            // No proportion reads the tolerances.
+            let tol = Tolerances::uniform(Rat::ONE);
+            !evaluate_closed(&World::empty(vocab, d.max(1)), vocab, &tol, f)
+        }
+        _ => false,
     }
 }
 
-/// Is `f` built from `true` and `false` by connectives alone?
-fn is_truth_constant(f: &Formula) -> bool {
-    let mut constant = true;
-    analysis::walk_formula(f, &mut |g| {
-        constant &= matches!(
-            g,
-            Formula::True
-                | Formula::False
-                | Formula::Not(_)
-                | Formula::And(_)
-                | Formula::Or(_)
-                | Formula::Implies(..)
-                | Formula::Iff(..)
-        );
-        constant
-    });
-    constant
+/// The quantifier depth of a proportion-free formula; `None` when `f`
+/// has a proportion.
+fn equality_depth(f: &Formula) -> Option<usize> {
+    match f {
+        Formula::Cmp(..) => None,
+        Formula::Forall(_, g) | Formula::Exists(_, g) => Some(equality_depth(g)? + 1),
+        Formula::Not(g) => equality_depth(g),
+        Formula::And(parts) | Formula::Or(parts) => parts
+            .iter()
+            .try_fold(0, |d, g| Some(d.max(equality_depth(g)?))),
+        Formula::Implies(a, b) | Formula::Iff(a, b) => {
+            Some(equality_depth(a)?.max(equality_depth(b)?))
+        }
+        Formula::True | Formula::False | Formula::Pred(..) | Formula::TermEq(..) => Some(0),
+    }
 }
 
 /// Splits a comparison into (proportion expression, rational bound,

@@ -1177,7 +1177,23 @@ mod tests {
     #[test]
     fn a_fact_a_universal_forbids_voids_the_kb() {
         let kb_src = "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); forall x (!P(x)); P(K)";
-        assert_undefined(kb_src, &["Hep(Eric) & Hep(Tom)"]);
+        assert_undefined(kb_src, &["Hep(Eric)", "Hep(Eric) & Hep(Tom)"]);
+        // A fact that is not a literal, and one the universals allow.
+        let kb_src = "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); \
+                      forall x (P(x) => Q(x)); forall x (!Q(x)); P(K) or Q(K)";
+        assert_undefined(kb_src, &["Hep(Eric)"]);
+        let kb_src =
+            "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); forall x (P(x) => Q(x)); P(K); Q(K)";
+        let r = answer(&RandomWorlds::new(), kb_src, "Hep(Eric)");
+        assert_eq!(r.belief, Belief::Point(0.8));
+    }
+
+    #[test]
+    fn a_statement_no_large_domain_satisfies_voids_the_kb() {
+        assert_undefined(
+            "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); forall x, y (x = y)",
+            &["Hep(Eric)", "Jaun(Eric)"],
+        );
     }
 
     /// [`try_or_rule`] on `kb_src ⊢ P(C)` with every disjunct answered

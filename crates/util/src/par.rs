@@ -9,8 +9,8 @@
 //! results front to back therefore sums (even floats) in a fixed order,
 //! so its outcome is bit-identical at any parallelism.
 //!
-//! With one thread after clamping to `n`, both maps run inline on the
-//! caller and spawn nothing.
+//! With one thread after clamping to `n`, every map runs inline on the
+//! caller and spawns nothing.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -28,7 +28,7 @@ pub fn threads(requested: usize) -> usize {
 /// Computes `f(0), …, f(n - 1)` on up to `threads` workers (0 = one per
 /// core) and returns the results in index order.
 pub fn map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    run(n, threads, f, |_| false)
+    run(n, threads, || (), |_, i| f(i), |_| false)
 }
 
 /// Like [`map`] for fallible units: returns every result in index order,
@@ -43,23 +43,42 @@ pub fn try_map<T: Send, E: Send>(
     threads: usize,
     f: impl Fn(usize) -> Result<T, E> + Sync,
 ) -> Result<Vec<T>, E> {
-    run(n, threads, f, Result::is_err).into_iter().collect()
+    try_map_with(n, threads, || (), |_, i| f(i))
+}
+
+/// Like [`try_map`], with state each worker keeps across the indices it
+/// claims: a worker builds one `S` with `init` before its first index and
+/// hands it to `f` for every index it runs. Which indices share a state
+/// depends on the thread count, so `f` must leave no trace in its result
+/// of the state's history (reset it per index).
+pub fn try_map_with<S, T: Send, E: Send>(
+    n: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    run(n, threads, init, f, Result::is_err)
+        .into_iter()
+        .collect()
 }
 
 /// Runs a prefix `0..m` of the indices (all `n` unless `stop` fires) and
 /// returns its results in index order. Once any result satisfies `stop`,
-/// no further index is claimed.
-fn run<T: Send>(
+/// no further index is claimed. Each worker builds its state on its
+/// first claimed index.
+fn run<S, T: Send>(
     n: usize,
     threads: usize,
-    f: impl Fn(usize) -> T + Sync,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
     stop: impl Fn(&T) -> bool + Sync,
 ) -> Vec<T> {
     let threads = self::threads(threads).min(n).max(1);
     if threads == 1 {
         let mut out = Vec::with_capacity(n);
+        let mut state = None;
         for i in 0..n {
-            let r = f(i);
+            let r = f(state.get_or_insert_with(&init), i);
             let stopped = stop(&r);
             out.push(r);
             if stopped {
@@ -77,12 +96,13 @@ fn run<T: Send>(
             .map(|_| {
                 scope.spawn(|| {
                     let mut shard = Vec::new();
+                    let mut state = None;
                     while !stopped.load(Ordering::Relaxed) {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        let r = f(i);
+                        let r = f(state.get_or_insert_with(&init), i);
                         if stop(&r) {
                             stopped.store(true, Ordering::Relaxed);
                         }
@@ -143,6 +163,44 @@ mod tests {
             });
             assert_eq!(r, Err(3), "{threads} threads");
         }
+    }
+
+    #[test]
+    fn each_worker_builds_its_state_once() {
+        for threads in [1usize, 2, 3] {
+            let built = AtomicUsize::new(0);
+            let r = try_map_with(
+                40,
+                threads,
+                || {
+                    built.fetch_add(1, Ordering::SeqCst);
+                    Vec::new()
+                },
+                |seen: &mut Vec<usize>, i| {
+                    seen.push(i);
+                    // A worker claims indices in increasing order.
+                    assert!(seen.windows(2).all(|w| w[0] < w[1]));
+                    if i == 33 {
+                        Err(i)
+                    } else {
+                        Ok(i * 2)
+                    }
+                },
+            );
+            assert_eq!(r, Err(33), "{threads} threads");
+            assert!((1..=threads).contains(&built.load(Ordering::SeqCst)));
+            let ok = try_map_with(5, threads, || 0u32, |_, i| Ok::<_, ()>(i));
+            assert_eq!(ok, Ok(vec![0, 1, 2, 3, 4]));
+        }
+        let never = AtomicUsize::new(0);
+        let empty = try_map_with(
+            0,
+            2,
+            || never.fetch_add(1, Ordering::SeqCst),
+            |_, i| Ok::<_, ()>(i),
+        );
+        assert_eq!(empty, Ok(Vec::new()));
+        assert_eq!(never.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! ([`Program::holds`]): that is the Monte-Carlo acceptance check in
 //! [`crate::mc`], run once per draw. Proportions stay integer counts; a
 //! proportion whose every instance reads a static bit (or its negation)
-//! is also compiled to slot tables and summed without a branch on any
-//! bit. Each comparison's tolerance is resolved here, once, and decided
+//! is also compiled to slot tables, summed without a branch on any bit
+//! there and read three-valued by branch-and-count. Each comparison's tolerance is resolved here, once, and decided
 //! by cross-multiplication on the unreduced counts.
 //!
 //! Semantics are mirrored from [`crate::eval::Evaluator`] exactly —
@@ -250,6 +250,16 @@ impl StaticBit {
     fn read(self, slots: &[usize]) -> usize {
         (slots[self.slot] == 1) as usize ^ self.flip
     }
+
+    /// [`Self::read`] under a partial assignment, where any value other
+    /// than `0`/`1` is unassigned: `None` while the bit is.
+    #[inline]
+    fn read_partial(self, assign: &[u8]) -> Option<usize> {
+        match assign[self.slot] {
+            v @ (0 | 1) => Some(v as usize ^ self.flip),
+            _ => None,
+        }
+    }
 }
 
 /// The instances of a count whose body and condition are all static
@@ -281,6 +291,27 @@ impl BitCount {
         }
         (body, cond)
     }
+
+    /// [`Self::counts`] three-valued under a partial assignment (see
+    /// [`StaticBit::read_partial`]): `None` once a bit the counts depend
+    /// on is unassigned. An instance whose condition is false adds
+    /// nothing, whatever its body bit, exactly as branch-and-count's
+    /// walk over the instances skips its body.
+    #[inline]
+    pub(crate) fn partial_counts(&self, assign: &[u8]) -> Option<(usize, usize)> {
+        let mut body = 0;
+        for b in &self.bodies {
+            body += b.read_partial(assign)?;
+        }
+        let mut cond = self.bodies.len();
+        for &(c, b) in &self.pairs {
+            if c.read_partial(assign)? == 1 {
+                cond += 1;
+                body += b.read_partial(assign)?;
+            }
+        }
+        Some((body, cond))
+    }
 }
 
 /// A compiled proportion expression.
@@ -298,7 +329,8 @@ pub(crate) enum CProp {
         /// `n^k`, the unconditional denominator.
         total: i128,
         /// `insts` as slot tables, when every instance reads static bits
-        /// only; `None` sends [`Program::holds`] through the instances.
+        /// only; `None` sends [`Program::holds`] and branch-and-count
+        /// through the instances.
         bits: Option<BitCount>,
     },
     Arith(Arith, u32, u32),
@@ -560,57 +592,66 @@ fn to_rat((num, den): Pair) -> Rat {
 /// falls back to [`Rat`], whose reduced operands are exactly what the
 /// tree-walking evaluator compares, so both paths always agree.
 ///
-/// Always inlined: it is the inner step of the Monte-Carlo acceptance
-/// check, branch-and-count and orbit counting alike, and a call per
-/// comparison slows the sampler's per-draw kernel.
+/// Always inlined, exact path included: it is the inner step of the
+/// Monte-Carlo acceptance check, branch-and-count and orbit counting
+/// alike, and a call per comparison slows every one of those kernels.
 #[inline(always)]
 pub(crate) fn compare(l: Pair, op: CmpOp, tau: Rat, r: Pair) -> bool {
-    // `l − r = diff / den` with `den > 0`, so `|l − r| ≤ τ` is
-    // `|diff| · τ.den ≤ τ.num · den`, and likewise without the `| |`.
-    let exact = || -> Option<bool> {
-        let diff = l.0.checked_mul(r.1)?.checked_sub(r.0.checked_mul(l.1)?)?;
-        Some(match op {
-            CmpOp::Eq => diff == 0,
-            CmpOp::Leq => diff <= 0,
-            CmpOp::ApproxEq(_) | CmpOp::ApproxLeq(_) => {
-                let den = l.1.checked_mul(r.1)?;
-                let gap = match op {
-                    CmpOp::ApproxEq(_) => diff.checked_abs()?,
-                    _ => diff,
-                };
-                gap.checked_mul(tau.den())? <= tau.num().checked_mul(den)?
-            }
-        })
-    };
-    exact().unwrap_or_else(|| decide_at(to_rat(l), op, to_rat(r), tau))
+    match compare_exact(l, op, tau, r) {
+        Some(holds) => holds,
+        None => decide_at(to_rat(l), op, to_rat(r), tau),
+    }
+}
+
+/// [`compare`] in checked `i128`, `None` on overflow. `l − r = diff / den`
+/// with `den > 0`, so `|l − r| ≤ τ` is `|diff| · τ.den ≤ τ.num · den`, and
+/// likewise without the `| |`.
+#[inline(always)]
+fn compare_exact(l: Pair, op: CmpOp, tau: Rat, r: Pair) -> Option<bool> {
+    let diff = l.0.checked_mul(r.1)?.checked_sub(r.0.checked_mul(l.1)?)?;
+    Some(match op {
+        CmpOp::Eq => diff == 0,
+        CmpOp::Leq => diff <= 0,
+        CmpOp::ApproxEq(_) | CmpOp::ApproxLeq(_) => {
+            let den = l.1.checked_mul(r.1)?;
+            let gap = match op {
+                CmpOp::ApproxEq(_) => diff.checked_abs()?,
+                _ => diff,
+            };
+            gap.checked_mul(tau.den())? <= tau.num().checked_mul(den)?
+        }
+    })
 }
 
 /// `l op r` on unreduced fractions in checked `i128`, falling back to the
 /// reduced [`Rat`] operation (which panics on overflow exactly where the
 /// tree-walking evaluator does).
 pub(crate) fn arith(l: Pair, op: Arith, r: Pair) -> Pair {
-    let ((a, b), (c, d)) = (l, r);
-    let exact = || -> Option<Pair> {
-        Some(match op {
-            Arith::Add => (
-                a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?,
-                b.checked_mul(d)?,
-            ),
-            Arith::Sub => (
-                a.checked_mul(d)?.checked_sub(c.checked_mul(b)?)?,
-                b.checked_mul(d)?,
-            ),
-            Arith::Mul => (a.checked_mul(c)?, b.checked_mul(d)?),
-        })
+    if let Some(v) = arith_exact(l, op, r) {
+        return v;
+    }
+    let (x, y) = (to_rat(l), to_rat(r));
+    let v = match op {
+        Arith::Add => x + y,
+        Arith::Sub => x - y,
+        Arith::Mul => x * y,
     };
-    exact().unwrap_or_else(|| {
-        let (x, y) = (to_rat(l), to_rat(r));
-        let v = match op {
-            Arith::Add => x + y,
-            Arith::Sub => x - y,
-            Arith::Mul => x * y,
-        };
-        (v.num(), v.den())
+    (v.num(), v.den())
+}
+
+/// [`arith`] in checked `i128`, `None` on overflow.
+#[inline(always)]
+fn arith_exact((a, b): Pair, op: Arith, (c, d): Pair) -> Option<Pair> {
+    Some(match op {
+        Arith::Add => (
+            a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?,
+            b.checked_mul(d)?,
+        ),
+        Arith::Sub => (
+            a.checked_mul(d)?.checked_sub(c.checked_mul(b)?)?,
+            b.checked_mul(d)?,
+        ),
+        Arith::Mul => (a.checked_mul(c)?, b.checked_mul(d)?),
     })
 }
 

@@ -32,7 +32,9 @@
 //! Counting shards the top of the branch tree into **chunks** — fixed
 //! assignments of a prefix of the branch order — and runs them on the
 //! shared [`rw_util::par`] pool, which returns results in chunk order and
-//! the lowest-index chunk failure. The chunk decomposition depends only
+//! the lowest-index chunk failure. Each worker reuses one search across
+//! the chunks it claims, reset to the empty assignment with zeroed effort
+//! counters per chunk. The chunk decomposition depends only
 //! on the program (never on the thread count) and each chunk's
 //! sub-budget is a fixed share of the total, so a count, its
 //! visited/branched totals, and even its failure mode are identical at
@@ -124,13 +126,23 @@ enum Trail {
 
 const UNASSIGNED: u8 = u8::MAX;
 
+/// One branch-and-count search over a program. A worker builds one and
+/// [`Search::reset`]s it for every chunk it claims.
 struct Search<'p> {
     prog: &'p Program,
     assign: Vec<u8>,
     node_memo: Vec<Tri>,
     prop_memo: Vec<PropKnow>,
     trail: Vec<Trail>,
-    free_product: u128,
+    /// Slots `0..bit_slots` are predicate bits, the rest range over the
+    /// domain ([`crate::compile::SlotLayout::domain`]).
+    bit_slots: usize,
+    /// Unassigned bit slots and unassigned element slots: the free
+    /// product is `2^free_bits · elem_pow[free_elems]`.
+    free_bits: u32,
+    free_elems: usize,
+    /// `N^k` for every `k` up to the number of element slots.
+    elem_pow: Vec<u128>,
     visited: u64,
     branched: u64,
     budget: u64,
@@ -138,32 +150,77 @@ struct Search<'p> {
 
 impl<'p> Search<'p> {
     fn new(prog: &'p Program, budget: u64) -> Result<Search<'p>, CountError> {
-        if prog.layout().n() >= UNASSIGNED as usize {
+        let layout = prog.layout();
+        if layout.n() >= UNASSIGNED as usize {
             // Slot values are stored as `u8`; a domain this large is far
             // beyond countable anyway.
             return Err(CountError::Overflow);
         }
-        let total = prog
-            .layout()
-            .total_assignments()
-            .ok_or(CountError::Overflow)?;
+        // Every free product divides the total, so once the total fits
+        // `u128` no power or product below overflows.
+        layout.total_assignments().ok_or(CountError::Overflow)?;
+        let bit_slots = layout.bit_slot_count();
+        let elems = layout.slot_count() - bit_slots;
+        let elem_pow = std::iter::successors(Some(1u128), |p| Some(p * layout.n() as u128))
+            .take(elems + 1)
+            .collect();
         Ok(Search {
             prog,
-            assign: vec![UNASSIGNED; prog.layout().slot_count()],
+            assign: vec![UNASSIGNED; layout.slot_count()],
             node_memo: vec![Tri::Unknown; prog.nodes.len()],
             prop_memo: vec![PropKnow::Unknown; prog.props.len()],
             trail: Vec::new(),
-            free_product: total,
+            bit_slots,
+            free_bits: bit_slots as u32,
+            free_elems: elems,
+            elem_pow,
             visited: 0,
             branched: 0,
             budget,
         })
     }
 
+    /// Back to the empty assignment with zero effort counters, as a
+    /// fresh search would start.
+    fn reset(&mut self) {
+        self.pop_to(0);
+        self.visited = 0;
+        self.branched = 0;
+    }
+
+    /// Counts one chunk from a reset search: `(count, visited,
+    /// branched)` over the models whose first `prefix_len` branch-order
+    /// slots spell `chunk` (mixed radix, first slot least significant).
+    fn count_chunk(
+        &mut self,
+        prefix_len: usize,
+        chunk: usize,
+    ) -> Result<(u128, u64, u64), CountError> {
+        self.reset();
+        let prog = self.prog;
+        let mut rest = chunk as u64;
+        for &slot in &prog.branch_order[..prefix_len] {
+            let d = prog.layout().domain(slot as usize) as u64;
+            self.assign_slot(slot as usize, (rest % d) as u8);
+            rest /= d;
+        }
+        let count = self.run(prefix_len)?;
+        Ok((count, self.visited, self.branched))
+    }
+
+    /// `Π domain(slot)` over the unassigned slots.
+    fn free_product(&self) -> u128 {
+        (1u128 << self.free_bits) * self.elem_pow[self.free_elems]
+    }
+
     fn assign_slot(&mut self, slot: usize, value: u8) {
         debug_assert_eq!(self.assign[slot], UNASSIGNED);
         self.assign[slot] = value;
-        self.free_product /= self.prog.layout().domain(slot) as u128;
+        if slot < self.bit_slots {
+            self.free_bits -= 1;
+        } else {
+            self.free_elems -= 1;
+        }
         self.trail.push(Trail::Slot(slot as u32));
     }
 
@@ -172,7 +229,11 @@ impl<'p> Search<'p> {
             match self.trail.pop().expect("trail underflow") {
                 Trail::Slot(s) => {
                     self.assign[s as usize] = UNASSIGNED;
-                    self.free_product *= self.prog.layout().domain(s as usize) as u128;
+                    if (s as usize) < self.bit_slots {
+                        self.free_bits += 1;
+                    } else {
+                        self.free_elems += 1;
+                    }
                 }
                 Trail::Node(id) => self.node_memo[id as usize] = Tri::Unknown,
                 Trail::Prop(id) => self.prop_memo[id as usize] = PropKnow::Unknown,
@@ -332,8 +393,23 @@ impl<'p> Search<'p> {
                 base_cond,
                 conditional,
                 total,
-                ..
-            } => self.eval_count(insts, *base_body, *base_cond, *conditional, *total),
+                bits,
+            } => {
+                let counts = match bits {
+                    Some(bits) => bits
+                        .partial_counts(&self.assign)
+                        .map(|(b, c)| (b as i128, c as i128)),
+                    None => self.eval_count(insts),
+                };
+                match counts {
+                    None => PropKnow::Unknown,
+                    Some((body, cond)) => match (*conditional, base_cond + cond) {
+                        (true, 0) => PropKnow::Undef,
+                        (true, cond) => PropKnow::Def((base_body + body, cond)),
+                        (false, _) => PropKnow::Def((base_body + body, *total)),
+                    },
+                }
+            }
         };
         if v != PropKnow::Unknown {
             self.prop_memo[id as usize] = v;
@@ -342,16 +418,11 @@ impl<'p> Search<'p> {
         v
     }
 
-    fn eval_count(
-        &mut self,
-        insts: &[CountInst],
-        base_body: i128,
-        base_cond: i128,
-        conditional: bool,
-        total: i128,
-    ) -> PropKnow {
-        let mut body_count = base_body;
-        let mut cond_count = base_cond;
+    /// `(body, condition)` counts over a count's instances, `None` while
+    /// some instance is undecided.
+    fn eval_count(&mut self, insts: &[CountInst]) -> Option<(i128, i128)> {
+        let mut body_count = 0;
+        let mut cond_count = 0;
         let mut unknown = false;
         for inst in insts {
             let cond = if inst.cond == NO_NODE {
@@ -374,14 +445,7 @@ impl<'p> Search<'p> {
                 Tri::Unknown => unknown = true,
             }
         }
-        if unknown {
-            return PropKnow::Unknown;
-        }
-        match (conditional, cond_count) {
-            (true, 0) => PropKnow::Undef,
-            (true, _) => PropKnow::Def((body_count, cond_count)),
-            (false, _) => PropKnow::Def((body_count, total)),
-        }
+        (!unknown).then_some((body_count, cond_count))
     }
 
     /// One pass of unit propagation: forces every resolvable, unassigned
@@ -414,7 +478,7 @@ impl<'p> Search<'p> {
         loop {
             match self.eval_node(self.prog.root) {
                 Tri::False => return Ok(0),
-                Tri::True => return Ok(self.free_product),
+                Tri::True => return Ok(self.free_product()),
                 Tri::Unknown => {}
             }
             if !self.propagate_units() {
@@ -495,31 +559,20 @@ pub fn count_models(prog: &Program, opts: &CountOptions) -> Result<CountOutcome,
     } else {
         (0, 1)
     };
-    let chunk_budget = (opts.max_visited / chunks.max(1)).max(1);
-    if chunks <= 1 {
-        let mut search = Search::new(prog, opts.max_visited)?;
-        let count = search.run(0)?;
-        return Ok(CountOutcome {
-            count,
-            visited: search.visited,
-            branched: search.branched,
-        });
-    }
-
-    let results = par::try_map(chunks as usize, opts.threads, |chunk| {
-        let mut search = Search::new(prog, chunk_budget)?;
-        // Decode the chunk index into prefix-slot values (mixed radix,
-        // first branch-order slot least significant).
-        let mut rest = chunk as u64;
-        for i in 0..prefix_len {
-            let slot = prog.branch_order[i] as usize;
-            let d = prog.layout().domain(slot) as u64;
-            search.assign_slot(slot, (rest % d) as u8);
-            rest /= d;
-        }
-        let count = search.run(prefix_len)?;
-        Ok((count, search.visited, search.branched))
-    })?;
+    let chunk_budget = match chunks {
+        1 => opts.max_visited,
+        _ => (opts.max_visited / chunks).max(1),
+    };
+    // Each worker builds one search and resets it per chunk it claims.
+    let results = par::try_map_with(
+        chunks as usize,
+        opts.threads,
+        || Search::new(prog, chunk_budget),
+        |search, chunk| {
+            let search = search.as_mut().map_err(|e| *e)?;
+            search.count_chunk(prefix_len, chunk)
+        },
+    )?;
 
     let mut outcome = CountOutcome {
         count: 0,
@@ -556,11 +609,12 @@ pub fn count_formula_models(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::CProp;
     use crate::enumerate;
     use crate::eval::Evaluator;
     use rw_logic::ast::Formula;
     use rw_logic::{KnowledgeBase, Tolerances};
-    use rw_util::Rat;
+    use rw_util::{Rat, Rng};
 
     fn tol() -> Tolerances {
         Tolerances::uniform(Rat::new(1, 4))
@@ -672,6 +726,104 @@ mod tests {
             )
             .unwrap_err();
             assert_eq!(err, CountError::BudgetExhausted, "{threads} threads");
+        }
+    }
+
+    /// Every count prop of `prog` that has a bit table.
+    fn bit_counts(prog: &Program) -> Vec<(&[CountInst], &crate::compile::BitCount)> {
+        prog.props
+            .iter()
+            .filter_map(|p| match p {
+                CProp::Count {
+                    insts,
+                    bits: Some(bits),
+                    ..
+                } => Some((insts.as_slice(), bits)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn three_valued_bit_tables_read_what_the_instance_walk_does() {
+        let kb = KnowledgeBase::parse(
+            "||!Likes(x, y) | Knows(x, y)||_{x,y} ~=_1 0.25; ||P(x)||_x ~=_1 0.5; \
+             ||!P(x) | !Q(x)||_x ~=_1 0.5",
+        )
+        .unwrap();
+        let prog = Program::compile(kb.vocab(), 3, &tol(), &kb.as_formula()).unwrap();
+        let tables = bit_counts(&prog);
+        assert_eq!(tables.len(), 3, "every count here reads static bits");
+        let bits = prog.layout().bit_slot_count();
+        let mut rng = rw_util::StdRng::seed_from_u64(27);
+        let mut search = Search::new(&prog, u64::MAX).unwrap();
+        let (mut decided, mut undecided) = (0, 0);
+        for _ in 0..2000 {
+            search.reset();
+            // Each bit unassigned with probability 1/8, else 0 or 1.
+            for slot in 0..bits {
+                match rng.next_u64() % 16 {
+                    0 | 1 => {}
+                    v => search.assign_slot(slot, (v & 1) as u8),
+                }
+            }
+            for &(insts, table) in &tables {
+                let read = table
+                    .partial_counts(&search.assign)
+                    .map(|(b, c)| (b as i128, c as i128));
+                assert_eq!(read, search.eval_count(insts));
+                match read {
+                    Some(_) => decided += 1,
+                    None => undecided += 1,
+                }
+            }
+        }
+        assert!(decided > 100 && undecided > 100, "{decided} / {undecided}");
+    }
+
+    #[test]
+    fn a_budget_spent_in_a_later_chunk_of_a_reused_search_is_thread_invariant() {
+        let kb = KnowledgeBase::parse("||Likes(x, y)||_{x,y} ~=_1 0.25; Likes(A, B)").unwrap();
+        let prog = Program::compile(kb.vocab(), 3, &tol(), &kb.as_formula()).unwrap();
+        let (prefix_len, chunks) = chunk_prefix(&prog);
+        assert!(chunks > 1 && prog.support_assignments() >= 4096);
+        // Every chunk on a search of its own.
+        let fresh: Vec<(u128, u64, u64)> = (0..chunks as usize)
+            .map(|c| {
+                let mut search = Search::new(&prog, u64::MAX).unwrap();
+                search.count_chunk(prefix_len, c).unwrap()
+            })
+            .collect();
+        let widest = fresh.iter().map(|r| r.1).max().unwrap();
+        let first_over = fresh.iter().position(|r| r.1 == widest).unwrap();
+        assert!(
+            first_over > 0 && fresh[0].1 < widest,
+            "the budget must run out after a chunk that fits"
+        );
+        let with_share = |share: u64, threads: usize| {
+            count_models(
+                &prog,
+                &CountOptions {
+                    max_visited: share * chunks,
+                    threads,
+                },
+            )
+        };
+        let totals = fresh
+            .iter()
+            .fold((0, 0, 0), |t, r| (t.0 + r.0, t.1 + r.1, t.2 + r.2));
+        for threads in [1usize, 2, 3] {
+            assert_eq!(
+                with_share(widest - 1, threads),
+                Err(CountError::BudgetExhausted),
+                "{threads} threads"
+            );
+            let out = with_share(widest, threads).unwrap();
+            assert_eq!(
+                (out.count, out.visited, out.branched),
+                totals,
+                "{threads} threads"
+            );
         }
     }
 

@@ -64,6 +64,8 @@ pub const MAX_TRACKED_UNARY: usize = 6;
 pub const MAX_NAMED_ATOMS: usize = 16;
 /// Cap on constants (the coincidence partitions grow as the Bell number).
 pub const MAX_CONSTANTS: usize = 8;
+/// Atom cells at the tracked-predicate cap.
+const MAX_CELLS: usize = 1 << MAX_TRACKED_UNARY;
 
 /// An exact world count `coeff · 2^exp2`, kept normalized with an odd
 /// coefficient (or zero). Symmetry-reduced counts routinely exceed
@@ -451,18 +453,20 @@ impl SymmetrySpec {
         let cells = self.cells();
         let mut sum = ScaledCount::ZERO;
         let mut reps = 0u64;
-        let mut occ = vec![0u64; cells];
-        let mut counts = vec![0u64; cells];
+        let mut occ_buf = [0u64; MAX_CELLS];
+        let mut counts_buf = [0u64; MAX_CELLS];
+        let (occ, counts) = (&mut occ_buf[..cells], &mut counts_buf[..cells]);
         for part in partitions {
             let b = part.blocks;
-            let mut assign = vec![0usize; b];
+            let mut assign_buf = [0usize; MAX_CONSTANTS];
+            let assign = &mut assign_buf[..b];
             loop {
                 reps += 1;
                 if reps > budget {
                     return Err(CountError::BudgetExhausted);
                 }
-                occ.iter_mut().for_each(|o| *o = 0);
-                for &a in &assign {
+                occ.fill(0);
+                for &a in assign.iter() {
                     occ[a] += 1;
                 }
                 if occ[0] <= c0 as u64 {
@@ -470,18 +474,10 @@ impl SymmetrySpec {
                     if reps > budget {
                         return Err(CountError::BudgetExhausted);
                     }
-                    let mut sat: u128 = 0;
-                    'sigma: for sigma in 0u64..(1u64 << part.named_bits) {
-                        for g in &self.ground {
-                            if !eval_ground(g, part, &assign, sigma) {
-                                continue 'sigma;
-                            }
-                        }
-                        sat += 1;
-                    }
+                    let sat = self.sigma_sweep(part, assign);
                     if sat > 0 {
                         let profiles =
-                            self.profile_sum(n, c0, &occ, &mut counts, taus, &mut reps, budget)?;
+                            self.profile_sum(n, c0, occ, counts, taus, &mut reps, budget)?;
                         if profiles > 0 {
                             let coeff = sat.checked_mul(profiles).ok_or(CountError::Overflow)?;
                             sum.accumulate(coeff, part.exp2)?;
@@ -511,6 +507,31 @@ impl SymmetrySpec {
             }
         }
         Ok((sum, reps))
+    }
+
+    /// The number of named-bit assignments σ that satisfy every ground
+    /// conjunct under one block → cell assignment, counted 64 σ at a
+    /// time: bit `i` of word `w` stands for `σ = 64·w + i`, and each
+    /// conjunct is evaluated word-wise ([`ground_word`]).
+    fn sigma_sweep(&self, part: &Partition, assign: &[usize]) -> u128 {
+        let nb = part.named_bits;
+        let (words, valid) = if nb >= SIGMA_WORD_LOG {
+            (1usize << (nb - SIGMA_WORD_LOG), u64::MAX)
+        } else {
+            (1, (1u64 << (1 << nb)) - 1)
+        };
+        let mut sat = 0u128;
+        for w in 0..words {
+            let mut word = valid;
+            for g in &self.ground {
+                word &= ground_word(g, part, assign, w);
+                if word == 0 {
+                    break;
+                }
+            }
+            sat += u128::from(word.count_ones());
+        }
+        sat
     }
 
     /// Sums `multinomial(n; c⃗) · Π (c_i)_(occ_i)` over the profiles with
@@ -630,6 +651,70 @@ impl SymmetrySpec {
     }
 }
 
+/// `log2` of the σ values one truth-table word holds.
+const SIGMA_WORD_LOG: usize = 6;
+
+/// `SIGMA_PATTERNS[j]` has bit `i` set exactly when bit `j` of `i` is:
+/// the truth table of named bit `j < 6` within any one word.
+const SIGMA_PATTERNS: [u64; SIGMA_WORD_LOG] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// A truth value as a whole word.
+fn splat(b: bool) -> u64 {
+    if b {
+        u64::MAX
+    } else {
+        0
+    }
+}
+
+/// The truth table of `g` over σ values `64·w .. 64·w + 63` under one
+/// block → cell assignment. Named bits below 6 are fixed patterns within
+/// a word; higher ones are constant across it, set by the word index.
+/// Bits past the last valid σ are garbage; the caller masks them.
+fn ground_word(g: &Ground, part: &Partition, assign: &[usize], w: usize) -> u64 {
+    match g {
+        Ground::Bool(b) => splat(*b),
+        Ground::Unary { pred, konst } => splat((assign[part.block_of[*konst]] >> pred) & 1 == 1),
+        Ground::Wide { atom } => match part.atom_bit[*atom] {
+            j if j < SIGMA_WORD_LOG => SIGMA_PATTERNS[j],
+            j => splat((w >> (j - SIGMA_WORD_LOG)) & 1 == 1),
+        },
+        Ground::ConstEq(a, b) => splat(part.block_of[*a] == part.block_of[*b]),
+        Ground::Not(g) => !ground_word(g, part, assign, w),
+        Ground::And(gs) => {
+            let mut out = u64::MAX;
+            for g in gs {
+                out &= ground_word(g, part, assign, w);
+                if out == 0 {
+                    break;
+                }
+            }
+            out
+        }
+        Ground::Or(gs) => {
+            let mut out = 0;
+            for g in gs {
+                out |= ground_word(g, part, assign, w);
+                if out == u64::MAX {
+                    break;
+                }
+            }
+            out
+        }
+        Ground::Implies(a, b) => !ground_word(a, part, assign, w) | ground_word(b, part, assign, w),
+        Ground::Iff(a, b) => !(ground_word(a, part, assign, w) ^ ground_word(b, part, assign, w)),
+    }
+}
+
+/// The scalar σ sweep the word-wise one replaces: the test oracle.
+#[cfg(test)]
 fn eval_ground(g: &Ground, part: &Partition, assign: &[usize], sigma: u64) -> bool {
     match g {
         Ground::Bool(b) => *b,
@@ -679,11 +764,43 @@ fn masked_sum(counts: &[u64], mask: u64) -> u64 {
     sum
 }
 
-/// `C(n, k)` exactly (the running product is divisible at every step).
+/// Rows of [`PASCAL`]: the largest domain size the exact stage scans
+/// (`rw_core::solvers::MAX_SCAN_N`). `C(64, 32) < 2^64`, so every entry
+/// fits a `u64`.
+const PASCAL_ROWS: usize = 64;
+
+/// `PASCAL[n][k] = C(n, k)` for `n ≤ PASCAL_ROWS` (zero for `k > n`).
+static PASCAL: [[u64; PASCAL_ROWS + 1]; PASCAL_ROWS + 1] = {
+    let mut t = [[0u64; PASCAL_ROWS + 1]; PASCAL_ROWS + 1];
+    let mut n = 0;
+    while n <= PASCAL_ROWS {
+        t[n][0] = 1;
+        let mut k = 1;
+        while k <= n {
+            t[n][k] = t[n - 1][k - 1] + t[n - 1][k];
+            k += 1;
+        }
+        n += 1;
+    }
+    t
+};
+
+/// `C(n, k)` exactly, `None` on overflow: read from [`PASCAL`] up to its
+/// last row (where the running product never overflows either), above
+/// it by [`binomial_product`].
 fn binomial(n: u64, k: u64) -> Option<u128> {
     if k > n {
         return Some(0);
     }
+    match PASCAL.get(n as usize) {
+        Some(row) => Some(u128::from(row[k as usize])),
+        None => binomial_product(n, k),
+    }
+}
+
+/// `C(n, k)` for `k ≤ n` by the running product, which is divisible at
+/// every step; `None` when an intermediate product overflows.
+fn binomial_product(n: u64, k: u64) -> Option<u128> {
     let k = k.min(n - k);
     let mut r: u128 = 1;
     for i in 1..=k {
@@ -1046,6 +1163,65 @@ mod tests {
             let out = spec.count(n, &tol(), &CountOptions::default()).unwrap();
             assert!(!out.count.is_zero(), "count vanished at N={n}");
             assert!(out.reps < crate::count::DEFAULT_MAX_VISITED);
+        }
+    }
+
+    #[test]
+    fn the_binomial_table_equals_the_running_product() {
+        for n in 0..=PASCAL_ROWS as u64 {
+            for k in 0..=n {
+                assert_eq!(binomial(n, k), binomial_product(n, k), "C({n}, {k})");
+            }
+            assert_eq!(binomial(n, n + 1), Some(0));
+        }
+        // Past the table the running product still decides, overflow
+        // included.
+        assert_eq!(binomial(65, 2), Some(2080));
+        assert_eq!(binomial(200, 100), None);
+    }
+
+    #[test]
+    fn the_word_wise_sigma_sweep_counts_what_the_scalar_one_does() {
+        for (src, n, most_bits) in [
+            ("Likes(A, B); !Likes(B, B)", 3, 2),
+            ("Likes(A, B) or Knows(B, A); A = B => P(A)", 3, 2),
+            // Nine named bits with distinct constants: eight words per
+            // sweep, fewer as constants coincide.
+            (
+                "(Likes(A, B) or Likes(B, C)) & !Likes(C, A); \
+                 Likes(A, A) <=> (P(B) or Likes(B, B)); Likes(C, C) => Likes(B, A); \
+                 Likes(A, C) or !Likes(C, B) or B = C",
+                3,
+                9,
+            ),
+        ] {
+            let kb = KnowledgeBase::parse(src).unwrap();
+            let spec = SymmetrySpec::detect(kb.vocab(), &kb.as_formula()).unwrap();
+            let cells = spec.cells();
+            let mut widest = 0;
+            for part in spec.partitions(n).unwrap() {
+                widest = widest.max(part.named_bits);
+                // Every block → cell assignment, decoded from `code`.
+                for code in 0..cells.pow(part.blocks as u32) {
+                    let assign: Vec<usize> = (0..part.blocks)
+                        .map(|i| code / cells.pow(i as u32) % cells)
+                        .collect();
+                    let scalar = (0u64..1 << part.named_bits)
+                        .filter(|&sigma| {
+                            spec.ground
+                                .iter()
+                                .all(|g| eval_ground(g, &part, &assign, sigma))
+                        })
+                        .count();
+                    assert_eq!(
+                        spec.sigma_sweep(&part, &assign),
+                        scalar as u128,
+                        "`{src}`, blocks {:?}, cells {assign:?}",
+                        part.block_of
+                    );
+                }
+            }
+            assert_eq!(widest, most_bits, "`{src}`");
         }
     }
 

@@ -12,7 +12,8 @@
 //!
 //! Domain sizes stay small enough for the naive oracle: `N ≤ 6` on
 //! unary shapes, `N ≤ 3` once a binary predicate multiplies the world
-//! space by `2^(N²)`.
+//! space by `2^(N²)`. One arm names seven to nine binary atoms on three
+//! constants, so the orbit counter's σ sweep runs over several words.
 
 mod common;
 
@@ -57,6 +58,20 @@ fn cases() -> impl Strategy<Value = (String, String, usize)> {
         (0usize..ks3.len(), 2usize..4).prop_map(move |(i, n)| (
             format!("||P(x)||_x ~=_1 0.{}; Likes(A, B); P(A)", ks3[i]),
             "Likes(B, A) => P(B)".to_string(),
+            n
+        )),
+        // Three constants and seven to nine named atoms: the σ sweep
+        // spans two to eight 64-bit words.
+        (0usize..3, 2usize..4).prop_map(|(extra, n)| (
+            "Likes(A, B) or Likes(B, C); Likes(C, A) => !Likes(A, A); \
+             Likes(B, B) <=> (P(C) or Likes(C, C))"
+                .to_string(),
+            [
+                "Likes(B, A)",
+                "Likes(B, A) or !Likes(A, C)",
+                "Likes(B, A) or !Likes(A, C) or Likes(C, B)"
+            ][extra]
+                .to_string(),
             n
         )),
     ]
