@@ -399,33 +399,14 @@ pub fn classify(kb: &KnowledgeBase) -> Classified {
     // satisfies (`∀x ¬P(x)` and `P(K)`) leave the KB without models.
     if !cls.void && !cls.universals.is_empty() {
         if let Some(tax) = &cls.taxonomy {
-            let forbidden = vocab.consts().any(|c| !facts_fit(&cls, tax, c, vocab));
+            let forbidden = vocab
+                .consts()
+                .any(|c| !tax.satisfiable(&const_atom_set(&cls, c, vocab)));
             cls.void = forbidden;
             cls.voids_ground_facts |= forbidden;
         }
     }
     cls
-}
-
-/// `tax.satisfiable(&const_atom_set(cls, c, vocab))`, without building
-/// atom sets when every unary fact about `c` is a literal: those facts
-/// only require or forbid predicate bits (atom bit `i` is predicate `i`;
-/// a taxonomy has at most 16 predicates).
-fn facts_fit(cls: &Classified, tax: &Taxonomy, c: ConstId, vocab: &Vocabulary) -> bool {
-    let (mut on, mut off) = (0usize, 0usize);
-    for &i in cls.mentioning(Sym::Const(c)) {
-        if cls.const_count(i) != 1 {
-            continue;
-        }
-        match analysis::as_ground_literal(cls.part(i)) {
-            // A non-unary fact constrains no atom.
-            Some((_, args, _)) if args.len() != 1 => {}
-            Some((p, _, true)) => on |= 1 << p.index(),
-            Some((p, _, false)) => off |= 1 << p.index(),
-            None => return tax.satisfiable(&const_atom_set(cls, c, vocab)),
-        }
-    }
-    tax.allowed.iter().any(|a| a & on == on && a & off == 0)
 }
 
 /// Deepest quantifier nesting [`fails_on_every_large_domain`] evaluates:

@@ -31,11 +31,38 @@ impl AtomSet {
     }
 
     pub fn full(len: usize) -> AtomSet {
-        let mut s = AtomSet::empty(len);
-        for a in 0..len {
-            s.insert(a);
+        AtomSet::from_words(len, |_| !0)
+    }
+
+    /// The set whose `w`-th word is `word(w)`, with the bits past `len`
+    /// cleared.
+    fn from_words(len: usize, word: impl Fn(usize) -> u64) -> AtomSet {
+        let mut words: Vec<u64> = (0..len.div_ceil(64)).map(word).collect();
+        if !len.is_multiple_of(64) {
+            if let Some(last) = words.last_mut() {
+                *last &= (1 << (len % 64)) - 1;
+            }
         }
-        s
+        AtomSet { len, words }
+    }
+
+    /// The atoms that satisfy the predicate with index `pred_index`:
+    /// bit `p < 6` of an atom is bit `p` of its position in its word,
+    /// higher bits select whole words.
+    fn satisfying(len: usize, pred_index: usize) -> AtomSet {
+        const PATTERNS: [u64; 6] = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+            0xFF00_FF00_FF00_FF00,
+            0xFFFF_0000_FFFF_0000,
+            0xFFFF_FFFF_0000_0000,
+        ];
+        AtomSet::from_words(len, |w| match pred_index {
+            p if p < 6 => PATTERNS[p],
+            p if (w >> (p - 6)) & 1 == 1 => !0,
+            _ => 0,
+        })
     }
 
     // `is_empty_set` below tests set membership; `len` is the universe
@@ -58,13 +85,7 @@ impl AtomSet {
     }
 
     pub fn complement(&self) -> AtomSet {
-        let mut out = AtomSet::empty(self.len);
-        for a in 0..self.len {
-            if !self.contains(a) {
-                out.insert(a);
-            }
-        }
-        out
+        AtomSet::from_words(self.len, |w| !self.words[w])
     }
 
     pub fn intersect(&self, other: &AtomSet) -> AtomSet {
@@ -145,13 +166,7 @@ pub fn compile_atom_set(f: &Formula, v: VarId, vocab: &Vocabulary) -> Option<Ato
             if args.len() != 1 || args[0] != Term::Var(v) {
                 return None;
             }
-            let mut s = AtomSet::empty(len);
-            for a in 0..len {
-                if atom_satisfies(a, p.index()) {
-                    s.insert(a);
-                }
-            }
-            Some(s)
+            Some(AtomSet::satisfying(len, p.index()))
         }
         Formula::Not(g) => Some(compile_atom_set(g, v, vocab)?.complement()),
         Formula::And(parts) => parts.iter().try_fold(AtomSet::full(len), |acc, g| {
@@ -196,6 +211,24 @@ pub fn compile_atom_set_const(
 mod tests {
     use super::*;
     use rw_logic::parse_formula;
+
+    #[test]
+    fn word_wise_sets_match_the_atom_by_atom_definitions() {
+        for len in [1usize, 2, 8, 64, 70, 128, 256, 1024] {
+            let full = AtomSet::full(len);
+            assert_eq!(full.count(), len);
+            for p in 0..len.trailing_zeros() as usize + 2 {
+                let s = AtomSet::satisfying(len, p);
+                for a in 0..len {
+                    assert_eq!(s.contains(a), atom_satisfies(a, p), "len {len} p {p} a {a}");
+                }
+                let c = s.complement();
+                assert_eq!(s.count() + c.count(), len);
+                assert!(s.is_disjoint(&c));
+                assert_eq!(s.union(&c), full);
+            }
+        }
+    }
 
     #[test]
     fn atom_set_operations() {

@@ -156,14 +156,15 @@ impl<'p> Search<'p> {
             // beyond countable anyway.
             return Err(CountError::Overflow);
         }
-        // Every free product divides the total, so once the total fits
-        // `u128` no power or product below overflows.
+        // The total is `2^bit_slots · N^elems`; once it fits `u128`, so
+        // does every `N^k` with `k ≤ elems` and every free product.
         layout.total_assignments().ok_or(CountError::Overflow)?;
         let bit_slots = layout.bit_slot_count();
         let elems = layout.slot_count() - bit_slots;
-        let elem_pow = std::iter::successors(Some(1u128), |p| Some(p * layout.n() as u128))
-            .take(elems + 1)
-            .collect();
+        let mut elem_pow = vec![1u128; elems + 1];
+        for k in 1..=elems {
+            elem_pow[k] = elem_pow[k - 1] * layout.n() as u128;
+        }
         Ok(Search {
             prog,
             assign: vec![UNASSIGNED; layout.slot_count()],
@@ -709,6 +710,22 @@ mod tests {
         let out = counted(&kb, &f, 4);
         assert_eq!(out.count, 0);
         assert!(out.visited < 128, "visited {}", out.visited);
+    }
+
+    #[test]
+    fn predicate_free_totals_near_the_u128_limit_count() {
+        // 21 constants at N = 64: no bit slots, a total of 64^21 = 2^126,
+        // so the element-power table must stop at exactly N^21.
+        let mut kb = KnowledgeBase::parse("C1 = C2").unwrap();
+        let rest: Vec<String> = (3..=21).map(|i| format!("C{i} = C{i}")).collect();
+        kb.parse_query(&rest.join(" & ")).unwrap();
+        let f = kb.as_formula();
+        let n = 64usize;
+        let prog = Program::compile(kb.vocab(), n, &tol(), &f).unwrap();
+        assert_eq!(prog.layout().bit_slot_count(), 0);
+        assert_eq!(prog.layout().total_assignments(), Some(1u128 << 126));
+        let out = counted(&kb, &f, n);
+        assert_eq!(out.count, 1u128 << 120);
     }
 
     #[test]
