@@ -23,46 +23,58 @@
 //!
 //! A second table times the sampler's per-draw kernel on the
 //! `||Hep(x) | Jaun(x)||_x ≈ 0.8; Jaun(Eric); Jaun(Tom)` shape at the
-//! served diagonal's domain sizes: the proposal (one world drawn into a
-//! slot vector) and the acceptance check (the compiled KB on each drawn
-//! world, the query on the accepted ones) separately, in ns per draw.
-//! The acceptance check is timed twice: over the whole KB, and over the
-//! KB minus the ground literals the proposal forces
+//! served diagonal's domain sizes, in ns per draw: the proposal (one
+//! world drawn into a [`PackedWorld`]) and the acceptance check (the
+//! compiled KB on each drawn world, the query on the accepted ones)
+//! separately. The acceptance check is timed twice: over the whole KB,
+//! and over the KB minus the ground literals the proposal forces
 //! ([`SamplePlan::acceptance`], what the sampler runs) — the same
-//! decisions, fewer atoms read per draw.
+//! decisions, fewer atoms read per draw. The table's last three columns
+//! time the draw reservoir through the public sweep API on one
+//! [`SWEEP_DRAWS`]-draw sweep point, per accepted draw: what recording
+//! adds to a fresh sweep (`estimate_sweep_stored` into an empty
+//! reservoir against `estimate_sweep`), that addition as a share of the
+//! fresh sweep, and what a replay of the recorded point costs.
 
 use rw_core::solvers::{MaxEntSolver, MonteCarloSolver, TheoremSolver};
 use rw_core::{Belief, Budget, Provenance, Solver, SolverOutcome};
 use rw_logic::{KnowledgeBase, Tolerances};
 use rw_util::{Rat, StdRng};
-use rw_worlds::mc::SamplePlan;
-use rw_worlds::Program;
+use rw_worlds::mc::{estimate_sweep, estimate_sweep_stored, McConfig, Reservoir, SamplePlan};
+use rw_worlds::{PackedWorld, Program};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Draws per timed repetition of the kernel table.
 const KERNEL_DRAWS: usize = 200_000;
 
+/// Draws per sweep point in the reservoir columns: the whole sample cap
+/// of a served `unary-limits` sweep.
+const SWEEP_DRAWS: u64 = 16_384;
+
+/// The kernel table's knowledge base and query.
+const KERNEL_KB: &str = "||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)";
+const KERNEL_QUERY: &str = "Hep(Eric) & Hep(Tom)";
+
 /// Best-of-5 ns per draw for the proposal and for the acceptance check
 /// (whole KB, then trimmed) at domain size `n` under tolerance `tau`.
 fn kernel_ns(n: usize, tau: Rat) -> (f64, f64, f64) {
-    let mut kb =
-        KnowledgeBase::parse("||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)").unwrap();
-    let q = kb.parse_query("Hep(Eric) & Hep(Tom)").unwrap();
+    let mut kb = KnowledgeBase::parse(KERNEL_KB).unwrap();
+    let q = kb.parse_query(KERNEL_QUERY).unwrap();
     let tol = Tolerances::uniform(tau);
     let kb_program = Program::compile(kb.vocab(), n, &tol, &kb.as_formula()).unwrap();
     let trimmed = Program::compile(kb.vocab(), n, &tol, &SamplePlan::acceptance(&kb)).unwrap();
     let q_program = Program::compile(kb.vocab(), n, &tol, &q).unwrap();
     let proposal = SamplePlan::build(&kb).proposal(kb_program.layout());
-    let mut slots = vec![0; kb_program.layout().slot_count()];
+    let mut world = PackedWorld::new(kb_program.layout());
     let mut forced = Vec::new();
     // The acceptance check runs over a fixed set of drawn worlds, so it
     // is timed without the proposal's cost.
     let mut rng = StdRng::seed_from_u64(2);
-    let worlds: Vec<Vec<usize>> = (0..1024)
+    let worlds: Vec<PackedWorld> = (0..1024)
         .map(|_| {
-            while proposal.draw(&mut slots, &mut forced, &mut rng).is_none() {}
-            slots.clone()
+            while proposal.draw(&mut world, &mut forced, &mut rng).is_none() {}
+            world.clone()
         })
         .collect();
     let (mut propose, mut accept, mut accept_trimmed) = (f64::MAX, f64::MAX, f64::MAX);
@@ -84,7 +96,7 @@ fn kernel_ns(n: usize, tau: Rat) -> (f64, f64, f64) {
         let mut total = 0.0;
         for _ in 0..KERNEL_DRAWS {
             total += proposal
-                .draw(&mut slots, &mut forced, &mut rng)
+                .draw(&mut world, &mut forced, &mut rng)
                 .unwrap_or(0.0);
         }
         black_box(total);
@@ -93,6 +105,46 @@ fn kernel_ns(n: usize, tau: Rat) -> (f64, f64, f64) {
         accept_trimmed = accept_trimmed.min(time_accept(&trimmed));
     }
     (propose, accept, accept_trimmed)
+}
+
+/// Best-of-5 ns per accepted draw at domain size `n` under tolerance
+/// `tau`, on one [`SWEEP_DRAWS`]-draw sweep point: what recording adds
+/// to a fresh sweep, that addition in percent of the fresh sweep, and a
+/// replay of the recorded point.
+fn reservoir_ns(n: usize, tau: Rat) -> (f64, f64, f64) {
+    let mut kb = KnowledgeBase::parse(KERNEL_KB).unwrap();
+    let q = kb.parse_query(KERNEL_QUERY).unwrap();
+    let points = [(tau, n)];
+    let cfg = McConfig {
+        max_samples: SWEEP_DRAWS,
+        target_ci: 0.0, // no early stop: every draw is made
+        ..McConfig::default()
+    };
+    let (mut plain, mut record, mut replay) = (f64::MAX, f64::MAX, f64::MAX);
+    let mut accepted = 0;
+    for _ in 0..5 {
+        let t = Instant::now();
+        let fresh = black_box(estimate_sweep(&kb, &q, &points, &cfg));
+        plain = plain.min(t.elapsed().as_nanos() as f64);
+        let reservoir = Reservoir::with_budget(usize::MAX);
+        let store = reservoir.scope(());
+        let t = Instant::now();
+        let recorded = black_box(estimate_sweep_stored(&kb, &q, &points, &cfg, Some(&store)));
+        record = record.min(t.elapsed().as_nanos() as f64);
+        let t = Instant::now();
+        let replayed = black_box(estimate_sweep_stored(&kb, &q, &points, &cfg, Some(&store)));
+        replay = replay.min(t.elapsed().as_nanos() as f64);
+        assert_eq!(reservoir.hits(), 1, "the second sweep replays the first");
+        assert_eq!(recorded, fresh);
+        assert_eq!(replayed, fresh);
+        accepted = fresh.accepted;
+    }
+    let per_draw = accepted.max(1) as f64;
+    (
+        (record - plain) / per_draw,
+        100.0 * (record - plain) / plain,
+        replay / per_draw,
+    )
 }
 
 fn kb() -> KnowledgeBase {
@@ -175,8 +227,15 @@ fn main() {
     assert!(all_compatible, "a sampler estimate left its own interval");
 
     println!(
-        "\nper-draw kernel on ||Hep(x) | Jaun(x)||_x ~=_1 0.8; Jaun(Eric); Jaun(Tom)\n\n{:>4} {:>6} {:>16} {:>18} {:>18}",
-        "N", "tau", "proposal ns", "accept (KB) ns", "accept (trim) ns"
+        "\nper-draw kernel on {KERNEL_KB}\n\n{:>4} {:>6} {:>16} {:>18} {:>18} {:>18} {:>10} {:>18}",
+        "N",
+        "tau",
+        "proposal ns",
+        "accept (KB) ns",
+        "accept (trim) ns",
+        "record ns/acc",
+        "record %",
+        "replay ns/acc"
     );
     for (n, tau) in [
         (8, Rat::new(1, 4)),
@@ -184,8 +243,9 @@ fn main() {
         (32, Rat::new(1, 16)),
     ] {
         let (propose, accept, trimmed) = kernel_ns(n, tau);
+        let (record, record_pct, replay) = reservoir_ns(n, tau);
         println!(
-            "{n:>4} {:>6} {propose:>16.1} {accept:>18.1} {trimmed:>18.1}",
+            "{n:>4} {:>6} {propose:>16.1} {accept:>18.1} {trimmed:>18.1} {record:>18.1} {record_pct:>9.1}% {replay:>18.1}",
             tau.to_string()
         );
     }

@@ -372,8 +372,8 @@ impl DenomCache {
 }
 
 /// The byte budget of a [`DrawCache`] (768 KiB): about ten Monte-Carlo
-/// KB copies of the unary-limits shape at the served diagonal, ~77 KB
-/// each once packed (16,384 draws over `N` = 8, 16, 32).
+/// KB copies of the unary-limits shape at the served diagonal, 73–79 KB
+/// each as recorded (16,384 draws over `N` = 8, 16, 32).
 pub const DRAW_CACHE_BYTES: usize = 3 << 18;
 
 /// What pins a sweep's stored draws besides the sweep point `(τ, N)`:

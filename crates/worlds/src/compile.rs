@@ -18,13 +18,17 @@
 //! (slots feeding term evaluation first, then directly-referenced bits,
 //! then bits only reachable through dynamic atoms).
 //!
-//! The same program also runs two-valued under a *full* assignment
-//! ([`Program::holds`]): that is the Monte-Carlo acceptance check in
-//! [`crate::mc`], run once per draw. Proportions stay integer counts; a
-//! proportion whose every instance reads a static bit (or its negation)
-//! is also compiled to slot tables, summed without a branch on any bit
-//! there and read three-valued by branch-and-count. Each comparison's tolerance is resolved here, once, and decided
-//! by cross-multiplication on the unreduced counts.
+//! The same program also runs two-valued under a *full* assignment,
+//! packed as a [`PackedWorld`] (predicate bits 64 to a `u64` word,
+//! element slots beside them): [`Program::holds`] is the Monte-Carlo
+//! acceptance check in [`crate::mc`], run once per draw. Proportions
+//! stay integer counts. A proportion whose every instance reads a static
+//! bit (or its negation) is also compiled to slot tables: summed without
+//! a branch on any bit, and read three-valued by branch-and-count. When
+//! those bits run over consecutive slots with one negation, a full
+//! assignment counts them by popcount, 64 instances a word. Each
+//! comparison's tolerance is resolved here, once, and decided by
+//! cross-multiplication on the unreduced counts.
 //!
 //! Semantics are mirrored from [`crate::eval::Evaluator`] exactly —
 //! including the measure-zero convention (comparisons touching an
@@ -153,26 +157,30 @@ impl SlotLayout {
         self.const_base + c
     }
 
-    /// The full slot assignment that encodes `world`: `0`/`1` per
-    /// predicate bit, the element per function entry and constant. The
+    /// The full slot assignment that encodes `world`: its bit per
+    /// predicate tuple, its element per function entry and constant. The
     /// world must interpret the layout's vocabulary at its domain size.
-    pub fn encode(&self, world: &World) -> Vec<usize> {
+    pub fn encode(&self, world: &World) -> PackedWorld {
         assert_eq!(world.domain_size(), self.n, "world and layout sizes differ");
-        let mut slots = Vec::with_capacity(self.slot_count);
+        let mut packed = PackedWorld::new(self);
+        let mut elems = Vec::with_capacity(packed.elems.len());
         for p in 0..self.pred_base.len() {
             let rel = world.rel(PredId(p as u32));
-            slots.extend((0..rel.size()).map(|i| rel.get_raw(i) as usize));
+            for i in 0..rel.size() {
+                packed.set(self.pred_slot(p, i), rel.get_raw(i) as usize);
+            }
         }
         for f in 0..self.func_base.len() {
-            slots.extend_from_slice(world.func_table(f));
+            elems.extend_from_slice(world.func_table(f));
         }
-        slots.extend((0..world.const_count()).map(|c| world.const_denotation(c)));
+        elems.extend((0..world.const_count()).map(|c| world.const_denotation(c)));
         assert_eq!(
-            slots.len(),
-            self.slot_count,
+            elems.len(),
+            packed.elems.len(),
             "world and layout vocabularies differ"
         );
-        slots
+        packed.elems = elems;
+        packed
     }
 
     /// `Π domain(slot)` over every slot — the interpretation count —
@@ -184,6 +192,87 @@ impl SlotLayout {
         }
         Some(total)
     }
+}
+
+/// A full slot assignment of a [`SlotLayout`], packed: predicate bit
+/// slot `s` is bit `s % 64` of word `s / 64`, and the element slots
+/// (function entries, then constants) sit beside the bit words, one
+/// value each. The Monte-Carlo kernel draws into it
+/// ([`crate::mc::Proposal::draw`]), checks it ([`Program::holds`]) and
+/// records and replays its words as they are ([`crate::mc::reservoir`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PackedWorld {
+    /// The predicate bits, then one zero word, so a 64-bit window from
+    /// any bit slot reads its second word in bounds. Bits past the last
+    /// bit slot stay zero.
+    pub(crate) words: Vec<u64>,
+    /// Element slot `bit_slots + i` at index `i`.
+    pub(crate) elems: Vec<usize>,
+    /// The layout's bit slot count.
+    pub(crate) bit_slots: usize,
+}
+
+impl PackedWorld {
+    /// The assignment of `layout` with every slot 0.
+    pub fn new(layout: &SlotLayout) -> PackedWorld {
+        let bit_slots = layout.bit_slot_count();
+        PackedWorld {
+            words: vec![0; bit_slots.div_ceil(64) + 1],
+            elems: vec![0; layout.slot_count - bit_slots],
+            bit_slots,
+        }
+    }
+
+    /// The value of `slot`: `0`/`1` for a predicate bit, the element for
+    /// a function entry or constant.
+    #[cfg(test)]
+    pub(crate) fn get(&self, slot: usize) -> usize {
+        if slot < self.bit_slots {
+            self.bit(slot) as usize
+        } else {
+            self.elem(slot)
+        }
+    }
+
+    /// Sets `slot` to `value`, which is `0` or `1` for a predicate bit.
+    pub(crate) fn set(&mut self, slot: usize, value: usize) {
+        if slot < self.bit_slots {
+            assert!(value <= 1, "predicate bit {slot} set to {value}");
+            let bit = 1u64 << (slot % 64);
+            let word = &mut self.words[slot / 64];
+            *word = (*word & !bit) | (value as u64) << (slot % 64);
+        } else {
+            self.elems[slot - self.bit_slots] = value;
+        }
+    }
+
+    /// The words holding the predicate bits, without the zero word past
+    /// them.
+    pub(crate) fn bit_words(&self) -> &[u64] {
+        &self.words[..self.words.len() - 1]
+    }
+
+    /// Predicate bit `slot`.
+    #[inline]
+    pub(crate) fn bit(&self, slot: usize) -> bool {
+        (self.words[slot / 64] >> (slot % 64)) & 1 == 1
+    }
+
+    /// Element slot `slot` (a function entry or constant).
+    #[inline]
+    pub(crate) fn elem(&self, slot: usize) -> usize {
+        self.elems[slot - self.bit_slots]
+    }
+}
+
+/// The 64 bits of a [`PackedWorld`]'s `words` from bit slot `at` on,
+/// slot `at + j` at bit `j`. Needs the word after `at`'s, which the zero
+/// word past the bits provides.
+#[inline]
+pub(crate) fn bit_window(words: &[u64], at: usize) -> u64 {
+    let (i, off) = (at / 64, at % 64);
+    // `<< 1 << (63 - off)` is `<< (64 - off)`, and 0 where `off = 0`.
+    (words[i] >> off) | (words[i + 1] << 1 << (63 - off))
 }
 
 /// A compiled term: evaluates to a domain element, or to "unknown" while
@@ -237,8 +326,8 @@ pub(crate) struct CountInst {
     pub(crate) cond: u32,
 }
 
-/// A predicate bit a count instance reads directly: its value is
-/// `slots[slot] ^ flip`, with `flip = 1` for a negated atom.
+/// A predicate bit a count instance reads directly: its value is the
+/// slot's bit `^ flip`, with `flip = 1` for a negated atom.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StaticBit {
     slot: usize,
@@ -247,8 +336,8 @@ pub(crate) struct StaticBit {
 
 impl StaticBit {
     #[inline]
-    fn read(self, slots: &[usize]) -> usize {
-        (slots[self.slot] == 1) as usize ^ self.flip
+    fn read(self, world: &PackedWorld) -> usize {
+        world.bit(self.slot) as usize ^ self.flip
     }
 
     /// [`Self::read`] under a partial assignment, where any value other
@@ -262,6 +351,57 @@ impl StaticBit {
     }
 }
 
+/// Static bits over the consecutive slots `start..start + len`, read
+/// with one flip: a packed world yields them 64 at a time.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct BitRun {
+    start: usize,
+    len: usize,
+    /// All ones for negated atoms, zero otherwise.
+    flip: u64,
+}
+
+impl BitRun {
+    /// The run of `bits` in order, when each reads the slot after the
+    /// previous one's with the same flip.
+    fn of(bits: impl IntoIterator<Item = StaticBit>) -> Option<BitRun> {
+        let mut bits = bits.into_iter();
+        let Some(first) = bits.next() else {
+            return Some(BitRun {
+                start: 0,
+                len: 0,
+                flip: 0,
+            });
+        };
+        let mut len = 1;
+        for b in bits {
+            if b.slot != first.slot + len || b.flip != first.flip {
+                return None;
+            }
+            len += 1;
+        }
+        Some(BitRun {
+            start: first.slot,
+            len,
+            flip: (first.flip as u64).wrapping_neg(),
+        })
+    }
+
+    /// How many 64-bit windows cover the run.
+    #[inline]
+    fn windows(self) -> usize {
+        self.len.div_ceil(64)
+    }
+
+    /// Window `j`: the run's bits `64j..64j + 64` at bits `0..64`, flip
+    /// applied, bits past the run's end cleared.
+    #[inline]
+    fn window(self, words: &[u64], j: usize) -> u64 {
+        let bits = bit_window(words, self.start + 64 * j);
+        (bits ^ self.flip) & (u64::MAX >> (64 - (self.len - 64 * j).min(64)))
+    }
+}
+
 /// The instances of a count whose body and condition are all static
 /// bits, as slot tables: [`Program::holds`] sums them with no branch on
 /// any bit.
@@ -272,22 +412,61 @@ pub(crate) struct BitCount {
     bodies: Vec<StaticBit>,
     /// `(condition, body)` bits of the other instances.
     pairs: Vec<(StaticBit, StaticBit)>,
+    /// `bodies` as one run, when they form one.
+    body_run: Option<BitRun>,
+    /// The conditions and the bodies of `pairs` as two runs, when each
+    /// forms one.
+    pair_runs: Option<(BitRun, BitRun)>,
 }
 
 impl BitCount {
+    fn new(bodies: Vec<StaticBit>, pairs: Vec<(StaticBit, StaticBit)>) -> BitCount {
+        let body_run = BitRun::of(bodies.iter().copied());
+        let pair_runs =
+            BitRun::of(pairs.iter().map(|p| p.0)).zip(BitRun::of(pairs.iter().map(|p| p.1)));
+        BitCount {
+            bodies,
+            pairs,
+            body_run,
+            pair_runs,
+        }
+    }
+
     /// `(body, condition)` counts over the table's instances: an
     /// instance adds to the body count only where its condition holds.
+    /// Runs are counted by popcount, other instances bit by bit.
     #[inline]
-    fn counts(&self, slots: &[usize]) -> (usize, usize) {
+    fn counts(&self, world: &PackedWorld) -> (usize, usize) {
+        let words = world.words.as_slice();
         let mut body = 0;
-        for b in &self.bodies {
-            body += b.read(slots);
+        match self.body_run {
+            Some(run) => {
+                for j in 0..run.windows() {
+                    body += run.window(words, j).count_ones() as usize;
+                }
+            }
+            None => {
+                for b in &self.bodies {
+                    body += b.read(world);
+                }
+            }
         }
         let mut cond = self.bodies.len();
-        for &(c, b) in &self.pairs {
-            let c = c.read(slots);
-            cond += c;
-            body += c & b.read(slots);
+        match self.pair_runs {
+            Some((c, b)) => {
+                for j in 0..c.windows() {
+                    let holds = c.window(words, j);
+                    cond += holds.count_ones() as usize;
+                    body += (holds & b.window(words, j)).count_ones() as usize;
+                }
+            }
+            None => {
+                for &(c, b) in &self.pairs {
+                    let c = c.read(world);
+                    cond += c;
+                    body += c & b.read(world);
+                }
+            }
         }
         (body, cond)
     }
@@ -603,11 +782,26 @@ pub(crate) fn compare(l: Pair, op: CmpOp, tau: Rat, r: Pair) -> bool {
     }
 }
 
-/// [`compare`] in checked `i128`, `None` on overflow. `l − r = diff / den`
+/// [`compare`] in exact `i128`, `None` on overflow. `l − r = diff / den`
 /// with `den > 0`, so `|l − r| ≤ τ` is `|diff| · τ.den ≤ τ.num · den`, and
 /// likewise without the `| |`.
+///
+/// An `i128::checked_mul` is a library call. With every operand below
+/// 2³¹ in magnitude no step here can overflow (each product stays below
+/// 2⁹⁵), so the small counts and statistics the kernels compare take
+/// plain arithmetic.
 #[inline(always)]
 fn compare_exact(l: Pair, op: CmpOp, tau: Rat, r: Pair) -> Option<bool> {
+    let small = |v: i128| v.unsigned_abs() < 1 << 31;
+    if small(l.0) & small(l.1) & small(r.0) & small(r.1) & small(tau.num()) & small(tau.den()) {
+        let diff = l.0 * r.1 - r.0 * l.1;
+        return Some(match op {
+            CmpOp::Eq => diff == 0,
+            CmpOp::Leq => diff <= 0,
+            CmpOp::ApproxEq(_) => diff.abs() * tau.den() <= tau.num() * (l.1 * r.1),
+            CmpOp::ApproxLeq(_) => diff * tau.den() <= tau.num() * (l.1 * r.1),
+        });
+    }
     let diff = l.0.checked_mul(r.1)?.checked_sub(r.0.checked_mul(l.1)?)?;
     Some(match op {
         CmpOp::Eq => diff == 0,
@@ -657,31 +851,31 @@ fn arith_exact((a, b): Pair, op: Arith, (c, d): Pair) -> Option<Pair> {
 
 /// Full-assignment evaluation: the Monte-Carlo acceptance kernel.
 impl Program {
-    /// Two-valued truth under a *full* slot assignment in [`SlotLayout`]
-    /// order (`0`/`1` per predicate bit, an element per function entry
-    /// and constant).
+    /// Two-valued truth under the full slot assignment `world`, packed
+    /// in this program's [`SlotLayout`].
     ///
     /// Agrees with [`crate::eval::Evaluator::eval`] on the world the
-    /// slots encode, measure-zero convention included. Proportions stay
-    /// integer counts and every comparison is decided by
+    /// assignment encodes, measure-zero convention included. Proportions
+    /// stay integer counts and every comparison is decided by
     /// cross-multiplication, so no evaluation pays for [`Rat`]'s gcd
     /// normalisation.
-    pub fn holds(&self, slots: &[usize]) -> bool {
-        debug_assert_eq!(slots.len(), self.layout.slot_count);
-        self.node_holds(self.root, slots)
+    pub fn holds(&self, world: &PackedWorld) -> bool {
+        debug_assert_eq!(world.bit_slots, self.layout.bit_slot_count());
+        debug_assert_eq!(world.bit_slots + world.elems.len(), self.layout.slot_count);
+        self.node_holds(self.root, world)
     }
 
-    fn tuple_index(&self, args: &[u32], slots: &[usize]) -> usize {
+    fn tuple_index(&self, args: &[u32], world: &PackedWorld) -> usize {
         args.iter()
-            .fold(0, |idx, &a| idx * self.layout.n + self.term_value(a, slots))
+            .fold(0, |idx, &a| idx * self.layout.n + self.term_value(a, world))
     }
 
-    fn term_value(&self, id: u32, slots: &[usize]) -> usize {
+    fn term_value(&self, id: u32, world: &PackedWorld) -> usize {
         match &self.terms[id as usize] {
             CTerm::Elem(e) => *e,
-            CTerm::ConstSlot(slot) => slots[*slot],
+            CTerm::ConstSlot(slot) => world.elem(*slot),
             CTerm::App { func, args } => {
-                slots[self.layout.func_slot(*func, self.tuple_index(args, slots))]
+                world.elem(self.layout.func_slot(*func, self.tuple_index(args, world)))
             }
         }
     }
@@ -689,27 +883,27 @@ impl Program {
     /// [`Self::node_holds`] with the common single-bit node read in
     /// place, saving a call per proportion instance.
     #[inline]
-    fn child_holds(&self, id: u32, slots: &[usize]) -> bool {
+    fn child_holds(&self, id: u32, world: &PackedWorld) -> bool {
         match self.nodes[id as usize] {
-            CNode::Lit { slot } => slots[slot] == 1,
-            _ => self.node_holds(id, slots),
+            CNode::Lit { slot } => world.bit(slot),
+            _ => self.node_holds(id, world),
         }
     }
 
-    fn node_holds(&self, id: u32, slots: &[usize]) -> bool {
+    fn node_holds(&self, id: u32, world: &PackedWorld) -> bool {
         match &self.nodes[id as usize] {
             CNode::Bool(b) => *b,
-            CNode::Lit { slot } => slots[*slot] == 1,
+            CNode::Lit { slot } => world.bit(*slot),
             CNode::Atom { pred, args } => {
-                slots[self.layout.pred_slot(*pred, self.tuple_index(args, slots))] == 1
+                world.bit(self.layout.pred_slot(*pred, self.tuple_index(args, world)))
             }
-            CNode::Eq(a, b) => self.term_value(*a, slots) == self.term_value(*b, slots),
-            CNode::Not(g) => !self.node_holds(*g, slots),
-            CNode::And(children) => children.iter().all(|&ch| self.node_holds(ch, slots)),
-            CNode::Or(children) => children.iter().any(|&ch| self.node_holds(ch, slots)),
-            CNode::Iff(a, b) => self.node_holds(*a, slots) == self.node_holds(*b, slots),
+            CNode::Eq(a, b) => self.term_value(*a, world) == self.term_value(*b, world),
+            CNode::Not(g) => !self.node_holds(*g, world),
+            CNode::And(children) => children.iter().all(|&ch| self.node_holds(ch, world)),
+            CNode::Or(children) => children.iter().any(|&ch| self.node_holds(ch, world)),
+            CNode::Iff(a, b) => self.node_holds(*a, world) == self.node_holds(*b, world),
             CNode::Cmp { lhs, op, tau, rhs } => {
-                match (self.prop_value(*lhs, slots), self.prop_value(*rhs, slots)) {
+                match (self.prop_value(*lhs, world), self.prop_value(*rhs, world)) {
                     (Some(l), Some(r)) => compare(l, *op, *tau, r),
                     // The measure-zero convention: a comparison touching
                     // an undefined conditional proportion holds vacuously.
@@ -719,7 +913,7 @@ impl Program {
         }
     }
 
-    fn prop_value(&self, id: u32, slots: &[usize]) -> Frac {
+    fn prop_value(&self, id: u32, world: &PackedWorld) -> Frac {
         match &self.props[id as usize] {
             CProp::Rat(r) => Some((r.num(), r.den())),
             CProp::Count {
@@ -732,14 +926,14 @@ impl Program {
             } => {
                 let (mut body, mut cond) = (*base_body, *base_cond);
                 if let Some(bits) = bits {
-                    let (b, c) = bits.counts(slots);
+                    let (b, c) = bits.counts(world);
                     body += b as i128;
                     cond += c as i128;
                 } else {
                     for inst in insts {
-                        if inst.cond == NO_NODE || self.child_holds(inst.cond, slots) {
+                        if inst.cond == NO_NODE || self.child_holds(inst.cond, world) {
                             cond += 1;
-                            body += self.child_holds(inst.body, slots) as i128;
+                            body += self.child_holds(inst.body, world) as i128;
                         }
                     }
                 }
@@ -750,7 +944,7 @@ impl Program {
                 }
             }
             CProp::Arith(op, a, b) => {
-                let (l, r) = (self.prop_value(*a, slots), self.prop_value(*b, slots));
+                let (l, r) = (self.prop_value(*a, world), self.prop_value(*b, world));
                 Some(arith(l?, *op, r?))
             }
         }
@@ -838,19 +1032,16 @@ impl Compiler<'_> {
 
     /// The slot tables of a count whose instances all read static bits.
     fn bit_count(&self, insts: &[CountInst]) -> Option<BitCount> {
-        let mut table = BitCount {
-            bodies: Vec::new(),
-            pairs: Vec::new(),
-        };
+        let (mut bodies, mut pairs) = (Vec::new(), Vec::new());
         for inst in insts {
             let body = self.static_bit(inst.body)?;
             if inst.cond == NO_NODE {
-                table.bodies.push(body);
+                bodies.push(body);
             } else {
-                table.pairs.push((self.static_bit(inst.cond)?, body));
+                pairs.push((self.static_bit(inst.cond)?, body));
             }
         }
-        Some(table)
+        Some(BitCount::new(bodies, pairs))
     }
 
     fn static_elem(&self, t: u32) -> Option<usize> {
@@ -1057,6 +1248,7 @@ mod tests {
     use proptest::prelude::*;
     use rw_logic::ast::TolId;
     use rw_logic::KnowledgeBase;
+    use rw_util::{Rng, StdRng};
 
     fn tol() -> Tolerances {
         Tolerances::uniform(Rat::new(1, 4))
@@ -1299,7 +1491,7 @@ mod tests {
     }
 
     #[test]
-    fn holds_reads_the_slot_vector() {
+    fn holds_reads_the_packed_world() {
         let mut kb = KnowledgeBase::parse("||P(x) | Q(x)||_x ~=_1 0.5; Q(C)").unwrap();
         let q = kb.parse_query("C = Next(C)").unwrap();
         let n = 2;
@@ -1309,22 +1501,120 @@ mod tests {
         // Slots: P0 P1 | Q0 Q1 | Next(0) Next(1) | C.
         assert_eq!(layout.slot_count(), 7);
         let c = layout.const_slot(0);
-        let mut slots = vec![1, 0, 1, 1, 1, 0, 0];
-        assert!(kb_prog.holds(&slots)); // P on half of Q, C ∈ Q
-        assert!(!q_prog.holds(&slots)); // Next(0) = 1 ≠ C
-        slots[c] = 1;
-        assert!(!q_prog.holds(&slots)); // Next(1) = 0 ≠ C
-        slots[layout.func_slot(0, 1)] = 1;
-        assert!(q_prog.holds(&slots)); // Next(1) = 1 = C
-        slots[layout.pred_slot(0, 1)] = 1; // ||P | Q|| = 1, not ≈ 1/2
-        assert!(!kb_prog.holds(&slots));
+        let mut world = PackedWorld::new(layout);
+        for (slot, value) in [1, 0, 1, 1, 1, 0, 0].into_iter().enumerate() {
+            world.set(slot, value);
+        }
+        assert_eq!(world.words, [0b1101, 0]);
+        assert_eq!(world.elems, [1, 0, 0]);
+        assert!(kb_prog.holds(&world)); // P on half of Q, C ∈ Q
+        assert!(!q_prog.holds(&world)); // Next(0) = 1 ≠ C
+        world.set(c, 1);
+        assert!(!q_prog.holds(&world)); // Next(1) = 0 ≠ C
+        world.set(layout.func_slot(0, 1), 1);
+        assert!(q_prog.holds(&world)); // Next(1) = 1 = C
+        world.set(layout.pred_slot(0, 1), 1); // ||P | Q|| = 1, not ≈ 1/2
+        assert!(!kb_prog.holds(&world));
         // With Q empty the conditional proportion is undefined, and the
         // comparison holds vacuously whatever P is.
         let stat = Program::compile(kb.vocab(), n, &tol(), &kb.conjuncts()[0]).unwrap();
-        assert!(!stat.holds(&slots));
-        slots[layout.pred_slot(1, 0)] = 0;
-        slots[layout.pred_slot(1, 1)] = 0;
-        assert!(stat.holds(&slots));
+        assert!(!stat.holds(&world));
+        world.set(layout.pred_slot(1, 0), 0);
+        world.set(layout.pred_slot(1, 1), 0);
+        assert!(stat.holds(&world));
+        assert_eq!(
+            (0..7).map(|s| world.get(s)).collect::<Vec<_>>(),
+            [1, 1, 0, 0, 1, 1, 1]
+        );
+    }
+
+    /// The bits `bits` read one by one: [`BitCount::counts`]' reference.
+    fn per_bit(bits: impl IntoIterator<Item = StaticBit>, world: &PackedWorld) -> usize {
+        bits.into_iter().map(|b| b.read(world)).sum()
+    }
+
+    #[test]
+    fn popcount_runs_count_what_per_bit_reads_count() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let bit_slots: usize = 5 * 64 + 9;
+        let mut world = PackedWorld {
+            words: vec![0; bit_slots.div_ceil(64) + 1],
+            elems: Vec::new(),
+            bit_slots,
+        };
+        let run = |start: usize, len: usize, flip: usize| -> Vec<StaticBit> {
+            (start..start + len)
+                .map(|slot| StaticBit { slot, flip })
+                .collect()
+        };
+        for _ in 0..8 {
+            for slot in 0..bit_slots {
+                world.set(slot, (rng.next_u64() >> 63) as usize);
+            }
+            // Aligned and unaligned starts, lengths inside one word, on a
+            // word boundary and past it, and runs ending on the last bit.
+            for start in [0, 1, 13, 63, 64, 65, 127, 200] {
+                for len in [0, 1, 2, 31, 63, 64, 65, 100, 128, 129] {
+                    let len = len.min(bit_slots - start);
+                    for (cflip, bflip) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                        let cond_start = bit_slots - len - start / 2;
+                        let (conds, bodies) = (run(cond_start, len, cflip), run(start, len, bflip));
+                        let table = BitCount::new(bodies.clone(), Vec::new());
+                        assert!(table.body_run.is_some());
+                        assert_eq!(
+                            table.counts(&world),
+                            (per_bit(bodies.iter().copied(), &world), len),
+                            "bodies at {start}, {len} long, flip {bflip}"
+                        );
+                        let pairs: Vec<_> =
+                            conds.iter().copied().zip(bodies.iter().copied()).collect();
+                        let table = BitCount::new(Vec::new(), pairs.clone());
+                        assert!(table.pair_runs.is_some());
+                        let cond = per_bit(conds.iter().copied(), &world);
+                        let body = pairs
+                            .iter()
+                            .map(|&(c, b)| c.read(&world) & b.read(&world))
+                            .sum();
+                        assert_eq!(
+                            table.counts(&world),
+                            (body, cond),
+                            "pairs at {cond_start}/{start}, {len} long, flips {cflip}/{bflip}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bit_runs_need_consecutive_slots_and_one_flip() {
+        let bit = |slot, flip| StaticBit { slot, flip };
+        assert_eq!(
+            BitRun::of([bit(3, 1), bit(4, 1), bit(5, 1)]),
+            Some(BitRun {
+                start: 3,
+                len: 3,
+                flip: u64::MAX
+            })
+        );
+        assert_eq!(BitRun::of([bit(3, 0), bit(5, 0)]), None);
+        assert_eq!(BitRun::of([bit(4, 0), bit(3, 0)]), None);
+        assert_eq!(BitRun::of([bit(3, 0), bit(4, 1)]), None);
+        // A conditional table whose conditions mix flips counts bit by bit.
+        let table = BitCount::new(
+            Vec::new(),
+            vec![(bit(0, 0), bit(2, 0)), (bit(1, 1), bit(3, 0))],
+        );
+        assert!(table.pair_runs.is_none());
+        let mut world = PackedWorld {
+            words: vec![0; 2],
+            elems: Vec::new(),
+            bit_slots: 4,
+        };
+        world.set(2, 1);
+        world.set(3, 1);
+        // Instance 0's condition fails, instance 1's (¬bit 1) holds.
+        assert_eq!(table.counts(&world), (1, 1));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod sample;
 pub mod symmetry;
 pub mod world;
 
-pub use compile::{Program, SlotLayout};
+pub use compile::{PackedWorld, Program, SlotLayout};
 pub use count::{count_formula_models, count_models, CountError, CountOptions, CountOutcome};
 pub use enumerate::{count_interpretations, count_worlds, degree_of_belief_at, for_each_world};
 pub use eval::{evaluate, evaluate_closed, PropValue};

@@ -13,17 +13,19 @@
 //! * **KB-aware proposals** ([`plan::SamplePlan`]): asserted ground facts
 //!   are forced, unary statistical constraints are sampled at their
 //!   nominal rates, and importance weights keep the estimator exact.
-//! * **A compiled, stream-identical kernel**: each draw is a flat slot
-//!   vector in [`crate::SlotLayout`] order, written by the plan bound to
-//!   that layout ([`plan::Proposal`]: integer-threshold coins, fair bits
-//!   read off the word's top bit, no multiply by a neutral weight
-//!   factor). The KB and query are lowered once per sweep point into
-//!   [`crate::Program`]s checked with [`crate::Program::holds`] —
-//!   integer counts summed from slot tables, no per-draw gcds. Every
-//!   draw consumes the same RNG words, makes the same accept decision
-//!   and multiplies the same weight factors in the same order as the
-//!   tree-walking sampler the kernel replaced, so tallies match bit for
-//!   bit (`tests/mc_pinned.rs`).
+//! * **A compiled, stream-identical kernel**: each draw is one
+//!   [`crate::PackedWorld`] (predicate bits 64 to a `u64` word in
+//!   [`crate::SlotLayout`] order, function entries and constants beside
+//!   them), written by the plan bound to that layout ([`plan::Proposal`]:
+//!   integer-threshold coins, fair bits read off the word's top bit, each
+//!   word built in a register and stored once). The KB and query are
+//!   lowered once per sweep point into [`crate::Program`]s checked with
+//!   [`crate::Program::holds`] — integer counts summed from slot tables,
+//!   by popcount where the bits run over consecutive slots, no per-draw
+//!   gcds. Every draw consumes the same RNG words, makes the same accept
+//!   decision and multiplies the same weight factors in the same order
+//!   as the tree-walking sampler the kernel replaced, so tallies match
+//!   bit for bit (`tests/mc_pinned.rs`).
 //! * **Adaptive stopping** ([`estimate_point`]): draws proceed in fixed
 //!   chunks and stop as soon as the 95% Wilson half-width undercuts the
 //!   configured target, under a hard sample cap.
@@ -32,11 +34,13 @@
 //!   diagonal stages use applied to the estimates.
 //! * **A draw reservoir** ([`reservoir`], [`estimate_sweep_stored`]):
 //!   draws depend on the KB, never on the query, so a fresh chunk also
-//!   records its KB-side sums and packed accepted draws. A later query
-//!   against the same KB replays them through its own compiled program
-//!   only, with every tally bit-identical to drawing afresh. A point
-//!   keeps records only while they fit the reservoir's byte budget, so
-//!   recording never holds more memory than that, whatever the cap.
+//!   records its KB-side sums and its accepted draws' packed worlds,
+//!   words as the proposal wrote them. A later query against the same
+//!   KB reads them back into a packed world and runs its own compiled
+//!   program only, with every tally bit-identical to drawing afresh. A
+//!   point keeps records only while they fit the reservoir's byte
+//!   budget, so recording never holds more memory than that, whatever
+//!   the cap.
 //! * **Parallel workers** (the `workers` module): chunks run on the shared
 //!   [`rw_util::par`] pool. Results are **bit-reproducible for a given
 //!   seed at any thread count** — chunks own their RNG streams and are

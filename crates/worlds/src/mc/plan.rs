@@ -30,7 +30,7 @@
 //!   bits exist first; dependency cycles demote the rule to its
 //!   unconditional base.
 
-use crate::compile::SlotLayout;
+use crate::compile::{bit_window, PackedWorld, SlotLayout};
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
 use rw_logic::{analysis, KnowledgeBase, PredId};
 use rw_util::{Below, Rng, StdRng};
@@ -86,13 +86,13 @@ impl Coin {
         (((word >> 11) as i64).wrapping_sub(self.threshold as i64) >> 63) as u64
     }
 
-    /// Draws one bit from `word` into `bit` and multiplies its factor
-    /// into `weight`.
+    /// Draws one bit from `word` as [`Self::heads`]' mask, multiplying
+    /// its factor into `weight`.
     #[inline]
-    fn toss(&self, word: u64, bit: &mut usize, weight: &mut f64) {
+    fn toss(&self, word: u64, weight: &mut f64) -> u64 {
         let heads = self.heads(word);
-        *bit = (heads & 1) as usize;
         *weight *= f64::from_bits(self.tails ^ (self.flip & heads));
+        heads
     }
 }
 
@@ -308,6 +308,8 @@ impl SamplePlan {
     /// The plan bound to `layout`: bit ranges, coin thresholds and the
     /// element sampler resolved once, so a draw looks nothing up.
     pub fn proposal(&self, layout: &SlotLayout) -> Proposal {
+        // Element slots sit in the packed world's `elems` from here on.
+        let elem = |slot: usize| slot - layout.bit_slot_count();
         let preds = self
             .order
             .iter()
@@ -322,7 +324,11 @@ impl SamplePlan {
                     .iter()
                     .filter(|lit| lit.pred.index() == pi)
                     .map(|lit| ForcedBit {
-                        args: lit.args.iter().map(|&c| layout.const_slot(c)).collect(),
+                        args: lit
+                            .args
+                            .iter()
+                            .map(|&c| elem(layout.const_slot(c)))
+                            .collect(),
                         value: lit.value,
                     })
                     .collect();
@@ -334,18 +340,20 @@ impl SamplePlan {
                 }
             })
             .collect();
+        let (funcs, consts) = (layout.func_slots(), layout.const_slots());
         Proposal {
             n: layout.n(),
             element: Below::new(layout.n()),
-            consts: layout.const_slots(),
-            funcs: layout.func_slots(),
+            consts: elem(consts.start)..elem(consts.end),
+            funcs: elem(funcs.start)..elem(funcs.end),
             preds,
         }
     }
 }
 
-/// One forced literal under a layout: the slots of its argument
-/// constants and the value its bit takes.
+/// One forced literal under a layout: the element slots of its argument
+/// constants (indices into [`PackedWorld`]'s elements) and the value its
+/// bit takes.
 #[derive(Clone, Debug)]
 struct ForcedBit {
     args: Vec<usize>,
@@ -363,54 +371,126 @@ struct PredBits {
     forced: Vec<ForcedBit>,
 }
 
+/// A word's top bit, where drawn bits enter a register.
+const TOP: u64 = 1 << 63;
+
 impl PredBits {
-    /// Draws the free bits `run` (within [`Self::bits`]), one word each,
-    /// multiplying each biased bit's factor into `weight` in slot order.
+    /// Draws this predicate's bits into `words`, whose bits in this
+    /// predicate's range are zero: the `forced` ones (this predicate's
+    /// group, sorted by slot) take their values and multiply in 0.5 once
+    /// each, however many literals force them; every other bit takes one
+    /// RNG word, multiplying a biased bit's factor into `weight` in slot
+    /// order. Each word's share is built in a register and stored once.
     #[inline]
-    fn draw_run(&self, run: Range<usize>, slots: &mut [usize], weight: &mut f64, rng: &mut StdRng) {
+    fn draw(
+        &self,
+        forced: &[(usize, bool)],
+        words: &mut [u64],
+        weight: &mut f64,
+        rng: &mut StdRng,
+    ) {
         // A local generator and weight stay in registers: nothing in the
         // loops can observe them before they are stored back.
         let (mut local, mut w) = (rng.clone(), *weight);
-        match self.rule {
-            BitRule::Uniform => {
-                for bit in &mut slots[run] {
-                    *bit = ((local.next_u64() >> 63) ^ 1) as usize;
+        let mut forced = forced.iter().copied().peekable();
+        let mut slot = self.bits.start;
+        while slot < self.bits.end {
+            let (i, lo) = (slot / 64, slot % 64);
+            let (base, hi) = (64 * i, (self.bits.end - 64 * i).min(64));
+            // Bits enter the register at the top and shift down, so every
+            // shift in the loops is by a constant.
+            words[i] |= if matches!(self.rule, BitRule::Uniform) {
+                // The word's distinct forced bits first, then one fair
+                // bit for each other bit, so the loop's length is the
+                // same from draw to draw. Each forced bit then opens a gap
+                // in the drawn ones. A fair bit has no factor, so the
+                // forced bits' 0.5s may go in together.
+                let (mut pinned, mut values) = (0u64, 0u64);
+                while let Some((s, value)) = forced.next_if(|&(s, _)| s < base + hi) {
+                    pinned |= 1 << (s - base);
+                    values |= (value as u64) << (s - base);
                 }
-            }
-            BitRule::Base(coin) => {
-                for bit in &mut slots[run] {
-                    coin.toss(local.next_u64(), bit, &mut w);
+                let free = hi - lo - pinned.count_ones() as usize;
+                let top = self.draw_bits(free, 0, &mut 0, &mut local, &mut w);
+                let mut word = if free == 0 {
+                    0
+                } else {
+                    top >> (64 - free) << lo
+                };
+                let mut gaps = pinned;
+                while gaps != 0 {
+                    let below = (gaps & gaps.wrapping_neg()) - 1;
+                    word = word & below | (word & !below) << 1;
+                    gaps &= gaps - 1;
                 }
-            }
-            BitRule::Cond { then, els, .. } => {
-                let coins = [els, then];
-                // The `on` predicate's bits of the same elements.
-                let start = self.on + (run.start - self.bits.start);
-                let (given, out) = split_read_write(slots, start..start + run.len(), run);
-                for (bit, &on) in out.iter_mut().zip(given) {
-                    coins[on & 1].toss(local.next_u64(), bit, &mut w);
+                for _ in 0..pinned.count_ones() {
+                    w *= 0.5;
                 }
-            }
+                // A fair bit is its word's top bit inverted: it entered
+                // as drawn, one AND off the loop's chain, and flips here.
+                let drawn = (u64::MAX >> (64 - (hi - lo))) << lo & !pinned;
+                word ^ drawn | values
+            } else {
+                // The `on` predicate's bits of the same elements, bit
+                // `k - lo` for bit `k` here: drawn already, in no bit
+                // this writes.
+                let mut given = match self.rule {
+                    BitRule::Cond { .. } => bit_window(words, self.on + (slot - self.bits.start)),
+                    _ => 0,
+                };
+                // Runs of drawn bits between the forced ones, each 0.5
+                // multiplied in at its bit's place among the factors.
+                let (mut top, mut k) = (0u64, lo);
+                loop {
+                    let stop = match forced.peek() {
+                        Some(&(s, _)) if s < base + hi => s - base,
+                        _ => hi,
+                    };
+                    top = self.draw_bits(stop - k, top, &mut given, &mut local, &mut w);
+                    if stop == hi {
+                        break;
+                    }
+                    let (s, value) = forced.next().expect("peeked above");
+                    while forced.next_if(|&(again, _)| again == s).is_some() {}
+                    top = top >> 1 | (value as u64) << 63;
+                    given >>= 1;
+                    w *= 0.5;
+                    k = stop + 1;
+                }
+                top >> (64 - hi)
+            };
+            slot = base + hi;
         }
         *rng = local;
         *weight = w;
     }
-}
 
-/// Borrows `read` shared and `write` mutably from one slice; the two
-/// ranges must not overlap (they are bits of different predicates).
-fn split_read_write(
-    slots: &mut [usize],
-    read: Range<usize>,
-    write: Range<usize>,
-) -> (&[usize], &mut [usize]) {
-    if read.end <= write.start {
-        let (lo, hi) = slots.split_at_mut(write.start);
-        (&lo[read], &mut hi[..write.len()])
-    } else {
-        debug_assert!(write.end <= read.start, "overlapping ranges");
-        let (lo, hi) = slots.split_at_mut(read.start);
-        (&hi[..read.len()], &mut lo[write])
+    /// Shifts `count` drawn bits into `top` from above (a fair bit as the
+    /// top bit of its RNG word, which is its inverse), reading a
+    /// conditional rule's `on` bits off `given`.
+    #[inline(always)]
+    fn draw_bits(
+        &self,
+        count: usize,
+        top: u64,
+        given: &mut u64,
+        rng: &mut StdRng,
+        w: &mut f64,
+    ) -> u64 {
+        match self.rule {
+            BitRule::Uniform => (0..count).fold(top, |top, _| top >> 1 | rng.next_u64() & TOP),
+            BitRule::Base(coin) => {
+                (0..count).fold(top, |top, _| top >> 1 | coin.toss(rng.next_u64(), w) & TOP)
+            }
+            BitRule::Cond { then, els, .. } => {
+                let coins = [els, then];
+                (0..count).fold(top, |top, _| {
+                    let coin = coins[(*given & 1) as usize];
+                    *given >>= 1;
+                    top >> 1 | coin.toss(rng.next_u64(), w) & TOP
+                })
+            }
+        }
     }
 }
 
@@ -419,6 +499,8 @@ fn split_read_write(
 pub struct Proposal {
     n: usize,
     element: Below,
+    /// The constants' and the function entries' indices into a
+    /// [`PackedWorld`]'s elements.
     consts: Range<usize>,
     funcs: Range<usize>,
     /// Predicates in the plan's dependency order.
@@ -426,13 +508,13 @@ pub struct Proposal {
 }
 
 impl Proposal {
-    /// Draws one world from the proposal into `slots`, a full assignment
-    /// in the layout's order (every slot is rewritten). Returns the draw's
-    /// importance weight relative to the uniform distribution, or `None`
-    /// when the drawn constant denotations make the forced literals
-    /// contradictory (no world with those denotations satisfies the KB —
-    /// an immediate rejection). `forced` is scratch space reused across
-    /// draws.
+    /// Draws one world from the proposal into `world`, a full assignment
+    /// packed in the layout the proposal was bound to (every slot is
+    /// rewritten). Returns the draw's importance weight relative to the
+    /// uniform distribution, or `None` when the drawn constant
+    /// denotations make the forced literals contradictory (no world with
+    /// those denotations satisfies the KB — an immediate rejection).
+    /// `forced` is scratch space reused across draws.
     ///
     /// The random stream is fixed: constants, then function entries,
     /// then predicate bits in dependency order, one word each (elements
@@ -440,7 +522,7 @@ impl Proposal {
     /// taking none. Weight factors are multiplied in the same order.
     pub fn draw(
         &self,
-        slots: &mut [usize],
+        world: &mut PackedWorld,
         forced: &mut Vec<(usize, bool)>,
         stream: &mut StdRng,
     ) -> Option<f64> {
@@ -448,8 +530,9 @@ impl Proposal {
         // `&mut` would have to be written back before every bounds check
         // that could unwind, which costs more than the bits themselves.
         let mut rng = stream.clone();
-        for s in self.consts.clone().chain(self.funcs.clone()) {
-            slots[s] = self.element.sample(&mut rng);
+        let elems = &mut world.elems;
+        for i in self.consts.clone().chain(self.funcs.clone()) {
+            elems[i] = self.element.sample(&mut rng);
         }
         // Forced bits under this draw's constant denotations, one group
         // per predicate in draw order, each sorted by slot. Equal slots
@@ -458,7 +541,7 @@ impl Proposal {
         for pred in &self.preds {
             let group = forced.len();
             for lit in &pred.forced {
-                let idx = lit.args.iter().fold(0, |idx, &c| idx * self.n + slots[c]);
+                let idx = lit.args.iter().fold(0, |idx, &c| idx * self.n + elems[c]);
                 forced.push((pred.bits.start + idx, lit.value));
                 // Insertion sort: a group holds a handful of literals.
                 let mut i = forced.len() - 1;
@@ -476,23 +559,14 @@ impl Proposal {
             }
         }
 
+        // Each predicate ORs its bits into the cleared words.
+        world.words.fill(0);
         let mut weight = 1.0f64;
-        let mut group = forced.iter();
+        let mut group = forced.as_slice();
         for pred in &self.preds {
-            // Free runs between this predicate's forced bits; a forced bit
-            // takes no word and multiplies in 0.5 once, however many
-            // literals force it.
-            let mut start = pred.bits.start;
-            for &(slot, value) in group.by_ref().take(pred.forced.len()) {
-                if slot < start {
-                    continue; // the bit just forced, asserted again
-                }
-                pred.draw_run(start..slot, slots, &mut weight, &mut rng);
-                slots[slot] = value as usize;
-                weight *= 0.5;
-                start = slot + 1;
-            }
-            pred.draw_run(start..pred.bits.end, slots, &mut weight, &mut rng);
+            let (own, rest) = group.split_at(pred.forced.len());
+            pred.draw(own, &mut world.words, &mut weight, &mut rng);
+            group = rest;
         }
         *stream = rng;
         Some(weight)
@@ -526,10 +600,10 @@ mod tests {
         assert!(plan.is_uniform());
         let layout = SlotLayout::new(kb.vocab(), 4).unwrap();
         let proposal = plan.proposal(&layout);
-        let (mut slots, mut forced) = (vec![0; layout.slot_count()], Vec::new());
+        let (mut world, mut forced) = (PackedWorld::new(&layout), Vec::new());
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..50 {
-            let weight = proposal.draw(&mut slots, &mut forced, &mut rng);
+            let weight = proposal.draw(&mut world, &mut forced, &mut rng);
             assert_eq!(weight, Some(1.0));
         }
     }
@@ -545,12 +619,15 @@ mod tests {
         let n = 5usize;
         let layout = SlotLayout::new(vocab, n).unwrap();
         let proposal = plan.proposal(&layout);
-        let (mut slots, mut forced) = (vec![0; layout.slot_count()], Vec::new());
+        let (mut world, mut forced) = (PackedWorld::new(&layout), Vec::new());
         let mut rng = StdRng::seed_from_u64(9);
         let mut viable = 0;
         for _ in 0..200 {
-            let drawn = proposal.draw(&mut slots, &mut forced, &mut rng);
-            let (ea, eb) = (slots[layout.const_slot(a)], slots[layout.const_slot(b)]);
+            let drawn = proposal.draw(&mut world, &mut forced, &mut rng);
+            let (ea, eb) = (
+                world.get(layout.const_slot(a)),
+                world.get(layout.const_slot(b)),
+            );
             let Some(weight) = drawn else {
                 // Structural rejection only when A and B collide.
                 assert_eq!(ea, eb);
@@ -558,8 +635,8 @@ mod tests {
             };
             viable += 1;
             assert!(weight > 0.0);
-            assert_eq!(slots[layout.pred_slot(likes, ea * n + eb)], 1);
-            assert_eq!(slots[layout.pred_slot(likes, eb * n + ea)], 0);
+            assert_eq!(world.get(layout.pred_slot(likes, ea * n + eb)), 1);
+            assert_eq!(world.get(layout.pred_slot(likes, eb * n + ea)), 0);
         }
         assert!(viable > 100);
     }
@@ -581,11 +658,11 @@ mod tests {
         let n = 6usize;
         let layout = SlotLayout::new(vocab, n).unwrap();
         let proposal = plan.proposal(&layout);
-        let (mut slots, mut forced) = (vec![0; layout.slot_count()], Vec::new());
+        let (mut world, mut forced) = (PackedWorld::new(&layout), Vec::new());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
-            let weight = proposal.draw(&mut slots, &mut forced, &mut rng).unwrap();
-            let k = layout.pred_range(p).map(|s| slots[s]).sum::<usize>() as i32;
+            let weight = proposal.draw(&mut world, &mut forced, &mut rng).unwrap();
+            let k = layout.pred_range(p).map(|s| world.get(s)).sum::<usize>() as i32;
             let expect = (0.5f64 / 0.8).powi(k) * (0.5f64 / (1.0 - 0.8)).powi(n as i32 - k);
             assert!((weight - expect).abs() < 1e-12, "{weight} vs {expect}");
         }

@@ -9,14 +9,16 @@
 //! accepts exactly the same worlds chunk for chunk; only the query check
 //! differs. A fresh chunk therefore also yields a [`StoredChunk`]: its
 //! KB-side sums (`drawn`, `accepted`, `w_acc`, `w2_acc`) and, per
-//! accepted draw, the slot vector bit-packed by [`SlotLayout::domain`]
-//! widths plus the draw's weight. A chunk's weights take few distinct
-//! values (products of the same few coin factors), so they are kept as
-//! one-byte codes into a per-chunk table when at most 256 are distinct.
-//! Replaying it runs the compiled query
-//! over the unpacked slots in draw order, so `hits`, `w_hit` and
-//! `w2_hit` are summed in the same order as a fresh run and the chunk's
-//! [`Tally`] is bit-identical.
+//! accepted draw, the draw's [`PackedWorld`] and its weight. The record
+//! is one bit stream: per draw, the world's predicate-bit words as the
+//! proposal wrote them (the last one cut to the bits it holds), then
+//! each element slot in as many bits as the domain needs. A chunk's
+//! weights take few distinct values (products of the same few coin
+//! factors), so they are kept as one-byte codes into a per-chunk table
+//! when at most 256 are distinct. Replaying a chunk reads each draw's
+//! words back into one packed world and runs the compiled query on it,
+//! in draw order, so `hits`, `w_hit` and `w2_hit` are summed in the same
+//! order as a fresh run and the chunk's [`Tally`] is bit-identical.
 //!
 //! [`Reservoir`] is the byte-bounded, LRU-evicting map those chunk lists
 //! live in, shared across threads. A sweep reaches it through a
@@ -28,7 +30,7 @@
 //! budget, never by its draw count.
 
 use super::stats::Tally;
-use crate::compile::{Program, SlotLayout};
+use crate::compile::{PackedWorld, Program, SlotLayout};
 use rw_util::Rat;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -42,8 +44,8 @@ pub struct StoredChunk {
     drawn: u64,
     w_acc: f64,
     w2_acc: f64,
-    /// The accepted draws' slot vectors, back to back in draw order,
-    /// each slot in as many bits as its domain needs.
+    /// The accepted draws' packed worlds, back to back in draw order
+    /// ([`write_world`]).
     bits: Vec<u64>,
     /// The accepted draws' importance weights, in draw order.
     weights: Weights,
@@ -133,9 +135,6 @@ impl StoredChunk {
     /// the chunk was drawn in: the stored KB-side sums, plus the query
     /// run on each accepted draw in draw order.
     pub(crate) fn replay(&self, query: &Program) -> Tally {
-        let layout = query.layout();
-        let mut slots = vec![0usize; layout.slot_count()];
-        let mut reader = BitReader::new(&self.bits);
         let mut tally = Tally {
             drawn: self.drawn,
             accepted: self.accepted(),
@@ -143,15 +142,25 @@ impl StoredChunk {
             w2_acc: self.w2_acc,
             ..Tally::default()
         };
-        self.weights.for_each(|weight| {
-            unpack(layout, &mut reader, &mut slots);
-            if query.holds(&slots) {
+        self.for_each_draw(query.layout(), |world, weight| {
+            if query.holds(world) {
                 tally.hits += 1;
                 tally.w_hit += weight;
                 tally.w2_hit += weight * weight;
             }
         });
         tally
+    }
+
+    /// Calls `f` with each accepted draw's world, read back into one
+    /// packed world of `layout`, and its weight, in draw order.
+    fn for_each_draw(&self, layout: &SlotLayout, mut f: impl FnMut(&PackedWorld, f64)) {
+        let mut world = PackedWorld::new(layout);
+        let mut reader = BitReader::new(&self.bits);
+        self.weights.for_each(|weight| {
+            read_world(layout, &mut reader, &mut world);
+            f(&world, weight);
+        });
     }
 }
 
@@ -182,8 +191,7 @@ impl ChunkRecorder {
         ChunkRecorder {
             writer: BitWriter {
                 words,
-                acc: 0,
-                used: 0,
+                ..BitWriter::default()
             },
             weights,
             limit,
@@ -195,10 +203,10 @@ impl ChunkRecorder {
     /// The test counts the packed bits and one byte per weight, the
     /// least the record can take, so the buffers hold at most about nine
     /// times the limit (each weight is an `f64` until [`Self::finish`]).
-    pub(crate) fn accept(&mut self, layout: &SlotLayout, slots: &[usize], weight: f64) -> bool {
-        pack(layout, slots, &mut self.writer);
+    pub(crate) fn accept(&mut self, layout: &SlotLayout, world: &PackedWorld, weight: f64) -> bool {
+        write_world(layout, world, &mut self.writer);
         self.weights.push(weight);
-        8 * self.writer.words.len() + self.weights.len() <= self.limit
+        8 * self.writer.full + self.weights.len() <= self.limit
     }
 
     /// The record of the chunk whose tally is `tally`.
@@ -225,111 +233,78 @@ fn element_width(layout: &SlotLayout) -> u32 {
     usize::BITS - (layout.n() - 1).leading_zeros()
 }
 
-/// Appends `slots` to `out`: the predicate bits 64 to a word, then each
-/// element slot in [`element_width`] bits.
-fn pack(layout: &SlotLayout, slots: &[usize], out: &mut BitWriter) {
-    let (bits, elements) = slots.split_at(layout.bit_slot_count());
-    for block in bits.chunks(64) {
-        out.put(bits_to_word(block), block.len() as u32);
+/// Appends `world` to `out`: its predicate-bit words as they are, the
+/// last one cut to the bits it holds, then each element slot in
+/// [`element_width`] bits.
+fn write_world(layout: &SlotLayout, world: &PackedWorld, out: &mut BitWriter) {
+    out.reserve(world.bit_words().len() + world.elems.len());
+    let bits = layout.bit_slot_count();
+    for (i, &word) in world.bit_words().iter().enumerate() {
+        out.put(word, (bits - 64 * i).min(64) as u32);
     }
     let width = element_width(layout);
-    for &e in elements {
+    for &e in &world.elems {
         out.put(e as u64, width);
     }
 }
 
-/// Reads one slot vector written by [`pack`] into `slots`.
-fn unpack(layout: &SlotLayout, input: &mut BitReader<'_>, slots: &mut [usize]) {
-    let (bits, elements) = slots.split_at_mut(layout.bit_slot_count());
-    for block in bits.chunks_mut(64) {
-        word_to_bits(input.get(block.len() as u32), block);
+/// Reads one world written by [`write_world`] into `world`.
+fn read_world(layout: &SlotLayout, input: &mut BitReader<'_>, world: &mut PackedWorld) {
+    let bits = layout.bit_slot_count();
+    let words = world.words.len() - 1;
+    for (i, word) in world.words[..words].iter_mut().enumerate() {
+        *word = input.get((bits - 64 * i).min(64) as u32);
     }
     let width = element_width(layout);
-    for e in elements {
+    for e in &mut world.elems {
         *e = input.get(width) as usize;
     }
 }
 
-/// Up to 64 predicate bits (each slot 0 or 1) as one word, slot `i` at
-/// bit `i`. Eight slots at a time, so every shift is a constant.
-#[inline]
-fn bits_to_word(block: &[usize]) -> u64 {
-    let mut word = 0u64;
-    let mut bytes = block.chunks_exact(8);
-    for (j, b) in bytes.by_ref().enumerate() {
-        let byte = b[0]
-            | b[1] << 1
-            | b[2] << 2
-            | b[3] << 3
-            | b[4] << 4
-            | b[5] << 5
-            | b[6] << 6
-            | b[7] << 7;
-        word |= (byte as u64) << (8 * j);
-    }
-    let done = block.len() - bytes.remainder().len();
-    for (i, &b) in bytes.remainder().iter().enumerate() {
-        word |= (b as u64) << (done + i);
-    }
-    word
-}
-
-/// Each byte's eight bits as eight slots.
-static EXPAND: [[usize; 8]; 256] = {
-    let mut table = [[0usize; 8]; 256];
-    let mut byte = 0;
-    while byte < 256 {
-        let mut k = 0;
-        while k < 8 {
-            table[byte][k] = (byte >> k) & 1;
-            k += 1;
-        }
-        byte += 1;
-    }
-    table
-};
-
-/// The inverse of [`bits_to_word`]: bit `i` of `word` into `block[i]`.
-#[inline]
-fn word_to_bits(word: u64, block: &mut [usize]) {
-    let done = block.len() / 8 * 8;
-    let (bytes, rest) = block.split_at_mut(done);
-    for (j, b) in bytes.chunks_exact_mut(8).enumerate() {
-        b.copy_from_slice(&EXPAND[(word >> (8 * j)) as u8 as usize]);
-    }
-    for (i, slot) in rest.iter_mut().enumerate() {
-        *slot = ((word >> (done + i)) & 1) as usize;
-    }
-}
-
-/// A little-endian bit stream over `u64` words.
+/// A little-endian bit stream over `u64` words, written with no branch
+/// on where a word ends: that falls at another value from draw to draw.
 #[derive(Default)]
 struct BitWriter {
+    /// The full words, then room the partial word is stored into.
     words: Vec<u64>,
+    /// Full words written.
+    full: usize,
     /// The partial word, its low `used` bits filled.
     acc: u64,
     used: u32,
 }
 
 impl BitWriter {
-    /// Appends the low `width` (≤ 64) bits of `value`.
-    fn put(&mut self, value: u64, width: u32) {
-        if width == 0 {
-            return;
-        }
-        let value = value & mask(width);
-        self.acc |= value << self.used;
-        let room = 64 - self.used;
-        if width >= room {
-            self.words.push(self.acc);
-            self.acc = value.checked_shr(room).unwrap_or(0);
-            self.used = width - room;
-        } else {
-            self.used += width;
+    /// Makes room for `values` more [`Self::put`]s, each of which ends
+    /// at most one word further on.
+    fn reserve(&mut self, values: usize) {
+        let needed = self.full + values + 1;
+        if self.words.len() < needed {
+            self.words.resize(needed.max(2 * self.words.len()), 0);
         }
     }
 
+    /// Appends `value`, which must be below `2^width` (`width ≤ 64`),
+    /// into room [`Self::reserve`] made.
+    #[inline]
+    fn put(&mut self, value: u64, width: u32) {
+        debug_assert!(
+            width == 64 || value >> width == 0,
+            "{value} over {width} bits"
+        );
+        self.acc |= value << self.used;
+        self.words[self.full] = self.acc;
+        let spilled = self.used + width >= 64;
+        // The bits that did not fit, `value >> (64 - used)`: none when
+        // `used = 0`.
+        let carry = value >> 1 >> (63 - self.used);
+        self.acc = if spilled { carry } else { self.acc };
+        self.full += spilled as usize;
+        self.used = (self.used + width) % 64;
+    }
+
     fn finish(mut self) -> Vec<u64> {
+        self.words.truncate(self.full);
         if self.used > 0 {
             self.words.push(self.acc);
         }
@@ -355,12 +330,11 @@ impl<'a> BitReader<'a> {
             return 0;
         }
         let (i, off) = (self.pos / 64, (self.pos % 64) as u32);
-        let mut value = self.words[i] >> off;
-        if off + width > 64 {
-            value |= self.words[i + 1] << (64 - off);
-        }
+        // The word a value may run on into, read whether it does or not;
+        // the stream's last word has none.
+        let next = self.words.get(i + 1).map_or(0, |&w| w);
         self.pos += width as usize;
-        value & mask(width)
+        (self.words[i] >> off | next << 1 << (63 - off)) & mask(width)
     }
 }
 
@@ -631,29 +605,63 @@ mod tests {
     use rw_logic::KnowledgeBase;
     use rw_util::{Rng, StdRng};
 
+    /// A world of `layout` with every slot uniform over its domain.
+    fn random_world(layout: &SlotLayout, rng: &mut StdRng) -> PackedWorld {
+        let mut world = PackedWorld::new(layout);
+        for s in 0..layout.slot_count() {
+            world.set(s, rng.next_u64() as usize % layout.domain(s));
+        }
+        world
+    }
+
     #[test]
-    fn slot_vectors_round_trip_through_the_bit_stream() {
-        let kb = KnowledgeBase::parse("Likes(A, B); P(F(C))").unwrap();
+    fn worlds_round_trip_through_a_record() {
+        // 63, 64 and 65 predicate bits (the last word full, one short and
+        // one bit into a second word), with and without function entries
+        // and constants beside them.
+        let cases = [
+            ("P(C)", 63),
+            ("P(C)", 64),
+            ("P(C)", 65),
+            ("||P(x)||_x ~=_1 0.5", 65),
+            ("Likes(A, B); P(F(C))", 7),
+            ("Likes(A, B); P(F(C))", 8),
+            ("Likes(A, B)", 8),
+        ];
         let mut rng = StdRng::seed_from_u64(11);
-        for n in [1usize, 2, 3, 7, 8, 9, 11, 33] {
+        for (src, n) in cases
+            .into_iter()
+            .chain([1, 2, 3, 9, 11, 33].map(|n| ("Likes(A, B); P(F(C))", n)))
+        {
+            let kb = KnowledgeBase::parse(src).unwrap();
             let layout = SlotLayout::new(kb.vocab(), n).unwrap();
-            let worlds: Vec<Vec<usize>> = (0..40)
-                .map(|_| {
-                    (0..layout.slot_count())
-                        .map(|s| rng.next_u64() as usize % layout.domain(s))
-                        .collect()
-                })
-                .collect();
-            let mut writer = BitWriter::default();
-            for w in &worlds {
-                pack(&layout, w, &mut writer);
+            let worlds: Vec<PackedWorld> =
+                (0..40).map(|_| random_world(&layout, &mut rng)).collect();
+            let mut recorder = ChunkRecorder::new(usize::MAX);
+            for (i, w) in worlds.iter().enumerate() {
+                assert!(recorder.accept(&layout, w, i as f64));
             }
-            let words = writer.finish();
-            let mut reader = BitReader::new(&words);
-            let mut slots = vec![0; layout.slot_count()];
-            for w in &worlds {
-                unpack(&layout, &mut reader, &mut slots);
-                assert_eq!(&slots, w, "n = {n}");
+            let tally = Tally {
+                drawn: 40,
+                accepted: 40,
+                ..Tally::default()
+            };
+            let stored = recorder.finish(&tally);
+            // The record packs each draw's bits, no more.
+            let width = usize::BITS - (n - 1).leading_zeros();
+            let per_draw = layout.bit_slot_count()
+                + (layout.slot_count() - layout.bit_slot_count()) * width as usize;
+            assert_eq!(
+                stored.bits.len(),
+                (40 * per_draw).div_ceil(64),
+                "`{src}` at N = {n}"
+            );
+            let mut back = Vec::new();
+            stored.for_each_draw(&layout, |w, weight| back.push((w.clone(), weight)));
+            assert_eq!(back.len(), 40);
+            for (i, ((w, weight), expect)) in back.iter().zip(&worlds).enumerate() {
+                assert_eq!(w, expect, "`{src}` at N = {n}, draw {i}");
+                assert_eq!(*weight, i as f64);
             }
         }
     }
@@ -675,13 +683,16 @@ mod tests {
     fn a_recorder_refuses_draws_once_its_record_cannot_fit() {
         let kb = KnowledgeBase::parse("P(C)").unwrap();
         let layout = SlotLayout::new(kb.vocab(), 8).unwrap();
-        let slots = vec![1; layout.slot_count()];
+        let mut world = PackedWorld::new(&layout);
+        for s in 0..layout.slot_count() {
+            world.set(s, 1);
+        }
         // 8 predicate bits and 3 constant bits a draw, one byte a weight:
         // eleven draws fill one word (8 + 11 = 19 bytes); the twelfth
         // fills a second, 16 + 12 = 28 bytes, past the limit.
         let mut recorder = ChunkRecorder::new(26);
         let kept = (0..20)
-            .take_while(|_| recorder.accept(&layout, &slots, 0.5))
+            .take_while(|_| recorder.accept(&layout, &world, 0.5))
             .count();
         assert_eq!(kept, 11);
     }

@@ -19,7 +19,7 @@
 use super::plan::Proposal;
 use super::reservoir::{ChunkRecorder, StoredChunk};
 use super::stats::Tally;
-use crate::compile::Program;
+use crate::compile::{PackedWorld, Program};
 use rw_util::{par, StdRng};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,36 +84,36 @@ impl ChunkCtx<'_> {
         }
     }
 
-    /// Draws one chunk fresh: `draws` proposal draws into a reused slot
-    /// vector, rejection against the compiled KB, the compiled query on
-    /// acceptance.
+    /// Draws one chunk fresh: `draws` proposal draws into a reused
+    /// packed world, rejection against the compiled KB, the compiled
+    /// query on acceptance.
     fn draw_chunk(&self, chunk: u64, draws: u64) -> ChunkResult {
         let Sampler { kb, proposal } = self.sampler.get_or_init(self.build);
         let layout = kb.layout();
         let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, layout.n(), chunk));
-        let mut slots = vec![0usize; layout.slot_count()];
+        let mut world = PackedWorld::new(layout);
         let mut forced = Vec::new();
         let mut tally = Tally::default();
         let limit = self.record_left.load(Ordering::Relaxed);
         let mut recorder = (limit > 0).then(|| ChunkRecorder::new(limit));
         for _ in 0..draws {
             tally.drawn += 1;
-            let Some(weight) = proposal.draw(&mut slots, &mut forced, &mut rng) else {
+            let Some(weight) = proposal.draw(&mut world, &mut forced, &mut rng) else {
                 continue; // forced-literal conflict: certain rejection
             };
-            if !kb.holds(&slots) {
+            if !kb.holds(&world) {
                 continue;
             }
             tally.accepted += 1;
             tally.w_acc += weight;
             tally.w2_acc += weight * weight;
             if let Some(r) = &mut recorder {
-                if !r.accept(layout, &slots, weight) {
+                if !r.accept(layout, &world, weight) {
                     recorder = None;
                     self.stop_recording();
                 }
             }
-            if self.query.holds(&slots) {
+            if self.query.holds(&world) {
                 tally.hits += 1;
                 tally.w_hit += weight;
                 tally.w2_hit += weight * weight;

@@ -11,9 +11,11 @@
 //!   acceptance kernel) agrees with the tree-walking `Evaluator` world by
 //!   world on uniformly sampled worlds, on every shape it specialises
 //!   (proportions over static bits, negated or not, summed from slot
-//!   tables) and every shape it walks node by node instead (instances
-//!   reading function or constant-argument atoms, or compound
-//!   conditions).
+//!   tables, by popcount where the bits are consecutive) and every shape
+//!   it walks node by node instead (instances reading function or
+//!   constant-argument atoms, or compound conditions), at domain sizes
+//!   whose predicate bits fill part of a `u64` word and sizes whose
+//!   predicate ranges straddle word boundaries.
 
 mod common;
 
@@ -132,6 +134,53 @@ fn kernel_cases() -> impl Strategy<Value = (String, String, usize)> {
     ]
 }
 
+/// The full-assignment kernel's unary and binary proportion shapes at
+/// domain sizes whose predicate ranges straddle `u64` word boundaries:
+/// 31, 33 and 65 bits per unary predicate, 81 per binary one. Only the
+/// sampled-world property draws these; no oracle count could walk them.
+fn straddling_cases() -> impl Strategy<Value = (String, String, usize)> {
+    let ks = common::stable_tenths(Rat::new(1, 4), 2, 6);
+    let ks2 = ks.clone();
+    let unary = || (0usize..3).prop_map(|i| [31, 33, 65][i]);
+    prop_oneof![
+        (0usize..ks.len(), unary()).prop_map(move |(i, n)| (
+            format!("||P(x)||_x ~=_1 0.{}; Q(C)", ks[i]),
+            "P(C)".to_string(),
+            n
+        )),
+        (0usize..ks2.len(), unary()).prop_map(move |(i, n)| (
+            format!("||Hep(x) | Jaun(x)||_x ~=_1 0.{}; Jaun(C); Jaun(D)", ks2[i]),
+            "Hep(C) & Hep(D)".to_string(),
+            n
+        )),
+        unary().prop_map(|n| (
+            "||P(x) | Q(x)||_x ~=_1 0.5".to_string(),
+            "Q(C) & P(C)".to_string(),
+            n
+        )),
+        unary().prop_map(|n| (
+            "||!P(x) | !Q(x)||_x ~=_2 0.3; ||Q(x)||_x <~_1 0.6".to_string(),
+            "P(C) or ||P(x)||_x <~_2 0.5".to_string(),
+            n
+        )),
+        unary().prop_map(|n| (
+            "||P(x)||_x <= ||Q(x)||_x + 1/4".to_string(),
+            "||P(x) | Q(x)||_x = 1/2".to_string(),
+            n
+        )),
+        Just((
+            "||Likes(x, y)||_{x,y} ~=_1 0.25; Likes(A, B)".to_string(),
+            "Likes(B, A)".to_string(),
+            9
+        )),
+        Just((
+            "||Likes(x, y) | Knows(x, y)||_{x,y} ~=_2 0.5; Knows(A, B)".to_string(),
+            "Likes(A, B)".to_string(),
+            9
+        )),
+    ]
+}
+
 /// The naive oracle: walk every interpretation, model-check `f`.
 fn oracle_count(kb: &KnowledgeBase, f: &Formula, n: usize) -> u128 {
     let tol = tolerances();
@@ -201,7 +250,7 @@ proptest! {
 
     #[test]
     fn full_assignment_evaluation_matches_the_evaluator(
-        (kb_src, q_src, n) in prop_oneof![cases(), kernel_cases()],
+        (kb_src, q_src, n) in prop_oneof![cases(), kernel_cases(), straddling_cases()],
         seed in 0u64..1_000_000,
     ) {
         let mut kb = KnowledgeBase::parse(&kb_src).unwrap();
@@ -214,9 +263,9 @@ proptest! {
             let prog = Program::compile(kb.vocab(), n, &tol, f).unwrap();
             for _ in 0..64 {
                 let world = sample_world(kb.vocab(), n, &mut rng);
-                let slots = prog.layout().encode(&world);
+                let packed = prog.layout().encode(&world);
                 prop_assert_eq!(
-                    prog.holds(&slots),
+                    prog.holds(&packed),
                     Evaluator::new(&world, kb.vocab(), &tol).eval(f),
                     "`{}` ⊢ `{}` at N={}: verdicts differ on {:?}",
                     kb_src, q_src, n, world
