@@ -2,6 +2,7 @@
 //! small, offline dependency set.
 
 use crate::session::SessionOptions;
+use rw_core::{ApproxParams, ScanParams};
 use rw_propensity::Prior;
 use rw_util::Rat;
 use std::fmt;
@@ -54,7 +55,7 @@ pub enum Command {
         /// Enumeration-scan settings applied to the preloaded KB
         /// (`--symmetry` / `--min-n` / `--max-n`); KBs loaded later over
         /// the wire carry their own in the `load` request.
-        scan: rw_server::proto::ScanParams,
+        scan: ScanParams,
     },
     /// `rwq shard --backend HOST:PORT ... [--addr A]`: run the
     /// consistent-hash front that routes queries across a fleet of
@@ -268,27 +269,20 @@ fn parse_prior(s: &str) -> Result<Prior, ArgError> {
     }
 }
 
-/// Parses a `--min-n` / `--max-n` domain size. The exact enumeration
-/// stage scans `N` in `2..=MAX_SCAN_N`; the bounds mirror the server's
-/// `load` validation so the two surfaces reject the same windows.
+/// Parses a `--min-n` / `--max-n` domain size; its range is checked
+/// with the rest of the window by [`ScanParams::validate`].
 fn parse_scan_n(v: &str, flag: &str) -> Result<usize, ArgError> {
-    let max = rw_core::solvers::MAX_SCAN_N;
-    match v.parse::<usize>() {
-        Ok(n) if (2..=max).contains(&n) => Ok(n),
-        _ => Err(ArgError(format!(
-            "{flag} expects a domain size in 2..={max}, got `{v}`"
-        ))),
-    }
+    v.parse().map_err(|_| {
+        ArgError(format!(
+            "{flag} expects a domain size in 2..={}, got `{v}`",
+            rw_core::solvers::MAX_SCAN_N
+        ))
+    })
 }
 
-/// An inverted scan window can never answer anything; reject it up front.
-fn check_scan_window(min_n: Option<usize>, max_n: Option<usize>) -> Result<(), ArgError> {
-    if let (Some(lo), Some(hi)) = (min_n, max_n) {
-        if lo > hi {
-            return Err(ArgError(format!("--min-n {lo} exceeds --max-n {hi}")));
-        }
-    }
-    Ok(())
+/// A per-KB option outside its range, as rw-core's validators word it.
+fn range_error(message: String) -> ArgError {
+    ArgError(format!("invalid option: {message}"))
 }
 
 fn parse_trend(s: &str) -> Result<Vec<usize>, ArgError> {
@@ -303,6 +297,8 @@ fn parse_trend(s: &str) -> Result<Vec<usize>, ArgError> {
 
 fn parse_options(args: &[String]) -> Result<(SessionOptions, Vec<String>), ArgError> {
     let mut options = SessionOptions::default();
+    let mut approx = false;
+    let mut mc = ApproxParams::default();
     let mut positional = Vec::new();
     let mut i = 0usize;
     let value = |i: &mut usize, flag: &str| -> Result<String, ArgError> {
@@ -321,42 +317,34 @@ fn parse_options(args: &[String]) -> Result<(SessionOptions, Vec<String>), ArgEr
                 options.threads = parse_threads(&value(&mut i, "--threads")?)?;
             }
             "--cache" => options.cache = true,
-            "--symmetry" => options.symmetry = true,
+            "--symmetry" => options.scan.symmetry = true,
             "--min-n" => {
-                options.min_n = Some(parse_scan_n(&value(&mut i, "--min-n")?, "--min-n")?);
+                options.scan.min_n = Some(parse_scan_n(&value(&mut i, "--min-n")?, "--min-n")?);
             }
             "--max-n" => {
-                options.max_n = Some(parse_scan_n(&value(&mut i, "--max-n")?, "--max-n")?);
+                options.scan.max_n = Some(parse_scan_n(&value(&mut i, "--max-n")?, "--max-n")?);
             }
-            "--approx" => options.approx = true,
+            "--approx" => approx = true,
             "--samples" => {
                 let v = value(&mut i, "--samples")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --samples count `{v}`")))?;
-                if n == 0 {
-                    return Err(ArgError("--samples must be positive".to_string()));
-                }
-                options.samples = Some(n);
+                mc.samples = Some(
+                    v.parse()
+                        .map_err(|_| ArgError(format!("bad --samples count `{v}`")))?,
+                );
             }
             "--mc-seed" => {
                 let v = value(&mut i, "--mc-seed")?;
-                options.mc_seed = Some(
+                mc.seed = Some(
                     v.parse()
                         .map_err(|_| ArgError(format!("bad --mc-seed `{v}`")))?,
                 );
             }
             "--ci" => {
                 let v = value(&mut i, "--ci")?;
-                let ci: f64 = v
-                    .parse()
-                    .map_err(|_| ArgError(format!("bad --ci value `{v}`")))?;
-                if !(ci > 0.0 && ci < 0.5) {
-                    return Err(ArgError(format!(
-                        "--ci must be a half-width in (0, 0.5), got {v}"
-                    )));
-                }
-                options.ci = Some(ci);
+                mc.ci = Some(
+                    v.parse()
+                        .map_err(|_| ArgError(format!("bad --ci value `{v}`")))?,
+                );
             }
             flag if flag.starts_with("--") => {
                 return Err(ArgError(format!("unknown option `{flag}`")));
@@ -370,24 +358,26 @@ fn parse_options(args: &[String]) -> Result<(SessionOptions, Vec<String>), ArgEr
         options.trend = vec![16, 32, 64];
     }
     // The sampler knobs only mean something with the sampler on.
-    if !options.approx {
+    if !approx {
         for (flag, set) in [
-            ("--samples", options.samples.is_some()),
-            ("--mc-seed", options.mc_seed.is_some()),
-            ("--ci", options.ci.is_some()),
+            ("--samples", mc.samples.is_some()),
+            ("--mc-seed", mc.seed.is_some()),
+            ("--ci", mc.ci.is_some()),
         ] {
             if set {
                 return Err(ArgError(format!("{flag} requires --approx")));
             }
         }
     }
-    if options.approx && options.prior.is_some() {
+    if approx && options.prior.is_some() {
         return Err(ArgError(
             "--approx samples the random-worlds distribution; it cannot be combined with --prior"
                 .to_string(),
         ));
     }
-    check_scan_window(options.min_n, options.max_n)?;
+    mc.validate().map_err(range_error)?;
+    options.scan.validate().map_err(range_error)?;
+    options.approx = approx.then_some(mc);
     Ok((options, positional))
 }
 
@@ -403,7 +393,7 @@ pub const THREADS_ERR: &str = "--threads applies to `batch`, `serve`, and `--app
 /// misunderstanding worth flagging — unless `--approx` is on, where the
 /// count drives the sampler's worker pool instead.
 fn reject_threads(options: &SessionOptions) -> Result<(), ArgError> {
-    if options.threads != SessionOptions::default().threads && !options.approx {
+    if options.threads != SessionOptions::default().threads && options.approx.is_none() {
         return Err(ArgError(THREADS_ERR.to_string()));
     }
     Ok(())
@@ -426,7 +416,7 @@ fn parse_serve(args: &[String]) -> Result<Command, ArgError> {
         addr: DEFAULT_SERVE_ADDR.to_string(),
         ..rw_server::ServerConfig::default()
     };
-    let mut scan = rw_server::proto::ScanParams::default();
+    let mut scan = ScanParams::default();
     let mut slow_ms = None;
     let mut snapshot_interval_ms = None;
     let mut positional = Vec::new();
@@ -499,7 +489,7 @@ fn parse_serve(args: &[String]) -> Result<Command, ArgError> {
         }
         i += 1;
     }
-    check_scan_window(scan.min_n, scan.max_n)?;
+    scan.validate().map_err(range_error)?;
     match slow_ms {
         Some(ms) if config.slow_log.is_some() => config.slow_ms = ms,
         Some(_) => {
@@ -525,7 +515,7 @@ fn parse_serve(args: &[String]) -> Result<Command, ArgError> {
             "serve takes at most one KB file (preloaded as `default`)".to_string(),
         ));
     }
-    if positional.is_empty() && scan != rw_server::proto::ScanParams::default() {
+    if positional.is_empty() && scan != ScanParams::default() {
         return Err(ArgError(
             "--symmetry/--min-n/--max-n on serve configure the preloaded KB; \
              pass a KB file or send them in `load` requests"
@@ -839,13 +829,8 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
             let concurrency_only = SessionOptions {
                 threads: options.threads,
                 cache: options.cache,
-                approx: options.approx,
-                samples: options.samples,
-                mc_seed: options.mc_seed,
-                ci: options.ci,
-                symmetry: options.symmetry,
-                min_n: options.min_n,
-                max_n: options.max_n,
+                approx: options.approx.clone(),
+                scan: options.scan,
                 ..SessionOptions::default()
             };
             if options != concurrency_only {
@@ -1076,20 +1061,20 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Query { options, .. } => {
-                assert!(options.approx);
-                assert_eq!(options.samples, Some(4096));
-                assert_eq!(options.mc_seed, Some(7));
-                assert_eq!(options.ci, Some(0.05));
+                let approx = options.approx.unwrap();
+                assert_eq!(approx.samples, Some(4096));
+                assert_eq!(approx.seed, Some(7));
+                assert_eq!(approx.ci, Some(0.05));
                 assert_eq!(options.threads, 4); // sampler workers
             }
             other => panic!("{other:?}"),
         }
         match parse(&strs(&["batch", "kb", "--approx", "--mc-seed", "9"])).unwrap() {
-            Command::Batch { options, .. } => assert_eq!(options.mc_seed, Some(9)),
+            Command::Batch { options, .. } => assert_eq!(options.approx.unwrap().seed, Some(9)),
             other => panic!("{other:?}"),
         }
         match parse(&strs(&["repl", "kb", "--approx"])).unwrap() {
-            Command::Repl { options, .. } => assert!(options.approx),
+            Command::Repl { options, .. } => assert!(options.approx.is_some()),
             other => panic!("{other:?}"),
         }
     }
@@ -1155,21 +1140,21 @@ mod tests {
         .unwrap()
         {
             Command::Query { options, .. } => {
-                assert!(options.symmetry);
-                assert_eq!(options.min_n, Some(4));
-                assert_eq!(options.max_n, Some(32));
+                assert!(options.scan.symmetry);
+                assert_eq!(options.scan.min_n, Some(4));
+                assert_eq!(options.scan.max_n, Some(32));
             }
             other => panic!("{other:?}"),
         }
         match parse(&strs(&["batch", "kb", "--symmetry", "--max-n", "40"])).unwrap() {
             Command::Batch { options, .. } => {
-                assert!(options.symmetry);
-                assert_eq!(options.max_n, Some(40));
+                assert!(options.scan.symmetry);
+                assert_eq!(options.scan.max_n, Some(40));
             }
             other => panic!("{other:?}"),
         }
         match parse(&strs(&["repl", "kb", "--min-n", "3"])).unwrap() {
-            Command::Repl { options, .. } => assert_eq!(options.min_n, Some(3)),
+            Command::Repl { options, .. } => assert_eq!(options.scan.min_n, Some(3)),
             other => panic!("{other:?}"),
         }
         match parse(&strs(&["serve", "kb.rwkb", "--symmetry", "--max-n", "48"])).unwrap() {

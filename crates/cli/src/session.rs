@@ -11,7 +11,8 @@
 //! one fold of the answers into the closing summary.
 
 use rw_core::{
-    AnswerCache, Batch, BatchReport, EngineConfig, EngineError, McConfig, PreparedKb, RandomWorlds,
+    AnswerCache, ApproxParams, Batch, BatchReport, EngineConfig, EngineError, PreparedKb,
+    RandomWorlds, ScanParams,
 };
 use rw_logic::{KnowledgeBase, Pretty, Tolerances};
 use rw_propensity::{Prior, PropensityEngine};
@@ -40,22 +41,12 @@ pub struct SessionOptions {
     /// Install a canonical-query [`AnswerCache`] shared by every query in
     /// the session.
     pub cache: bool,
-    /// Enable the Monte-Carlo approximate-inference stage (`--approx`).
-    pub approx: bool,
-    /// `--samples`: override the sampler's total draw cap.
-    pub samples: Option<u64>,
-    /// `--mc-seed`: override the sampler's root seed.
-    pub mc_seed: Option<u64>,
-    /// `--ci`: override the sampler's target CI half-width.
-    pub ci: Option<f64>,
-    /// `--symmetry`: the exact enumeration stage counts symmetry-reduced
-    /// orbit representatives instead of raw worlds, reaching far deeper
-    /// domain sizes on KBs inside the symmetry fragment.
-    pub symmetry: bool,
-    /// `--min-n`: first domain size of the enumeration scan.
-    pub min_n: Option<usize>,
-    /// `--max-n`: last domain size of the enumeration scan.
-    pub max_n: Option<usize>,
+    /// `--approx` with `--samples`/`--mc-seed`/`--ci`: `Some` enables
+    /// the Monte-Carlo approximate-inference stage.
+    pub approx: Option<ApproxParams>,
+    /// `--symmetry` and the `--min-n`/`--max-n` window of the exact
+    /// enumeration stage's scan.
+    pub scan: ScanParams,
 }
 
 impl Default for SessionOptions {
@@ -67,32 +58,9 @@ impl Default for SessionOptions {
             explain: true,
             threads: 1,
             cache: false,
-            approx: false,
-            samples: None,
-            mc_seed: None,
-            ci: None,
-            symmetry: false,
-            min_n: None,
-            max_n: None,
+            approx: None,
+            scan: ScanParams::default(),
         }
-    }
-}
-
-impl SessionOptions {
-    /// The sampler configuration the session's flags describe, or `None`
-    /// when approximate inference is off.
-    pub fn mc_config(&self) -> Option<McConfig> {
-        if !self.approx {
-            return None;
-        }
-        let defaults = McConfig::default();
-        Some(McConfig {
-            seed: self.mc_seed.unwrap_or(defaults.seed),
-            threads: self.threads,
-            max_samples: self.samples.unwrap_or(defaults.max_samples),
-            target_ci: self.ci.unwrap_or(defaults.target_ci),
-            ..defaults
-        })
     }
 }
 
@@ -161,17 +129,11 @@ impl Session {
     }
 
     fn build(kb: KnowledgeBase, options: SessionOptions, pool_threads: usize) -> Session {
-        let mut engine = RandomWorlds::from(EngineConfig {
-            approx: options.mc_config().map(|c| McConfig {
-                threads: pool_threads,
-                ..c
-            }),
-            enum_threads: pool_threads,
-            enum_symmetry: options.symmetry,
-            enum_min_n: options.min_n,
-            enum_max_n: options.max_n,
-            ..EngineConfig::default()
-        });
+        let mut engine = RandomWorlds::from(EngineConfig::with_options(
+            options.approx.as_ref(),
+            options.scan,
+            pool_threads,
+        ));
         if options.cache {
             engine = engine.with_cache(Arc::new(AnswerCache::new()));
         }
@@ -495,8 +457,10 @@ mod tests {
         let s = Session::new(
             kb,
             SessionOptions {
-                approx: true,
-                mc_seed: Some(42),
+                approx: Some(ApproxParams {
+                    seed: Some(42),
+                    ..ApproxParams::default()
+                }),
                 ..SessionOptions::default()
             },
         );
@@ -523,8 +487,10 @@ mod tests {
             let s = Session::new(
                 parse_kb(kb_src).unwrap(),
                 SessionOptions {
-                    approx: true,
-                    mc_seed: Some(7),
+                    approx: Some(ApproxParams {
+                        seed: Some(7),
+                        ..ApproxParams::default()
+                    }),
                     threads,
                     ..SessionOptions::default()
                 },
@@ -545,8 +511,11 @@ mod tests {
         let s = Session::new(
             kb,
             SessionOptions {
-                symmetry: true,
-                max_n: Some(24),
+                scan: ScanParams {
+                    symmetry: true,
+                    max_n: Some(24),
+                    ..ScanParams::default()
+                },
                 ..SessionOptions::default()
             },
         );
@@ -554,6 +523,65 @@ mod tests {
         assert!(ok, "{line}");
         assert!(line.contains(r#""orbits":"#), "{line}");
         assert!(line.contains(r#""max_n":24"#), "{line}");
+    }
+
+    #[test]
+    fn sessions_and_served_kbs_agree_under_the_same_options() {
+        // Both surfaces build their engine from the same per-KB options,
+        // so a query that misses every theorem (and so runs the option-
+        // dependent stages) serialises to the same bytes on each.
+        let cases = [
+            (
+                "||P(x)||_x ~=_1 1\nLikes(A, B)\n",
+                "Likes(B, A)",
+                r#""max_n":12"#,
+                None,
+                ScanParams {
+                    symmetry: true,
+                    min_n: Some(3),
+                    max_n: Some(12),
+                },
+            ),
+            (
+                "||Hep(x) | Jaun(x)||_x ~=_1 0.8\nJaun(Eric)\nJaun(Tom)\n",
+                "Hep(Eric) & Hep(Tom)",
+                r#""stage":"montecarlo","outcome":"answered""#,
+                Some(ApproxParams {
+                    seed: Some(7),
+                    samples: Some(4096),
+                    ..ApproxParams::default()
+                }),
+                ScanParams::default(),
+            ),
+        ];
+        let mask = crate::json::mask_times;
+        for (src, query, answered_by, approx, scan) in cases {
+            let session = Session::new(
+                parse_kb(src).unwrap(),
+                SessionOptions {
+                    approx: approx.clone(),
+                    scan,
+                    ..SessionOptions::default()
+                },
+            );
+            let served = rw_server::LoadedKb::new(
+                "kb".to_string(),
+                parse_kb(src).unwrap(),
+                None,
+                approx.as_ref(),
+                scan,
+                Arc::new(AnswerCache::new()),
+                Arc::new(rw_core::DenomCache::new()),
+            );
+            let (line, ok) = session.answer_json_line(query);
+            assert!(ok, "{line}");
+            assert!(line.contains(answered_by), "{line}");
+            assert_eq!(
+                mask(&line),
+                mask(&served.answer_json_line(query).0),
+                "{src}"
+            );
+        }
     }
 
     #[test]

@@ -167,6 +167,101 @@ impl EngineConfig {
         ));
         canon::fnv1a(src.as_bytes())
     }
+
+    /// The config a KB's options describe: the default cascade
+    /// with the scan window and counting mode of `scan`, and, with
+    /// `approx`, a sampler stage whose unset fields take the
+    /// [`McConfig`](rw_worlds::mc::McConfig) defaults. `threads` sizes
+    /// both the sampler's and the exact counter's worker pools, which
+    /// never change an answer. Every surface that takes these options
+    /// (the `rwq` session, a served KB, a lab trial) builds its engine
+    /// here, after [`ApproxParams::validate`] and [`ScanParams::validate`].
+    pub fn with_options(
+        approx: Option<&ApproxParams>,
+        scan: ScanParams,
+        threads: usize,
+    ) -> EngineConfig {
+        let defaults = rw_worlds::mc::McConfig::default();
+        EngineConfig {
+            approx: approx.map(|a| rw_worlds::mc::McConfig {
+                seed: a.seed.unwrap_or(defaults.seed),
+                threads,
+                max_samples: a.samples.unwrap_or(defaults.max_samples),
+                target_ci: a.ci.unwrap_or(defaults.target_ci),
+                ..defaults
+            }),
+            enum_threads: threads,
+            enum_symmetry: scan.symmetry,
+            enum_min_n: scan.min_n,
+            enum_max_n: scan.max_n,
+            ..EngineConfig::default()
+        }
+    }
+}
+
+/// The per-KB Monte-Carlo options: a KB given them answers non-theorem
+/// queries by sampling. Set by `rwq --approx` with `--samples`,
+/// `--mc-seed` and `--ci`, by the `"approx"` object of a server `load`
+/// request, and by the lab's `montecarlo` engine. `None` fields take the
+/// sampler's defaults ([`EngineConfig::with_options`]).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ApproxParams {
+    /// Total draw cap (`--samples`); positive.
+    pub samples: Option<u64>,
+    /// Sampler seed (`--mc-seed`).
+    pub seed: Option<u64>,
+    /// Target CI half-width in (0, 0.5) (`--ci`).
+    pub ci: Option<f64>,
+}
+
+impl ApproxParams {
+    /// The one range check of these options, whichever surface parsed
+    /// them: `samples` positive, `ci` in (0, 0.5). The message names the
+    /// field and its bound; each surface adds only its own prefix.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.samples == Some(0) {
+            return Err("`samples` must be positive".to_string());
+        }
+        match self.ci {
+            Some(ci) if !(ci > 0.0 && ci < 0.5) => {
+                Err(format!("`ci` must be a half-width in (0, 0.5), got {ci}"))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The per-KB exact-counting options: symmetry-reduced orbit counting
+/// and the rising-`N` scan window. Set by `rwq --symmetry`, `--min-n`
+/// and `--max-n`, by the same-named fields of a server `load` request,
+/// and by a lab task's `min_n`/`max_n` pins.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ScanParams {
+    /// Enable symmetry-reduced orbit counting (`--symmetry`).
+    pub symmetry: bool,
+    /// Scan floor (`--min-n`).
+    pub min_n: Option<usize>,
+    /// Scan ceiling (`--max-n`).
+    pub max_n: Option<usize>,
+}
+
+impl ScanParams {
+    /// The one range check of these options, whichever surface parsed
+    /// them: window values in `2..=MAX_SCAN_N` and `min_n ≤ max_n`. The
+    /// message names the field and its bound; each surface adds only
+    /// its own prefix.
+    pub fn validate(&self) -> Result<(), String> {
+        let max = crate::solvers::MAX_SCAN_N;
+        for (key, n) in [("min_n", self.min_n), ("max_n", self.max_n)] {
+            if let Some(n) = n.filter(|n| !(2..=max).contains(n)) {
+                return Err(format!("`{key}` must lie in 2..={max}, got {n}"));
+            }
+        }
+        match (self.min_n, self.max_n) {
+            (Some(lo), Some(hi)) if lo > hi => Err(format!("`min_n` {lo} exceeds `max_n` {hi}")),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Configuration and entry point for random-worlds inference.

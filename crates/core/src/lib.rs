@@ -35,7 +35,10 @@
 //! denominator cache — via [`RandomWorlds::from`] (or
 //! [`RandomWorlds::new`] for the defaults). Its settings never change
 //! afterwards: the stage cascade and the cache-key fingerprint are
-//! computed at construction, not per query.
+//! computed at construction, not per query. The per-KB options the
+//! serving surfaces expose ([`ApproxParams`], [`ScanParams`]) are
+//! checked by their `validate` and mapped to a config by
+//! [`EngineConfig::with_options`].
 //!
 //! Enabling approximate inference ([`EngineConfig::approx`]) inserts [`solvers::MonteCarloSolver`] between the
 //! theorem and maxent stages: Monte-Carlo sampling of the Definition 4.2
@@ -96,7 +99,8 @@ pub use cache::{
     DRAW_CACHE_BYTES,
 };
 pub use engine::{
-    BeliefResult, EngineConfig, EngineError, PendingQuery, Probe, RandomWorlds, Response,
+    ApproxParams, BeliefResult, EngineConfig, EngineError, PendingQuery, Probe, RandomWorlds,
+    Response, ScanParams,
 };
 pub use prepared::PreparedKb;
 pub use solver::{

@@ -8,7 +8,9 @@
 //! determinism and shuffle-invariance gates meaningful.
 
 use crate::workload::{Task, Workload};
-use rw_core::{AnswerCache, Belief, EngineConfig, McConfig, PreparedKb, RandomWorlds, Response};
+use rw_core::{
+    AnswerCache, ApproxParams, Belief, EngineConfig, PreparedKb, RandomWorlds, Response, ScanParams,
+};
 use rw_server::json::{belief_json, counters_json, escape};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -175,24 +177,17 @@ impl TrialRow {
 
 /// Builds the engine for one variant cell over one task.
 fn build_engine(engine: Engine, threads: usize, task: &Task, seed: u64) -> RandomWorlds {
-    let mut config = EngineConfig {
-        enum_threads: threads,
-        enum_min_n: task.min_n,
-        enum_max_n: task.max_n,
-        ..EngineConfig::default()
+    let approx = (engine == Engine::MonteCarlo).then(|| ApproxParams {
+        seed: Some(seed),
+        ..ApproxParams::default()
+    });
+    let scan = ScanParams {
+        symmetry: engine == Engine::Symmetry,
+        min_n: task.min_n,
+        max_n: task.max_n,
     };
-    match engine {
-        Engine::Compiled | Engine::MaxEnt => {}
-        Engine::Oracle => config.enum_compiled = false,
-        Engine::Symmetry => config.enum_symmetry = true,
-        Engine::MonteCarlo => {
-            config.approx = Some(McConfig {
-                seed,
-                threads,
-                ..McConfig::default()
-            });
-        }
-    }
+    let mut config = EngineConfig::with_options(approx.as_ref(), scan, threads);
+    config.enum_compiled = engine != Engine::Oracle;
     let rw = RandomWorlds::from(config);
     if engine != Engine::MaxEnt {
         return rw;

@@ -33,6 +33,7 @@
 //!   summed over the listed tasks (all tasks when the list is absent),
 //!   `engine` must beat `baseline` by the given wall-clock factor.
 
+use rw_core::ScanParams;
 use rw_server::proto::Value;
 use std::fmt;
 use std::path::Path;
@@ -226,21 +227,22 @@ fn parse_task(line: usize, v: &Value, base_dir: Option<&Path>) -> Result<Task, W
                 ),
             },
         };
-    let scan = |key: &str| -> Result<Option<usize>, WorkloadError> {
+    let pin = |key: &str| -> Result<Option<usize>, WorkloadError> {
         match v.get(key) {
             None => Ok(None),
             Some(n) => match as_usize(n) {
-                Some(u) if u >= 2 => Ok(Some(u)),
-                _ => err(line, format!("`{key}` must be an integer >= 2")),
+                Some(u) => Ok(Some(u)),
+                None => err(line, format!("`{key}` must be an unsigned integer")),
             },
         }
     };
-    let min_n = scan("min_n")?;
-    let max_n = scan("max_n")?;
-    if let (Some(lo), Some(hi)) = (min_n, max_n) {
-        if lo > hi {
-            return err(line, "`min_n` must not exceed `max_n`");
-        }
+    let scan = ScanParams {
+        symmetry: false,
+        min_n: pin("min_n")?,
+        max_n: pin("max_n")?,
+    };
+    if let Err(e) = scan.validate() {
+        return err(line, e);
     }
     Ok(Task {
         id: id.to_string(),
@@ -248,8 +250,8 @@ fn parse_task(line: usize, v: &Value, base_dir: Option<&Path>) -> Result<Task, W
         query: query.to_string(),
         expect,
         expect_kind,
-        min_n,
-        max_n,
+        min_n: scan.min_n,
+        max_n: scan.max_n,
     })
 }
 
@@ -415,5 +417,15 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("min_n"), "{}", e.message);
+        // The window's bounds are the engine's: 2..=MAX_SCAN_N.
+        for (pin, key) in [("\"max_n\":65", "max_n"), ("\"min_n\":1", "min_n")] {
+            let e = Workload::parse(
+                &format!("{{\"task\":\"a\",\"kb\":\"P(C)\",\"query\":\"P(C)\",{pin}}}\n"),
+                None,
+            )
+            .unwrap_err();
+            assert!(e.message.contains(key), "{}", e.message);
+            assert!(e.message.contains("2..=64"), "{}", e.message);
+        }
     }
 }

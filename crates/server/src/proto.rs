@@ -434,75 +434,10 @@ pub enum KbSource {
     Text(String),
 }
 
-/// Optional Monte-Carlo knobs on a `load` request: a KB loaded with
-/// `"approx"` answers non-theorem queries by sampling (mirrors the
-/// `--approx`/`--samples`/`--mc-seed`/`--ci` CLI flags).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ApproxParams {
-    /// Total draw cap (`--samples`).
-    pub samples: Option<u64>,
-    /// Sampler seed (`--mc-seed`).
-    pub seed: Option<u64>,
-    /// Target CI half-width in (0, 0.5) (`--ci`).
-    pub ci: Option<f64>,
-}
-
-/// Optional exact-counting knobs on a `load` request: the symmetry mode
-/// and the rising-`N` scan window (mirror the `--symmetry`/`--min-n`/
-/// `--max-n` CLI flags). Checked by [`ScanParams::validate`] wherever
-/// a `load` enters: window values must lie in `[2, 64]` with
-/// `min_n ≤ max_n`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScanParams {
-    /// Enable symmetry-reduced orbit counting (`--symmetry`).
-    pub symmetry: bool,
-    /// Scan floor (`--min-n`).
-    pub min_n: Option<usize>,
-    /// Scan ceiling (`--max-n`).
-    pub max_n: Option<usize>,
-}
-
-impl ApproxParams {
-    /// The range checks every `load` path applies (the wire op and a
-    /// snapshot restore alike): `samples` positive, `ci` in (0, 0.5).
-    pub fn validate(&self) -> Result<(), ProtoError> {
-        if self.samples == Some(0) {
-            return Err(ProtoError::bad_request("`approx.samples` must be positive"));
-        }
-        match self.ci {
-            Some(ci) if !(ci > 0.0 && ci < 0.5) => Err(ApproxParams::ci_error()),
-            _ => Ok(()),
-        }
-    }
-
-    fn ci_error() -> ProtoError {
-        ProtoError::bad_request("`approx.ci` must be a half-width in (0, 0.5)")
-    }
-}
-
-impl ScanParams {
-    /// The range checks every `load` path applies (the wire op and a
-    /// snapshot restore alike): window values in `[2, MAX_SCAN_N]`,
-    /// `min_n ≤ max_n`.
-    pub fn validate(&self) -> Result<(), ProtoError> {
-        let max = rw_core::solvers::MAX_SCAN_N;
-        for (key, n) in [("min_n", self.min_n), ("max_n", self.max_n)] {
-            if let Some(n) = n.filter(|n| !(2..=max).contains(n)) {
-                return Err(ProtoError::bad_request(format!(
-                    "`load` field `{key}` must lie in [2, {max}], got {n}"
-                )));
-            }
-        }
-        if let (Some(lo), Some(hi)) = (self.min_n, self.max_n) {
-            if lo > hi {
-                return Err(ProtoError::bad_request(format!(
-                    "`load` requires `min_n` <= `max_n`, got {lo} > {hi}"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
+/// The per-KB options a `load` request carries: its `"approx"` object
+/// and its `symmetry`/`min_n`/`max_n` fields. Defined, validated and
+/// mapped to an engine in rw-core, beside `EngineConfig`.
+pub use rw_core::{ApproxParams, ScanParams};
 
 /// One parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -592,16 +527,19 @@ fn parse_approx(v: &Value) -> Result<Option<ApproxParams>, ProtoError> {
     let seed = optional_u64(approx, "seed", "`approx`")?;
     let ci = match approx.get("ci") {
         None | Some(Value::Null) => None,
-        Some(n) => Some(n.as_f64().ok_or_else(ApproxParams::ci_error)?),
+        Some(n) => Some(n.as_f64().ok_or_else(|| {
+            ProtoError::bad_request("`approx.ci` must be a half-width in (0, 0.5)")
+        })?),
     };
     let params = ApproxParams { samples, seed, ci };
-    params.validate()?;
+    params.validate().map_err(load_range_error)?;
     Ok(Some(params))
 }
 
 /// Parses and validates the `symmetry`/`min_n`/`max_n` knobs of a `load`
-/// request against the engine's scan ceiling.
-fn parse_scan(v: &Value) -> Result<ScanParams, ProtoError> {
+/// request; a snapshot's registry entries carry the same fields and are
+/// restored through it too.
+pub(crate) fn parse_scan(v: &Value) -> Result<ScanParams, ProtoError> {
     let symmetry = match v.get("symmetry") {
         None | Some(Value::Null) => false,
         Some(Value::Bool(b)) => *b,
@@ -619,8 +557,13 @@ fn parse_scan(v: &Value) -> Result<ScanParams, ProtoError> {
         min_n: window("min_n")?,
         max_n: window("max_n")?,
     };
-    scan.validate()?;
+    scan.validate().map_err(load_range_error)?;
     Ok(scan)
+}
+
+/// A `load` option outside its range, as rw-core's validators word it.
+fn load_range_error(message: String) -> ProtoError {
+    ProtoError::bad_request(format!("`load` option {message}"))
 }
 
 /// Parses one request line. Anything that is not a well-formed, typed

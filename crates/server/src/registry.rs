@@ -21,8 +21,8 @@
 use crate::format;
 use crate::proto::{ApproxParams, KbSource, ProtoError, ScanParams};
 use rw_core::{
-    purge_draws, AnswerCache, DenomCache, DrawCache, EngineConfig, EngineError, McConfig,
-    PendingQuery, PreparedKb, Probe, RandomWorlds, Response, DRAW_CACHE_BYTES,
+    purge_draws, AnswerCache, DenomCache, DrawCache, EngineConfig, EngineError, PendingQuery,
+    PreparedKb, Probe, RandomWorlds, Response, DRAW_CACHE_BYTES,
 };
 use rw_logic::KnowledgeBase;
 use std::collections::HashMap;
@@ -105,21 +105,10 @@ impl LoadedKb {
         scan: ScanParams,
         caches: SharedCaches,
     ) -> LoadedKb {
-        let defaults = McConfig::default();
         let engine = RandomWorlds::from(EngineConfig {
-            approx: approx.map(|params| McConfig {
-                seed: params.seed.unwrap_or(defaults.seed),
-                threads: 1,
-                max_samples: params.samples.unwrap_or(defaults.max_samples),
-                target_ci: params.ci.unwrap_or(defaults.target_ci),
-                ..defaults
-            }),
-            enum_symmetry: scan.symmetry,
-            enum_min_n: scan.min_n,
-            enum_max_n: scan.max_n,
             denom_cache: caches.denoms,
             draw_cache: caches.draws,
-            ..EngineConfig::default()
+            ..EngineConfig::with_options(approx, scan, 1)
         })
         .with_cache(caches.answers);
         let kb = PreparedKb::new(kb);
@@ -253,19 +242,15 @@ impl KbRegistry {
         Ok(loaded)
     }
 
-    /// Inserts an already-parsed KB (the `rwq serve <file>` preload path).
+    /// Inserts an already-parsed KB with default options.
     pub fn insert(&self, name: &str, kb: KnowledgeBase) -> Arc<LoadedKb> {
-        self.insert_scan(name, kb, ScanParams::default())
+        self.insert_scan_source(name, kb, ScanParams::default(), None)
     }
 
-    /// [`Self::insert`] with explicit enumeration-scan settings — the
-    /// preload path for `rwq serve <file> --symmetry/--min-n/--max-n`.
-    pub fn insert_scan(&self, name: &str, kb: KnowledgeBase, scan: ScanParams) -> Arc<LoadedKb> {
-        self.insert_scan_source(name, kb, scan, None)
-    }
-
-    /// [`Self::insert_scan`] retaining the `.rwkb` source text, so the
-    /// preloaded KB participates in snapshots like wire-loaded ones.
+    /// Inserts an already-parsed KB with explicit enumeration-scan
+    /// settings, retaining its `.rwkb` source text so it participates in
+    /// snapshots like wire-loaded ones — the `rwq serve <file>
+    /// --symmetry/--min-n/--max-n` preload path.
     pub fn insert_scan_source(
         &self,
         name: &str,

@@ -276,7 +276,7 @@ fn load_inner(dir: &Path, registry: &KbRegistry) -> Result<Option<SnapshotStats>
             parse_hex_u64(get_str(v, "fingerprint").map_err(&corrupt)?).map_err(&corrupt)?;
         let text = get_str(v, "text").map_err(&corrupt)?.to_string();
         let approx = parse_approx(v).map_err(&corrupt)?;
-        let scan = parse_scan(v).map_err(&corrupt)?;
+        let scan = crate::proto::parse_scan(v).map_err(|e| corrupt(e.message))?;
         let kb = crate::format::parse_kb(&text)
             .map_err(|e| corrupt(format!("stored KB does not parse: {e}")))?;
         let computed = rw_logic::canon::kb_fingerprint(&kb);
@@ -472,30 +472,8 @@ fn parse_approx(v: &Value) -> Result<Option<ApproxParams>, String> {
             },
         },
     };
-    params.validate().map_err(|e| e.message)?;
+    params.validate()?;
     Ok(Some(params))
-}
-
-fn parse_scan(v: &Value) -> Result<ScanParams, String> {
-    let symmetry = match v.get("symmetry") {
-        Some(b) => b
-            .as_bool()
-            .ok_or_else(|| "symmetry must be a bool".to_string())?,
-        None => false,
-    };
-    let dim = |key: &str| -> Result<Option<usize>, String> {
-        Ok(match opt_u64_field(v, key)? {
-            None => None,
-            Some(n) => Some(usize::try_from(n).map_err(|_| format!("{key} out of range: {n}"))?),
-        })
-    };
-    let scan = ScanParams {
-        symmetry,
-        min_n: dim("min_n")?,
-        max_n: dim("max_n")?,
-    };
-    scan.validate().map_err(|e| e.message)?;
-    Ok(scan)
 }
 
 // ---------------------------------------------------------------------

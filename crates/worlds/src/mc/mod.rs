@@ -71,9 +71,8 @@ pub struct McConfig {
     /// Root seed; a run is a pure function of `(seed, KB, query, sweep)`.
     pub seed: u64,
     /// Worker threads (0 = one per core). Never affects the result —
-    /// only how fast it arrives. Effective parallelism is bounded by
-    /// [`Self::wave`] (workers share one wave's chunks), so raise `wave`
-    /// together with `threads` on wide machines.
+    /// only how fast it arrives. Workers share one wave's chunks, so at
+    /// most [`WAVE`] of them run at once.
     pub threads: usize,
     /// Hard cap on proposal draws across the whole sweep.
     pub max_samples: u64,
@@ -81,23 +80,25 @@ pub struct McConfig {
     pub target_ci: f64,
     /// Draws per chunk: the determinism (and scheduling) unit.
     pub chunk: u64,
-    /// Chunks between adaptive-stopping checks — and therefore the upper
-    /// bound on concurrent workers. Deliberately **not** derived from
-    /// `threads`: the stopping boundary is part of the result, and tying
-    /// it to worker count would break the identical-answers-at-any-
-    /// thread-count contract.
-    pub wave: u64,
 }
+
+/// Chunks between adaptive-stopping checks — and therefore the upper
+/// bound on concurrent workers. Deliberately **not** derived from
+/// [`McConfig::threads`]: the stopping boundary is part of the result,
+/// and tying it to worker count would break the identical-answers-at-
+/// any-thread-count contract.
+pub const WAVE: u64 = 4;
 
 impl McConfig {
     /// A stable rendering of every field that can affect a *result* —
-    /// everything except `threads`, which only changes wall time. Cache
+    /// everything except `threads`, which only changes wall time — and
+    /// of the fixed [`WAVE`], kept so existing cache keys stay valid. Cache
     /// keyspaces should fold in exactly this, so sessions differing only
     /// in worker count still share answers.
     pub fn result_fingerprint(&self) -> String {
         format!(
             "mc(seed={},samples={},ci={},chunk={},wave={})",
-            self.seed, self.max_samples, self.target_ci, self.chunk, self.wave
+            self.seed, self.max_samples, self.target_ci, self.chunk, WAVE
         )
     }
 }
@@ -110,7 +111,6 @@ impl Default for McConfig {
             max_samples: 1 << 18,
             target_ci: 0.02,
             chunk: 1024,
-            wave: 4,
         }
     }
 }
@@ -150,7 +150,7 @@ pub struct SweepEstimate {
 /// most `cap` draws, stopping early once the CI target is met.
 ///
 /// Deterministic: the result depends only on `(cfg.seed, kb, query, tau,
-/// n, cap, cfg.chunk, cfg.wave, cfg.target_ci)` — not on `cfg.threads`.
+/// n, cap, cfg.chunk, cfg.target_ci)` — not on `cfg.threads`.
 pub fn estimate_point(
     kb: &KnowledgeBase,
     query: &Formula,
@@ -220,12 +220,11 @@ fn estimate_point_planned<K: Eq + Hash + Clone>(
         cap,
     };
     let total_chunks = cap.div_ceil(chunk_size);
-    let wave = cfg.wave.max(1);
     let mut tally = Tally::default();
     let mut fresh = Vec::new();
     let mut done = 0u64;
     while done < total_chunks {
-        let end = (done + wave).min(total_chunks);
+        let end = (done + WAVE).min(total_chunks);
         for (chunk, (t, record)) in (done..end).zip(run_chunks(&ctx, done..end, cfg.threads)) {
             tally.absorb(&t);
             fresh.extend(record.map(|r| (chunk as usize, r)));

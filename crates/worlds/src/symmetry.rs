@@ -53,6 +53,7 @@ use crate::count::{CountError, CountOptions};
 use crate::eval::tolerance;
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
 use rw_logic::{Tolerances, VarId, Vocabulary};
+use rw_util::comb::binomial_checked;
 use rw_util::{par, Rat};
 use std::collections::BTreeSet;
 
@@ -786,28 +787,15 @@ static PASCAL: [[u64; PASCAL_ROWS + 1]; PASCAL_ROWS + 1] = {
 };
 
 /// `C(n, k)` exactly, `None` on overflow: read from [`PASCAL`] up to its
-/// last row (where the running product never overflows either), above
-/// it by [`binomial_product`].
+/// last row, above it by [`binomial_checked`].
 fn binomial(n: u64, k: u64) -> Option<u128> {
     if k > n {
         return Some(0);
     }
     match PASCAL.get(n as usize) {
         Some(row) => Some(u128::from(row[k as usize])),
-        None => binomial_product(n, k),
+        None => binomial_checked(n, k),
     }
-}
-
-/// `C(n, k)` for `k ≤ n` by the running product, which is divisible at
-/// every step; `None` when an intermediate product overflows.
-fn binomial_product(n: u64, k: u64) -> Option<u128> {
-    let k = k.min(n - k);
-    let mut r: u128 = 1;
-    for i in 1..=k {
-        r = r.checked_mul(u128::from(n - k + i))?;
-        r /= u128::from(i);
-    }
-    Some(r)
 }
 
 /// The falling factorial `(c)_k = c·(c−1)···(c−k+1)`; zero when `k > c`.
@@ -1170,7 +1158,7 @@ mod tests {
     fn the_binomial_table_equals_the_running_product() {
         for n in 0..=PASCAL_ROWS as u64 {
             for k in 0..=n {
-                assert_eq!(binomial(n, k), binomial_product(n, k), "C({n}, {k})");
+                assert_eq!(binomial(n, k), binomial_checked(n, k), "C({n}, {k})");
             }
             assert_eq!(binomial(n, n + 1), Some(0));
         }
