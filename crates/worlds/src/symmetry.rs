@@ -40,13 +40,23 @@
 //! atoms fall outside the group-action argument and return `None` — the
 //! caller falls back to plain branch-and-count.
 //!
+//! # Size-independent tables
+//!
+//! The coincidence partitions, and for each block → cell assignment its
+//! satisfying σ count and its cell occupancy, do not depend on `N`. A
+//! spec computes them once, on its first count, and every count of the
+//! rising-`N` scan reads them. Within a chunk the profile sum depends
+//! only on the occupancy, so it runs once per occupancy class and is
+//! replayed for the class's later assignments. A spec whose tables
+//! would not fit the count's visit budget sweeps σ per assignment.
+//!
 //! # Parallelism and determinism
 //!
 //! Counting shards representatives into `N + 1` **chunks** by the size of
 //! the first atom cell, runs them on the shared [`rw_util::par`] pool
 //! with a fixed per-chunk budget share and merges results in chunk order,
 //! so the count, its representative totals and its failure mode are
-//! bit-identical at any thread count.
+//! bit-identical at any thread count, with or without the tables.
 
 use crate::compile::{arith, compare, Arith, Frac};
 use crate::count::{CountError, CountOptions};
@@ -55,7 +65,9 @@ use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
 use rw_logic::{Tolerances, VarId, Vocabulary};
 use rw_util::comb::binomial_checked;
 use rw_util::{par, Rat};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
+use std::sync::OnceLock;
 
 /// Cap on tracked unary predicates (cells are bitmasks in a `u64`, and
 /// the profile space grows as `N^(2^k − 1)`).
@@ -238,9 +250,14 @@ pub struct SymmetrySpec {
     ground: Vec<Ground>,
     /// Statistical conjuncts.
     stats: Vec<Stat>,
+    /// The size-independent tables, built by the first count whose
+    /// budget holds them ([`SymmetrySpec::tables`]).
+    tables: OnceLock<Tables>,
 }
 
-/// One coincidence partition of the constants with its derived data.
+/// One coincidence partition of the constants with its derived data,
+/// none of which depends on the domain size.
+#[derive(Clone, Debug)]
 struct Partition {
     /// Block of each constant (restricted-growth string).
     block_of: Vec<usize>,
@@ -251,8 +268,71 @@ struct Partition {
     atom_bit: Vec<usize>,
     /// Number of distinct named bits.
     named_bits: usize,
-    /// Free predicate bits: `N·free_unary + Σ N^arity − named_bits`.
-    exp2: u64,
+}
+
+/// Everything a count reads that does not depend on the domain size:
+/// the coincidence partitions and, per block → cell assignment, its σ
+/// count and cell occupancy. Built once per spec and read at every `N`.
+#[derive(Clone, Debug)]
+struct Tables {
+    /// Every coincidence partition, in restricted-growth order.
+    parts: Vec<Partition>,
+    /// `rows[starts[i]..starts[i + 1]]` are partition `i`'s assignments
+    /// in odometer order.
+    starts: Vec<usize>,
+    rows: Vec<Row>,
+    /// The distinct cell-occupancy vectors, `cells` entries each, in the
+    /// order the rows first meet them.
+    occs: Vec<u64>,
+}
+
+/// One block → cell assignment of one partition.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    /// Satisfying named-bit assignments σ (at most `2^MAX_NAMED_ATOMS`).
+    sat: u32,
+    /// Index of the assignment's occupancy vector in [`Tables::occs`].
+    class: u32,
+}
+
+impl Tables {
+    fn rows(&self, part: usize) -> &[Row] {
+        &self.rows[self.starts[part]..self.starts[part + 1]]
+    }
+
+    fn occ(&self, class: u32, cells: usize) -> &[u64] {
+        &self.occs[class as usize * cells..][..cells]
+    }
+}
+
+/// What every chunk of one count at domain size `n` shares.
+struct Plan<'a> {
+    parts: &'a [Partition],
+    /// The rows of `parts`, or `None` for a spec whose tables would
+    /// exceed the budget: its chunks sweep σ per assignment.
+    tables: Option<&'a Tables>,
+    /// Indices of the partitions with at most `n` blocks, each with its
+    /// free predicate bits `n·free_unary + Σ n^arity − named_bits`.
+    live: Vec<(usize, u64)>,
+    n: usize,
+    /// Each statistical conjunct's τ.
+    taus: Vec<Rat>,
+    /// Representatives one chunk may visit.
+    budget: u64,
+}
+
+/// One chunk's running totals: the representatives whose first atom
+/// cell has exactly `c0` elements.
+struct Chunk<'a> {
+    spec: &'a SymmetrySpec,
+    plan: &'a Plan<'a>,
+    c0: usize,
+    sum: ScaledCount,
+    reps: u64,
+    /// Per occupancy class met so far: its profile sum and the profile
+    /// leaves that sum visited.
+    memo: Vec<Option<(u128, u64)>>,
+    counts: [u64; MAX_CELLS],
 }
 
 /// A successful symmetry-reduced count.
@@ -332,6 +412,7 @@ impl SymmetrySpec {
             atoms,
             ground,
             stats,
+            tables: OnceLock::new(),
         })
     }
 
@@ -343,9 +424,17 @@ impl SymmetrySpec {
     /// Counts the models of the lowered formula over `W_n(Φ)` by
     /// weighted orbit-representative enumeration.
     ///
+    /// What does not depend on `n` is done once per spec: the first
+    /// count whose budget holds the spec's tables builds them
+    /// ([`SymmetrySpec::tables`]), and every later count, at any `n`,
+    /// reads them. What does depend on `n` is decided per call: which
+    /// partitions fit `n` elements, their free-bit exponents, the
+    /// `n + 1` chunks and each chunk's budget share.
+    ///
     /// Deterministic at any [`CountOptions::threads`] value: the count,
     /// the [`SymmetryOutcome::reps`] total and the failure mode are
-    /// identical across thread counts for fixed `(spec, n, budget)`.
+    /// identical across thread counts for fixed `(spec, n, budget)`, and
+    /// identical whether or not the tables were built.
     pub fn count(
         &self,
         n: usize,
@@ -353,27 +442,79 @@ impl SymmetrySpec {
         opts: &CountOptions,
     ) -> Result<SymmetryOutcome, CountError> {
         assert!(n >= 1, "domain size must be positive");
-        let partitions = self.partitions(n)?;
-        let taus: Vec<Rat> = self.stats.iter().map(|s| tolerance(s.op, tol)).collect();
-        let chunks = n + 1;
-        let chunk_budget = (opts.max_visited / chunks as u64).max(1);
-
-        let results = par::try_map(chunks, opts.threads, |c0| {
-            self.run_chunk(&partitions, n, c0, &taus, chunk_budget)
-        })?;
-
-        let mut count = ScaledCount::ZERO;
-        let mut reps = 0u64;
-        for (sum, chunk_reps) in results {
-            count.add(sum)?;
-            reps += chunk_reps;
-        }
-        Ok(SymmetryOutcome { count, reps })
+        let tables = self.tables(opts.max_visited);
+        let (parts, rows) = match &tables {
+            Ok(tables) => (&tables.parts[..], Some(*tables)),
+            Err(parts) => (&parts[..], None),
+        };
+        let plan = self.plan(parts, rows, n, tol, opts.max_visited)?;
+        merge_chunks(n, opts.threads, |c0| self.run_chunk(&plan, c0))
     }
 
-    /// Enumerates the coincidence partitions with their per-partition
-    /// named-bit tables and free-bit exponents at domain size `n`.
-    fn partitions(&self, n: usize) -> Result<Vec<Partition>, CountError> {
+    /// The spec's size-independent tables, built by the first call whose
+    /// `budget` holds their `Σ cells^blocks` rows. Every chunk visits at
+    /// least one representative per row of each partition it counts, so
+    /// a larger table belongs to a count that cannot finish once `n`
+    /// reaches the number of constants. Such a spec is handed its bare
+    /// partitions (`Err`) and sweeps σ per assignment instead.
+    fn tables(&self, budget: u64) -> Result<&Tables, Vec<Partition>> {
+        if let Some(tables) = self.tables.get() {
+            return Ok(tables);
+        }
+        let parts = self.partitions();
+        let cells = self.cells() as u64;
+        let rows = parts
+            .iter()
+            .map(|p| cells.saturating_pow(p.blocks as u32))
+            .fold(0, u64::saturating_add);
+        // Occupancy classes are numbered in `u32`s.
+        if rows > budget.min(u64::from(u32::MAX)) {
+            return Err(parts);
+        }
+        Ok(self.tables.get_or_init(|| self.build_tables(parts)))
+    }
+
+    /// Sweeps σ once for every block → cell assignment of every
+    /// partition and numbers the distinct cell occupancies.
+    fn build_tables(&self, parts: Vec<Partition>) -> Tables {
+        let cells = self.cells();
+        let mut starts = vec![0];
+        let mut rows = Vec::new();
+        let mut occs = Vec::new();
+        let mut classes: HashMap<Vec<u64>, u32> = HashMap::new();
+        for part in &parts {
+            let Ok(()) = for_each_assignment::<Infallible>(cells, part.blocks, |assign, occ| {
+                let fresh = classes.len() as u32;
+                let class = *classes.entry(occ.to_vec()).or_insert_with(|| {
+                    occs.extend_from_slice(occ);
+                    fresh
+                });
+                let sat = u32::try_from(self.sigma_sweep(part, assign))
+                    .expect("σ ranges over at most 2^MAX_NAMED_ATOMS values");
+                rows.push(Row { sat, class });
+                Ok(())
+            });
+            starts.push(rows.len());
+        }
+        Tables {
+            parts,
+            starts,
+            rows,
+            occs,
+        }
+    }
+
+    /// The per-`n` half of a count: the partitions with at most `n`
+    /// blocks and their free-bit exponents, each conjunct's τ, and one
+    /// chunk's share of `max_visited` over the `n + 1` chunks.
+    fn plan<'a>(
+        &self,
+        parts: &'a [Partition],
+        tables: Option<&'a Tables>,
+        n: usize,
+        tol: &Tolerances,
+        max_visited: u64,
+    ) -> Result<Plan<'a>, CountError> {
         let mut wide_bits = 0u64;
         for &arity in &self.wide_arities {
             let bits = (n as u64).checked_pow(arity).ok_or(CountError::Overflow)?;
@@ -383,27 +524,38 @@ impl SymmetrySpec {
             .checked_mul(n as u64)
             .and_then(|u| u.checked_add(wide_bits))
             .ok_or(CountError::Overflow)?;
-
-        let mut out = Vec::new();
-        let mut block_of = Vec::with_capacity(self.consts);
-        self.partitions_rec(&mut block_of, 0, n, base, &mut out)?;
-        Ok(out)
-    }
-
-    fn partitions_rec(
-        &self,
-        block_of: &mut Vec<usize>,
-        blocks: usize,
-        n: usize,
-        base_exp: u64,
-        out: &mut Vec<Partition>,
-    ) -> Result<(), CountError> {
-        if block_of.len() == self.consts {
+        let mut live = Vec::with_capacity(parts.len());
+        for (i, part) in parts.iter().enumerate() {
             // More blocks than elements cannot be realized (the falling
             // factorial would vanish for every profile).
-            if blocks > n {
-                return Ok(());
+            if part.blocks <= n {
+                let exp2 = base
+                    .checked_sub(part.named_bits as u64)
+                    .ok_or(CountError::Overflow)?;
+                live.push((i, exp2));
             }
+        }
+        Ok(Plan {
+            parts,
+            tables,
+            live,
+            n,
+            taus: self.stats.iter().map(|s| tolerance(s.op, tol)).collect(),
+            budget: (max_visited / (n as u64 + 1)).max(1),
+        })
+    }
+
+    /// Enumerates the coincidence partitions in restricted-growth order
+    /// with their per-partition named-bit tables.
+    fn partitions(&self) -> Vec<Partition> {
+        let mut out = Vec::new();
+        let mut block_of = Vec::with_capacity(self.consts);
+        self.partitions_rec(&mut block_of, 0, &mut out);
+        out
+    }
+
+    fn partitions_rec(&self, block_of: &mut Vec<usize>, blocks: usize, out: &mut Vec<Partition>) {
+        if block_of.len() == self.consts {
             let mut bit_tuples: Vec<(usize, Vec<usize>)> = Vec::new();
             let mut atom_bit = Vec::with_capacity(self.atoms.len());
             for (pred, args) in &self.atoms {
@@ -418,46 +570,70 @@ impl SymmetrySpec {
                 };
                 atom_bit.push(bit);
             }
-            let named_bits = bit_tuples.len();
-            let exp2 = base_exp
-                .checked_sub(named_bits as u64)
-                .ok_or(CountError::Overflow)?;
             out.push(Partition {
                 block_of: block_of.clone(),
                 blocks,
                 atom_bit,
-                named_bits,
-                exp2,
+                named_bits: bit_tuples.len(),
             });
-            return Ok(());
+            return;
         }
         // Restricted growth: the next constant joins an existing block or
         // opens the next fresh one.
         for b in 0..=blocks {
             block_of.push(b);
-            self.partitions_rec(block_of, blocks.max(b + 1), n, base_exp, out)?;
+            self.partitions_rec(block_of, blocks.max(b + 1), out);
             block_of.pop();
         }
-        Ok(())
     }
 
     /// Counts the representatives whose first atom cell has exactly `c0`
-    /// elements — one deterministic chunk of the full enumeration.
-    fn run_chunk(
-        &self,
-        partitions: &[Partition],
-        n: usize,
-        c0: usize,
-        taus: &[Rat],
-        budget: u64,
-    ) -> Result<(ScaledCount, u64), CountError> {
+    /// elements — one deterministic chunk of the full enumeration. With
+    /// tables it walks their rows and runs one profile sum per occupancy
+    /// class; without, it sweeps σ and sums profiles per assignment.
+    fn run_chunk(&self, plan: &Plan, c0: usize) -> Result<(ScaledCount, u64), CountError> {
+        let cells = self.cells();
+        let mut chunk = Chunk {
+            spec: self,
+            plan,
+            c0,
+            sum: ScaledCount::ZERO,
+            reps: 0,
+            memo: vec![None; plan.tables.map_or(0, |t| t.occs.len() / cells)],
+            counts: [0; MAX_CELLS],
+        };
+        for &(i, exp2) in &plan.live {
+            let part = &plan.parts[i];
+            match plan.tables {
+                Some(tables) => {
+                    for row in tables.rows(i) {
+                        let occ = tables.occ(row.class, cells);
+                        chunk.visit(part, exp2, occ, Some(row.class as usize), || {
+                            u128::from(row.sat)
+                        })?;
+                    }
+                }
+                None => for_each_assignment(cells, part.blocks, |assign, occ| {
+                    chunk.visit(part, exp2, occ, None, || self.sigma_sweep(part, assign))
+                })?,
+            }
+        }
+        Ok((chunk.sum, chunk.reps))
+    }
+
+    /// The odometer chunk that [`SymmetrySpec::run_chunk`] replaces: σ
+    /// swept and profiles summed for every assignment. The test oracle.
+    #[cfg(test)]
+    fn reference_chunk(&self, plan: &Plan, c0: usize) -> Result<(ScaledCount, u64), CountError> {
+        let (n, taus, budget) = (plan.n, &plan.taus[..], plan.budget);
         let cells = self.cells();
         let mut sum = ScaledCount::ZERO;
         let mut reps = 0u64;
         let mut occ_buf = [0u64; MAX_CELLS];
         let mut counts_buf = [0u64; MAX_CELLS];
         let (occ, counts) = (&mut occ_buf[..cells], &mut counts_buf[..cells]);
-        for part in partitions {
+        for &(i, exp2) in &plan.live {
+            let part = &plan.parts[i];
             let b = part.blocks;
             let mut assign_buf = [0usize; MAX_CONSTANTS];
             let assign = &mut assign_buf[..b];
@@ -481,7 +657,7 @@ impl SymmetrySpec {
                             self.profile_sum(n, c0, occ, counts, taus, &mut reps, budget)?;
                         if profiles > 0 {
                             let coeff = sat.checked_mul(profiles).ok_or(CountError::Overflow)?;
-                            sum.accumulate(coeff, part.exp2)?;
+                            sum.accumulate(coeff, exp2)?;
                         }
                     }
                 }
@@ -508,6 +684,20 @@ impl SymmetrySpec {
             }
         }
         Ok((sum, reps))
+    }
+
+    /// [`SymmetrySpec::count`] over [`SymmetrySpec::reference_chunk`],
+    /// with no tables read or built.
+    #[cfg(test)]
+    fn reference_count(
+        &self,
+        n: usize,
+        tol: &Tolerances,
+        opts: &CountOptions,
+    ) -> Result<SymmetryOutcome, CountError> {
+        let parts = self.partitions();
+        let plan = self.plan(&parts, None, n, tol, opts.max_visited)?;
+        merge_chunks(n, opts.threads, |c0| self.reference_chunk(&plan, c0))
     }
 
     /// The number of named-bit assignments σ that satisfy every ground
@@ -649,6 +839,118 @@ impl SymmetrySpec {
             }
         }
         true
+    }
+}
+
+impl Chunk<'_> {
+    /// Visits one block → cell assignment of `part` with occupancy `occ`:
+    /// the representative itself, then, when its first cell fits `c0`,
+    /// its named bits and, when `sat` σ satisfy the ground conjuncts,
+    /// the profile sum of its occupancy. A tabled assignment's `class`
+    /// runs that sum once per chunk; a later assignment of the same class
+    /// adds the leaves it visited to `reps` in one step, so the budget
+    /// trips exactly where the per-leaf checks would.
+    fn visit(
+        &mut self,
+        part: &Partition,
+        exp2: u64,
+        occ: &[u64],
+        class: Option<usize>,
+        sat: impl FnOnce() -> u128,
+    ) -> Result<(), CountError> {
+        let budget = self.plan.budget;
+        self.reps += 1;
+        if self.reps > budget {
+            return Err(CountError::BudgetExhausted);
+        }
+        if occ[0] > self.c0 as u64 {
+            return Ok(());
+        }
+        self.reps = self.reps.saturating_add(1u64 << part.named_bits);
+        if self.reps > budget {
+            return Err(CountError::BudgetExhausted);
+        }
+        let sat = sat();
+        if sat == 0 {
+            return Ok(());
+        }
+        let profiles = match class.and_then(|k| self.memo[k]) {
+            Some((profiles, leaves)) => {
+                self.reps = self.reps.saturating_add(leaves);
+                if self.reps > budget {
+                    return Err(CountError::BudgetExhausted);
+                }
+                profiles
+            }
+            None => {
+                let before = self.reps;
+                let profiles = self.spec.profile_sum(
+                    self.plan.n,
+                    self.c0,
+                    occ,
+                    &mut self.counts[..occ.len()],
+                    &self.plan.taus,
+                    &mut self.reps,
+                    budget,
+                )?;
+                if let Some(k) = class {
+                    self.memo[k] = Some((profiles, self.reps - before));
+                }
+                profiles
+            }
+        };
+        if profiles > 0 {
+            let coeff = sat.checked_mul(profiles).ok_or(CountError::Overflow)?;
+            self.sum.accumulate(coeff, exp2)?;
+        }
+        Ok(())
+    }
+}
+
+/// Runs chunks `0..=n` on the shared pool and merges them in chunk
+/// order; the lowest-index chunk failure is the outcome.
+fn merge_chunks(
+    n: usize,
+    threads: usize,
+    run: impl Fn(usize) -> Result<(ScaledCount, u64), CountError> + Sync,
+) -> Result<SymmetryOutcome, CountError> {
+    let results = par::try_map(n + 1, threads, run)?;
+    let mut count = ScaledCount::ZERO;
+    let mut reps = 0u64;
+    for (sum, chunk_reps) in results {
+        count.add(sum)?;
+        reps += chunk_reps;
+    }
+    Ok(SymmetryOutcome { count, reps })
+}
+
+/// Calls `f` on every block → cell assignment of `blocks` blocks over
+/// `cells` cells in odometer order (the last block's cell turns
+/// fastest), with the assignment's cell occupancy. The one enumerator of
+/// assignments: tables are filled from it, and a spec without tables
+/// counts from it directly.
+fn for_each_assignment<E>(
+    cells: usize,
+    blocks: usize,
+    mut f: impl FnMut(&[usize], &[u64]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut assign_buf = [0usize; MAX_CONSTANTS];
+    let mut occ_buf = [0u64; MAX_CELLS];
+    let assign = &mut assign_buf[..blocks];
+    let occ = &mut occ_buf[..cells];
+    loop {
+        occ.fill(0);
+        for &a in assign.iter() {
+            occ[a] += 1;
+        }
+        f(assign, occ)?;
+        // Turn the last block not yet in the last cell; the blocks after
+        // it wrap to cell 0.
+        let Some(i) = assign.iter().rposition(|&a| a + 1 < cells) else {
+            return Ok(());
+        };
+        assign[i] += 1;
+        assign[i + 1..].fill(0);
     }
 }
 
@@ -996,6 +1298,7 @@ mod tests {
     use super::*;
     use crate::enumerate;
     use crate::eval::Evaluator;
+    use proptest::prelude::*;
     use rw_logic::KnowledgeBase;
 
     fn tol() -> Tolerances {
@@ -1170,16 +1473,15 @@ mod tests {
 
     #[test]
     fn the_word_wise_sigma_sweep_counts_what_the_scalar_one_does() {
-        for (src, n, most_bits) in [
-            ("Likes(A, B); !Likes(B, B)", 3, 2),
-            ("Likes(A, B) or Knows(B, A); A = B => P(A)", 3, 2),
+        for (src, most_bits) in [
+            ("Likes(A, B); !Likes(B, B)", 2),
+            ("Likes(A, B) or Knows(B, A); A = B => P(A)", 2),
             // Nine named bits with distinct constants: eight words per
             // sweep, fewer as constants coincide.
             (
                 "(Likes(A, B) or Likes(B, C)) & !Likes(C, A); \
                  Likes(A, A) <=> (P(B) or Likes(B, B)); Likes(C, C) => Likes(B, A); \
                  Likes(A, C) or !Likes(C, B) or B = C",
-                3,
                 9,
             ),
         ] {
@@ -1187,7 +1489,7 @@ mod tests {
             let spec = SymmetrySpec::detect(kb.vocab(), &kb.as_formula()).unwrap();
             let cells = spec.cells();
             let mut widest = 0;
-            for part in spec.partitions(n).unwrap() {
+            for part in spec.partitions() {
                 widest = widest.max(part.named_bits);
                 // Every block → cell assignment, decoded from `code`.
                 for code in 0..cells.pow(part.blocks as u32) {
@@ -1228,5 +1530,190 @@ mod tests {
                 "N={n}"
             );
         }
+    }
+
+    /// One literal over the first `consts` of the constants `A`, `B`,
+    /// `C`: a tracked unary atom, a binary atom or a constant equality.
+    fn literal(consts: usize, (kind, a, b, negated): (usize, usize, usize, bool)) -> String {
+        let c = |i: usize| ["A", "B", "C"][i % consts];
+        let atom = match kind {
+            0 => format!("P({})", c(a)),
+            1 => format!("Q({})", c(a)),
+            2 => format!("Likes({}, {})", c(a), c(b)),
+            _ => format!("{} = {}", c(a), c(b)),
+        };
+        if negated {
+            format!("!({atom})")
+        } else {
+            atom
+        }
+    }
+
+    /// In-fragment formulas on at most three constants: one statistical
+    /// conjunct over `P` and `Q` plus up to three ground clauses.
+    fn in_fragment() -> impl Strategy<Value = String> {
+        let clause =
+            proptest::collection::vec((0usize..4, 0usize..3, 0usize..3, any::<bool>()), 1..3);
+        let clauses = proptest::collection::vec(clause, 0..4);
+        (1usize..4, 0usize..4, 1usize..10, clauses).prop_map(|(consts, stat, tenth, clauses)| {
+            let mut conjuncts = vec![match stat {
+                0 => format!("||P(x)||_x ~=_1 0.{tenth}"),
+                1 => format!("||P(x) | Q(x)||_x ~=_1 0.{tenth}"),
+                2 => "||P(x)||_x + ||Q(x)||_x <= 1".to_string(),
+                _ => "true".to_string(),
+            }];
+            for clause in clauses {
+                let literals: Vec<String> =
+                    clause.into_iter().map(|l| literal(consts, l)).collect();
+                conjuncts.push(literals.join(" or "));
+            }
+            conjuncts.join("; ")
+        })
+    }
+
+    fn budget(max_visited: u64, threads: usize) -> CountOptions {
+        CountOptions {
+            max_visited,
+            threads,
+        }
+    }
+
+    /// The least budget at which the reference count at `n` succeeds
+    /// (success is monotone in the budget), or `None` past `max`.
+    fn exhaustion_point(spec: &SymmetrySpec, n: usize, max: u64) -> Option<u64> {
+        let ok = |b: u64| spec.reference_count(n, &tol(), &budget(b, 1)).is_ok();
+        if !ok(max) {
+            return None;
+        }
+        let (mut failing, mut passing) = (0u64, max);
+        while passing - failing > 1 {
+            let mid = failing + (passing - failing) / 2;
+            if ok(mid) {
+                passing = mid;
+            } else {
+                failing = mid;
+            }
+        }
+        Some(passing)
+    }
+
+    /// `count` against the odometer reference at `n`, on a spec that has
+    /// not counted yet (it builds its tables, or not, under this budget)
+    /// and on one whose tables the default budget already built.
+    fn assert_matches_reference(src: &str, n: usize, max_visited: u64) {
+        let kb = KnowledgeBase::parse(src).unwrap();
+        let f = kb.as_formula();
+        let warm = SymmetrySpec::detect(kb.vocab(), &f).expect("in the symmetry fragment");
+        let _ = warm.count(1, &tol(), &CountOptions::default());
+        for threads in [1usize, 2, 4] {
+            let opts = budget(max_visited, threads);
+            let cold = SymmetrySpec::detect(kb.vocab(), &f).unwrap();
+            let expected = cold.reference_count(n, &tol(), &opts);
+            assert!(
+                cold.tables.get().is_none(),
+                "the reference builds no tables"
+            );
+            for (label, spec) in [("cold", &cold), ("warm", &warm)] {
+                assert_eq!(
+                    spec.count(n, &tol(), &opts),
+                    expected,
+                    "{label} `{src}` at N={n}, budget {max_visited}, {threads} threads"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn table_counts_equal_the_odometer_reference(src in in_fragment()) {
+            let kb = KnowledgeBase::parse(&src).unwrap();
+            let spec = SymmetrySpec::detect(kb.vocab(), &kb.as_formula())
+                .expect("generated formulas stay inside the symmetry fragment");
+            for n in 1..=spec.consts + 2 {
+                let max = crate::count::DEFAULT_MAX_VISITED;
+                assert_matches_reference(&src, n, max);
+                if let Some(point) = exhaustion_point(&spec, n, max) {
+                    for b in [point - 1, point, point + 1] {
+                        assert_matches_reference(&src, n, b.max(1));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_memo_hit_that_ends_a_chunk_trips_the_budget_where_its_leaves_would() {
+        // One cell and three constants at N = 2: the last chunk's three
+        // two-block partitions share the occupancy (2), so its last
+        // representative is a memo hit whose one leaf crosses a budget
+        // set just below the chunk's total.
+        let src = "Likes(A, B) or Likes(B, C)";
+        for n in 1..=4 {
+            let kb = KnowledgeBase::parse(src).unwrap();
+            let spec = SymmetrySpec::detect(kb.vocab(), &kb.as_formula()).unwrap();
+            let point = exhaustion_point(&spec, n, crate::count::DEFAULT_MAX_VISITED).unwrap();
+            for b in [point - 1, point, point + 1] {
+                assert_matches_reference(src, n, b);
+            }
+        }
+    }
+
+    #[test]
+    fn a_spec_over_the_table_bound_counts_as_the_reference() {
+        // Eight constants over eight cells: more than `8^8 = 2^24` rows,
+        // past the default budget, so every count sweeps σ per
+        // assignment and no tables are built.
+        let src = "||P(x) | Q(x)||_x ~=_1 0.5; R(A) or Likes(B, C); \
+                   Likes(D, E) => P(F); !(G = H) or Q(G)";
+        let kb = KnowledgeBase::parse(src).unwrap();
+        let spec = SymmetrySpec::detect(kb.vocab(), &kb.as_formula()).unwrap();
+        assert_eq!((spec.consts, spec.cells()), (8, 8));
+        for n in 1..=2 {
+            let max = crate::count::DEFAULT_MAX_VISITED;
+            let out = spec.count(n, &tol(), &CountOptions::default());
+            assert_eq!(
+                out,
+                spec.reference_count(n, &tol(), &CountOptions::default())
+            );
+            assert!(out.is_ok(), "N={n}: {out:?}");
+            let point = exhaustion_point(&spec, n, max).unwrap();
+            for b in [point - 1, point, point + 1] {
+                for threads in [1usize, 2, 4] {
+                    let opts = budget(b, threads);
+                    assert_eq!(
+                        spec.count(n, &tol(), &opts),
+                        spec.reference_count(n, &tol(), &opts),
+                        "N={n}, budget {b}, {threads} threads"
+                    );
+                }
+            }
+        }
+        assert!(spec.tables.get().is_none());
+    }
+
+    #[test]
+    fn overflowing_counts_fail_as_the_reference_does() {
+        // Two cells past the Pascal rows: `C(n, c0)` times the falling
+        // factorials and σ outgrows `u128` in the middle chunks only.
+        let src = "||P(x)||_x <= 1; P(A) => Likes(A, B); Likes(B, A) or Likes(A, A) or !P(B)";
+        let kb = KnowledgeBase::parse(src).unwrap();
+        let spec = SymmetrySpec::detect(kb.vocab(), &kb.as_formula()).unwrap();
+        let mut overflowed = 0;
+        for n in [60usize, 64, 100, 124, 126, 128, 130, 132, 140] {
+            for threads in [1usize, 2, 4] {
+                let opts = budget(crate::count::DEFAULT_MAX_VISITED, threads);
+                let expected = spec.reference_count(n, &tol(), &opts);
+                overflowed += usize::from(expected == Err(CountError::Overflow));
+                assert_eq!(
+                    spec.count(n, &tol(), &opts),
+                    expected,
+                    "N={n}, {threads} threads"
+                );
+            }
+        }
+        assert!(overflowed > 0, "no size overflowed");
+        assert!(spec.tables.get().is_some());
     }
 }
