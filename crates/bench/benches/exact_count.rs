@@ -22,6 +22,7 @@
 
 use rw_logic::ast::Formula;
 use rw_logic::{KnowledgeBase, Tolerances};
+use rw_obs::escape;
 use rw_util::Rat;
 use rw_worlds::{count_formula_models, count_worlds, CountOptions};
 use std::time::Instant;
@@ -103,10 +104,6 @@ fn median_us(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     let required_trap_speedup = required_trap_speedup();
     let tol = Tolerances::uniform(Rat::new(1, 4));
@@ -172,7 +169,7 @@ fn main() {
                 r#""speedup_vs_naive":1.0}}"#
             ),
             w.label,
-            json_escape(w.query),
+            escape(w.query),
             w.n,
             naive_us
         ));
@@ -182,7 +179,7 @@ fn main() {
                 r#""speedup_vs_naive":{:.2}}}"#
             ),
             w.label,
-            json_escape(w.query),
+            escape(w.query),
             w.n,
             compiled_us,
             speedup

@@ -6,7 +6,9 @@ use crate::belief::{Belief, Provenance};
 use crate::cache::{AnswerCache, CachedAnswer, DenomCache, DrawCache, DRAW_CACHE_BYTES};
 use crate::prepared::PreparedKb;
 use crate::solver::{Budget, Diagonal, SolverOutcome, Stage, StageStatus, Trace};
-use crate::solvers::{EnumerationDiagonalSolver, MaxEntSolver, MonteCarloSolver, TheoremSolver};
+use crate::solvers::{
+    Counter, EnumerationDiagonalSolver, MaxEntSolver, MonteCarloSolver, TheoremSolver,
+};
 use rw_logic::ast::Formula;
 use rw_logic::canon;
 use rw_logic::{KnowledgeBase, ParseError};
@@ -28,35 +30,29 @@ pub struct EngineConfig {
     /// Maximum-entropy τ-sweep configuration (used by the default
     /// pipeline's maxent stage).
     pub sweep: SweepConfig,
-    /// Budget for the exact counting stage. With [`Self::enum_compiled`]
-    /// set (the default) this bounds *visited search nodes* of the
-    /// branch-and-count engine — which prunes and multiplies out free
-    /// slots, so its reach in domain size and vocabulary vastly exceeds
-    /// the same number of blindly enumerated interpretations. In oracle
-    /// mode it bounds interpretations, as it historically did.
+    /// Budget for the exact counting stage, in the unit of
+    /// [`Self::enum_counter`]: *visited search nodes* of branch-and-count
+    /// (the default) — which prunes and multiplies out free slots, so its
+    /// reach in domain size and vocabulary vastly exceeds the same number
+    /// of blindly enumerated interpretations — orbit representatives, or
+    /// the odometer oracle's interpretations.
     pub enum_max_worlds: u128,
-    /// Use the compiled branch-and-count engine for the exact counting
-    /// stage (default `true`). `false` restores the naive odometer
-    /// oracle. Folded into the cache keyspace: the two modes can select
-    /// different diagonal points and so different (equally exact)
-    /// extrapolations.
-    pub enum_compiled: bool,
+    /// The exact counting stage's counter (default branch-and-count).
+    /// [`Counter::Orbits`] counts weighted orbit representatives of the
+    /// unnamed-element group where a query lands inside the orbit
+    /// fragment, so the rising-`N` scan climbs toward
+    /// [`crate::solvers::MAX_SYMMETRY_N`] instead of stopping near
+    /// [`crate::solvers::MAX_COMPILED_N`]; outside the fragment it counts
+    /// as branch-and-count does. [`Counter::Oracle`] is the naive
+    /// odometer the others are cross-checked against. Folded into the
+    /// cache keyspace: the counters can select different diagonal points
+    /// and so different (equally exact) extrapolations.
+    pub enum_counter: Counter,
     /// Worker threads for compiled counting (0 = one per core). Counting
     /// is chunk-deterministic, so — like the sampler's worker count —
     /// this never affects an answer and is *not* part of the cache
     /// keyspace.
     pub enum_threads: usize,
-    /// Symmetry-reduced orbit counting for the exact counting stage
-    /// (default `false`). When set and a query lands inside the orbit
-    /// fragment, counting enumerates weighted orbit representatives of
-    /// the unnamed-element group instead of branching over worlds, so
-    /// the rising-`N` scan climbs toward
-    /// [`crate::solvers::MAX_SYMMETRY_N`] instead of stopping near
-    /// [`crate::solvers::MAX_COMPILED_N`]. Outside the fragment the
-    /// stage behaves exactly as with the flag off. Folded into the cache
-    /// keyspace: deeper scans select different (equally exact)
-    /// extrapolation points.
-    pub enum_symmetry: bool,
     /// Floor of the exact stage's rising-`N` scan (`None` = 2). Values
     /// below 2 are clamped up. Folded into the cache keyspace.
     pub enum_min_n: Option<usize>,
@@ -114,9 +110,8 @@ impl Default for EngineConfig {
         EngineConfig {
             sweep: SweepConfig::default(),
             enum_max_worlds: 1 << 24,
-            enum_compiled: true,
+            enum_counter: Counter::default(),
             enum_threads: 1,
-            enum_symmetry: false,
             enum_min_n: None,
             enum_max_n: None,
             diagonal: Diagonal::default(),
@@ -149,13 +144,15 @@ impl EngineConfig {
             "|{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
             self.sweep,
             self.enum_max_worlds,
-            // The counting mode selects diagonal points and so answers;
-            // `enum_threads` is excluded like the sampler's worker count
-            // (counting is chunk-deterministic at any thread count).
-            self.enum_compiled,
-            // Symmetry and the scan window select how deep the rising-N
+            // The counter selects diagonal points and so answers; it is
+            // printed as the two flags (compiled, symmetry) it replaced,
+            // so every cache-key prefix keeps its bytes. `enum_threads`
+            // is excluded like the sampler's worker count (counting is
+            // chunk-deterministic at any thread count).
+            self.enum_counter != Counter::Oracle,
+            // Orbits and the scan window select how deep the rising-N
             // diagonal goes, and so the extrapolation points.
-            self.enum_symmetry,
+            self.enum_counter == Counter::Orbits,
             self.enum_min_n,
             self.enum_max_n,
             self.diagonal,
@@ -191,7 +188,11 @@ impl EngineConfig {
                 ..defaults
             }),
             enum_threads: threads,
-            enum_symmetry: scan.symmetry,
+            enum_counter: if scan.symmetry {
+                Counter::Orbits
+            } else {
+                Counter::BranchAndCount
+            },
             enum_min_n: scan.min_n,
             enum_max_n: scan.max_n,
             ..EngineConfig::default()
@@ -657,8 +658,7 @@ fn default_stages(config: &EngineConfig) -> Vec<Stage> {
     stages.push(Stage::budgeted(
         Box::new(EnumerationDiagonalSolver {
             diagonal: config.diagonal.clone(),
-            compiled: config.enum_compiled,
-            symmetry: config.enum_symmetry,
+            counter: config.enum_counter,
             min_n: config.enum_min_n,
             max_n: config.enum_max_n,
             threads: config.enum_threads,
@@ -1304,7 +1304,7 @@ mod tests {
             (
                 "symmetry",
                 configured(|c| {
-                    c.enum_symmetry = true;
+                    c.enum_counter = Counter::Orbits;
                     c.enum_min_n = Some(3);
                     c.enum_max_n = Some(12);
                 }),
@@ -1336,7 +1336,7 @@ mod tests {
             |c| c.enum_max_worlds = 1 << 10,
             |c| c.diagonal = Diagonal::geometric(rw_util::Rat::new(1, 4), 8, 2),
             // The symmetry flag and scan window are part of the keyspace.
-            |c| c.enum_symmetry = true,
+            |c| c.enum_counter = Counter::Orbits,
             |c| c.enum_min_n = Some(3),
             |c| c.enum_max_n = Some(12),
         ];

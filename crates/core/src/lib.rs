@@ -22,13 +22,15 @@
 //! 2. [`solvers::MaxEntSolver`] — the §6 maximum-entropy asymptotics for
 //!    unary KBs, with τ-sweeps and robustness probing.
 //! 3. [`solvers::EnumerationDiagonalSolver`] — exact world counting at
-//!    small `N`, the completeness backstop. By default it runs the
-//!    compiled branch-and-count engine (`rw_worlds::count`): formulas
-//!    are lowered into slot programs and counted by pruned search with
-//!    free-slot multiplication, sharing `#worlds(KB)` denominators
-//!    through a [`cache::DenomCache`] — orders of magnitude faster than
-//!    the blind odometer enumeration it replaced (which survives as the
-//!    cross-check oracle behind `compiled: false`).
+//!    small `N`, the completeness backstop: one rising-`N` scan over the
+//!    [`Counter`] its config picks. By default that is the compiled
+//!    branch-and-count engine (`rw_worlds::count`): formulas are lowered
+//!    into slot programs and counted by pruned search with free-slot
+//!    multiplication, sharing `#worlds(KB)` denominators through a
+//!    [`cache::DenomCache`] — orders of magnitude faster than the blind
+//!    odometer enumeration it replaced (which survives as the
+//!    cross-check oracle, [`Counter::Oracle`]). [`Counter::Orbits`]
+//!    counts orbits of the unnamed-element group where a query allows.
 //!
 //! An engine is built once from an [`EngineConfig`] — budgets, diagonal,
 //! τ-sweep, counting mode, scan window, sampler and the shared
@@ -106,7 +108,7 @@ pub use prepared::PreparedKb;
 pub use solver::{
     Budget, Diagonal, Recurse, Solver, SolverOutcome, Stage, StageStatus, StageTrace, Trace,
 };
-pub use solvers::MonteCarloSolver;
+pub use solvers::{Counter, MonteCarloSolver};
 pub use theorems::dempster_rule;
 // Re-exported so engine configuration (`EngineConfig::approx`) does not
 // force downstream crates to depend on `rw-worlds` directly.

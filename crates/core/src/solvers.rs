@@ -18,6 +18,7 @@ use rw_logic::{KnowledgeBase, Tolerances};
 use rw_maxent::{LimitOutcome, MaxentError, SweepConfig};
 use rw_worlds::mc::{self, McConfig};
 use rw_worlds::{ScaledCount, SymmetrySpec};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Stage 1: the syntactic theorem engine (§5 of the paper).
@@ -251,52 +252,54 @@ impl Solver for MonteCarloSolver {
     }
 }
 
+/// Which exact counter the enumeration stage runs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Counter {
+    /// Compiled branch-and-count ([`rw_worlds::count`]): formulas are
+    /// lowered once per `(query, N)` into slot programs and counted by
+    /// pruned search with free-slot multiplication. The budget bounds
+    /// visited search nodes.
+    #[default]
+    BranchAndCount,
+    /// Orbit counting over the unnamed-element group
+    /// ([`rw_worlds::SymmetrySpec`]) where both the KB and `KB ∧ query`
+    /// fall inside its fragment, branch-and-count elsewhere. The budget
+    /// bounds orbit representatives.
+    Orbits,
+    /// The odometer oracle ([`rw_worlds::for_each_world`]) the other
+    /// counters are cross-checked against: every interpretation at the
+    /// two largest sizes whose interpretation count fits the budget,
+    /// which bounds interpretations.
+    Oracle,
+}
+
 /// Stage 3: exact world counting along the diagonal (small `N`).
 ///
 /// The last resort for non-unary KBs: compute the Definition 4.2 ratio
-/// `#(KB ∧ query) / #KB` exactly at the two largest reachable domain
-/// sizes and extrapolate the `O(1/N)` error term.
+/// `#(KB ∧ query) / #KB` exactly at rising domain sizes and extrapolate
+/// the `O(1/N)` error term through the last two.
 ///
-/// By default the counts come from the **compiled branch-and-count**
-/// engine ([`rw_worlds::count`]): the KB and query are lowered once per
-/// `(query, N)` into slot programs and counted by pruned search with
-/// free-slot multiplication, so the stage [`Budget`] bounds *visited
-/// search nodes* rather than interpretations — reaching domain sizes and
-/// vocabularies (several binary predicates, functions) that blind
-/// odometer enumeration never could. The `#KB` denominator is shared
-/// across queries through an optional [`DenomCache`]. Counting is
-/// bit-deterministic at any [`Self::threads`] count.
-///
-/// When [`Self::symmetry`] is set and the formula falls inside the
-/// symmetry fragment ([`rw_worlds::SymmetrySpec`]), counting switches to
-/// **orbit enumeration** over the unnamed-element group: polynomially
-/// many weighted representatives instead of `2^(N²)` branches, which
-/// lets the rising-`N` scan climb toward `N ≈ 40` instead of 8. Outside
-/// the fragment the stage falls back to plain branch-and-count
-/// unchanged.
-///
-/// Setting [`Self::compiled`] to `false` restores the historical
-/// odometer path (`for_each_world`), kept as the oracle the compiled
-/// engine is cross-checked against; there the budget bounds
-/// interpretations, as before.
+/// The [`Counter`] picks how the worlds are counted. Branch-and-count
+/// (the default) reaches domain sizes and vocabularies (several binary
+/// predicates, functions) that blind odometer enumeration never could;
+/// orbit counting enumerates polynomially many weighted representatives
+/// instead of `2^(N²)` branches, so the scan climbs toward `N ≈ 40`
+/// instead of 8. Both share each `#KB` denominator across queries
+/// through an optional [`DenomCache`]. Counting is bit-deterministic at
+/// any [`Self::threads`] count.
 #[derive(Clone, Debug)]
 pub struct EnumerationDiagonalSolver {
     /// The diagonal whose finest tolerance the counts evaluate at.
     pub diagonal: Diagonal,
-    /// Use the compiled branch-and-count engine (default). `false`
-    /// selects the naive odometer oracle.
-    pub compiled: bool,
-    /// Enable symmetry-reduced orbit counting for formulas inside the
-    /// supported fragment (off by default; plain counting remains the
-    /// fallback either way).
-    pub symmetry: bool,
+    /// The exact counter (default branch-and-count).
+    pub counter: Counter,
     /// Smallest domain size of the rising-`N` scan (`None` = 2; values
     /// below 2 are clamped up — `N = 1` has no extrapolation line).
     pub min_n: Option<usize>,
-    /// Largest domain size the scan may attempt (`None` = the mode
-    /// default: [`MAX_COMPILED_N`] plain, [`MAX_SYMMETRY_N`] when the
-    /// symmetry mode applies). The scan still stops earlier when the
-    /// visited budget would not survive the next point.
+    /// Largest domain size the scan may attempt (`None` = the counter's
+    /// default: [`MAX_SYMMETRY_N`] where orbit counting applies,
+    /// [`MAX_COMPILED_N`] elsewhere). The scan still stops earlier when
+    /// the visited budget would not survive the next point.
     pub max_n: Option<usize>,
     /// Worker threads for compiled counting (0 = one per core). Never
     /// affects an answer or its trace counters — counting is
@@ -311,8 +314,7 @@ impl Default for EnumerationDiagonalSolver {
     fn default() -> EnumerationDiagonalSolver {
         EnumerationDiagonalSolver {
             diagonal: Diagonal::default(),
-            compiled: true,
-            symmetry: false,
+            counter: Counter::default(),
             min_n: None,
             max_n: None,
             threads: 1,
@@ -335,6 +337,10 @@ pub const MAX_SYMMETRY_N: usize = 40;
 /// values are `u8`, so plain counting cannot exceed `N = 254` anyway).
 pub const MAX_SCAN_N: usize = 64;
 
+/// The odometer oracle's own ceiling: blind enumeration is doubly
+/// exponential, so sizes past 6 are never feasible anyway.
+const MAX_ORACLE_N: usize = 6;
+
 impl EnumerationDiagonalSolver {
     /// A counting stage over the given diagonal, with the compiled
     /// engine enabled and no shared denominator cache.
@@ -351,44 +357,73 @@ impl EnumerationDiagonalSolver {
         self
     }
 
-    /// The `#worlds_N^τ(KB)` denominator at one sweep point: served from
-    /// the [`DenomCache`] when the KB is fingerprinted and the point was
-    /// counted before, else counted by `count` under the full stage
-    /// budget and remembered. `symmetry` keys orbit counts apart from
-    /// plain ones (their budget units differ).
-    fn denominator(
+    /// The domain sizes the rising-`N` scan counts. The configured
+    /// window is clamped: the floor never drops below 2 (no
+    /// extrapolation line through `N = 1`) and the ceiling never below
+    /// the floor. The oracle keeps the window's two largest sizes whose
+    /// interpretation count fits the budget (just `N = 2` when only it
+    /// does), capped at [`MAX_ORACLE_N`]; `Err` when none fits.
+    fn sizes(
         &self,
-        fingerprints: Option<(u64, u64)>,
-        n: usize,
-        tau: rw_util::Rat,
-        full_budget: u64,
-        symmetry: bool,
-        count: impl FnOnce(&rw_worlds::CountOptions) -> Result<ScaledCount, rw_worlds::CountError>,
-    ) -> Result<ScaledCount, rw_worlds::CountError> {
-        let key = fingerprints.map(|(kb_fp, vocab_fp)| DenomKey {
-            kb_fingerprint: kb_fp,
-            vocab_fingerprint: vocab_fp,
-            n,
-            tau: (tau.num(), tau.den()),
-            budget: full_budget,
-            symmetry,
-        });
-        let cache = self.denom_cache.as_ref();
-        if let Some(hit) = key.as_ref().and_then(|k| cache?.get(k)) {
-            return Ok(hit);
+        kb: &KnowledgeBase,
+        orbits: bool,
+        budget: &Budget,
+    ) -> Result<RangeInclusive<usize>, String> {
+        let default_max = if orbits {
+            MAX_SYMMETRY_N
+        } else {
+            MAX_COMPILED_N
+        };
+        let min = self.min_n.unwrap_or(2).max(2);
+        let max = self.max_n.unwrap_or(default_max).max(min);
+        if self.counter != Counter::Oracle {
+            return Ok(min..=max);
         }
-        let counted = count(&rw_worlds::CountOptions {
-            max_visited: full_budget,
-            threads: self.threads,
-        })?;
-        if let (Some(k), Some(cache)) = (key, cache) {
-            cache.insert(k, counted);
-        }
-        Ok(counted)
+        let fits = |n: &usize| {
+            rw_worlds::count_interpretations(kb.vocab(), *n).is_some_and(|c| c <= budget.max_count)
+        };
+        let Some(hi) = (min..=max.min(MAX_ORACLE_N).max(min)).rev().find(fits) else {
+            return Err(format!(
+                "even N={min} needs more than {} interpretations",
+                budget.max_count
+            ));
+        };
+        Ok(if hi > 2 { hi - 1..=hi } else { hi..=hi })
     }
+}
 
-    /// One `(value, numerator-effort)` diagonal point at domain size `n`,
-    /// or the counting error that stopped it. `Ok(None)` means the KB is
+/// What every diagonal point of one query's scan shares.
+struct Scan<'a> {
+    solver: &'a EnumerationDiagonalSolver,
+    kb: &'a KnowledgeBase,
+    query: &'a Formula,
+    kb_formula: Formula,
+    numerator_formula: Formula,
+    tau: rw_util::Rat,
+    tol: Tolerances,
+    /// The stage budget in visited nodes (or representatives): every
+    /// denominator's budget and the first numerator's.
+    max_visited: u64,
+    /// The KB's and vocabulary's fingerprints, when denominators are
+    /// cached.
+    fingerprints: Option<(u64, u64)>,
+    /// The numerator's and the KB's orbit specs, when orbit counting
+    /// applies to both; the ratio must divide counts of one method.
+    specs: Option<(SymmetrySpec, SymmetrySpec)>,
+}
+
+/// A numerator's counted effort: branch-and-count's nodes or orbit
+/// representatives (the odometer reports none).
+#[derive(Clone, Copy, Debug, Default)]
+struct Effort {
+    visited: u64,
+    branched: u64,
+    orbits: u64,
+}
+
+impl Scan<'_> {
+    /// One `(value, numerator effort)` diagonal point at domain size `n`,
+    /// or the reason the scan stops there. A `None` value means the KB is
     /// unsatisfiable at this size (the degree of belief is undefined
     /// there — Definition 4.2).
     ///
@@ -397,264 +432,105 @@ impl EnumerationDiagonalSolver {
     /// and is shared through the [`DenomCache`]. Keeping the
     /// denominator's budget fixed — and part of its cache key — makes a
     /// point's outcome independent of cache warmth: a hit can only ever
-    /// replace a count that would have succeeded anyway.
-    #[allow(clippy::too_many_arguments)]
-    fn compiled_point(
-        &self,
-        kb: &KnowledgeBase,
-        n: usize,
-        tol: &Tolerances,
-        tau: rw_util::Rat,
-        kb_formula: &Formula,
-        num_prog: &rw_worlds::Program,
-        num_budget: u64,
-        full_budget: u64,
-        fingerprints: Option<(u64, u64)>,
-    ) -> Result<(Option<f64>, rw_worlds::CountOutcome), rw_worlds::CountError> {
-        let numerator = rw_worlds::count_models(
-            num_prog,
-            &rw_worlds::CountOptions {
-                max_visited: num_budget,
-                threads: self.threads,
-            },
-        )?;
-        let denominator = self
-            .denominator(fingerprints, n, tau, full_budget, false, |options| {
-                rw_worlds::count_formula_models(kb.vocab(), n, tol, kb_formula, options)
-                    .map(|out| ScaledCount::from_u128(out.count))
-            })?
-            .exact()
-            .expect("plain counts fit u128");
-        let value = if denominator == 0 {
-            None
-        } else {
-            Some(numerator.count as f64 / denominator as f64)
+    /// replace a count that would have succeeded anyway. The odometer
+    /// counts both in one uncached pass under the budget its sizes were
+    /// chosen by.
+    fn point(&self, n: usize, num_budget: u64) -> Result<(Option<f64>, Effort), String> {
+        let failed = |e: rw_worlds::CountError| format!("counting at N={n} failed: {e}");
+        let options = rw_worlds::CountOptions {
+            max_visited: num_budget,
+            threads: self.solver.threads,
         };
-        Ok((value, numerator))
-    }
-
-    /// One symmetry-mode diagonal point: numerator and denominator come
-    /// from weighted orbit enumeration instead of branch-and-count, with
-    /// the same budget discipline (laddered numerator, full-budget
-    /// cacheable denominator keyed with `symmetry: true`). Returns the
-    /// point value and the numerator's representative count.
-    #[allow(clippy::too_many_arguments)]
-    fn symmetry_point(
-        &self,
-        num_spec: &SymmetrySpec,
-        kb_spec: &SymmetrySpec,
-        n: usize,
-        tol: &Tolerances,
-        tau: rw_util::Rat,
-        num_budget: u64,
-        full_budget: u64,
-        fingerprints: Option<(u64, u64)>,
-    ) -> Result<(Option<f64>, u64), rw_worlds::CountError> {
-        let numerator = num_spec.count(
-            n,
-            tol,
-            &rw_worlds::CountOptions {
-                max_visited: num_budget,
-                threads: self.threads,
-            },
-        )?;
-        let denominator = self.denominator(fingerprints, n, tau, full_budget, true, |options| {
-            kb_spec.count(n, tol, options).map(|out| out.count)
-        })?;
-        Ok((
-            ScaledCount::ratio(&numerator.count, &denominator),
-            numerator.reps,
-        ))
-    }
-
-    /// The `[min, max]` domain sizes the rising-`N` scan covers, after
-    /// clamping: the floor never drops below 2 (no extrapolation line
-    /// through `N = 1`) and the ceiling never drops below the floor.
-    fn scan_bounds(&self, symmetry_applies: bool) -> (usize, usize) {
-        let default_max = if symmetry_applies {
-            MAX_SYMMETRY_N
-        } else {
-            MAX_COMPILED_N
-        };
-        let min = self.min_n.unwrap_or(2).max(2);
-        let max = self.max_n.unwrap_or(default_max).max(min);
-        (min, max)
-    }
-
-    fn solve_compiled(
-        &self,
-        kb: &KnowledgeBase,
-        query: &Formula,
-        budget: &Budget,
-    ) -> SolverOutcome {
-        let tau = self.diagonal.finest_tau();
-        let tol = Tolerances::uniform(tau);
-        let kb_formula = kb.as_formula();
-        let numerator_formula = Formula::and(kb_formula.clone(), query.clone());
-        let max_visited = u64::try_from(budget.max_count.min(u64::MAX as u128)).expect("clamped");
-        let fingerprints = self.denom_cache.as_ref().map(|_| {
-            (
-                rw_logic::canon::kb_fingerprint(kb),
-                rw_logic::canon::vocab_fingerprint(kb.vocab()),
-            )
-        });
-
-        // Symmetry mode engages only when *both* formulas land in the
-        // orbit-counting fragment — the ratio must divide counts produced
-        // by the same method. Otherwise fall back to plain
-        // branch-and-count, identical to the symmetry-off configuration.
-        let specs = if self.symmetry {
-            SymmetrySpec::detect(kb.vocab(), &numerator_formula)
-                .zip(SymmetrySpec::detect(kb.vocab(), &kb_formula))
-        } else {
-            None
-        };
-        let (min_n, max_n) = self.scan_bounds(specs.is_some());
-
-        let mut points: Vec<(usize, Option<f64>)> = Vec::new();
-        let mut visited = 0u64;
-        let mut branched = 0u64;
-        let mut orbits = 0u64;
-        let mut failure: Option<String> = None;
-        let mut prev_effort: u64 = 0;
-        for n in min_n..=max_n {
-            // Iterative deepening up the diagonal: the first point's
-            // numerator gets the whole budget, every later one a
-            // generous multiple of the previous point's *measured*
-            // effort. A point that blows through that allowance is
-            // growing doubly-exponentially — stop with the points in
-            // hand instead of burning the full budget to learn the same
-            // thing. Deterministic: effort counts are thread-count
-            // invariant and the (cached) denominator plays no part.
-            let num_budget = if points.is_empty() {
-                max_visited
-            } else {
-                prev_effort.max(64).saturating_mul(1024).min(max_visited)
-            };
-            let step = match specs.as_ref() {
-                Some((num_spec, kb_spec)) => self
-                    .symmetry_point(
-                        num_spec,
-                        kb_spec,
-                        n,
-                        &tol,
-                        tau,
-                        num_budget,
-                        max_visited,
-                        fingerprints,
-                    )
-                    .map(|(value, reps)| {
-                        orbits += reps;
-                        (value, reps)
-                    }),
-                None => {
-                    let Some(num_prog) =
-                        rw_worlds::Program::compile(kb.vocab(), n, &tol, &numerator_formula)
-                    else {
-                        failure = Some(format!("slot space at N={n} overflows the machine"));
-                        break;
-                    };
-                    self.compiled_point(
-                        kb,
-                        n,
-                        &tol,
-                        tau,
-                        &kb_formula,
-                        &num_prog,
-                        num_budget,
-                        max_visited,
-                        fingerprints,
-                    )
-                    .map(|(value, effort)| {
-                        visited += effort.visited;
-                        branched += effort.branched;
-                        (value, effort.visited)
+        let (numerator, effort, denominator) = match (&self.specs, self.solver.counter) {
+            (_, Counter::Oracle) => {
+                let (both, kb_worlds) = rw_worlds::count_worlds(
+                    self.kb.vocab(),
+                    n,
+                    &self.tol,
+                    self.query,
+                    &self.kb_formula,
+                );
+                (
+                    ScaledCount::from_u128(both),
+                    Effort::default(),
+                    ScaledCount::from_u128(kb_worlds),
+                )
+            }
+            (Some((num_spec, kb_spec)), _) => {
+                let numerator = num_spec.count(n, &self.tol, &options).map_err(failed)?;
+                let denominator = self
+                    .denominator(n, true, |options| {
+                        kb_spec.count(n, &self.tol, options).map(|out| out.count)
                     })
-                }
-            };
-            match step {
-                Ok((value, effort)) => {
-                    points.push((n, value));
-                    prev_effort = effort;
-                }
-                Err(e) => {
-                    failure = Some(format!("counting at N={n} failed: {e}"));
-                    break;
-                }
+                    .map_err(failed)?;
+                let effort = Effort {
+                    orbits: numerator.reps,
+                    ..Effort::default()
+                };
+                (numerator.count, effort, denominator)
             }
-        }
-
-        let provenance = |max_n: usize| Provenance::Enumeration {
-            max_n,
-            visited,
-            branched,
-            orbits,
+            (None, _) => {
+                let vocab = self.kb.vocab();
+                let Some(num_prog) =
+                    rw_worlds::Program::compile(vocab, n, &self.tol, &self.numerator_formula)
+                else {
+                    return Err(format!("slot space at N={n} overflows the machine"));
+                };
+                let numerator = rw_worlds::count_models(&num_prog, &options).map_err(failed)?;
+                let denominator = self
+                    .denominator(n, false, |options| {
+                        rw_worlds::count_formula_models(
+                            vocab,
+                            n,
+                            &self.tol,
+                            &self.kb_formula,
+                            options,
+                        )
+                        .map(|out| ScaledCount::from_u128(out.count))
+                    })
+                    .map_err(failed)?;
+                let effort = Effort {
+                    visited: numerator.visited,
+                    branched: numerator.branched,
+                    orbits: 0,
+                };
+                (ScaledCount::from_u128(numerator.count), effort, denominator)
+            }
         };
-        // A scan cut short by a failure right after an unsatisfiable size
-        // has not shown the KB unsatisfiable: the next size might have
-        // had worlds. Only a scan that reaches its ceiling says `undefined`.
-        match (points.last(), failure) {
-            (None, failure) => SolverOutcome::BudgetExhausted {
-                reason: failure.unwrap_or_else(|| {
-                    format!("even N={min_n} exceeded the {max_visited}-node visit budget")
-                }),
-            },
-            (Some((_, None)), Some(reason)) => SolverOutcome::BudgetExhausted { reason },
-            _ => diagonal_outcome(&points, provenance),
-        }
+        Ok((ScaledCount::ratio(&numerator, &denominator), effort))
     }
 
-    /// The historical odometer path: enumerate every interpretation at
-    /// the two largest sizes whose world count fits the budget.
-    fn solve_oracle(&self, kb: &KnowledgeBase, query: &Formula, budget: &Budget) -> SolverOutcome {
-        // The scan window honors the same `min_n`/`max_n` contract as
-        // the compiled path (a pinned window makes both modes
-        // extrapolate from the same diagonal points, so their answers
-        // are bit-identical when both complete it), intersected with
-        // the odometer's own hard ceiling — blind enumeration is doubly
-        // exponential, so sizes past 6 are never feasible anyway.
-        const MAX_ORACLE_N: usize = 6;
-        let (min_n, max_n) = self.scan_bounds(false);
-        let max_n = max_n.min(MAX_ORACLE_N).max(min_n);
-        // Largest feasible size within the world budget.
-        let mut n_hi = None;
-        for n in (min_n..=max_n).rev() {
-            if let Some(c) = rw_worlds::count_interpretations(kb.vocab(), n) {
-                if c <= budget.max_count {
-                    n_hi = Some(n);
-                    break;
-                }
-            }
+    /// The `#worlds_N^τ(KB)` denominator at one sweep point: served from
+    /// the [`DenomCache`] when the KB is fingerprinted and the point was
+    /// counted before, else counted by `count` under the full stage
+    /// budget and remembered. `orbits` keys orbit counts apart from
+    /// plain ones (their budget units differ).
+    fn denominator(
+        &self,
+        n: usize,
+        orbits: bool,
+        count: impl FnOnce(&rw_worlds::CountOptions) -> Result<ScaledCount, rw_worlds::CountError>,
+    ) -> Result<ScaledCount, rw_worlds::CountError> {
+        let key = self.fingerprints.map(|(kb_fp, vocab_fp)| DenomKey {
+            kb_fingerprint: kb_fp,
+            vocab_fingerprint: vocab_fp,
+            n,
+            tau: (self.tau.num(), self.tau.den()),
+            budget: self.max_visited,
+            symmetry: orbits,
+        });
+        let cache = self.solver.denom_cache.as_ref();
+        if let Some(hit) = key.as_ref().and_then(|k| cache?.get(k)) {
+            return Ok(hit);
         }
-        let Some(n_hi) = n_hi else {
-            return SolverOutcome::BudgetExhausted {
-                reason: format!(
-                    "even N={min_n} needs more than {} interpretations",
-                    budget.max_count
-                ),
-            };
-        };
-        let provenance = |max_n: usize| Provenance::Enumeration {
-            max_n,
-            visited: 0,
-            branched: 0,
-            orbits: 0,
-        };
-        let tol = Tolerances::uniform(self.diagonal.finest_tau());
-        let eval = |n: usize| {
-            rw_worlds::enumerate::degree_of_belief_at_bounded(kb, query, n, &tol, budget.max_count)
-        };
-        // Evaluate at the two largest feasible sizes — just `n_hi` when
-        // that is 2, the first size with an extrapolation line.
-        let sizes: &[usize] = if n_hi > 2 { &[n_hi - 1, n_hi] } else { &[n_hi] };
-        let points: Result<Vec<_>, rw_worlds::enumerate::EnumError> =
-            sizes.iter().map(|&n| Ok((n, eval(n)?))).collect();
-        match points {
-            Ok(points) => diagonal_outcome(&points, provenance),
-            Err(e) => SolverOutcome::BudgetExhausted {
-                reason: e.to_string(),
-            },
+        let counted = count(&rw_worlds::CountOptions {
+            max_visited: self.max_visited,
+            threads: self.solver.threads,
+        })?;
+        if let (Some(k), Some(cache)) = (key, cache) {
+            cache.insert(k, counted);
         }
+        Ok(counted)
     }
 }
 
@@ -702,10 +578,92 @@ impl Solver for EnumerationDiagonalSolver {
         budget: &Budget,
         _recurse: &Recurse<'_>,
     ) -> SolverOutcome {
-        if self.compiled {
-            self.solve_compiled(kb, query, budget)
-        } else {
-            self.solve_oracle(kb, query, budget)
+        let kb_formula = kb.as_formula();
+        let numerator_formula = Formula::and(kb_formula.clone(), query.clone());
+        let specs = match self.counter {
+            Counter::Orbits => SymmetrySpec::detect(kb.vocab(), &numerator_formula)
+                .zip(SymmetrySpec::detect(kb.vocab(), &kb_formula)),
+            Counter::BranchAndCount | Counter::Oracle => None,
+        };
+        let sizes = match self.sizes(kb, specs.is_some(), budget) {
+            Ok(sizes) => sizes,
+            Err(reason) => return SolverOutcome::BudgetExhausted { reason },
+        };
+        let fingerprints = self
+            .denom_cache
+            .as_ref()
+            .filter(|_| self.counter != Counter::Oracle)
+            .map(|_| {
+                (
+                    rw_logic::canon::kb_fingerprint(kb),
+                    rw_logic::canon::vocab_fingerprint(kb.vocab()),
+                )
+            });
+        let tau = self.diagonal.finest_tau();
+        let scan = Scan {
+            solver: self,
+            kb,
+            query,
+            kb_formula,
+            numerator_formula,
+            tau,
+            tol: Tolerances::uniform(tau),
+            max_visited: u64::try_from(budget.max_count.min(u64::MAX as u128)).expect("clamped"),
+            fingerprints,
+            specs,
+        };
+
+        let mut points: Vec<(usize, Option<f64>)> = Vec::new();
+        let mut total = Effort::default();
+        let mut failure: Option<String> = None;
+        let mut prev_effort: u64 = 0;
+        for n in sizes {
+            // Iterative deepening up the diagonal: the first point's
+            // numerator gets the whole budget, every later one a
+            // generous multiple of the previous point's *measured*
+            // effort. A point that blows through that allowance is
+            // growing doubly-exponentially — stop with the points in
+            // hand instead of burning the full budget to learn the same
+            // thing. Deterministic: effort counts are thread-count
+            // invariant and the (cached) denominator plays no part.
+            let num_budget = if points.is_empty() {
+                scan.max_visited
+            } else {
+                prev_effort
+                    .max(64)
+                    .saturating_mul(1024)
+                    .min(scan.max_visited)
+            };
+            match scan.point(n, num_budget) {
+                Ok((value, effort)) => {
+                    points.push((n, value));
+                    total.visited += effort.visited;
+                    total.branched += effort.branched;
+                    total.orbits += effort.orbits;
+                    // One of the two is zero: each counter has one unit.
+                    prev_effort = effort.visited + effort.orbits;
+                }
+                Err(reason) => {
+                    failure = Some(reason);
+                    break;
+                }
+            }
+        }
+
+        // A scan cut short right after an unsatisfiable size (or before
+        // its first point) has not shown the KB unsatisfiable: the next
+        // size might have had worlds. Only a scan that reaches its
+        // ceiling says `undefined`.
+        match failure {
+            Some(reason) if !matches!(points.last(), Some((_, Some(_)))) => {
+                SolverOutcome::BudgetExhausted { reason }
+            }
+            _ => diagonal_outcome(&points, |max_n| Provenance::Enumeration {
+                max_n,
+                visited: total.visited,
+                branched: total.branched,
+                orbits: total.orbits,
+            }),
         }
     }
 }
@@ -754,7 +712,7 @@ mod tests {
 
     fn oracle_solver() -> EnumerationDiagonalSolver {
         EnumerationDiagonalSolver {
-            compiled: false,
+            counter: Counter::Oracle,
             ..EnumerationDiagonalSolver::default()
         }
     }
@@ -978,7 +936,7 @@ mod tests {
 
     fn symmetry_solver() -> EnumerationDiagonalSolver {
         EnumerationDiagonalSolver {
-            symmetry: true,
+            counter: Counter::Orbits,
             ..EnumerationDiagonalSolver::default()
         }
     }
@@ -1152,8 +1110,8 @@ mod tests {
                     s.solve(&kb, &q, &Budget::counting(1), &no_recurse()),
                     SolverOutcome::BudgetExhausted { .. }
                 ),
-                "compiled={}",
-                s.compiled
+                "{:?}",
+                s.counter
             );
         }
     }

@@ -16,20 +16,8 @@
 //! System Z uses, so the two systems differ only in the world ordering.
 
 use rw_epsilon::prop::DefaultRule;
-use rw_epsilon::systems::z_partition;
+use rw_epsilon::systems::{world_count, z_partition};
 use rw_epsilon::PropFormula;
-
-fn world_count(rules: &[DefaultRule], extra: &[&PropFormula]) -> u32 {
-    let mut n = 0usize;
-    for r in rules {
-        n = n.max(r.var_count());
-    }
-    for f in extra {
-        n = n.max(f.var_count());
-    }
-    assert!(n <= 25, "too many propositional variables ({n})");
-    1u32 << n
-}
 
 /// The violation signature of a world: for each priority level, from the
 /// most specific (highest toleration rank) down to the most normal, the

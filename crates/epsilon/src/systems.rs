@@ -16,7 +16,9 @@
 
 use crate::prop::{DefaultRule, PropFormula};
 
-fn world_count(rules: &[DefaultRule], extra: &[&PropFormula]) -> u32 {
+/// The number of propositional worlds over the variables `rules` and
+/// `extra` mention: `2^n` for the highest variable count `n` (at most 25).
+pub fn world_count(rules: &[DefaultRule], extra: &[&PropFormula]) -> u32 {
     let mut n = 0usize;
     for r in rules {
         n = n.max(r.var_count());

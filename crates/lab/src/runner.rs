@@ -9,7 +9,8 @@
 
 use crate::workload::{Task, Workload};
 use rw_core::{
-    AnswerCache, ApproxParams, Belief, EngineConfig, PreparedKb, RandomWorlds, Response, ScanParams,
+    AnswerCache, ApproxParams, Belief, Counter, EngineConfig, PreparedKb, RandomWorlds, Response,
+    ScanParams,
 };
 use rw_server::json::{belief_json, counters_json, escape};
 use std::fmt::Write as _;
@@ -21,9 +22,9 @@ use std::time::Instant;
 pub enum Engine {
     /// Compiled branch-and-count exact cascade (the default engine).
     Compiled,
-    /// Naive odometer-enumeration exact cascade (`enum_compiled = false`).
+    /// Naive odometer-enumeration exact cascade (`Counter::Oracle`).
     Oracle,
-    /// Symmetry-reduced orbit counting (`enum_symmetry = true`).
+    /// Symmetry-reduced orbit counting (`Counter::Orbits`).
     Symmetry,
     /// Monte-Carlo approximate inference after the theorem stage.
     MonteCarlo,
@@ -187,7 +188,9 @@ fn build_engine(engine: Engine, threads: usize, task: &Task, seed: u64) -> Rando
         max_n: task.max_n,
     };
     let mut config = EngineConfig::with_options(approx.as_ref(), scan, threads);
-    config.enum_compiled = engine != Engine::Oracle;
+    if engine == Engine::Oracle {
+        config.enum_counter = Counter::Oracle;
+    }
     let rw = RandomWorlds::from(config);
     if engine != Engine::MaxEnt {
         return rw;

@@ -58,9 +58,11 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Minimal JSON string escaping (metric and span names are
-/// code-controlled, but exposition must never emit broken JSON).
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes `s` as the *contents* of a JSON string literal: quotes,
+/// backslashes and every control character. The workspace's one JSON
+/// string escaper — metric exposition, the serving surface's JSONL and
+/// the lab's rows all write strings through it.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -11,24 +11,9 @@
 use rw_core::{BatchReport, Belief, EngineError, Response, StageStatus};
 use std::fmt::Write as _;
 
-/// Escapes `s` as the *contents* of a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes `s` as the *contents* of a JSON string literal (the
+/// workspace's one escaper, kept in rw-obs).
+pub use rw_obs::escape;
 
 /// A finite JSON number (JSON has no NaN/∞; those become `null`).
 fn number(v: f64) -> String {

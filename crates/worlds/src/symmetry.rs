@@ -44,11 +44,13 @@
 //!
 //! The coincidence partitions, and for each block → cell assignment its
 //! satisfying σ count and its cell occupancy, do not depend on `N`. A
-//! spec computes them once, on its first count, and every count of the
-//! rising-`N` scan reads them. Within a chunk the profile sum depends
-//! only on the occupancy, so it runs once per occupancy class and is
-//! replayed for the class's later assignments. A spec whose tables
-//! would not fit the count's visit budget sweeps σ per assignment.
+//! spec computes them once and every count of the rising-`N` scan reads
+//! them: the partitions on its first count, the rows of the partitions
+//! with `b` blocks on the first count at `N ≥ b`. Within a chunk the
+//! profile sum depends only on the occupancy, so it runs once per
+//! occupancy class and is replayed for the class's later assignments.
+//! A spec whose tables would not fit the count's visit budget, or a
+//! block count whose rows would not, sweeps σ per assignment.
 //!
 //! # Parallelism and determinism
 //!
@@ -64,7 +66,7 @@ use crate::eval::tolerance;
 use rw_logic::ast::{CmpOp, Formula, PropExpr, Term};
 use rw_logic::{Tolerances, VarId, Vocabulary};
 use rw_util::comb::binomial_checked;
-use rw_util::{par, Rat};
+use rw_util::{par, Rat, SetPartitions};
 use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
 use std::sync::OnceLock;
@@ -263,6 +265,9 @@ struct Partition {
     block_of: Vec<usize>,
     /// Number of blocks.
     blocks: usize,
+    /// Position among the partitions with as many blocks, in
+    /// restricted-growth order.
+    rank: usize,
     /// Named-bit index of each mentioned atom under this partition
     /// (atoms colliding after block substitution share a bit).
     atom_bit: Vec<usize>,
@@ -277,27 +282,31 @@ struct Partition {
 struct Tables {
     /// Every coincidence partition, in restricted-growth order.
     parts: Vec<Partition>,
-    /// `rows[starts[i]..starts[i + 1]]` are partition `i`'s assignments
-    /// in odometer order.
-    starts: Vec<usize>,
-    rows: Vec<Row>,
+    /// `blocks[b]` holds the rows of the partitions with `b` blocks,
+    /// built by the first count at `N ≥ b` whose budget holds them.
+    blocks: Vec<OnceLock<BlockRows>>,
+}
+
+/// The rows of the partitions with one block count: every block → cell
+/// assignment in odometer order, with its occupancy class and, per
+/// partition, its σ count.
+#[derive(Clone, Debug)]
+struct BlockRows {
+    /// Each assignment's index into the occupancy vectors. It depends
+    /// on the assignment alone, so all the partitions share it.
+    class: Vec<u32>,
+    /// `sat[rank · class.len()..][..class.len()]`: the satisfying
+    /// named-bit assignments σ (at most `2^MAX_NAMED_ATOMS`) of each
+    /// assignment of the partition of that rank.
+    sat: Vec<u32>,
     /// The distinct cell-occupancy vectors, `cells` entries each, in the
-    /// order the rows first meet them.
+    /// order the assignments first meet them.
     occs: Vec<u64>,
 }
 
-/// One block → cell assignment of one partition.
-#[derive(Clone, Copy, Debug)]
-struct Row {
-    /// Satisfying named-bit assignments σ (at most `2^MAX_NAMED_ATOMS`).
-    sat: u32,
-    /// Index of the assignment's occupancy vector in [`Tables::occs`].
-    class: u32,
-}
-
-impl Tables {
-    fn rows(&self, part: usize) -> &[Row] {
-        &self.rows[self.starts[part]..self.starts[part + 1]]
+impl BlockRows {
+    fn sat(&self, rank: usize) -> &[u32] {
+        &self.sat[rank * self.class.len()..][..self.class.len()]
     }
 
     fn occ(&self, class: u32, cells: usize) -> &[u64] {
@@ -308,9 +317,13 @@ impl Tables {
 /// What every chunk of one count at domain size `n` shares.
 struct Plan<'a> {
     parts: &'a [Partition],
-    /// The rows of `parts`, or `None` for a spec whose tables would
-    /// exceed the budget: its chunks sweep σ per assignment.
-    tables: Option<&'a Tables>,
+    /// Per block count, its rows and the index of its first occupancy
+    /// class in a chunk's memo, or `None` where they would exceed the
+    /// budget (or the spec's tables would): those partitions' chunks
+    /// sweep σ per assignment.
+    rows: [Option<(&'a BlockRows, usize)>; MAX_CONSTANTS + 1],
+    /// Occupancy classes over every block count in `rows`.
+    classes: usize,
     /// Indices of the partitions with at most `n` blocks, each with its
     /// free predicate bits `n·free_unary + Σ n^arity − named_bits`.
     live: Vec<(usize, u64)>,
@@ -426,8 +439,9 @@ impl SymmetrySpec {
     ///
     /// What does not depend on `n` is done once per spec: the first
     /// count whose budget holds the spec's tables builds them
-    /// ([`SymmetrySpec::tables`]), and every later count, at any `n`,
-    /// reads them. What does depend on `n` is decided per call: which
+    /// ([`SymmetrySpec::tables`]), each block count's rows on the first
+    /// count that reaches it, and every later count, at any `n`, reads
+    /// them. What does depend on `n` is decided per call: which
     /// partitions fit `n` elements, their free-bit exponents, the
     /// `n + 1` chunks and each chunk's budget share.
     ///
@@ -443,69 +457,99 @@ impl SymmetrySpec {
     ) -> Result<SymmetryOutcome, CountError> {
         assert!(n >= 1, "domain size must be positive");
         let tables = self.tables(opts.max_visited);
-        let (parts, rows) = match &tables {
+        let (parts, tables) = match &tables {
             Ok(tables) => (&tables.parts[..], Some(*tables)),
             Err(parts) => (&parts[..], None),
         };
-        let plan = self.plan(parts, rows, n, tol, opts.max_visited)?;
+        let plan = self.plan(parts, tables, n, tol, opts.max_visited)?;
         merge_chunks(n, opts.threads, |c0| self.run_chunk(&plan, c0))
     }
 
-    /// The spec's size-independent tables, built by the first call whose
-    /// `budget` holds their `Σ cells^blocks` rows. Every chunk visits at
-    /// least one representative per row of each partition it counts, so
-    /// a larger table belongs to a count that cannot finish once `n`
-    /// reaches the number of constants. Such a spec is handed its bare
-    /// partitions (`Err`) and sweeps σ per assignment instead.
+    /// The spec's size-independent tables, made by the first call whose
+    /// `budget` holds their `Σ cells^blocks` rows; their rows are built
+    /// later, per block count ([`SymmetrySpec::block_rows`]). Every
+    /// chunk visits at least one representative per row of each
+    /// partition it counts, so a larger table belongs to a count that
+    /// cannot finish once `n` reaches the number of constants. Such a
+    /// spec is handed its bare partitions (`Err`) and sweeps σ per
+    /// assignment instead.
     fn tables(&self, budget: u64) -> Result<&Tables, Vec<Partition>> {
         if let Some(tables) = self.tables.get() {
             return Ok(tables);
         }
         let parts = self.partitions();
-        let cells = self.cells() as u64;
-        let rows = parts
-            .iter()
-            .map(|p| cells.saturating_pow(p.blocks as u32))
+        let rows = (0..=self.consts)
+            .map(|b| self.row_count(&parts, b))
             .fold(0, u64::saturating_add);
-        // Occupancy classes are numbered in `u32`s.
-        if rows > budget.min(u64::from(u32::MAX)) {
+        if rows > row_bound(budget) {
             return Err(parts);
         }
-        Ok(self.tables.get_or_init(|| self.build_tables(parts)))
+        Ok(self.tables.get_or_init(|| Tables {
+            blocks: (0..=self.consts).map(|_| OnceLock::new()).collect(),
+            parts,
+        }))
     }
 
-    /// Sweeps σ once for every block → cell assignment of every
-    /// partition and numbers the distinct cell occupancies.
-    fn build_tables(&self, parts: Vec<Partition>) -> Tables {
+    /// The rows of the partitions with `blocks` blocks, built by the
+    /// first call whose `budget` holds them; `None` when there is no
+    /// such partition or the budget does not hold the rows (that count
+    /// cannot finish, and sweeps σ per assignment).
+    fn block_rows<'a>(
+        &self,
+        tables: &'a Tables,
+        blocks: usize,
+        budget: u64,
+    ) -> Option<&'a BlockRows> {
+        let slot = &tables.blocks[blocks];
+        if let Some(rows) = slot.get() {
+            return Some(rows);
+        }
+        let rows = self.row_count(&tables.parts, blocks);
+        if rows == 0 || rows > row_bound(budget) {
+            return None;
+        }
+        Some(slot.get_or_init(|| self.build_block_rows(&tables.parts, blocks)))
+    }
+
+    /// The number of rows of the partitions with `blocks` blocks: one
+    /// per block → cell assignment of each.
+    fn row_count(&self, parts: &[Partition], blocks: usize) -> u64 {
+        let partitions = parts.iter().filter(|p| p.blocks == blocks).count() as u64;
+        partitions.saturating_mul((self.cells() as u64).saturating_pow(blocks as u32))
+    }
+
+    /// Numbers the distinct cell occupancies of the block → cell
+    /// assignments of `blocks` blocks, and sweeps σ once for every
+    /// assignment of every partition with that many blocks.
+    fn build_block_rows(&self, parts: &[Partition], blocks: usize) -> BlockRows {
         let cells = self.cells();
-        let mut starts = vec![0];
-        let mut rows = Vec::new();
+        let mut class = Vec::new();
         let mut occs = Vec::new();
         let mut classes: HashMap<Vec<u64>, u32> = HashMap::new();
-        for part in &parts {
-            let Ok(()) = for_each_assignment::<Infallible>(cells, part.blocks, |assign, occ| {
-                let fresh = classes.len() as u32;
-                let class = *classes.entry(occ.to_vec()).or_insert_with(|| {
-                    occs.extend_from_slice(occ);
-                    fresh
-                });
-                let sat = u32::try_from(self.sigma_sweep(part, assign))
-                    .expect("σ ranges over at most 2^MAX_NAMED_ATOMS values");
-                rows.push(Row { sat, class });
+        let Ok(()) = for_each_assignment::<Infallible>(cells, blocks, |_, occ| {
+            let fresh = classes.len() as u32;
+            class.push(*classes.entry(occ.to_vec()).or_insert_with(|| {
+                occs.extend_from_slice(occ);
+                fresh
+            }));
+            Ok(())
+        });
+        let mut sat = Vec::new();
+        for part in parts.iter().filter(|p| p.blocks == blocks) {
+            let Ok(()) = for_each_assignment::<Infallible>(cells, blocks, |assign, _| {
+                sat.push(
+                    u32::try_from(self.sigma_sweep(part, assign))
+                        .expect("σ ranges over at most 2^MAX_NAMED_ATOMS values"),
+                );
                 Ok(())
             });
-            starts.push(rows.len());
         }
-        Tables {
-            parts,
-            starts,
-            rows,
-            occs,
-        }
+        BlockRows { class, sat, occs }
     }
 
     /// The per-`n` half of a count: the partitions with at most `n`
-    /// blocks and their free-bit exponents, each conjunct's τ, and one
+    /// blocks and their free-bit exponents, the rows of their block
+    /// counts (built here on first need), each conjunct's τ, and one
     /// chunk's share of `max_visited` over the `n + 1` chunks.
     fn plan<'a>(
         &self,
@@ -524,6 +568,14 @@ impl SymmetrySpec {
             .checked_mul(n as u64)
             .and_then(|u| u.checked_add(wide_bits))
             .ok_or(CountError::Overflow)?;
+        let mut rows = [None; MAX_CONSTANTS + 1];
+        let mut classes = 0;
+        for (blocks, slot) in rows.iter_mut().enumerate().take(n.min(self.consts) + 1) {
+            if let Some(block) = tables.and_then(|t| self.block_rows(t, blocks, max_visited)) {
+                *slot = Some((block, classes));
+                classes += block.occs.len() / self.cells();
+            }
+        }
         let mut live = Vec::with_capacity(parts.len());
         for (i, part) in parts.iter().enumerate() {
             // More blocks than elements cannot be realized (the falling
@@ -537,7 +589,8 @@ impl SymmetrySpec {
         }
         Ok(Plan {
             parts,
-            tables,
+            rows,
+            classes,
             live,
             n,
             taus: self.stats.iter().map(|s| tolerance(s.op, tol)).collect(),
@@ -545,17 +598,13 @@ impl SymmetrySpec {
         })
     }
 
-    /// Enumerates the coincidence partitions in restricted-growth order
-    /// with their per-partition named-bit tables.
+    /// The coincidence partitions in restricted-growth order with their
+    /// per-partition named-bit tables.
     fn partitions(&self) -> Vec<Partition> {
         let mut out = Vec::new();
-        let mut block_of = Vec::with_capacity(self.consts);
-        self.partitions_rec(&mut block_of, 0, &mut out);
-        out
-    }
-
-    fn partitions_rec(&self, block_of: &mut Vec<usize>, blocks: usize, out: &mut Vec<Partition>) {
-        if block_of.len() == self.consts {
+        let mut ranks = vec![0; self.consts + 1];
+        let mut all = SetPartitions::new(self.consts);
+        while let Some(block_of) = all.next() {
             let mut bit_tuples: Vec<(usize, Vec<usize>)> = Vec::new();
             let mut atom_bit = Vec::with_capacity(self.atoms.len());
             for (pred, args) in &self.atoms {
@@ -570,21 +619,17 @@ impl SymmetrySpec {
                 };
                 atom_bit.push(bit);
             }
+            let blocks = SetPartitions::block_count(block_of);
             out.push(Partition {
-                block_of: block_of.clone(),
+                block_of: block_of.to_vec(),
                 blocks,
+                rank: ranks[blocks],
                 atom_bit,
                 named_bits: bit_tuples.len(),
             });
-            return;
+            ranks[blocks] += 1;
         }
-        // Restricted growth: the next constant joins an existing block or
-        // opens the next fresh one.
-        for b in 0..=blocks {
-            block_of.push(b);
-            self.partitions_rec(block_of, blocks.max(b + 1), out);
-            block_of.pop();
-        }
+        out
     }
 
     /// Counts the representatives whose first atom cell has exactly `c0`
@@ -599,18 +644,17 @@ impl SymmetrySpec {
             c0,
             sum: ScaledCount::ZERO,
             reps: 0,
-            memo: vec![None; plan.tables.map_or(0, |t| t.occs.len() / cells)],
+            memo: vec![None; plan.classes],
             counts: [0; MAX_CELLS],
         };
         for &(i, exp2) in &plan.live {
             let part = &plan.parts[i];
-            match plan.tables {
-                Some(tables) => {
-                    for row in tables.rows(i) {
-                        let occ = tables.occ(row.class, cells);
-                        chunk.visit(part, exp2, occ, Some(row.class as usize), || {
-                            u128::from(row.sat)
-                        })?;
+            match plan.rows.get(part.blocks).copied().flatten() {
+                Some((rows, first)) => {
+                    for (&class, &sat) in rows.class.iter().zip(rows.sat(part.rank)) {
+                        let occ = rows.occ(class, cells);
+                        let memo = first + class as usize;
+                        chunk.visit(part, exp2, occ, Some(memo), || u128::from(sat))?;
                     }
                 }
                 None => for_each_assignment(cells, part.blocks, |assign, occ| {
@@ -905,6 +949,13 @@ impl Chunk<'_> {
         }
         Ok(())
     }
+}
+
+/// The most rows a count under `budget` builds tables for: it visits at
+/// least one representative per row, and classes are numbered in
+/// `u32`s.
+fn row_bound(budget: u64) -> u64 {
+    budget.min(u64::from(u32::MAX))
 }
 
 /// Runs chunks `0..=n` on the shared pool and merges them in chunk
@@ -1691,6 +1742,33 @@ mod tests {
             }
         }
         assert!(spec.tables.get().is_none());
+    }
+
+    #[test]
+    fn a_first_count_builds_rows_only_for_the_block_counts_it_reaches() {
+        // Eight constants over four cells: about 3.2M rows in all, but a
+        // count at N reads only the partitions with at most N blocks.
+        let src = "||P(x) | Q(x)||_x ~=_1 0.5; Likes(A, B) or Likes(C, D); \
+                   P(E) or Q(F); !(G = H) or Q(G)";
+        let kb = KnowledgeBase::parse(src).unwrap();
+        let spec = SymmetrySpec::detect(kb.vocab(), &kb.as_formula()).unwrap();
+        assert_eq!((spec.consts, spec.cells()), (8, 4));
+        for n in [2, 3] {
+            let opts = CountOptions::default();
+            let out = spec.count(n, &tol(), &opts);
+            assert_eq!(out, spec.reference_count(n, &tol(), &opts), "N={n}");
+            let tables = spec
+                .tables
+                .get()
+                .expect("the default budget holds the tables");
+            for (blocks, rows) in tables.blocks.iter().enumerate() {
+                assert_eq!(
+                    rows.get().is_some(),
+                    (1..=n).contains(&blocks),
+                    "N={n}: rows for {blocks} blocks"
+                );
+            }
+        }
     }
 
     #[test]
